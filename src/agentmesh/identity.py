@@ -14,6 +14,7 @@ Address text format (see docs/wire.md):
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,6 +31,10 @@ WALLET_SUFFIX = b"::wallet"
 
 DIGEST_LEN = 32
 SIGNATURE_LEN = 64
+
+# Verify keys kept by _public_key. Bounded so a long run meeting many
+# addresses holds a fixed amount of memory.
+PUBLIC_KEY_CACHE_SIZE = 512
 
 
 class IdentityError(Exception):
@@ -148,20 +153,34 @@ def sign_digest(identity: AgentIdentity, digest: bytes) -> Signature:
     return identity.sign_digest(digest)
 
 
+@functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)
+def _public_key(address: str) -> Ed25519PublicKey | None:
+    """The verify key behind address, or None if its bytes are no valid key.
+
+    A pure function of the address, so it is cached. MalformedAddress is
+    raised, and an exception is never cached, so it is raised on every call.
+    """
+    raw_key = decode_address(address)
+    try:
+        return Ed25519PublicKey.from_public_bytes(raw_key)
+    except ValueError:
+        return None
+
+
 def verify_digest(address: str, digest: bytes, signature: Signature | bytes) -> bool:
     """True iff signature was made over exactly this digest by the key behind address.
 
     Raises MalformedAddress for undecodable addresses and BadDigestLength for
     digests of the wrong size; malformed signature bytes simply return False.
     """
-    raw_key = decode_address(address)
+    key = _public_key(address)
     if len(digest) != DIGEST_LEN:
         raise BadDigestLength(f"digest must be {DIGEST_LEN} bytes, got {len(digest)}")
     sig = signature.data if isinstance(signature, Signature) else signature
-    if len(sig) != SIGNATURE_LEN:
+    if key is None or len(sig) != SIGNATURE_LEN:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(raw_key).verify(sig, digest)
+        key.verify(sig, digest)
     except InvalidSignature:
         return False
     except Exception:

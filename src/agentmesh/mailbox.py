@@ -64,7 +64,8 @@ class MailboxStore:
     ack_mode: bool = False
     queues: dict[str, list[tuple[int, Envelope]]] = field(default_factory=dict)
     last_nonce: dict[str, int] = field(default_factory=dict)
-    pending: dict[str, tuple[int, list[Envelope]]] = field(default_factory=dict)
+    # owner -> the queue entries handed out by an unacknowledged retrieve
+    pending: dict[str, list[tuple[int, Envelope]]] = field(default_factory=dict)
     deposited_total: int = 0
     dropped_total: int = 0
 
@@ -123,30 +124,36 @@ class MailboxStore:
         if queue is None:
             return []
         if self.ack_mode:
-            if address in self.pending:
-                # unacked batch from a crashed retrieve: redeliver it
-                return list(self.pending[address][1])
-            batch = [env for _, env in queue]
-            self.pending[address] = (len(batch), batch)
-            return list(batch)
+            # an unacked batch from a crashed retrieve is redelivered as is;
+            # an empty one holds nothing back from the next retrieve
+            entries = self.pending.get(address) or list(queue)
+            self.pending[address] = entries
+            return [env for _, env in entries]
         batch = [env for _, env in queue]
         queue.clear()
         return batch
 
     def acknowledge(self, address: str) -> int:
-        """ack_mode only: confirm the outstanding batch, clearing it."""
+        """ack_mode only: confirm the outstanding batch, clearing it.
+
+        The batch is removed by envelope identity, not by position, so deposits
+        and purges between retrieve and ack never cost an undelivered envelope
+        and never leave a delivered one behind.
+        """
         if address not in self.pending:
             raise NoPendingRetrieve(f"no outstanding retrieve for {address}")
-        count, _ = self.pending.pop(address)
+        batch = self.pending.pop(address)
+        # the batch holds its envelopes, so their ids stay unique until here
+        acked = {id(env) for _, env in batch}
         queue = self.queues.get(address, [])
-        del queue[:count]
-        return count
+        queue[:] = [entry for entry in queue if id(entry[1]) not in acked]
+        return len(batch)
 
     def purge_expired(self, current_height: int) -> int:
         """Drop every stored envelope whose expiry height has passed."""
         removed = 0
         for queue in self.queues.values():
-            keep = [(h, e) for h, e in queue if e.expires_at >= current_height]
+            keep = [entry for entry in queue if entry[1].expires_at >= current_height]
             removed += len(queue) - len(keep)
             queue[:] = keep
         return removed

@@ -35,6 +35,7 @@ from .wire import (
     SchemaNotInProtocol,
     SignatureInvalid,
     UnknownSchema,
+    WireError,
     open_envelope,
     seal_envelope,
 )
@@ -230,6 +231,9 @@ class Agent:
         self.interval_handlers: list[tuple[int, Callable]] = []
         self.event_handlers: dict[str, list[Callable]] = {"startup": [], "shutdown": []}
         self.started = False
+        # digest -> schema over every included protocol, first declared wins;
+        # include_protocol raises after start, so it never goes stale
+        self._schemas: dict[bytes, ModelSchema] = {}
         self.diagnostics: list[TranscriptLine] = []
         self.world: "World | None" = None
         self._in_handler = False
@@ -243,6 +247,8 @@ class Agent:
         if any(p.digest() == spec.digest() for p in self.protocols):
             return
         self.protocols.append(spec)
+        for model in spec.models:
+            self._schemas.setdefault(model.digest(), model)
 
     def register_handler(self, kind: HandlerKind, handler: Callable) -> None:
         if self.started:
@@ -297,11 +303,7 @@ class Agent:
         self.started = True
 
     def known_schemas(self) -> list[ModelSchema]:
-        seen: dict[bytes, ModelSchema] = {}
-        for proto in self.protocols:
-            for model in proto.models:
-                seen.setdefault(model.digest(), model)
-        return list(seen.values())
+        return list(self._schemas.values())
 
     def protocol_for(self, schema: ModelSchema) -> ProtocolSpec:
         for proto in self.protocols:
@@ -399,10 +401,8 @@ class Agent:
         return ctx.outbound
 
     def _schema_name_of(self, digest: bytes) -> str:
-        for schema in self.known_schemas():
-            if schema.digest() == digest:
-                return schema.name
-        return digest.hex()[:8]
+        schema = self._schemas.get(digest)
+        return digest.hex()[:8] if schema is None else schema.name
 
 
 def register_handler(agent: Agent, kind: HandlerKind, handler: Callable) -> None:
@@ -462,8 +462,11 @@ class World:
         self._startup_done = False
         # session id -> (awaiting address, reply record once it lands)
         self._pending_queries: dict[bytes, tuple[str, Record | None]] = {}
-        self._query_errors: dict[bytes, str] = {}
+        self._query_errors: dict[bytes, type[WireError]] = {}
         self._status_changes: list[tuple[int, str, bool]] = []
+        # schema digest -> name over every agent's schemas (the name is part
+        # of the digest, so agents never disagree on it)
+        self._schema_names: dict[bytes, str] = {}
 
     @property
     def height(self) -> int:
@@ -479,13 +482,12 @@ class World:
         self.agents[agent.identity.address] = agent
         self._agent_order.append(agent)
         self.online[agent.identity.address] = True
+        for schema in agent.known_schemas():
+            self._schema_names[schema.digest()] = schema.name
 
     def schema_name_of(self, digest: bytes) -> str:
-        for agent in self._agent_order:
-            for schema in agent.known_schemas():
-                if schema.digest() == digest:
-                    return schema.name
-        return digest.hex()[:8]
+        name = self._schema_names.get(digest)
+        return digest.hex()[:8] if name is None else name
 
     # -- presence ------------------------------------------------------------
 
@@ -550,11 +552,8 @@ class World:
             agent = self.agents[env.target]
             try:
                 record, _ = open_envelope(env, agent.known_schemas(), self.height)
-            except SignatureInvalid:
-                self._query_errors[env.session_id] = "SignatureInvalid"
-                return
-            except (Expired, UnknownSchema) as exc:
-                self._query_errors[env.session_id] = type(exc).__name__
+            except (SignatureInvalid, Expired, UnknownSchema) as exc:
+                self._query_errors[env.session_id] = type(exc)
                 return
             self._pending_queries[env.session_id] = (pending[0], record)
             self.transcript.append(
@@ -679,10 +678,11 @@ class World:
         return session_id
 
     def poll_reply(self, session_id: bytes) -> Record | None:
-        if session_id in self._query_errors:
-            raise SignatureInvalid(
-                f"query reply failed validation: {self._query_errors[session_id]}"
-            )
+        """The reply once it has landed, else None; a reply that failed
+        validation raises the error recorded for it."""
+        error_type = self._query_errors.get(session_id)
+        if error_type is not None:
+            raise error_type(f"query reply failed validation: {error_type.__name__}")
         pending = self._pending_queries.get(session_id)
         return None if pending is None else pending[1]
 
@@ -697,14 +697,16 @@ class World:
         reply lands or the timeout elapses. Never call from inside a
         handler; it drives the same scheduler."""
         session_id = self.send_query(sender, target, record)
-        for _ in range(timeout_ticks):
-            self.tick()
-            reply = self.poll_reply(session_id)
-            if reply is not None:
-                del self._pending_queries[session_id]
-                return reply
-        del self._pending_queries[session_id]
-        raise Timeout(f"no reply from {target} within {timeout_ticks} ticks")
+        try:
+            for _ in range(timeout_ticks):
+                self.tick()
+                reply = self.poll_reply(session_id)
+                if reply is not None:
+                    return reply
+            raise Timeout(f"no reply from {target} within {timeout_ticks} ticks")
+        finally:
+            self._pending_queries.pop(session_id, None)
+            self._query_errors.pop(session_id, None)
 
     # -- transcript -----------------------------------------------------------
 

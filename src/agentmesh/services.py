@@ -149,7 +149,10 @@ class ServiceHandle:
 
 
 def _start(server: _ServiceServer) -> ServiceHandle:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll lets close() return promptly instead of after up to 0.5 s
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     return ServiceHandle(server, thread, f"http://{host}:{port}")

@@ -123,7 +123,8 @@ class ModelSchema:
     """A named message shape: ordered (field_name, SemanticType) pairs.
 
     The digest sorts fields by name first, so declaration order never
-    affects identity.
+    affects identity. The instance is immutable, so the sorted fields and
+    the digest are computed on first use and kept on it.
     """
 
     name: str
@@ -139,15 +140,22 @@ class ModelSchema:
     def build(name: str, **fields: SemanticType) -> "ModelSchema":
         return ModelSchema(name, tuple(fields.items()))
 
-    def sorted_fields(self) -> list[tuple[str, SemanticType]]:
-        return sorted(self.fields, key=lambda f: f[0].encode("utf-8"))
+    def sorted_fields(self) -> tuple[tuple[str, SemanticType], ...]:
+        cached = self.__dict__.get("_sorted_fields")
+        if cached is None:
+            cached = tuple(sorted(self.fields, key=lambda f: f[0].encode("utf-8")))
+            self.__dict__["_sorted_fields"] = cached
+        return cached
 
     def digest(self) -> bytes:
-        buf = [_enc_str(self.name), struct.pack(">I", len(self.fields))]
-        for fname, tag in self.sorted_fields():
-            buf.append(_enc_str(fname))
-            buf.append(bytes([tag]))
-        return hashlib.sha256(b"".join(buf)).digest()
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            buf = [_enc_str(self.name), struct.pack(">I", len(self.fields))]
+            for fname, tag in self.sorted_fields():
+                buf.append(_enc_str(fname))
+                buf.append(bytes([tag]))
+            cached = self.__dict__["_digest"] = hashlib.sha256(b"".join(buf)).digest()
+        return cached
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,8 @@ class ProtocolSpec:
     """A named, versioned set of message schemas.
 
     Two agents advertising the same protocol digest speak the same models;
-    the digest covers name, version, and every member schema.
+    the digest covers name, version, and every member schema. Like a
+    schema's, it is computed once and kept on the immutable instance.
     """
 
     name: str
@@ -302,19 +311,29 @@ class ProtocolSpec:
     def digest(self) -> bytes:
         if not self.models:
             raise EmptyProtocol(f"protocol {self.name!r} has no models")
-        model_digests = sorted(m.digest() for m in self.models)
-        buf = [_enc_str(self.name), _enc_str(self.version), struct.pack(">I", len(model_digests))]
-        buf.extend(model_digests)
-        return hashlib.sha256(b"".join(buf)).digest()
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            model_digests = sorted(m.digest() for m in self.models)
+            buf = [_enc_str(self.name), _enc_str(self.version), struct.pack(">I", len(model_digests))]
+            buf.extend(model_digests)
+            cached = self.__dict__["_digest"] = hashlib.sha256(b"".join(buf)).digest()
+        return cached
+
+    def _models_by_digest(self) -> dict[bytes, ModelSchema]:
+        """Member schemas by digest; the first declared wins a tie."""
+        cached = self.__dict__.get("_by_digest")
+        if cached is None:
+            cached = {}
+            for model in self.models:
+                cached.setdefault(model.digest(), model)
+            self.__dict__["_by_digest"] = cached
+        return cached
 
     def schema_by_digest(self, digest: bytes) -> ModelSchema | None:
-        for model in self.models:
-            if model.digest() == digest:
-                return model
-        return None
+        return self._models_by_digest().get(digest)
 
     def has_schema(self, schema: ModelSchema) -> bool:
-        return any(m.digest() == schema.digest() for m in self.models)
+        return schema.digest() in self._models_by_digest()
 
 
 def protocol_digest(spec: ProtocolSpec) -> bytes:

@@ -1,0 +1,77 @@
+"""Golden byte pins: transcript, report and journal sha256 for fixed configs.
+
+Criterion 8 only compares two runs of the same build, so a change that
+moved the bytes the same way in both runs would pass it. These values were
+computed once and pin the bytes themselves. A change that alters them on
+purpose is a format bump: update docs/wire.md and these pins together.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from agentmesh.cli import attack_config
+from agentmesh.config import PresenceWindow, default_config, with_overrides
+from agentmesh.ledger import journal_lines
+from agentmesh.scenario import build_scenario
+
+
+def _sha(text_or_bytes) -> str:
+    data = text_or_bytes if isinstance(text_or_bytes, bytes) else text_or_bytes.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+CONFIGS = {
+    "demo": default_config,
+    "attack_50": lambda: attack_config(50),
+    "offline_window": lambda: with_overrides(
+        default_config(), offline=(PresenceWindow("CamBikeExpress", 7, 17),)
+    ),
+    "lossy_network": lambda: with_overrides(
+        default_config(), drop_probability=Fraction(1, 20), random_seed=17
+    ),
+}
+
+# name -> (report status, transcript sha256, report sha256, journal sha256)
+GOLDEN = {
+    'attack_50': (
+        'ok',
+        'afc133a78c7c7a4f7a99a1308aed485f1a7056cfe4c8df802ccdc2f24dcfd155',
+        '696a2cc6d7914fa4d8f162e4138b52c141ad3738c8f19558edc5b7f0df58c2b7',
+        'a23f85bce579d492a5ec12f7ab08feeb0a3cfdc7918e47c42d105a56776fd079',
+    ),
+    'demo': (
+        'ok',
+        '18d4cf2b72f7a86e4d31c8fb7ee32a8d26fc8e7cb2e1545985f0bbf36eef696d',
+        '565d62c804db8496938eb36a0f619a991d477da1382ae7cd814702b0e49bf1b4',
+        '742d09b02284db06bc452c66d0dc858530242c2dd08d47f9d5150280d26d8eb0',
+    ),
+    'lossy_network': (
+        'ok',
+        '84c51380384be178e1b2fa7b809a710fad19101bf0faa2a20d02040b921028b7',
+        '56c367e17c0b85519109cebf6ee5a2fdf841582c08740b1693d452b2d765f578',
+        '2f5b5e45431bf13fda8335dc084568950a30819da1971538da2bc75c86894161',
+    ),
+    'offline_window': (
+        'ok',
+        'dfe3009b9824c63f0e9ebc309086741497a0454a95e8c680b16e5b5a9d64886d',
+        '45f6b5fdb90d40a9bef7baa8582562044091c46e53712b52c02bc7df7b66eb1a',
+        'a93f6605aa8a80ca1d2146c13bc6290ed837aa0db055d264c9af80d3d0329fd9',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_bytes(name):
+    scenario = build_scenario(CONFIGS[name]())
+    report = scenario.orchestrator.run()
+    got = (
+        report.status,
+        _sha("\n".join(report.transcript)),
+        _sha(bytes.fromhex(report.encoded_hex())),
+        _sha("\n".join(journal_lines(scenario.world.ledger.journal))),
+    )
+    assert got == GOLDEN[name]

@@ -6,8 +6,10 @@ import hashlib
 
 import pytest
 
+from agentmesh import identity as identity_module
 from agentmesh.identity import (
     AGENT_PREFIX,
+    PUBLIC_KEY_CACHE_SIZE,
     WALLET_PREFIX,
     BadDigestLength,
     EmptySeed,
@@ -123,3 +125,43 @@ class TestSigning:
     def test_signature_length_enforced(self):
         with pytest.raises(BadDigestLength):
             Signature(b"\x01" * 63)
+
+
+class TestKeyCache:
+    """verify_digest keeps parsed verify keys per address in a bounded cache."""
+
+    def test_cached_key_does_not_verify_another_signer(self):
+        alice, bob = derive_identity("cache alice"), derive_identity("cache bob")
+        digest = digest_of(b"cached")
+        sig = alice.sign_digest(digest)
+        assert verify_digest(alice.address, digest, sig)
+        assert verify_digest(bob.address, digest, bob.sign_digest(digest))
+        # both keys are cached now; neither answers for the other's signature
+        assert not verify_digest(bob.address, digest, sig)
+        assert verify_digest(alice.address, digest, sig)
+
+    def test_malformed_address_raises_on_every_call(self):
+        digest = digest_of(b"x")
+        for _ in range(3):
+            with pytest.raises(MalformedAddress):
+                verify_digest("agent1short", digest, Signature(b"\x00" * 64))
+            # the address is checked before the digest length
+            with pytest.raises(MalformedAddress):
+                verify_digest("bogus1aaaa", b"short", Signature(b"\x00" * 64))
+
+    def test_bad_digest_length_after_key_is_cached(self):
+        identity = derive_identity("cached then short")
+        digest = digest_of(b"x")
+        assert verify_digest(identity.address, digest, identity.sign_digest(digest))
+        with pytest.raises(BadDigestLength):
+            verify_digest(identity.address, b"short", Signature(b"\x00" * 64))
+
+    def test_cache_is_bounded(self):
+        cache_info = identity_module._public_key.cache_info
+        assert cache_info().maxsize == PUBLIC_KEY_CACHE_SIZE
+        digest = digest_of(b"many signers")
+        for i in range(PUBLIC_KEY_CACHE_SIZE + 40):
+            signer = derive_identity(f"cache bound {i}")
+            assert verify_digest(signer.address, digest, signer.sign_digest(digest))
+            assert cache_info().currsize <= PUBLIC_KEY_CACHE_SIZE
+        assert cache_info().currsize == PUBLIC_KEY_CACHE_SIZE

@@ -159,6 +159,36 @@ class TestAckMode:
         store.acknowledge(OWNER.address)
         assert store.stats()[OWNER.address] == 1
 
+    def test_purge_between_retrieve_and_ack_keeps_new_mail(self):
+        store = MailboxStore(ack_mode=True)
+        store.create_account(OWNER.address)
+        store.deposit(note_env("stale", expires_at=10), 1)
+        store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
+        fresh = note_env("fresh", expires_at=100)
+        store.deposit(fresh, 5)
+        assert store.purge_expired(11) == 1  # the pending envelope expires
+        store.acknowledge(OWNER.address)
+        # the acked batch is gone; the never-delivered deposit is not
+        assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == [fresh]
+
+    def test_purge_that_removes_nothing_then_ack_clears_the_batch(self):
+        store = MailboxStore(ack_mode=True)
+        store.create_account(OWNER.address)
+        store.deposit(note_env("kept", expires_at=100), 1)
+        store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
+        assert store.purge_expired(5) == 0
+        assert store.acknowledge(OWNER.address) == 1
+        # the delivered envelope is not handed out a second time
+        assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == []
+
+    def test_unacked_empty_retrieve_does_not_freeze_the_queue(self):
+        store = MailboxStore(ack_mode=True)
+        store.create_account(OWNER.address)
+        assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == []
+        later = note_env("later")
+        store.deposit(later, 2)
+        assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == [later]
+
     def test_ack_without_retrieve(self):
         store = MailboxStore(ack_mode=True)
         with pytest.raises(NoPendingRetrieve):

@@ -27,11 +27,13 @@ from agentmesh.runtime import (
 )
 from agentmesh.wire import (
     Envelope,
+    Expired,
     ModelSchema,
     ProtocolSpec,
     Record,
     SchemaNotInProtocol,
     SemanticType,
+    UnknownSchema,
     seal_envelope,
 )
 
@@ -95,6 +97,43 @@ class TestRegistration:
     def test_event_name_validated(self):
         with pytest.raises(Exception):
             Event("reboot")
+
+
+class TestSchemaIndex:
+    """Agents index schemas by digest as protocols are included; the world
+    indexes names as agents are added."""
+
+    def test_frozen_index_equals_a_fresh_one(self):
+        other = ProtocolSpec("Other", "2.0", (ModelSchema.build("Note", body=SemanticType.STRING),))
+        agent = make_agent("index agent")
+        agent.include_protocol(other)
+        fresh_world().add_agent(agent)
+        fresh = {
+            ModelSchema(m.name, m.fields).digest(): m
+            for proto in agent.protocols
+            for m in proto.models
+        }
+        assert agent._schemas == fresh
+        assert agent.known_schemas() == list(fresh.values())
+
+    def test_world_names_every_agents_schemas(self):
+        world = fresh_world()
+        extra = ModelSchema.build("Extra", n=SemanticType.INT)
+        second = Agent("names second", derive_identity("names second"))
+        second.include_protocol(ProtocolSpec("Mixed", "1.0", (PING, extra)))
+        world.add_agent(make_agent("names first"))
+        world.add_agent(second)
+        assert world.schema_name_of(PING.digest()) == "Ping"
+        assert world.schema_name_of(PONG.digest()) == "Pong"
+        assert world.schema_name_of(extra.digest()) == "Extra"
+        unknown = bytes(range(32))
+        assert world.schema_name_of(unknown) == unknown.hex()[:8]
+
+    def test_unstarted_agent_knows_its_schemas(self):
+        agent = make_agent("unstarted agent")
+        assert not agent.started
+        assert agent.known_schemas() == [PING, PONG]
+        assert agent._schema_name_of(PONG.digest()) == "Pong"
 
 
 class TestDispatch:
@@ -409,6 +448,60 @@ class TestQuery:
             world.tick(6)
             assert world.poll_reply(session_a)["text"] == "A"
             assert world.poll_reply(session_b)["text"] == "B"
+
+    @staticmethod
+    def faulty_pair(fault: str) -> tuple[World, Agent, Agent]:
+        """A client and a server whose reply to Ping fails with fault."""
+        stranger = ModelSchema.build("Stranger", text=SemanticType.STRING)
+        server = make_agent("faulty server")
+        server.include_protocol(ProtocolSpec("Private", "1.0", (stranger,)))
+
+        @server.on_message(PING)
+        def handle(ctx, sender, record):
+            if fault == "Expired":
+                # valid only until this tick; it lands one tick later
+                ctx.reply(Record(PONG, {"text": "late"}), expires_at=ctx.height)
+            else:
+                # a schema the client has never heard of
+                ctx.reply(Record(stranger, {"text": "?"}))
+
+        client = make_agent("faulty client")
+        world = fresh_world(network=NetworkModel(latency_min=1, latency_max=1))
+        world.add_agent(server)
+        world.add_agent(client)
+        return world, client, server
+
+    @pytest.mark.parametrize("fault", ["Expired", "UnknownSchema"])
+    def test_failed_reply_raises_its_own_type_and_cleans_up(self, fault):
+        world, client, server = self.faulty_pair(fault)
+        expected = {"Expired": Expired, "UnknownSchema": UnknownSchema}[fault]
+        with pytest.raises(expected, match=f"query reply failed validation: {fault}$"):
+            world.query(client, server.identity.address, Record(PING, {"text": "x"}), 10)
+        assert world._pending_queries == {}
+        assert world._query_errors == {}
+
+    @pytest.mark.parametrize("fault", ["Expired", "UnknownSchema"])
+    def test_poll_reply_raises_the_recorded_type(self, fault):
+        world, client, server = self.faulty_pair(fault)
+        session = world.send_query(client, server.identity.address, Record(PING, {"text": "x"}))
+        world.tick(6)
+        expected = {"Expired": Expired, "UnknownSchema": UnknownSchema}[fault]
+        for _ in range(2):  # raised on every poll, from the recorded type alone
+            with pytest.raises(expected, match=f"query reply failed validation: {fault}$"):
+                world.poll_reply(session)
+        assert world._query_errors[session] is expected
+
+    def test_timeout_cleans_up(self):
+        world = fresh_world()
+        server = echo_agent("cleanup server")
+        client = make_agent("cleanup client")
+        world.add_agent(server)
+        world.add_agent(client)
+        world.set_online(server.identity.address, False)
+        with pytest.raises(Timeout):
+            world.query(client, server.identity.address, Record(PING, {"text": "x"}), 3)
+        assert world._pending_queries == {}
+        assert world._query_errors == {}
 
 
 class TestDeterminism:

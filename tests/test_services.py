@@ -5,6 +5,7 @@ unchanged behind service clients."""
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -86,6 +87,14 @@ def mailbox_service():
 
 # ---------------------------------------------------------------------------
 # health and routing
+
+def test_close_is_prompt():
+    handle = serve_mailbox(MailboxStore())
+    started = time.perf_counter()
+    handle.close()
+    assert time.perf_counter() - started < 0.3
+    assert not handle.thread.is_alive()
+
 
 def test_health_endpoints(registry_service, mailbox_service):
     client, _, _, _ = registry_service

@@ -160,6 +160,44 @@ class TestSchemaDigest:
         assert schema_digest(schema) == oracles.schema_digest("Mixed", fields)
 
 
+class TestDigestCache:
+    """Digests are kept on the frozen instance after the first call; these
+    check that what is kept is what a fresh computation gives."""
+
+    def test_tag_change_still_changes_digest_once_cached(self):
+        a = ModelSchema.build("S", x=SemanticType.INT, y=SemanticType.STRING)
+        b = ModelSchema.build("S", x=SemanticType.FLOAT, y=SemanticType.STRING)
+        first = (a.digest(), b.digest())
+        assert first[0] != first[1]
+        assert (a.digest(), b.digest()) == first
+        assert a.digest() == oracles.schema_digest("S", {"x": "int", "y": "string"})
+        assert b.digest() == oracles.schema_digest("S", {"x": "float", "y": "string"})
+
+    def test_cached_values_equal_fresh_ones(self):
+        for model in CHAT_PROTOCOL.models + (EXAMPLE,):
+            model.digest()
+            fresh = ModelSchema(model.name, model.fields)
+            assert model.digest() == fresh.digest()
+            assert model.sorted_fields() == fresh.sorted_fields()
+            assert isinstance(model.sorted_fields(), tuple)
+        spec = ProtocolSpec("P", "1.0", (EXAMPLE, CHAT_MESSAGE))
+        spec.digest()
+        assert spec.digest() == ProtocolSpec("P", "1.0", (EXAMPLE, CHAT_MESSAGE)).digest()
+
+    def test_schema_lookup_by_digest(self):
+        spec = ProtocolSpec("P", "1.0", (EXAMPLE, CHAT_MESSAGE))
+        assert spec.schema_by_digest(EXAMPLE.digest()) is EXAMPLE
+        assert spec.schema_by_digest(b"\x00" * 32) is None
+        assert spec.has_schema(ModelSchema(EXAMPLE.name, EXAMPLE.fields))
+        assert not spec.has_schema(ModelSchema.build("Example", other=SemanticType.INT))
+
+    def test_empty_protocol_raises_every_time(self):
+        spec = ProtocolSpec("Empty", "1.0", ())
+        for _ in range(2):
+            with pytest.raises(EmptyProtocol):
+                spec.digest()
+
+
 class TestProtocolDigest:
     def test_golden_courier_auction(self):
         from agentmesh.contractnet import COURIER_AUCTION
