@@ -45,6 +45,7 @@ from .registry import (
     registration_signing_digest,
 )
 from .runtime import Agent, NetworkModel, Timeout, World
+from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
     CHAT_PROTOCOL,
@@ -52,6 +53,7 @@ from .wire import (
     ProtocolSpec,
     Record,
     SemanticType,
+    WireError,
     canonical_encode,
     make_chat_message,
 )
@@ -880,7 +882,9 @@ class Orchestrator:
             return self._run_plan()
         except Timeout as exc:
             return self._report("failed", f"Timeout: {exc}")
-        except (LedgerError, RegistryError, ScenarioError, ContractNetError) as exc:
+        except (
+            LedgerError, RegistryError, ScenarioError, ContractNetError, WireError, ServiceError
+        ) as exc:
             return self._report("failed", f"{type(exc).__name__}: {exc}")
 
     def _run_plan(self) -> ScenarioReport:
@@ -1062,7 +1066,12 @@ class Orchestrator:
     def _report(self, status: str, failure_cause: str) -> ScenarioReport:
         # let scheduled reconnects happen and stragglers land before the
         # transcript is frozen; a quiet world drains in zero ticks
-        self.world.drain()
+        try:
+            self.world.drain()
+        except ServiceError as exc:
+            # the mailbox went away: freeze the transcript as it stands,
+            # keeping the first failure as the cause
+            status, failure_cause = "failed", failure_cause or f"ServiceError: {exc}"
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
         spend = self._initial_user_balance - ledger.balance(user_wallet)
@@ -1301,7 +1310,7 @@ def run_scenario(
         scenario = build_scenario(
             config, registry, mailbox, dns, feedback_register, input_fn, ledger
         )
-    except (LedgerError, RegistryError, ScenarioError) as exc:
+    except (LedgerError, RegistryError, ScenarioError, ServiceError) as exc:
         return _setup_failure_report(f"{type(exc).__name__}: {exc}")
     return scenario.orchestrator.run()
 

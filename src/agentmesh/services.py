@@ -8,10 +8,11 @@ errors, same state. JSON carries the requests; bytes travel as hex.
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import socket
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -82,15 +83,21 @@ class _JsonHandler(BaseHTTPRequestHandler):
     """Dispatch POSTed JSON to the route table installed on the server."""
 
     protocol_version = "HTTP/1.1"
+    # buffer the reply so status line, headers and body leave in the one
+    # write handle_one_request flushes: a separate body write would wait on
+    # the client's delayed ACK (Nagle) on every keep-alive round trip
+    wbufsize = -1
 
     def log_message(self, fmt: str, *args) -> None:  # quiet by default
         pass
 
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -102,21 +109,32 @@ class _JsonHandler(BaseHTTPRequestHandler):
             self._reply(404, {"error": "NoRoute", "detail": f"no route {self.path}"})
 
     def do_POST(self) -> None:
+        # consume the body before any reply: on a keep-alive connection a
+        # body left unread would be parsed as the next request
+        try:
+            body = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        except ValueError as exc:
+            # the body's end is unknown, so the connection cannot be reused
+            self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)
+            return
         route = self.server.routes.get(self.path)
         if route is None:
             self._reply(404, {"error": "NoRoute", "detail": f"no route {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            request = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
+            request = json.loads(body or b"{}")
+        except ValueError as exc:
             self._reply(400, {"error": "BadRequest", "detail": str(exc)})
             return
         try:
             with self.server.lock:
                 result = route(request)
         except (RegistryError, MailboxError, LedgerError, IdentityError, WireError) as exc:
-            self._reply(400, {"error": type(exc).__name__, "detail": str(exc)})
+            # structured fields (BadSequence.expected, InsufficientFunds.
+            # shortfall, ...) travel as attributes for the client to restore
+            self._reply(
+                400, {"error": type(exc).__name__, "detail": str(exc), "attrs": vars(exc)}
+            )
         except (KeyError, TypeError, ValueError) as exc:
             self._reply(400, {"error": "BadRequest", "detail": f"{type(exc).__name__}: {exc}"})
         else:
@@ -124,14 +142,41 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
 
 class _ServiceServer(ThreadingHTTPServer):
-    daemon_threads = True
-
     def __init__(self, address, service_name: str, routes: dict) -> None:
         super().__init__(address, _JsonHandler)
         self.service_name = service_name
         self.routes = routes
         # the wrapped stores are single-writer; serialize every operation
         self.lock = threading.Lock()
+        # each open connection and the thread serving it, so server_close()
+        # can end and join them (ThreadingMixIn tracks no daemon thread)
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        # a keep-alive handler blocks reading its client's next request;
+        # shutting its socket down ends that read and with it the thread
+        with self._connections_lock:
+            threads = list(self._connections.values())
+            for connection in self._connections:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RDWR)
+        for thread in threads:
+            thread.join(timeout=5)
 
 
 @dataclass
@@ -143,6 +188,8 @@ class ServiceHandle:
     base_url: str
 
     def close(self) -> None:
+        """Stop accepting, end every open connection and join the server's
+        threads, handler threads included."""
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5)
@@ -296,38 +343,78 @@ def serve_mailbox(store: MailboxStore, host: str = "127.0.0.1", port: int = 0) -
 # ---------------------------------------------------------------------------
 # clients
 
-def _post(base_url: str, path: str, payload: dict, timeout: float) -> dict:
-    body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        base_url + path, data=body, headers={"Content-Type": "application/json"}
-    )
+def _exchange(
+    connection: http.client.HTTPConnection, method: str, path: str, body: bytes | None = None
+) -> tuple[int, bytes]:
+    """One request/response on a keep-alive connection. A transport failure
+    drops the connection (the next call reconnects) and is never retried:
+    most routes are not idempotent."""
+    headers = {"Content-Type": "application/json"} if body is not None else {}
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        try:
-            error = json.loads(exc.read())
-        except (ValueError, json.JSONDecodeError):
-            raise ServiceError(f"{path}: HTTP {exc.code}") from exc
-        cls = _ERROR_CLASSES.get(error.get("error", ""))
-        if cls is not None:
-            raise _rebuild_error(cls, error.get("detail", "")) from exc
-        raise ServiceError(f"{path}: {error.get('error')}: {error.get('detail')}") from exc
-    except urllib.error.URLError as exc:
-        raise ServiceError(f"{path}: {exc.reason}") from exc
+        connection.request(method, path, body, headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        connection.close()
+        raise ServiceError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _rebuild_error(cls: type[Exception], detail: str) -> Exception:
+def _post(connection: http.client.HTTPConnection, path: str, payload: dict) -> dict:
+    status, data = _exchange(connection, "POST", path, json.dumps(payload).encode("utf-8"))
     try:
-        return cls(detail)
-    except TypeError:
-        # some classes take structured arguments; fall back to the base
-        exc = cls.__new__(cls)
-        Exception.__init__(exc, detail)
-        return exc
+        reply = json.loads(data)
+    except ValueError:
+        raise ServiceError(f"{path}: HTTP {status}") from None
+    if status == 200:
+        return reply
+    cls = _ERROR_CLASSES.get(reply.get("error", ""))
+    if cls is not None:
+        raise _rebuild_error(cls, reply.get("detail", ""), reply.get("attrs", {}))
+    raise ServiceError(f"{path}: {reply.get('error')}: {reply.get('detail')}")
 
 
-class RegistryClient:
+def _rebuild_error(cls: type[Exception], detail: str, attrs: dict) -> Exception:
+    # built without __init__, since some classes take structured arguments;
+    # message and attributes come back as the server's instance had them
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, detail)
+    vars(exc).update(attrs)
+    return exc
+
+
+class _ServiceClient:
+    """One keep-alive HTTP connection to a service, shared under a lock."""
+
+    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
+        self.base_url = base_url.rstrip("/")
+        host = self.base_url.split("://", 1)[-1]
+        self._connection = http.client.HTTPConnection(host, timeout=timeout)
+        self._lock = threading.Lock()
+
+    def _post(self, path: str, payload: dict) -> dict:
+        with self._lock:
+            return _post(self._connection, path, payload)
+
+    def health(self) -> bool:
+        with self._lock:
+            try:
+                status, data = _exchange(self._connection, "GET", "/health")
+                return status == 200 and json.loads(data).get("ok", False)
+            except (ServiceError, ValueError):
+                return False
+
+    def close(self) -> None:
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class RegistryClient(_ServiceClient):
     """Same method signatures as Registry, but backed by a remote service.
 
     register() takes (and ignores) the caller's ledger: the fee is charged
@@ -335,13 +422,6 @@ class RegistryClient:
     aname_verify() likewise ignores the resolver argument; the server does
     the TXT lookup itself, so the client offers dns_publish() for fixtures.
     """
-
-    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def _post(self, path: str, payload: dict) -> dict:
-        return _post(self.base_url, path, payload, self.timeout)
 
     def register(
         self,
@@ -418,26 +498,15 @@ class RegistryClient:
     def domain_of(self, agent_address: str) -> str | None:
         return self._post("/domain_of", {"agent_address": agent_address})["domain"]
 
-    def health(self) -> bool:
-        try:
-            with urllib.request.urlopen(self.base_url + "/health", timeout=self.timeout) as r:
-                return json.loads(r.read()).get("ok", False)
-        except (urllib.error.URLError, ValueError):
-            return False
 
-
-class MailboxClient:
+class MailboxClient(_ServiceClient):
     """Same method signatures as MailboxStore, backed by a remote service."""
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        config = _post(self.base_url, "/config", {}, timeout)
+        super().__init__(base_url, timeout)
+        config = self._post("/config", {})
         self.ack_mode = config["ack_mode"]
         self.capacity = config["capacity"]
-
-    def _post(self, path: str, payload: dict) -> dict:
-        return _post(self.base_url, path, payload, self.timeout)
 
     def create_account(self, address: str) -> None:
         self._post("/create_account", {"address": address})

@@ -538,12 +538,12 @@ def test_criterion_10_service_parity():
     registry_handle = serve_registry(registry, ledger, FixtureDnsResolver())
     mailbox_handle = serve_mailbox(MailboxStore())
     try:
-        behind_services = run_scenario(
-            config,
-            registry=RegistryClient(registry_handle.base_url),
-            mailbox=MailboxClient(mailbox_handle.base_url),
-            ledger=ledger,
-        )
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            behind_services = run_scenario(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            )
     finally:
         registry_handle.close()
         mailbox_handle.close()

@@ -27,7 +27,7 @@ from agentmesh.scenario import (
     run_scenario,
     simulate_network,
 )
-from agentmesh.wire import canonical_decode
+from agentmesh.wire import Expired, canonical_decode
 
 DEMO_REQUEST = default_config().request
 
@@ -255,6 +255,20 @@ def test_unparsable_request_fails_typed():
     assert report.status == "failed"
     assert report.failure_cause.startswith("UnparsableRequest")
     assert report.total_user_spend_ufet == 0
+
+
+def test_wire_error_mid_order_fails_typed(monkeypatch):
+    scenario = build_scenario(default_config())
+
+    def query(*args, **kwargs):
+        raise Expired("query reply failed validation: Expired")
+
+    monkeypatch.setattr(scenario.world, "query", query)
+    report = scenario.orchestrator.run()
+    assert report.status == "failed"
+    assert report.failure_cause == "Expired: query reply failed validation: Expired"
+    assert report.total_user_spend_ufet == 0
+    assert report.conserved
 
 
 def test_no_feasible_bid_when_every_eta_misses():

@@ -4,13 +4,16 @@ unchanged behind service clients."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
 import urllib.request
 
 import pytest
 
-from agentmesh.config import default_config
+from agentmesh.config import PresenceWindow, default_config, with_overrides
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import InsufficientFunds, Ledger, fet
 from agentmesh.mailbox import BadAuth, MailboxStore, ReplayedNonce, retrieval_auth_digest
@@ -28,7 +31,7 @@ from agentmesh.registry import (
     Registry,
     registration_signing_digest,
 )
-from agentmesh.scenario import run_scenario
+from agentmesh.scenario import build_scenario, run_scenario
 from agentmesh.services import (
     MailboxClient,
     RegistryClient,
@@ -72,8 +75,8 @@ def registry_service():
     registry = Registry(ttl=50, fee=fet(1))
     dns = FixtureDnsResolver()
     handle = serve_registry(registry, ledger, dns)
-    client = RegistryClient(handle.base_url)
-    yield client, registry, ledger, dns
+    with RegistryClient(handle.base_url) as client:
+        yield client, registry, ledger, dns
     handle.close()
 
 
@@ -81,7 +84,8 @@ def registry_service():
 def mailbox_service():
     store = MailboxStore()
     handle = serve_mailbox(store)
-    yield MailboxClient(handle.base_url), store
+    with MailboxClient(handle.base_url) as client:
+        yield client, store
     handle.close()
 
 
@@ -185,6 +189,27 @@ def test_resolve_errors_cross_the_wire(registry_service):
         client.resolve(ALICE.address, current_height=200)  # ttl is 50
 
 
+@pytest.mark.parametrize("error", [BadSequence, InsufficientFunds])
+def test_structured_errors_keep_their_fields(registry_service, error):
+    client, _, _, _ = registry_service
+    ledger = Ledger()
+    ledger.mint(ALICE.wallet_address, fet(10))
+    local = Registry(ttl=50, fee=fet(1))
+    if error is BadSequence:
+        args = signed_registration(ALICE)
+        client.register(None, **args)
+        local.register(ledger, **args)
+    else:
+        args = signed_registration(derive_identity("service test pauper"))
+    with pytest.raises(error) as in_process:
+        local.register(ledger, **args)
+    with pytest.raises(error) as over_http:
+        client.register(None, **args)
+    # BadSequence.expected/.got, InsufficientFunds.wallet/.shortfall
+    assert vars(over_http.value) == vars(in_process.value) != {}
+    assert str(over_http.value) == str(in_process.value)
+
+
 # ---------------------------------------------------------------------------
 # ANAME over HTTP
 
@@ -277,21 +302,146 @@ def test_ack_mode_redelivery_over_http():
     store = MailboxStore(ack_mode=True)
     handle = serve_mailbox(store)
     try:
-        client = MailboxClient(handle.base_url)
-        assert client.ack_mode is True  # picked up from /config
+        with MailboxClient(handle.base_url) as client:
+            assert client.ack_mode is True  # picked up from /config
+            client.create_account(BOB.address)
+            client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1)
+
+            auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
+            first = client.retrieve(BOB.address, 0, auth)
+            # no acknowledge yet: a fresh nonce redelivers the same batch
+            auth2 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 1))
+            again = client.retrieve(BOB.address, 1, auth2)
+            assert [e.to_bytes() for e in again] == [e.to_bytes() for e in first]
+
+            assert client.acknowledge(BOB.address) == 1
+            auth3 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 2))
+            assert client.retrieve(BOB.address, 2, auth3) == []
+    finally:
+        handle.close()
+
+
+# ---------------------------------------------------------------------------
+# transport: one keep-alive connection per client
+
+def handler_threads(handle) -> list[threading.Thread]:
+    """The server's handler threads, one per accepted connection, recorded
+    as each starts."""
+    threads = []
+    finish_request = handle.server.finish_request
+
+    def recording(request, client_address):
+        threads.append(threading.current_thread())
+        finish_request(request, client_address)
+
+    handle.server.finish_request = recording
+    return threads
+
+
+def test_one_client_keeps_one_connection():
+    handle = serve_mailbox(MailboxStore())
+    handlers = handler_threads(handle)
+    try:
+        with MailboxClient(handle.base_url) as client:
+            client.create_account(BOB.address)
+            for _ in range(10):
+                assert client.has_account(BOB.address) is True
+                assert client.stats() == {BOB.address: 0}
+        assert len(handlers) == 1
+    finally:
+        handle.close()
+
+
+def test_error_replies_keep_the_connection():
+    ledger = Ledger()
+    ledger.mint(ALICE.wallet_address, fet(10))
+    handle = serve_registry(Registry(ttl=50, fee=fet(1)), ledger)
+    handlers = handler_threads(handle)
+    try:
+        with RegistryClient(handle.base_url) as client:
+            args = signed_registration(ALICE)
+            client.register(None, **args)
+            with pytest.raises(BadSequence):
+                client.register(None, **args)
+            assert client.resolve(ALICE.address, current_height=0).address == ALICE.address
+            with pytest.raises(ServiceError):
+                client._post("/no_such_route", {"body": "not to be read as a request"})
+            assert client.domain_of(ALICE.address) is None
+            assert client.health() is True
+        assert len(handlers) == 1
+    finally:
+        handle.close()
+
+
+def test_unreadable_body_length_closes_the_connection(mailbox_service):
+    client, _ = mailbox_service
+    connection = http.client.HTTPConnection(client.base_url.split("://", 1)[-1], timeout=5)
+    try:
+        connection.putrequest("POST", "/stats")
+        connection.putheader("Content-Length", "many")
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"] == "BadRequest"
+        # the body's end is unknown: the server must not read on for a request
+        assert response.getheader("Connection") == "close"
+    finally:
+        connection.close()
+    assert client.stats() == {}
+
+
+def test_sequential_rpcs_do_not_stall(mailbox_service):
+    client, _ = mailbox_service
+    client.create_account(BOB.address)
+    started = time.perf_counter()
+    for _ in range(50):
+        client.has_account(BOB.address)
+    # a reply sent in two writes waits on delayed ACK: >= 40 ms per call
+    assert time.perf_counter() - started < 1.0
+
+
+def test_close_ends_live_keep_alive_connections():
+    handle = serve_mailbox(MailboxStore())
+    handlers = handler_threads(handle)
+    with MailboxClient(handle.base_url) as client:
         client.create_account(BOB.address)
-        client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1)
+        started = time.perf_counter()
+        handle.close()
+        assert time.perf_counter() - started < 0.3
+        assert len(handlers) == 1
+        assert not any(thread.is_alive() for thread in handlers)
+        assert not handle.thread.is_alive()
+        for _ in range(2):  # the dropped connection, then a refused reconnect
+            started = time.perf_counter()
+            with pytest.raises(ServiceError):
+                client.has_account(BOB.address)
+            assert time.perf_counter() - started < 1.0
 
-        auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
-        first = client.retrieve(BOB.address, 0, auth)
-        # no acknowledge yet: a fresh nonce redelivers the same batch
-        auth2 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 1))
-        again = client.retrieve(BOB.address, 1, auth2)
-        assert [e.to_bytes() for e in again] == [e.to_bytes() for e in first]
 
-        assert client.acknowledge(BOB.address) == 1
-        auth3 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 2))
-        assert client.retrieve(BOB.address, 2, auth3) == []
+def test_lost_reply_is_not_resent_and_the_next_call_reconnects():
+    store = MailboxStore()
+    handle = serve_mailbox(store)
+    handlers = handler_threads(handle)
+    server = handle.server
+    create_account = server.routes["/create_account"]
+    calls = []
+
+    def create_then_drop(request):
+        calls.append(request)
+        result = create_account(request)
+        with server._connections_lock:
+            for connection in server._connections:
+                connection.shutdown(socket.SHUT_RDWR)
+        return result
+
+    server.routes["/create_account"] = create_then_drop
+    try:
+        with MailboxClient(handle.base_url) as client:
+            with pytest.raises(ServiceError):
+                client.create_account(BOB.address)
+            assert len(calls) == 1  # not resent: create_account is not idempotent
+            assert client.has_account(BOB.address) is True
+        assert len(handlers) == 2
     finally:
         handle.close()
 
@@ -310,12 +460,12 @@ def test_scenario_behind_services_matches_in_process():
     registry_handle = serve_registry(registry, ledger, dns)
     mailbox_handle = serve_mailbox(store)
     try:
-        report = run_scenario(
-            config,
-            registry=RegistryClient(registry_handle.base_url),
-            mailbox=MailboxClient(mailbox_handle.base_url),
-            ledger=ledger,
-        )
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            report = run_scenario(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            )
     finally:
         registry_handle.close()
         mailbox_handle.close()
@@ -323,3 +473,54 @@ def test_scenario_behind_services_matches_in_process():
     assert report.status == "ok"
     assert report.encoded_hex() == baseline.encoded_hex()
     assert report.transcript_sha256() == baseline.transcript_sha256()
+
+
+# ---------------------------------------------------------------------------
+# a service gone before or during an order
+
+def served_pair(config):
+    ledger = Ledger()
+    registry = Registry(ttl=config.registry_ttl, fee=fet(config.registration_fee_fet))
+    return ledger, serve_registry(registry, ledger), serve_mailbox(MailboxStore())
+
+
+def test_registry_gone_before_the_run_fails_typed():
+    config = default_config()
+    ledger, registry_handle, mailbox_handle = served_pair(config)
+    registry_handle.close()
+    try:
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            report = run_scenario(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            )
+    finally:
+        mailbox_handle.close()
+    assert report.status == "failed"
+    assert report.failure_cause.startswith("ServiceError")
+
+
+@pytest.mark.parametrize("gone", ["registry", "mailbox"])
+def test_service_gone_mid_order_fails_typed(gone):
+    # CamBikeExpress is offline across the call for bids, so its bid
+    # request is parked in the mailbox and fetched when it reconnects
+    config = with_overrides(
+        default_config(), offline=(PresenceWindow("CamBikeExpress", 7, 17),)
+    )
+    ledger, registry_handle, mailbox_handle = served_pair(config)
+    try:
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            scenario = build_scenario(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            )
+            {"registry": registry_handle, "mailbox": mailbox_handle}[gone].close()
+            report = scenario.orchestrator.run()
+    finally:
+        registry_handle.close()
+        mailbox_handle.close()
+    assert report.status == "failed"
+    assert report.failure_cause.startswith("ServiceError")
+    assert report.conserved
