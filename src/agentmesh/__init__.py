@@ -2,7 +2,7 @@
 network, a token ledger with escrow, an expiring agent registry, offline
 mailboxes, and a courier auction running end to end on top of them."""
 
-from .identity import AgentIdentity, Signature, derive_identity, sign_digest, verify_digest
+from .identity import AgentIdentity, Signature, derive_identity, verify_digest
 from .ledger import Ledger, fet
 from .mailbox import MailboxStore
 from .registry import Registry
@@ -16,8 +16,6 @@ from .wire import (
     canonical_decode,
     canonical_encode,
     open_envelope,
-    protocol_digest,
-    schema_digest,
     seal_envelope,
 )
 
@@ -42,9 +40,6 @@ __all__ = [
     "derive_identity",
     "fet",
     "open_envelope",
-    "protocol_digest",
-    "schema_digest",
     "seal_envelope",
-    "sign_digest",
     "verify_digest",
 ]

@@ -385,6 +385,28 @@ class SettleResult:
     error: str | None = None
 
 
+def _seal_answer(logistics, schema: ModelSchema, target: str, expires_at: int):
+    from .wire import seal_envelope
+
+    return seal_envelope(
+        logistics.identity,
+        target,
+        COURIER_AUCTION,
+        Record(schema, {}),
+        logistics.fresh_session_id(),
+        expires_at,
+    )
+
+
+def reject_bidders(logistics: "object", bidders: Iterable[str], expires_at: int) -> tuple:
+    """One RejectBid per bidder, in address order, each in a fresh session:
+    to the losers of a settled auction, or to every bidder of one that
+    closes without an escrow."""
+    return tuple(
+        _seal_answer(logistics, REJECT_BID, address, expires_at) for address in sorted(bidders)
+    )
+
+
 def settle(
     logistics: "object",
     winner: str,
@@ -404,28 +426,14 @@ def settle(
     bidder including the would-be winner receives RejectBid.
     """
     from .runtime import Agent
-    from .wire import seal_envelope
 
     assert isinstance(logistics, Agent)
-
-    def seal(schema: ModelSchema, target: str):
-        return seal_envelope(
-            logistics.identity,
-            target,
-            COURIER_AUCTION,
-            Record(schema, {}),
-            logistics.fresh_session_id(),
-            expires_at,
-        )
-
-    loser_list = sorted(losers)
     try:
         escrow_id = ledger.open_escrow(
             payer_wallet, payee_wallet, escrow_amount, logistics.identity.address
         )
     except InsufficientFunds as exc:
-        rejects = tuple(seal(REJECT_BID, addr) for addr in sorted([winner, *loser_list]))
+        rejects = reject_bidders(logistics, [winner, *losers], expires_at)
         return SettleResult(None, rejects, None, error=f"InsufficientFunds: {exc}")
-    accept = seal(ACCEPT_BID, winner)
-    rejects = tuple(seal(REJECT_BID, addr) for addr in loser_list)
-    return SettleResult(accept, rejects, escrow_id)
+    accept = _seal_answer(logistics, ACCEPT_BID, winner, expires_at)
+    return SettleResult(accept, reject_bidders(logistics, losers, expires_at), escrow_id)

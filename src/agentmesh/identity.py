@@ -149,10 +149,6 @@ def derive_identity(phrase: str) -> AgentIdentity:
     )
 
 
-def sign_digest(identity: AgentIdentity, digest: bytes) -> Signature:
-    return identity.sign_digest(digest)
-
-
 @functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)
 def _public_key(address: str) -> Ed25519PublicKey | None:
     """The verify key behind address, or None if its bytes are no valid key.

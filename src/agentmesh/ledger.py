@@ -215,16 +215,21 @@ class Ledger:
         self._journal(FEE_OP, wallet=wallet, amount=amount)
         return Receipt("fee", self.height, amount)
 
-    def open_escrow(self, payer: str, payee: str, amount: int, arbiter: str) -> bytes:
+    def open_escrow(
+        self, payer: str, payee: str, amount: int, arbiter: str, escrow_id: bytes | None = None
+    ) -> bytes:
+        """Lock amount from payer; returns the escrow id. Replay passes the
+        journaled id, which is reused instead of minting a fresh one."""
         if amount <= 0:
             raise ZeroAmount(f"escrow amount must be positive, got {amount}")
         have = self.balance(payer)
         if have < amount:
             raise InsufficientFunds(payer, amount, have)
         self._escrow_counter += 1
-        escrow_id = hashlib.sha256(
-            b"escrow" + struct.pack(">Q", self._escrow_counter)
-        ).digest()[:16]
+        if escrow_id is None:
+            escrow_id = hashlib.sha256(
+                b"escrow" + struct.pack(">Q", self._escrow_counter)
+            ).digest()[:16]
         self.balances[payer] = have - amount
         self.escrows[escrow_id] = EscrowContract(escrow_id, payer, payee, amount, arbiter)
         self._journal(
@@ -258,30 +263,6 @@ class Ledger:
             outcome=outcome.value,
         )
         return Receipt("settle", self.height, contract.amount)
-
-
-# Module-level aliases matching the operation names used elsewhere.
-
-def advance_block(ledger: Ledger, n: int) -> int:
-    return ledger.advance_block(n)
-
-
-def transfer(ledger: Ledger, sender: str, recipient: str, amount: int) -> Receipt:
-    return ledger.transfer(sender, recipient, amount)
-
-
-def charge_fee(ledger: Ledger, wallet: str, amount: int) -> Receipt:
-    return ledger.charge_fee(wallet, amount)
-
-
-def open_escrow(ledger: Ledger, payer: str, payee: str, amount: int, arbiter: str) -> bytes:
-    return ledger.open_escrow(payer, payee, amount, arbiter)
-
-
-def settle_escrow(
-    ledger: Ledger, escrow_id: bytes, caller: str, outcome: EscrowOutcome
-) -> Receipt:
-    return ledger.settle_escrow(escrow_id, caller, outcome)
 
 
 # -- journal file format ---------------------------------------------------
@@ -335,24 +316,12 @@ def replay(records: Iterable[Record]) -> Ledger:
         elif name == "LedgerFee":
             ledger.charge_fee(record["wallet"], record["amount"])
         elif name == "EscrowOpen":
-            # reproduce the original id rather than minting a fresh one
-            escrow_id = bytes.fromhex(record["escrow_id"])
-            payer, amount = record["payer"], record["amount"]
-            have = ledger.balance(payer)
-            if have < amount:
-                raise InsufficientFunds(payer, amount, have)
-            ledger._escrow_counter += 1
-            ledger.balances[payer] = have - amount
-            ledger.escrows[escrow_id] = EscrowContract(
-                escrow_id, payer, record["payee"], amount, record["arbiter"]
-            )
-            ledger._journal(
-                ESCROW_OPEN_OP,
-                escrow_id=escrow_id.hex(),
-                payer=payer,
-                payee=record["payee"],
-                amount=amount,
-                arbiter=record["arbiter"],
+            ledger.open_escrow(
+                record["payer"],
+                record["payee"],
+                record["amount"],
+                record["arbiter"],
+                escrow_id=bytes.fromhex(record["escrow_id"]),
             )
         elif name == "EscrowSettle":
             ledger.settle_escrow(

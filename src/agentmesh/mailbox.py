@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .identity import Signature, verify_digest
-from .wire import Envelope
+from .wire import Envelope, _enc_str
 
 DEFAULT_CAPACITY = 1024
 
@@ -45,10 +45,7 @@ def retrieval_auth_digest(address: str, nonce: int) -> bytes:
 
     Layout: str(address) + i64(nonce), hashed with SHA-256 (docs/wire.md).
     """
-    raw = address.encode("utf-8")
-    return hashlib.sha256(
-        struct.pack(">I", len(raw)) + raw + struct.pack(">q", nonce)
-    ).digest()
+    return hashlib.sha256(_enc_str(address) + struct.pack(">q", nonce)).digest()
 
 
 @dataclass

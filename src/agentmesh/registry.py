@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Protocol as TypingProtocol
 
 from .identity import Signature, verify_digest
 from .ledger import REGISTER_OP, Ledger, fet
-from .wire import Record
+from .wire import Record, _enc_str
 
 DEFAULT_TTL = 500
 DEFAULT_FEE = fet(1)
@@ -128,20 +128,16 @@ def registration_signing_digest(
     sorted 32-byte digests + str(endpoint) + u32(count) + sorted
     str(key) + str(value) pairs.
     """
-    def enc_str(text: str) -> bytes:
-        raw = text.encode("utf-8")
-        return struct.pack(">I", len(raw)) + raw
-
-    buf = [enc_str(address), struct.pack(">q", sequence)]
+    buf = [_enc_str(address), struct.pack(">q", sequence)]
     digests = sorted(protocol_digests)
     buf.append(struct.pack(">I", len(digests)))
     buf.extend(digests)
-    buf.append(enc_str(endpoint))
+    buf.append(_enc_str(endpoint))
     keys = sorted(metadata, key=lambda k: k.encode("utf-8"))
     buf.append(struct.pack(">I", len(keys)))
     for key in keys:
-        buf.append(enc_str(key))
-        buf.append(enc_str(metadata[key]))
+        buf.append(_enc_str(key))
+        buf.append(_enc_str(metadata[key]))
     return hashlib.sha256(b"".join(buf)).digest()
 
 

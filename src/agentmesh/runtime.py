@@ -405,18 +405,6 @@ class Agent:
         return digest.hex()[:8] if schema is None else schema.name
 
 
-def register_handler(agent: Agent, kind: HandlerKind, handler: Callable) -> None:
-    agent.register_handler(kind, handler)
-
-
-def include_protocol(agent: Agent, spec: ProtocolSpec) -> None:
-    agent.include_protocol(spec)
-
-
-def dispatch(agent: Agent, env: Envelope, current_height: int) -> list[Envelope]:
-    return agent.dispatch(env, current_height)
-
-
 @dataclass
 class NetworkModel:
     """Latency range in ticks plus an independent drop probability.

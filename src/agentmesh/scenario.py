@@ -31,6 +31,7 @@ from .contractnet import (
     assess_reputation,
     bid_body_digest,
     make_bid_record,
+    reject_bidders,
     select_winner,
     settle,
     verify_bid,
@@ -44,7 +45,7 @@ from .registry import (
     RegistryError,
     registration_signing_digest,
 )
-from .runtime import Agent, NetworkModel, Timeout, World
+from .runtime import DEFAULT_REPLY_TTL, Agent, NetworkModel, Timeout, World
 from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
@@ -566,9 +567,8 @@ def build_logistics_agent(
         )
 
     def reject_everyone(ctx) -> None:
-        bidders = sorted([ctx.storage.get("winner"), *ctx.storage.get("losers")])
-        for address in bidders:
-            ctx.send(address, Record(REJECT_BID, {}))
+        bidders = [ctx.storage.get("winner"), *ctx.storage.get("losers")]
+        ctx.outbound.extend(reject_bidders(ctx.agent, bidders, ctx.height + DEFAULT_REPLY_TTL))
 
     @agent.on_message(DELIVERY_DECISION)
     def on_decision(ctx, sender: str, msg: Record):
@@ -1102,12 +1102,6 @@ class Orchestrator:
             feedback_stars=self._feedback_stars,
             transcript=tuple(self.world.transcript_lines()),
         )
-
-
-def negotiate_packaging(orchestrator: Orchestrator, business_record, task: DeliveryTask) -> int:
-    """Quote negotiation as a standalone operation (used by the plan)."""
-    name = business_record.metadata.get("display_name", business_record.address)
-    return orchestrator._negotiate_packaging(business_record, name, task)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
-"""Registry and mailbox as standalone HTTP services, plus clients that
-mirror the in-process call signatures.
+"""Registry and mailbox as standalone HTTP services, plus clients with the
+in-process call signatures.
 
 The servers wrap the same objects the in-process path uses, so a client and
 a direct reference see identical behavior: same validation order, same
-errors, same state. JSON carries the requests; bytes travel as hex.
+errors, same state. One table of remote calls drives both sides: each entry
+names an in-process method, and the server route and the client method are
+both built from it. JSON carries the requests; bytes travel as hex.
 """
 
 from __future__ import annotations
 
 import contextlib
 import http.client
+import inspect
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable
 
 from . import ledger as ledger_mod
 from . import mailbox as mailbox_mod
@@ -52,28 +56,129 @@ def _error_classes() -> dict[str, type[Exception]]:
 _ERROR_CLASSES = _error_classes()
 
 
-def _record_to_json(record: RegistryRecord) -> dict:
-    return {
-        "address": record.address,
-        "endpoint": record.endpoint,
+# ---------------------------------------------------------------------------
+# JSON codecs: (to JSON, from JSON) for each value that is not JSON as it is
+
+_Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
+_AS_IS: _Codec = (lambda value: value, lambda data: data)
+_HEX: _Codec = (bytes.hex, bytes.fromhex)
+_SIGNATURE: _Codec = (Signature.hex, Signature.from_hex)
+_ENVELOPE: _Codec = (
+    lambda env: env.to_bytes().hex(),
+    lambda data: Envelope.from_bytes(bytes.fromhex(data)),
+)
+_RECORD: _Codec = (
+    lambda record: {
+        **vars(record),
         "protocol_digests": sorted(d.hex() for d in record.protocol_digests),
         "metadata": dict(record.metadata),
-        "sequence": record.sequence,
-        "registered_at": record.registered_at,
-        "expires_at": record.expires_at,
-    }
+    },
+    lambda data: RegistryRecord(
+        **{**data, "protocol_digests": frozenset(map(bytes.fromhex, data["protocol_digests"]))}
+    ),
+)
+_ANAME: _Codec = (
+    lambda record: {
+        **vars(record), "challenge": record.challenge.hex(), "state": record.state.value
+    },
+    lambda data: AnameRecord(
+        data["domain"],
+        data["agent_address"],
+        bytes.fromhex(data["challenge"]),
+        AnameState(data["state"]),
+        data["verified_at"],
+    ),
+)
+_DEPOSIT: _Codec = (asdict, lambda data: DepositResult(**data))
 
 
-def _record_from_json(data: dict) -> RegistryRecord:
-    return RegistryRecord(
-        address=data["address"],
-        endpoint=data["endpoint"],
-        protocol_digests=frozenset(bytes.fromhex(d) for d in data["protocol_digests"]),
-        metadata=dict(data["metadata"]),
-        sequence=data["sequence"],
-        registered_at=data["registered_at"],
-        expires_at=data["expires_at"],
+def _optional(codec: _Codec) -> _Codec:
+    to_json, from_json = codec
+    return (
+        lambda value: None if value is None else to_json(value),
+        lambda data: None if data is None else from_json(data),
     )
+
+
+def _list_of(codec: _Codec) -> _Codec:
+    to_json, from_json = codec
+    return (
+        lambda values: [to_json(value) for value in values],
+        lambda data: [from_json(item) for item in data],
+    )
+
+
+# argument name -> codec; every other argument travels as it is
+_ARGUMENT_CODECS: dict[str, _Codec] = {
+    "protocol_digests": _list_of(_HEX),
+    "protocol_digest": _optional(_HEX),
+    "metadata": _optional((dict, dict)),
+    "signature": _SIGNATURE,
+    "auth": _SIGNATURE,
+    "env": _ENVELOPE,
+}
+
+
+@dataclass(frozen=True)
+class _Rpc:
+    """One remote call. `function` is the in-process method: the server runs
+    the method of that name on `served[target]`, and the client method takes
+    its signature. `held` names the arguments the server supplies itself
+    from `served`; the client accepts and ignores them."""
+
+    path: str
+    target: str
+    function: Callable
+    result_codec: _Codec
+    held: tuple[str, ...] = ()
+
+    @property
+    def name(self) -> str:
+        """The client method's name: the path with `/` as `_`."""
+        return self.path.strip("/").replace("/", "_")
+
+    def sent(self) -> list[str]:
+        """The arguments that travel in the request, in signature order."""
+        names = list(inspect.signature(self.function).parameters)[1:]  # less self
+        return [name for name in names if name not in self.held]
+
+
+_REGISTRY_RPCS = (
+    _Rpc("/register", "registry", Registry.register, _AS_IS, held=("ledger",)),
+    _Rpc("/search", "registry", Registry.search, _list_of(_RECORD)),
+    _Rpc("/resolve", "registry", Registry.resolve, _RECORD),
+    _Rpc("/aname/claim", "registry", Registry.aname_claim, _HEX),
+    _Rpc("/aname/verify", "registry", Registry.aname_verify, _ANAME, held=("resolver",)),
+    _Rpc("/dns/publish", "resolver", FixtureDnsResolver.publish, _AS_IS),
+    _Rpc("/resolve_domain", "registry", Registry.resolve_domain, _AS_IS),
+    _Rpc("/domain_of", "registry", Registry.domain_of, _AS_IS),
+)
+
+_MAILBOX_RPCS = (
+    _Rpc("/create_account", "store", MailboxStore.create_account, _AS_IS),
+    _Rpc("/has_account", "store", MailboxStore.has_account, _AS_IS),
+    _Rpc("/next_nonce", "store", MailboxStore.next_nonce, _AS_IS),
+    _Rpc("/deposit", "store", MailboxStore.deposit, _DEPOSIT),
+    _Rpc("/retrieve", "store", MailboxStore.retrieve, _list_of(_ENVELOPE)),
+    _Rpc("/acknowledge", "store", MailboxStore.acknowledge, _AS_IS),
+    _Rpc("/stats", "store", MailboxStore.stats, _AS_IS),
+)
+
+
+def _route(rpc: _Rpc, served: dict[str, object]) -> Callable[[dict], dict]:
+    decoders = [(name, _ARGUMENT_CODECS.get(name, _AS_IS)[1]) for name in rpc.sent()]
+    held = {name: served[name] for name in rpc.held}
+    target, method_name = served[rpc.target], rpc.function.__name__
+    to_json = rpc.result_codec[0]
+
+    def route(request: dict) -> dict:
+        arguments = {name: from_json(request[name]) for name, from_json in decoders}
+        # looked up per call, so a method replaced on the class is the one run
+        method = getattr(target, method_name)
+        return {"result": to_json(method(**arguments, **held))}
+
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -209,66 +314,8 @@ def _start(server: _ServiceServer) -> ServiceHandle:
 # registry service
 
 def registry_routes(registry: Registry, ledger: Ledger, dns) -> dict:
-    def register(req: dict) -> dict:
-        expires_at = registry.register(
-            ledger,
-            req["address"],
-            req["endpoint"],
-            [bytes.fromhex(d) for d in req["protocol_digests"]],
-            req["metadata"],
-            req["sequence"],
-            Signature.from_hex(req["signature"]),
-            req["fee_wallet"],
-        )
-        return {"expires_at": expires_at}
-
-    def search(req: dict) -> dict:
-        digest = req.get("protocol_digest")
-        hits = registry.search(
-            req["current_height"],
-            protocol_digest=bytes.fromhex(digest) if digest else None,
-            metadata=req.get("metadata") or None,
-            geo=req.get("geo"),
-        )
-        return {"records": [_record_to_json(r) for r in hits]}
-
-    def resolve(req: dict) -> dict:
-        record = registry.resolve(req["address"], req["current_height"])
-        return {"record": _record_to_json(record)}
-
-    def aname_claim(req: dict) -> dict:
-        challenge = registry.aname_claim(req["domain"], req["agent_address"])
-        return {"challenge": challenge.hex()}
-
-    def aname_verify(req: dict) -> dict:
-        record = registry.aname_verify(req["domain"], dns, req["current_height"])
-        return {
-            "domain": record.domain,
-            "agent_address": record.agent_address,
-            "state": record.state.value,
-            "verified_at": record.verified_at,
-        }
-
-    def dns_publish(req: dict) -> dict:
-        dns.publish(req["domain"], req["entry"])
-        return {"ok": True}
-
-    def resolve_domain(req: dict) -> dict:
-        return {"address": registry.resolve_domain(req["domain"])}
-
-    def domain_of(req: dict) -> dict:
-        return {"domain": registry.domain_of(req["agent_address"])}
-
-    return {
-        "/register": register,
-        "/search": search,
-        "/resolve": resolve,
-        "/aname/claim": aname_claim,
-        "/aname/verify": aname_verify,
-        "/dns/publish": dns_publish,
-        "/resolve_domain": resolve_domain,
-        "/domain_of": domain_of,
-    }
+    served = {"registry": registry, "ledger": ledger, "resolver": dns}
+    return {rpc.path: _route(rpc, served) for rpc in _REGISTRY_RPCS}
 
 
 def serve_registry(
@@ -289,50 +336,11 @@ def serve_registry(
 # mailbox service
 
 def mailbox_routes(store: MailboxStore) -> dict:
-    def create_account(req: dict) -> dict:
-        store.create_account(req["address"])
-        return {"ok": True}
-
-    def has_account(req: dict) -> dict:
-        return {"has_account": store.has_account(req["address"])}
-
-    def next_nonce(req: dict) -> dict:
-        return {"nonce": store.next_nonce(req["address"])}
-
-    def deposit(req: dict) -> dict:
-        env = Envelope.from_bytes(bytes.fromhex(req["envelope"]))
-        result = store.deposit(env, req["current_height"])
-        return {"accepted": result.accepted, "reason": result.reason}
-
-    def retrieve(req: dict) -> dict:
-        batch = store.retrieve(
-            req["address"], req["nonce"], Signature.from_hex(req["auth"])
-        )
-        return {"envelopes": [env.to_bytes().hex() for env in batch]}
-
-    def acknowledge(req: dict) -> dict:
-        return {"count": store.acknowledge(req["address"])}
-
-    def stats(req: dict) -> dict:
-        return {
-            "queues": store.stats(),
-            "deposited_total": store.deposited_total,
-            "dropped_total": store.dropped_total,
-        }
-
-    def config(req: dict) -> dict:
+    def config(request: dict) -> dict:
         return {"ack_mode": store.ack_mode, "capacity": store.capacity}
 
-    return {
-        "/create_account": create_account,
-        "/has_account": has_account,
-        "/next_nonce": next_nonce,
-        "/deposit": deposit,
-        "/retrieve": retrieve,
-        "/acknowledge": acknowledge,
-        "/stats": stats,
-        "/config": config,
-    }
+    routes = {rpc.path: _route(rpc, {"store": store}) for rpc in _MAILBOX_RPCS}
+    return {**routes, "/config": config}
 
 
 def serve_mailbox(store: MailboxStore, host: str = "127.0.0.1", port: int = 0) -> ServiceHandle:
@@ -414,6 +422,44 @@ class _ServiceClient:
         self.close()
 
 
+def _attach(cls: type, rpcs: tuple[_Rpc, ...]) -> None:
+    """Give a client class one method per table entry."""
+    for rpc in rpcs:
+        setattr(cls, rpc.name, _client_method(rpc))
+
+
+def _client_method(rpc: _Rpc) -> Callable:
+    signature = inspect.signature(rpc.function)
+    names = list(signature.parameters)[1:]  # less self
+    every_name = set(names)
+    defaults = {
+        name: p.default for name, p in signature.parameters.items() if p.default is not p.empty
+    }
+    encoders = [(name, _ARGUMENT_CODECS.get(name, _AS_IS)[0]) for name in rpc.sent()]
+    from_json = rpc.result_codec[1]
+
+    def call(self, *args, **kwargs):
+        # a well-formed call is bound with dict operations, which cost far
+        # less per RPC than Signature.bind; any other call goes through
+        # bind, which raises the TypeError the in-process method would
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (
+            len(args) > len(names)
+            or not kwargs.keys().isdisjoint(names[: len(args)])
+            or values.keys() != every_name
+        ):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments
+        payload = {name: to_json(values[name]) for name, to_json in encoders}
+        return from_json(self._post(rpc.path, payload)["result"])
+
+    call.__name__ = call.__qualname__ = rpc.name
+    call.__doc__ = rpc.function.__doc__
+    call.__signature__ = signature
+    return call
+
+
 class RegistryClient(_ServiceClient):
     """Same method signatures as Registry, but backed by a remote service.
 
@@ -423,80 +469,8 @@ class RegistryClient(_ServiceClient):
     the TXT lookup itself, so the client offers dns_publish() for fixtures.
     """
 
-    def register(
-        self,
-        ledger,
-        address: str,
-        endpoint: str,
-        protocol_digests,
-        metadata,
-        sequence: int,
-        signature: Signature,
-        fee_wallet: str,
-    ) -> int:
-        del ledger  # the service holds the ledger of record
-        result = self._post(
-            "/register",
-            {
-                "address": address,
-                "endpoint": endpoint,
-                "protocol_digests": sorted(d.hex() for d in protocol_digests),
-                "metadata": dict(metadata),
-                "sequence": sequence,
-                "signature": signature.hex(),
-                "fee_wallet": fee_wallet,
-            },
-        )
-        return result["expires_at"]
 
-    def search(
-        self,
-        current_height: int,
-        protocol_digest: bytes | None = None,
-        metadata=None,
-        geo: str | None = None,
-    ) -> list[RegistryRecord]:
-        result = self._post(
-            "/search",
-            {
-                "current_height": current_height,
-                "protocol_digest": protocol_digest.hex() if protocol_digest else None,
-                "metadata": dict(metadata) if metadata else None,
-                "geo": geo,
-            },
-        )
-        return [_record_from_json(r) for r in result["records"]]
-
-    def resolve(self, address: str, current_height: int) -> RegistryRecord:
-        result = self._post("/resolve", {"address": address, "current_height": current_height})
-        return _record_from_json(result["record"])
-
-    def aname_claim(self, domain: str, agent_address: str) -> bytes:
-        result = self._post("/aname/claim", {"domain": domain, "agent_address": agent_address})
-        return bytes.fromhex(result["challenge"])
-
-    def aname_verify(self, domain: str, resolver, current_height: int) -> AnameRecord:
-        del resolver  # the server resolves TXT records itself
-        result = self._post(
-            "/aname/verify", {"domain": domain, "current_height": current_height}
-        )
-        record = AnameRecord(
-            domain=result["domain"],
-            agent_address=result["agent_address"],
-            challenge=b"",
-            state=AnameState(result["state"]),
-            verified_at=result["verified_at"],
-        )
-        return record
-
-    def dns_publish(self, domain: str, entry: str) -> None:
-        self._post("/dns/publish", {"domain": domain, "entry": entry})
-
-    def resolve_domain(self, domain: str) -> str:
-        return self._post("/resolve_domain", {"domain": domain})["address"]
-
-    def domain_of(self, agent_address: str) -> str | None:
-        return self._post("/domain_of", {"agent_address": agent_address})["domain"]
+_attach(RegistryClient, _REGISTRY_RPCS)
 
 
 class MailboxClient(_ServiceClient):
@@ -508,30 +482,5 @@ class MailboxClient(_ServiceClient):
         self.ack_mode = config["ack_mode"]
         self.capacity = config["capacity"]
 
-    def create_account(self, address: str) -> None:
-        self._post("/create_account", {"address": address})
 
-    def has_account(self, address: str) -> bool:
-        return self._post("/has_account", {"address": address})["has_account"]
-
-    def next_nonce(self, address: str) -> int:
-        return self._post("/next_nonce", {"address": address})["nonce"]
-
-    def deposit(self, env: Envelope, current_height: int) -> DepositResult:
-        result = self._post(
-            "/deposit",
-            {"envelope": env.to_bytes().hex(), "current_height": current_height},
-        )
-        return DepositResult(result["accepted"], result["reason"])
-
-    def retrieve(self, address: str, nonce: int, auth: Signature) -> list[Envelope]:
-        result = self._post(
-            "/retrieve", {"address": address, "nonce": nonce, "auth": auth.hex()}
-        )
-        return [Envelope.from_bytes(bytes.fromhex(e)) for e in result["envelopes"]]
-
-    def acknowledge(self, address: str) -> int:
-        return self._post("/acknowledge", {"address": address})["count"]
-
-    def stats(self) -> dict:
-        return self._post("/stats", {})["queues"]
+_attach(MailboxClient, _MAILBOX_RPCS)

@@ -287,10 +287,6 @@ def canonical_decode(schema: ModelSchema, data: bytes) -> Record:
     return Record(schema, values)
 
 
-def schema_digest(schema: ModelSchema) -> bytes:
-    return schema.digest()
-
-
 def record_digest(record: Record) -> bytes:
     return hashlib.sha256(canonical_encode(record)).digest()
 
@@ -334,10 +330,6 @@ class ProtocolSpec:
 
     def has_schema(self, schema: ModelSchema) -> bool:
         return schema.digest() in self._models_by_digest()
-
-
-def protocol_digest(spec: ProtocolSpec) -> bytes:
-    return spec.digest()
 
 
 @dataclass(frozen=True)

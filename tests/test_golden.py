@@ -33,6 +33,9 @@ CONFIGS = {
     "lossy_network": lambda: with_overrides(
         default_config(), drop_probability=Fraction(1, 20), random_seed=17
     ),
+    # both end with the logistics agent sending RejectBid to every bidder
+    "delivery_declined": lambda: with_overrides(default_config(), approve_delivery=False),
+    "underfunded_user": lambda: with_overrides(default_config(), user_balance_fet=30),
 }
 
 # name -> (report status, transcript sha256, report sha256, journal sha256)
@@ -42,6 +45,12 @@ GOLDEN = {
         'afc133a78c7c7a4f7a99a1308aed485f1a7056cfe4c8df802ccdc2f24dcfd155',
         '696a2cc6d7914fa4d8f162e4138b52c141ad3738c8f19558edc5b7f0df58c2b7',
         'a23f85bce579d492a5ec12f7ab08feeb0a3cfdc7918e47c42d105a56776fd079',
+    ),
+    'delivery_declined': (
+        'failed',
+        'cf30595845dfff046f36589048ce9519d74ca74669f58ac22574964a7b8191a6',
+        '7bd84706dd326a9feff3912594967d6db8aa4b164328abb27231d183565398b9',
+        'c4aac3e9ce2a4a93b761e3d6126625726d7ad337b3874efdef802a50855ca956',
     ),
     'demo': (
         'ok',
@@ -60,6 +69,12 @@ GOLDEN = {
         'dfe3009b9824c63f0e9ebc309086741497a0454a95e8c680b16e5b5a9d64886d',
         '45f6b5fdb90d40a9bef7baa8582562044091c46e53712b52c02bc7df7b66eb1a',
         'a93f6605aa8a80ca1d2146c13bc6290ed837aa0db055d264c9af80d3d0329fd9',
+    ),
+    'underfunded_user': (
+        'failed',
+        '8f505ab607d4839f5d6e53c922ffa32cae33d1ed1a3a3d83e8b2e68226662e89',
+        'f63dde5f1a1135b9198ceebdf3a19e5f5237bc50027e332dfd1003dd7b816e7e',
+        '5a5c786d4114b38417a901c18a8177d229db42c08554df7ec5e5ed258664f3bb',
     ),
 }
 

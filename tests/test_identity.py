@@ -17,7 +17,6 @@ from agentmesh.identity import (
     Signature,
     decode_address,
     derive_identity,
-    sign_digest,
     verify_digest,
 )
 
@@ -74,13 +73,13 @@ class TestSigning:
     def test_sign_verify_roundtrip(self):
         identity = derive_identity("signer")
         digest = digest_of(b"message body")
-        sig = sign_digest(identity, digest)
+        sig = identity.sign_digest(digest)
         assert verify_digest(identity.address, digest, sig)
 
     def test_signature_is_deterministic(self):
         identity = derive_identity("signer")
         digest = digest_of(b"same input")
-        assert sign_digest(identity, digest).data == sign_digest(identity, digest).data
+        assert identity.sign_digest(digest).data == identity.sign_digest(digest).data
 
     def test_wrong_key_fails(self):
         signer = derive_identity("signer")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentmesh.ledger import (
+    ESCROW_OPEN_OP,
     AlreadySettled,
     EscrowOutcome,
     EscrowState,
@@ -23,6 +24,7 @@ from agentmesh.ledger import (
     replay,
     write_journal,
 )
+from agentmesh.wire import Record
 
 USER = "wallet1" + "u" * 52
 COURIER = "wallet1" + "c" * 52
@@ -231,6 +233,16 @@ class TestJournal:
         assert rebuilt.height == original.height
         assert rebuilt.total_supply == original.total_supply
         assert {e.hex() for e in rebuilt.escrows} == {e.hex() for e in original.escrows}
+
+    def test_replayed_zero_escrow_is_rejected_as_a_live_one(self):
+        zero = Record(
+            ESCROW_OPEN_OP,
+            dict(escrow_id="00" * 16, payer=USER, payee=COURIER, amount=0, arbiter=ARBITER),
+        )
+        with pytest.raises(ZeroAmount):
+            funded_ledger().open_escrow(USER, COURIER, 0, ARBITER)
+        with pytest.raises(ZeroAmount):
+            replay([*funded_ledger().journal, zero])
 
     def test_file_roundtrip(self, tmp_path):
         original = self.scripted_ledger()

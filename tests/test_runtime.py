@@ -21,9 +21,6 @@ from agentmesh.runtime import (
     Query,
     Timeout,
     World,
-    dispatch,
-    include_protocol,
-    register_handler,
 )
 from agentmesh.wire import (
     Envelope,
@@ -65,29 +62,29 @@ def fresh_world(**kw) -> World:
 class TestRegistration:
     def test_duplicate_handler(self):
         agent = make_agent("dup")
-        register_handler(agent, Message(PING), lambda ctx, s, r: None)
+        agent.register_handler(Message(PING), lambda ctx, s, r: None)
         with pytest.raises(DuplicateHandler):
-            register_handler(agent, Message(PING), lambda ctx, s, r: None)
+            agent.register_handler(Message(PING), lambda ctx, s, r: None)
         with pytest.raises(DuplicateHandler):
-            register_handler(agent, Query(PING), lambda ctx, s, r: None)
+            agent.register_handler(Query(PING), lambda ctx, s, r: None)
 
     def test_schema_not_in_protocol(self):
         agent = Agent("bare", derive_identity("bare"))
         with pytest.raises(SchemaNotInProtocol):
-            register_handler(agent, Message(PING), lambda ctx, s, r: None)
+            agent.register_handler(Message(PING), lambda ctx, s, r: None)
 
     def test_register_after_start(self):
         agent = make_agent("late reg")
         world = fresh_world()
         world.add_agent(agent)
         with pytest.raises(AgentAlreadyStarted):
-            register_handler(agent, Message(PING), lambda ctx, s, r: None)
+            agent.register_handler(Message(PING), lambda ctx, s, r: None)
         with pytest.raises(AgentAlreadyStarted):
-            include_protocol(agent, ECHO)
+            agent.include_protocol(ECHO)
 
     def test_include_idempotent(self):
         agent = make_agent("idem")
-        include_protocol(agent, ECHO)
+        agent.include_protocol(ECHO)
         assert len(agent.protocols) == 1
 
     def test_interval_period_validated(self):
@@ -157,7 +154,7 @@ class TestDispatch:
 
         agent.start()
         sender = make_agent("sender")
-        out = dispatch(agent, self.ping_env(sender, agent), 1)
+        out = agent.dispatch(self.ping_env(sender, agent), 1)
         assert calls == [(sender.identity.address, "hi")]
         assert out == []
 
@@ -166,7 +163,7 @@ class TestDispatch:
         agent.start()
         sender = make_agent("asker")
         session = b"\x09" * 16
-        out = dispatch(agent, self.ping_env(sender, agent, session=session), 1)
+        out = agent.dispatch(self.ping_env(sender, agent, session=session), 1)
         assert len(out) == 1
         assert out[0].session_id == session
         assert out[0].target == sender.identity.address
@@ -175,7 +172,7 @@ class TestDispatch:
         agent = echo_agent("not started")
         sender = make_agent("s")
         with pytest.raises(AgentNotStarted):
-            dispatch(agent, self.ping_env(sender, agent), 1)
+            agent.dispatch(self.ping_env(sender, agent), 1)
 
     def test_tampered_envelope_diagnostic(self):
         agent = echo_agent("tamper target")
@@ -186,21 +183,21 @@ class TestDispatch:
             env.sender, env.target, env.protocol_digest, env.schema_digest,
             env.payload[:-1] + b"!", env.session_id, env.expires_at, env.signature,
         )
-        assert dispatch(agent, bad, 1) == []
+        assert agent.dispatch(bad, 1) == []
         assert [d.outcome for d in agent.diagnostics] == ["signature_invalid"]
 
     def test_no_handler_diagnostic(self):
         agent = make_agent("no handler")
         agent.start()
         sender = make_agent("nh sender")
-        assert dispatch(agent, self.ping_env(sender, agent), 1) == []
+        assert agent.dispatch(self.ping_env(sender, agent), 1) == []
         assert [d.outcome for d in agent.diagnostics] == ["no_handler"]
 
     def test_expired_diagnostic(self):
         agent = echo_agent("expired target")
         agent.start()
         sender = make_agent("expired sender")
-        assert dispatch(agent, self.ping_env(sender, agent, expires=3), 10) == []
+        assert agent.dispatch(self.ping_env(sender, agent, expires=3), 10) == []
         assert [d.outcome for d in agent.diagnostics] == ["expired"]
 
     def test_unknown_schema_diagnostic(self):
@@ -214,7 +211,7 @@ class TestDispatch:
             sender.identity, agent.identity.address, stranger_proto,
             Record(stranger_schema, {"n": 1}), b"\x00" * 16, 100,
         )
-        assert dispatch(agent, env, 1) == []
+        assert agent.dispatch(env, 1) == []
         assert [d.outcome for d in agent.diagnostics] == ["unknown_schema"]
 
     def test_handler_overlap_detected(self):
@@ -234,7 +231,7 @@ class TestDispatch:
 
         agent.start()
         sender = make_agent("overlap sender")
-        dispatch(agent, self.ping_env(sender, agent), 1)
+        agent.dispatch(self.ping_env(sender, agent), 1)
         assert len(inner_error) == 1
 
     def test_context_storage(self):
@@ -246,8 +243,8 @@ class TestDispatch:
 
         agent.start()
         sender = make_agent("storage sender")
-        dispatch(agent, self.ping_env(sender, agent, text="first"), 1)
-        dispatch(agent, self.ping_env(sender, agent, text="second"), 2)
+        agent.dispatch(self.ping_env(sender, agent, text="first"), 1)
+        agent.dispatch(self.ping_env(sender, agent, text="second"), 2)
         assert agent.storage.get("last") == "second"
         agent.storage.set("alpha", 1)
         assert agent.storage.keys() == ["alpha", "last"]

@@ -148,11 +148,30 @@ def test_search_filters_cross_the_wire(registry_service):
     assert [r.address for r in everyone] == sorted([ALICE.address, BOB.address])
     assert everyone == registry.search(0, protocol_digest=CHAT_PROTOCOL.digest())
 
+    # an empty digest is a filter that matches nothing, not a missing one
+    assert client.search(0, protocol_digest=b"") == registry.search(0, protocol_digest=b"") == []
+
     cambridge = client.search(0, geo="cambridge")
     assert [r.address for r in cambridge] == [ALICE.address]
     assert client.search(0, metadata={"geo": "london"}) == registry.search(
         0, metadata={"geo": "london"}
     )
+
+
+def test_routes_look_up_the_served_method_per_call(registry_service, monkeypatch):
+    # a method replaced on the class after the service started is the one a
+    # route runs, as it would be for an in-process caller
+    client, _, _, _ = registry_service
+    calls = []
+    search = Registry.search
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(Registry, "search", counted)
+    assert client.search(0) == []
+    assert len(calls) == 1
 
 
 def test_replayed_sequence_raises_the_real_type(registry_service):
@@ -229,6 +248,7 @@ def test_aname_flow_over_http(registry_service):
     assert record.verified_at == 5
     assert record.agent_address == ALICE.address
     assert registry.anames["speedyvan.example"].state is AnameState.VERIFIED
+    assert record == registry.anames["speedyvan.example"]  # challenge included
 
     assert client.resolve_domain("speedyvan.example") == ALICE.address
     assert client.domain_of(ALICE.address) == "speedyvan.example"

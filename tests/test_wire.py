@@ -25,8 +25,6 @@ from agentmesh.wire import (
     canonical_encode,
     make_chat_message,
     open_envelope,
-    protocol_digest,
-    schema_digest,
     seal_envelope,
 )
 
@@ -136,17 +134,17 @@ class TestSchemaDigest:
             digest=SemanticType.STRING,
             signature=SemanticType.STRING,
         )
-        assert schema_digest(bid).hex() == GOLDEN_COURIER_BID_SCHEMA
+        assert bid.digest().hex() == GOLDEN_COURIER_BID_SCHEMA
 
     def test_field_order_invariant(self):
         a = ModelSchema("S", (("a", SemanticType.INT), ("b", SemanticType.STRING)))
         b = ModelSchema("S", (("b", SemanticType.STRING), ("a", SemanticType.INT)))
-        assert schema_digest(a) == schema_digest(b)
+        assert a.digest() == b.digest()
 
     def test_rename_changes_digest(self):
         a = ModelSchema.build("S", x=SemanticType.INT)
         b = ModelSchema.build("S", y=SemanticType.INT)
-        assert schema_digest(a) != schema_digest(b)
+        assert a.digest() != b.digest()
 
     def test_duplicate_field_rejected(self):
         with pytest.raises(DuplicateField):
@@ -157,7 +155,7 @@ class TestSchemaDigest:
         schema = ModelSchema.build(
             "Mixed", a=SemanticType.INT, b=SemanticType.STRING, c=SemanticType.BOOL
         )
-        assert schema_digest(schema) == oracles.schema_digest("Mixed", fields)
+        assert schema.digest() == oracles.schema_digest("Mixed", fields)
 
 
 class TestDigestCache:
@@ -202,24 +200,24 @@ class TestProtocolDigest:
     def test_golden_courier_auction(self):
         from agentmesh.contractnet import COURIER_AUCTION
 
-        assert protocol_digest(COURIER_AUCTION).hex() == GOLDEN_AUCTION_PROTOCOL
+        assert COURIER_AUCTION.digest().hex() == GOLDEN_AUCTION_PROTOCOL
 
     def test_version_changes_digest(self):
         models = (ModelSchema.build("M", x=SemanticType.INT),)
         a = ProtocolSpec("P", "1.1", models)
         b = ProtocolSpec("P", "1.2", models)
-        assert protocol_digest(a) != protocol_digest(b)
+        assert a.digest() != b.digest()
 
     def test_model_order_invariant(self):
         m1 = ModelSchema.build("A", x=SemanticType.INT)
         m2 = ModelSchema.build("B", y=SemanticType.STRING)
-        assert protocol_digest(ProtocolSpec("P", "1", (m1, m2))) == protocol_digest(
-            ProtocolSpec("P", "1", (m2, m1))
+        assert (
+            ProtocolSpec("P", "1", (m1, m2)).digest() == ProtocolSpec("P", "1", (m2, m1)).digest()
         )
 
     def test_empty_protocol_rejected(self):
         with pytest.raises(EmptyProtocol):
-            protocol_digest(ProtocolSpec("P", "1", ()))
+            ProtocolSpec("P", "1", ()).digest()
 
 
 class TestEnvelope:
