@@ -67,6 +67,18 @@ class HandlerOverlap(RuntimeError_):
     """Two handlers of one agent ran concurrently (must never happen)."""
 
 
+class DrainIncomplete(RuntimeError_):
+    """World.drain ran out of ticks before the world settled."""
+
+    def __init__(self, max_ticks: int, in_flight: int, presence_changes: int) -> None:
+        super().__init__(
+            f"not settled after {max_ticks} ticks: {in_flight} envelopes in flight, "
+            f"{presence_changes} presence changes pending"
+        )
+        self.in_flight = in_flight
+        self.presence_changes = presence_changes
+
+
 # Handler kinds. register_handler takes one of these plus the callable.
 
 @dataclass(frozen=True)
@@ -234,7 +246,6 @@ class Agent:
         # digest -> schema over every included protocol, first declared wins;
         # include_protocol raises after start, so it never goes stale
         self._schemas: dict[bytes, ModelSchema] = {}
-        self.diagnostics: list[TranscriptLine] = []
         self.world: "World | None" = None
         self._in_handler = False
         self._session_counter = 0
@@ -319,7 +330,6 @@ class Agent:
         ).digest()[:16]
 
     def record_diag(self, line: TranscriptLine) -> None:
-        self.diagnostics.append(line)
         if self.world is not None:
             self.world.transcript.append(line)
 
@@ -617,13 +627,17 @@ class World:
                     self.send(env)
 
     def drain(self, max_ticks: int = 1000) -> int:
-        """Tick until pending presence changes and in-flight traffic settle.
+        """Tick until pending presence changes and in-flight traffic settle;
+        returns the ticks used, or raises DrainIncomplete when `max_ticks`
+        run out first.
 
         Envelopes parked in an offline agent's mailbox do not count as in
         flight; they stay stored until the owner reconnects.
         """
         used = 0
-        while used < max_ticks and (self._in_flight or self._status_changes):
+        while self._in_flight or self._status_changes:
+            if used >= max_ticks:
+                raise DrainIncomplete(max_ticks, len(self._in_flight), len(self._status_changes))
             self.tick()
             used += 1
         return used

@@ -45,7 +45,7 @@ from .registry import (
     RegistryError,
     registration_signing_digest,
 )
-from .runtime import DEFAULT_REPLY_TTL, Agent, NetworkModel, Timeout, World
+from .runtime import DEFAULT_REPLY_TTL, Agent, DrainIncomplete, NetworkModel, Timeout, World
 from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
@@ -1068,10 +1068,11 @@ class Orchestrator:
         # transcript is frozen; a quiet world drains in zero ticks
         try:
             self.world.drain()
-        except ServiceError as exc:
-            # the mailbox went away: freeze the transcript as it stands,
-            # keeping the first failure as the cause
-            status, failure_cause = "failed", failure_cause or f"ServiceError: {exc}"
+        except (ServiceError, DrainIncomplete) as exc:
+            # the mailbox went away, or traffic is still moving when the
+            # ticks run out: freeze the transcript as it stands, keeping the
+            # first failure as the cause
+            status, failure_cause = "failed", failure_cause or f"{type(exc).__name__}: {exc}"
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
         spend = self._initial_user_balance - ledger.balance(user_wallet)

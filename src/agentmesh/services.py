@@ -6,19 +6,26 @@ a direct reference see identical behavior: same validation order, same
 errors, same state. One table of remote calls drives both sides: each entry
 names an in-process method, and the server route and the client method are
 both built from it. JSON carries the requests; bytes travel as hex.
+
+The transport is a keep-alive HTTP/1.1 subset: each message goes out in one
+write with a `Content-Length` body; head lines stop at 64 KiB and fields at
+100; `Expect: 100-continue` is answered before the body is read. A reply
+closes the connection when the request asks (`Connection: close`, HTTP/1.0)
+or its end is unknown (any `Transfer-Encoding`, a `Content-Length` that is
+not plain digits, a head that cannot be parsed).
 """
 
 from __future__ import annotations
 
 import contextlib
-import http.client
 import inspect
 import json
 import socket
+import socketserver
 import threading
 from dataclasses import asdict, dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
 from . import ledger as ledger_mod
 from . import mailbox as mailbox_mod
@@ -182,71 +189,122 @@ def _route(rpc: _Rpc, served: dict[str, object]) -> Callable[[dict], dict]:
 
 
 # ---------------------------------------------------------------------------
+# HTTP/1.1 framing: Content-Length bodies only (RFC 9112 section 6)
+
+_MAX_LINE = 65536  # bytes per start or header line
+_MAX_HEADERS = 100
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
+
+
+def _read_head(rfile) -> tuple[str, dict[str, str]] | None:
+    """Read one message head: its start line and its header fields, names
+    lower-cased and repeated fields joined with ", ". None at a clean end
+    of stream; ValueError on anything malformed or over the limits."""
+    start, headers = None, {}
+    for _ in range(_MAX_HEADERS + 2):  # start line, fields, blank line
+        line = rfile.readline(_MAX_LINE + 1)
+        if not line and start is None:
+            return None
+        if len(line) > _MAX_LINE or not line.endswith(b"\n"):
+            raise ValueError("line over 64 KiB or cut short")
+        line = line.decode("latin-1").rstrip("\r\n")
+        if start is None:
+            start = line
+        elif not line:
+            return start, headers
+        else:
+            name, colon, value = line.partition(":")
+            if not colon or not name or name != name.strip():
+                raise ValueError(f"bad header line {line[:40]!r}")
+            name, value = name.lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise ValueError(f"more than {_MAX_HEADERS} header fields")
+
+
+def _body_length(headers: dict[str, str], default: str | None = None) -> int:
+    """The declared body length. ValueError when the body's end is unknown:
+    any Transfer-Encoding, or a Content-Length missing (with no default) or
+    not plain digits, as two fields joined into one are not."""
+    value = headers.get("content-length", default)
+    if "transfer-encoding" in headers or not (value and value.isascii() and value.isdigit()):
+        raise ValueError(f"body not framed by one Content-Length: {value!r}")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
 # server plumbing
 
-class _JsonHandler(BaseHTTPRequestHandler):
-    """Dispatch POSTed JSON to the route table installed on the server."""
+class _JsonHandler(socketserver.StreamRequestHandler):
+    """Serve one connection's requests in turn, dispatching POSTed JSON to
+    the route table installed on the server."""
 
-    protocol_version = "HTTP/1.1"
-    # buffer the reply so status line, headers and body leave in the one
-    # write handle_one_request flushes: a separate body write would wait on
-    # the client's delayed ACK (Nagle) on every keep-alive round trip
-    wbufsize = -1
+    def handle(self) -> None:
+        # the peer or ServiceHandle.close() may end the connection any time
+        with contextlib.suppress(OSError):
+            while self._serve_one():
+                pass
 
-    def log_message(self, fmt: str, *args) -> None:  # quiet by default
-        pass
-
-    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:
-        if self.path == "/health":
-            self._reply(200, {"ok": True, "service": self.server.service_name})
-        else:
-            # NoRoute, not NotFound: must not collide with the registry error
-            self._reply(404, {"error": "NoRoute", "detail": f"no route {self.path}"})
-
-    def do_POST(self) -> None:
+    def _serve_one(self) -> bool:
+        """Answer one request; False once the connection is to close."""
+        try:
+            head = _read_head(self.rfile)
+            if head is None:
+                return False
+            start, headers = head
+            method, path, version = start.split(" ")
+            if not version.startswith("HTTP/1."):
+                raise ValueError(f"unsupported version {version!r}")
+            length = _body_length(headers, default="0")
+        except ValueError as exc:
+            # the request's end is unknown, so the connection cannot be reused
+            return self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)
+        if headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         # consume the body before any reply: on a keep-alive connection a
         # body left unread would be parsed as the next request
-        try:
-            body = self.rfile.read(int(self.headers.get("Content-Length", "0")))
-        except ValueError as exc:
-            # the body's end is unknown, so the connection cannot be reused
-            self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)
-            return
-        route = self.server.routes.get(self.path)
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return False
+        close = version == "HTTP/1.0" or headers.get("connection", "").lower() == "close"
+        return self._reply(*self._answer(method, path, body), close=close)
+
+    def _answer(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
+        if method == "GET" and path == "/health":
+            return 200, {"ok": True, "service": self.server.service_name}
+        route = self.server.routes.get(path) if method == "POST" else None
         if route is None:
-            self._reply(404, {"error": "NoRoute", "detail": f"no route {self.path}"})
-            return
+            # NoRoute, not NotFound: must not collide with the registry error
+            return 404, {"error": "NoRoute", "detail": f"no route {method} {path}"}
         try:
             request = json.loads(body or b"{}")
         except ValueError as exc:
-            self._reply(400, {"error": "BadRequest", "detail": str(exc)})
-            return
+            return 400, {"error": "BadRequest", "detail": str(exc)}
         try:
             with self.server.lock:
-                result = route(request)
+                return 200, route(request)
         except (RegistryError, MailboxError, LedgerError, IdentityError, WireError) as exc:
             # structured fields (BadSequence.expected, InsufficientFunds.
             # shortfall, ...) travel as attributes for the client to restore
-            self._reply(
-                400, {"error": type(exc).__name__, "detail": str(exc), "attrs": vars(exc)}
-            )
+            return 400, {"error": type(exc).__name__, "detail": str(exc), "attrs": vars(exc)}
         except (KeyError, TypeError, ValueError) as exc:
-            self._reply(400, {"error": "BadRequest", "detail": f"{type(exc).__name__}: {exc}"})
-        else:
-            self._reply(200, result)
+            return 400, {"error": "BadRequest", "detail": f"{type(exc).__name__}: {exc}"}
+
+    def _reply(self, status: int, payload: dict, close: bool = False) -> bool:
+        """Send status line, headers and body in one write; returns whether
+        the connection stays open."""
+        body = json.dumps(payload).encode("utf-8")
+        close_field = "Connection: close\r\n" if close else ""
+        self.wfile.write(
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{close_field}\r\n".encode("latin-1") + body
+        )
+        return not close
 
 
-class _ServiceServer(ThreadingHTTPServer):
+class _ServiceServer(socketserver.ThreadingTCPServer):
+    # a restarted daemon rebinds its port while old connections linger
+    allow_reuse_address = True
+
     def __init__(self, address, service_name: str, routes: dict) -> None:
         super().__init__(address, _JsonHandler)
         self.service_name = service_name
@@ -351,23 +409,61 @@ def serve_mailbox(store: MailboxStore, host: str = "127.0.0.1", port: int = 0) -
 # ---------------------------------------------------------------------------
 # clients
 
+class _Connection:
+    """One keep-alive socket to a service, opened on first use."""
+
+    def __init__(self, base_url: str, timeout: float) -> None:
+        url = urlsplit(base_url)
+        self.host, self.address = url.netloc, (url.hostname, url.port or 80)
+        self.timeout = timeout
+        self.sock: socket.socket | None = None
+        self.rfile = None
+
+    def open(self) -> socket.socket:
+        if self.sock is None:
+            sock = socket.create_connection(self.address, self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock, self.rfile = sock, sock.makefile("rb")
+        return self.sock
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
+
+
 def _exchange(
-    connection: http.client.HTTPConnection, method: str, path: str, body: bytes | None = None
+    connection: _Connection, method: str, path: str, body: bytes = b""
 ) -> tuple[int, bytes]:
-    """One request/response on a keep-alive connection. A transport failure
-    drops the connection (the next call reconnects) and is never retried:
-    most routes are not idempotent."""
-    headers = {"Content-Type": "application/json"} if body is not None else {}
+    """One request/response on a keep-alive connection, the request sent in
+    one write. A transport or framing fault drops the connection (the next
+    call reconnects) and is never retried: most routes are not idempotent."""
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: {connection.host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    )
     try:
-        connection.request(method, path, body, headers)
-        response = connection.getresponse()
-        return response.status, response.read()
-    except (OSError, http.client.HTTPException) as exc:
+        connection.open().sendall(head.encode("latin-1") + body)
+        reply = _read_head(connection.rfile)
+        if reply is None:
+            raise ValueError("connection closed before the reply")
+        start, headers = reply
+        _, status, _ = start.split(" ", 2)  # version, code, reason
+        code = int(status)
+        length = _body_length(headers)
+        data = connection.rfile.read(length)
+        if len(data) < length:
+            raise ValueError("reply body cut short")
+    except (OSError, ValueError) as exc:
         connection.close()
         raise ServiceError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if headers.get("connection", "").lower() == "close":
+        connection.close()
+    return code, data
 
 
-def _post(connection: http.client.HTTPConnection, path: str, payload: dict) -> dict:
+def _post(connection: _Connection, path: str, payload: dict) -> dict:
     status, data = _exchange(connection, "POST", path, json.dumps(payload).encode("utf-8"))
     try:
         reply = json.loads(data)
@@ -395,8 +491,7 @@ class _ServiceClient:
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
-        host = self.base_url.split("://", 1)[-1]
-        self._connection = http.client.HTTPConnection(host, timeout=timeout)
+        self._connection = _Connection(self.base_url, timeout)
         self._lock = threading.Lock()
 
     def _post(self, path: str, payload: dict) -> dict:

@@ -12,6 +12,7 @@ from agentmesh.runtime import (
     AgentAlreadyStarted,
     AgentNotStarted,
     Context,
+    DrainIncomplete,
     DuplicateHandler,
     Event,
     HandlerOverlap,
@@ -176,7 +177,8 @@ class TestDispatch:
 
     def test_tampered_envelope_diagnostic(self):
         agent = echo_agent("tamper target")
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("tamper sender")
         env = self.ping_env(sender, agent)
         bad = Envelope(
@@ -184,25 +186,28 @@ class TestDispatch:
             env.payload[:-1] + b"!", env.session_id, env.expires_at, env.signature,
         )
         assert agent.dispatch(bad, 1) == []
-        assert [d.outcome for d in agent.diagnostics] == ["signature_invalid"]
+        assert [d.outcome for d in world.transcript] == ["signature_invalid"]
 
     def test_no_handler_diagnostic(self):
         agent = make_agent("no handler")
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("nh sender")
         assert agent.dispatch(self.ping_env(sender, agent), 1) == []
-        assert [d.outcome for d in agent.diagnostics] == ["no_handler"]
+        assert [d.outcome for d in world.transcript] == ["no_handler"]
 
     def test_expired_diagnostic(self):
         agent = echo_agent("expired target")
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("expired sender")
         assert agent.dispatch(self.ping_env(sender, agent, expires=3), 10) == []
-        assert [d.outcome for d in agent.diagnostics] == ["expired"]
+        assert [d.outcome for d in world.transcript] == ["expired"]
 
     def test_unknown_schema_diagnostic(self):
         agent = echo_agent("unknown target")
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         stranger_schema = ModelSchema.build("Stranger", n=SemanticType.INT)
         stranger_proto = ProtocolSpec("Strange", "1.0", (stranger_schema,))
         sender = Agent("stranger", derive_identity("stranger"))
@@ -212,7 +217,7 @@ class TestDispatch:
             Record(stranger_schema, {"n": 1}), b"\x00" * 16, 100,
         )
         assert agent.dispatch(env, 1) == []
-        assert [d.outcome for d in agent.diagnostics] == ["unknown_schema"]
+        assert [d.outcome for d in world.transcript] == ["unknown_schema"]
 
     def test_handler_overlap_detected(self):
         agent = make_agent("overlap")
@@ -334,6 +339,34 @@ class TestScheduling:
         world.tick(4)
         world.shutdown()
         assert seen == [4]
+
+    def test_drain_that_runs_out_of_ticks_says_so(self):
+        world = fresh_world()
+        pinger = make_agent("forever pinger")
+        ponger = echo_agent("forever ponger")
+
+        @pinger.on_message(PONG)
+        def again(ctx, sender, record):
+            return Record(PING, {"text": record["text"]})
+
+        world.add_agent(pinger)
+        world.add_agent(ponger)
+        world.schedule_presence(ponger.identity.address, 50, True)
+        world.send_message(pinger, ponger.identity.address, Record(PING, {"text": "loop"}))
+        with pytest.raises(DrainIncomplete) as excinfo:
+            world.drain(max_ticks=5)
+        assert world.height == 5
+        assert (excinfo.value.in_flight, excinfo.value.presence_changes) == (1, 1)
+
+    def test_drain_that_settles_returns_the_ticks_used(self):
+        world = fresh_world(network=NetworkModel(latency_min=3, latency_max=3))
+        receiver = make_agent("settling receiver")
+        sender = make_agent("settling sender")
+        world.add_agent(receiver)
+        world.add_agent(sender)
+        world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
+        assert world.drain(max_ticks=3) == 3
+        assert world.drain(max_ticks=0) == 0
 
 
 class TestOfflineAndMailbox:

@@ -271,6 +271,19 @@ def test_wire_error_mid_order_fails_typed(monkeypatch):
     assert report.conserved
 
 
+def test_drain_that_cannot_settle_fails_typed():
+    # CamBikeExpress reconnects long after the order ends, so the final
+    # drain runs out of ticks with that presence change still pending
+    config = with_overrides(
+        default_config(), offline=(PresenceWindow("CamBikeExpress", 7, 5000),)
+    )
+    report = run_scenario(config)
+    assert report.status == "failed"
+    assert report.failure_cause.startswith("DrainIncomplete: ")
+    assert "1 presence changes pending" in report.failure_cause
+    assert report.conserved
+
+
 def test_no_feasible_bid_when_every_eta_misses():
     slow = tuple(
         CourierSpec(c.name, c.seed_phrase, c.price_fet, 2000, c.service_area, c.domain)

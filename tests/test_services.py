@@ -32,6 +32,7 @@ from agentmesh.registry import (
     registration_signing_digest,
 )
 from agentmesh.scenario import build_scenario, run_scenario
+from agentmesh import services
 from agentmesh.services import (
     MailboxClient,
     RegistryClient,
@@ -464,6 +465,226 @@ def test_lost_reply_is_not_resent_and_the_next_call_reconnects():
         assert len(handlers) == 2
     finally:
         handle.close()
+
+
+# ---------------------------------------------------------------------------
+# framing: raw requests against the server, odd replies against the client
+
+def raw_connection(client) -> socket.socket:
+    host, port = client.base_url.split("://", 1)[-1].rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def raw_request(client, data: bytes) -> tuple[http.client.HTTPResponse, bytes, bool]:
+    """Send raw bytes on a fresh connection. Returns the reply, its body, and
+    whether the server closed the connection after it."""
+    with raw_connection(client) as sock:
+        sock.sendall(data)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+        sock.settimeout(0.5)
+        try:
+            closed = sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        except TimeoutError:
+            closed = False
+        return response, body, closed
+
+
+def test_expect_continue_is_answered_before_the_body(mailbox_service):
+    client, _ = mailbox_service
+    body = json.dumps({"address": BOB.address}).encode()
+    with raw_connection(client) as sock:
+        sock.sendall(
+            b"POST /create_account HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        # a client that waits for the interim reply must not stall
+        sock.settimeout(0.5)
+        assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.settimeout(5)
+        sock.sendall(body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert response.status == 200
+        assert json.loads(response.read()) == {"result": None}
+    assert client.has_account(BOB.address) is True
+
+
+POST_STATS = b"POST /stats HTTP/1.1\r\nHost: x\r\n"
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        POST_STATS + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        POST_STATS + b"Content-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+        POST_STATS + b"Content-Length: -1\r\n\r\n{}",
+        POST_STATS + b"Content-Length: 1_0\r\n\r\n{}",
+        POST_STATS + b"Content-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+        POST_STATS + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n{}",
+        POST_STATS + b"".join(b"X-%d: 1\r\n" % i for i in range(100)) + b"\r\n{}",
+        POST_STATS + b"No colon here\r\n\r\n{}",
+        b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+        b"GET /health HTTP/2.0\r\n\r\n",
+        b"GET /health\r\n\r\n",
+    ],
+    ids=[
+        "chunked", "length_and_chunked", "negative_length", "underscored_length",
+        "two_lengths", "header_over_64KiB", "101_headers", "no_colon",
+        "request_line_over_64KiB", "http_2", "no_version",
+    ],
+)
+def test_unframeable_request_is_refused_and_closed(mailbox_service, request_bytes):
+    client, _ = mailbox_service
+    response, body, closed = raw_request(client, request_bytes)
+    assert response.status == 400
+    assert json.loads(body)["error"] == "BadRequest"
+    assert response.getheader("Connection") == "close"
+    assert closed
+    assert client.stats() == {}
+
+
+def test_a_hundred_headers_are_accepted(mailbox_service):
+    client, _ = mailbox_service
+    headers = b"".join(b"X-%d: 1\r\n" % i for i in range(98))
+    response, body, closed = raw_request(
+        client, b"GET /health HTTP/1.1\r\nHost: x\r\n" + headers + b"Content-Length: 0\r\n\r\n"
+    )
+    assert response.status == 200
+    assert json.loads(body) == {"ok": True, "service": "mailbox"}
+    assert not closed
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: Close\r\n\r\n",
+        b"GET /health HTTP/1.0\r\n\r\n",
+    ],
+    ids=["connection_close", "connection_close_any_case", "http_1_0"],
+)
+def test_reply_closes_when_the_request_asks(mailbox_service, request_head):
+    client, _ = mailbox_service
+    response, body, closed = raw_request(client, request_head)
+    assert response.status == 200
+    assert json.loads(body) == {"ok": True, "service": "mailbox"}
+    assert response.getheader("Connection") == "close"
+    assert closed
+
+
+def test_two_requests_in_one_write_get_two_replies(mailbox_service):
+    client, _ = mailbox_service
+    body = json.dumps({"address": BOB.address}).encode()
+    request = b"POST /has_account HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+    class OneStream:
+        """Hands every HTTPResponse the same buffered stream, left open."""
+
+        def __init__(self, sock):
+            self.stream = sock.makefile("rb")
+
+        def makefile(self, mode):
+            return self
+
+        def close(self):
+            pass
+
+        def __getattr__(self, name):
+            return getattr(self.stream, name)
+
+    with raw_connection(client) as sock:
+        sock.sendall(request + request.replace(b"/has_account", b"/create_account"))
+        replies = OneStream(sock)
+        for result in (False, None):
+            response = http.client.HTTPResponse(replies)
+            response.begin()
+            assert json.loads(response.read()) == {"result": result}
+    assert client.has_account(BOB.address) is True
+
+
+def test_one_rpc_is_one_client_write(monkeypatch):
+    writes = []
+
+    class CountedSocket:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def sendall(self, data):
+            writes.append(data)
+            return self._sock.sendall(data)
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    create_connection = socket.create_connection
+    monkeypatch.setattr(
+        services.socket,
+        "create_connection",
+        lambda *args, **kwargs: CountedSocket(create_connection(*args, **kwargs)),
+    )
+    handle = serve_mailbox(MailboxStore())
+    try:
+        with MailboxClient(handle.base_url) as client:
+            writes.clear()
+            client.create_account(BOB.address)
+            assert len(writes) == 1
+            assert writes[0].startswith(b"POST /create_account HTTP/1.1\r\n")
+            assert writes[0].endswith(json.dumps({"address": BOB.address}).encode())
+            assert client.has_account(BOB.address) is True
+            assert len(writes) == 2
+    finally:
+        handle.close()
+
+
+def one_reply_server(reply: bytes) -> tuple[str, threading.Thread]:
+    """A listener that reads one whole request, sends `reply` and closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener:
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rb") as request:
+                connection.settimeout(5)
+                length = 0
+                while (line := request.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                request.read(length)
+                connection.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return "http://127.0.0.1:%d" % listener.getsockname()[1], thread
+
+
+@pytest.mark.parametrize(
+    ("reply", "fault"),
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"result\": null}",
+         "not framed"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 16\r\n\r\n"
+         b"{\"result\": null}", "not framed"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{\"result\": null}", "cut short"),
+        (b"HTTP/1.1 OK\r\nContent-Length: 16\r\n\r\n{\"result\": null}", "unpack"),
+        (b"", "closed before the reply"),
+    ],
+    ids=["no_length", "chunked", "cut_short", "bad_status_line", "no_reply"],
+)
+def test_unframed_reply_is_a_service_error(reply, fault):
+    base_url, thread = one_reply_server(reply)
+    with RegistryClient(base_url, timeout=5) as client:
+        with pytest.raises(ServiceError, match=fault):
+            client.domain_of(ALICE.address)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        # the faulty connection is dropped: the next call reconnects, and
+        # with the listener gone that is refused
+        with pytest.raises(ServiceError, match="ConnectionRefused"):
+            client.domain_of(ALICE.address)
 
 
 # ---------------------------------------------------------------------------
