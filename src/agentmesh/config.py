@@ -13,6 +13,19 @@ from datetime import datetime
 from fractions import Fraction
 
 from .contractnet import ContractNetError, SelectionWeights
+from .ledger import UFET_PER_FET
+from .wire import I64_MAX
+
+# the largest whole-FET amount whose micro-FET value fits the wire's i64
+MAX_FET = I64_MAX // UFET_PER_FET
+
+_AMOUNT_KEYS = (
+    "user_balance_fet",
+    "agent_float_fet",
+    "registration_fee_fet",
+    "packaging_quote_fet",
+    "maps_fee_fet",
+)
 
 
 class ConfigError(Exception):
@@ -35,6 +48,8 @@ class CourierSpec:
             raise ConfigError("courier rows need a name and a seed phrase")
         if self.price_fet <= 0 or self.eta_minutes <= 0:
             raise ConfigError(f"courier {self.name}: price and ETA must be positive")
+        if self.price_fet > MAX_FET:
+            raise ConfigError(f"courier {self.name}: price {self.price_fet} FET over {MAX_FET}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,18 @@ class ScenarioConfig:
             raise ConfigError("balances cannot be negative")
         if min(self.registration_fee_fet, self.packaging_quote_fet, self.maps_fee_fet) < 0:
             raise ConfigError("fees and quotes cannot be negative")
+        for key in _AMOUNT_KEYS:
+            if getattr(self, key) > MAX_FET:
+                raise ConfigError(f"{key} {getattr(self, key)} FET over {MAX_FET}")
+        # every service agent gets a float: logistics, packaging, maps, each
+        # courier and each of up to two bid forgers; the supply goes on record
+        agents = 3 + len(self.couriers) + min(self.forged_bids, 2)
+        genesis = self.user_balance_fet + agents * self.agent_float_fet
+        if genesis > MAX_FET:
+            raise ConfigError(
+                f"genesis supply {genesis} FET (user balance plus {agents} agent floats) "
+                f"over {MAX_FET}"
+            )
         if self.registry_ttl < 1:
             raise ConfigError("registry_ttl must be >= 1")
         if self.traffic_delay_minutes < 0:

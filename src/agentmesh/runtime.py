@@ -379,7 +379,7 @@ class Agent:
             )
 
         try:
-            record, sender = open_envelope(env, self.known_schemas(), current_height)
+            record, sender = open_envelope(env, self._schemas, current_height)
         except SignatureInvalid:
             diag("signature_invalid", self._schema_name_of(env.schema_digest))
             return []
@@ -549,7 +549,7 @@ class World:
             # the reply a blocked query is waiting for: intercept it
             agent = self.agents[env.target]
             try:
-                record, _ = open_envelope(env, agent.known_schemas(), self.height)
+                record, _ = open_envelope(env, agent._schemas, self.height)
             except (SignatureInvalid, Expired, UnknownSchema) as exc:
                 self._query_errors[env.session_id] = type(exc)
                 return
@@ -582,24 +582,26 @@ class World:
             self.send(out)
 
     def _deliver_or_divert(self, env: Envelope, dropped: bool) -> None:
-        name = self.schema_name_of(env.schema_digest)
-        prefix = hashlib.sha256(env.payload).hexdigest()[:8]
-        if not self.online.get(env.target, True):
-            if self.mailbox is not None and self.mailbox.has_account(env.target):
-                result = self.mailbox.deposit(env, self.height)
-                outcome = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
-            else:
-                outcome = "offline_lost"
-            self.transcript.append(
-                TranscriptLine(self.height, env.sender, env.target, name, prefix, outcome)
+        if self.online.get(env.target, True):
+            if not dropped:
+                self._deliver(env)
+                return
+            outcome = "dropped"
+        elif self.mailbox is not None and self.mailbox.has_account(env.target):
+            result = self.mailbox.deposit(env, self.height)
+            outcome = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
+        else:
+            outcome = "offline_lost"
+        self.transcript.append(
+            TranscriptLine(
+                self.height,
+                env.sender,
+                env.target,
+                self.schema_name_of(env.schema_digest),
+                hashlib.sha256(env.payload).hexdigest()[:8],
+                outcome,
             )
-            return
-        if dropped:
-            self.transcript.append(
-                TranscriptLine(self.height, env.sender, env.target, name, prefix, "dropped")
-            )
-            return
-        self._deliver(env)
+        )
 
     # -- clock ---------------------------------------------------------------
 

@@ -520,39 +520,44 @@ class _ServiceClient:
 def _attach(cls: type, rpcs: tuple[_Rpc, ...]) -> None:
     """Give a client class one method per table entry."""
     for rpc in rpcs:
-        setattr(cls, rpc.name, _client_method(rpc))
+        method = _client_method(rpc)
+        method.__qualname__ = f"{cls.__name__}.{rpc.name}"
+        setattr(cls, rpc.name, method)
 
 
 def _client_method(rpc: _Rpc) -> Callable:
+    """The client method for one entry, generated as straight-line source
+    with the in-process parameters, so Python binds the arguments (and
+    raises the TypeError the in-process method would)."""
     signature = inspect.signature(rpc.function)
-    names = list(signature.parameters)[1:]  # less self
-    every_name = set(names)
-    defaults = {
-        name: p.default for name, p in signature.parameters.items() if p.default is not p.empty
-    }
-    encoders = [(name, _ARGUMENT_CODECS.get(name, _AS_IS)[0]) for name in rpc.sent()]
-    from_json = rpc.result_codec[1]
-
-    def call(self, *args, **kwargs):
-        # a well-formed call is bound with dict operations, which cost far
-        # less per RPC than Signature.bind; any other call goes through
-        # bind, which raises the TypeError the in-process method would
-        values = {**defaults, **dict(zip(names, args)), **kwargs}
-        if (
-            len(args) > len(names)
-            or not kwargs.keys().isdisjoint(names[: len(args)])
-            or values.keys() != every_name
-        ):
-            bound = signature.bind(self, *args, **kwargs)
-            bound.apply_defaults()
-            values = bound.arguments
-        payload = {name: to_json(values[name]) for name, to_json in encoders}
-        return from_json(self._post(rpc.path, payload)["result"])
-
-    call.__name__ = call.__qualname__ = rpc.name
-    call.__doc__ = rpc.function.__doc__
-    call.__signature__ = signature
-    return call
+    namespace: dict[str, Any] = {"PATH": rpc.path}
+    parameters = ["self"]
+    for parameter in list(signature.parameters.values())[1:]:  # less self
+        if parameter.kind is not parameter.POSITIONAL_OR_KEYWORD:
+            raise TypeError(f"{rpc.path}: parameter {parameter.name} cannot travel")
+        if parameter.default is parameter.empty:
+            parameters.append(parameter.name)
+        else:
+            namespace[f"default_{parameter.name}"] = parameter.default
+            parameters.append(f"{parameter.name}=default_{parameter.name}")
+    items = []
+    for name in rpc.sent():
+        codec = _ARGUMENT_CODECS.get(name, _AS_IS)
+        if codec is _AS_IS:
+            items.append(f"{name!r}: {name}")
+        else:
+            namespace[f"to_json_{name}"] = codec[0]
+            items.append(f"{name!r}: to_json_{name}({name})")
+    result = f"self._post(PATH, {{{', '.join(items)}}})['result']"
+    if rpc.result_codec is not _AS_IS:
+        namespace["from_json"] = rpc.result_codec[1]
+        result = f"from_json({result})"
+    source = f"def {rpc.name}({', '.join(parameters)}):\n    return {result}\n"
+    exec(compile(source, f"<client {rpc.path}>", "exec"), namespace)
+    method = namespace[rpc.name]
+    method.__doc__ = rpc.function.__doc__
+    method.__signature__ = signature
+    return method
 
 
 class RegistryClient(_ServiceClient):

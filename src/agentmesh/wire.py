@@ -17,7 +17,8 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping
 
 from .identity import (
     AgentIdentity,
@@ -72,50 +73,15 @@ class SemanticType(IntEnum):
     MAP_STRING_TO_FLOAT = 6
 
 
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
 def _enc_str(text: str) -> bytes:
     raw = text.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _enc_value(tag: SemanticType, value: Any) -> bytes:
-    if tag is SemanticType.STRING:
-        return _enc_str(value)
-    if tag is SemanticType.INT:
-        return struct.pack(">q", value)
-    if tag is SemanticType.FLOAT:
-        return struct.pack(">d", value)
-    if tag is SemanticType.BOOL:
-        return b"\x01" if value else b"\x00"
-    if tag is SemanticType.LIST_OF_STRING:
-        out = [struct.pack(">I", len(value))]
-        out.extend(_enc_str(item) for item in value)
-        return b"".join(out)
-    if tag is SemanticType.MAP_STRING_TO_FLOAT:
-        out = [struct.pack(">I", len(value))]
-        for key in sorted(value, key=lambda k: k.encode("utf-8")):
-            out.append(_enc_str(key))
-            out.append(struct.pack(">d", value[key]))
-        return b"".join(out)
-    raise SchemaMismatch(f"unencodable tag {tag!r}")
-
-
-def _check_value(tag: SemanticType, value: Any) -> bool:
-    if tag is SemanticType.STRING:
-        return isinstance(value, str)
-    if tag is SemanticType.INT:
-        # bool passes isinstance(int); reject it so tags stay unambiguous
-        return isinstance(value, int) and not isinstance(value, bool)
-    if tag is SemanticType.FLOAT:
-        return isinstance(value, float)
-    if tag is SemanticType.BOOL:
-        return isinstance(value, bool)
-    if tag is SemanticType.LIST_OF_STRING:
-        return isinstance(value, list) and all(isinstance(i, str) for i in value)
-    if tag is SemanticType.MAP_STRING_TO_FLOAT:
-        return isinstance(value, dict) and all(
-            isinstance(k, str) and isinstance(v, float) for k, v in value.items()
-        )
-    return False
+    return _U32.pack(len(raw)) + raw
 
 
 @dataclass(frozen=True)
@@ -157,6 +123,10 @@ class ModelSchema:
             cached = self.__dict__["_digest"] = hashlib.sha256(b"".join(buf)).digest()
         return cached
 
+    @cached_property
+    def _codec(self) -> "_Codec":
+        return _Codec(self)
+
 
 @dataclass(frozen=True)
 class Record:
@@ -166,23 +136,7 @@ class Record:
     values: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        declared = {fname: tag for fname, tag in self.schema.fields}
-        missing = sorted(set(declared) - set(self.values))
-        extra = sorted(set(self.values) - set(declared))
-        badtype = sorted(
-            fname
-            for fname, tag in declared.items()
-            if fname in self.values and not _check_value(tag, self.values[fname])
-        )
-        if missing or extra or badtype:
-            parts = []
-            if missing:
-                parts.append(f"missing: {', '.join(missing)}")
-            if extra:
-                parts.append(f"unexpected: {', '.join(extra)}")
-            if badtype:
-                parts.append(f"wrong type: {', '.join(badtype)}")
-            raise SchemaMismatch(f"{self.schema.name}: " + "; ".join(parts))
+        self.schema._codec.validate(self.values)
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -191,12 +145,287 @@ class Record:
 def canonical_encode(record: Record) -> bytes:
     """Deterministic bytes for a record: u32 field count, then each field
     sorted by name as str(name) + tag byte + encoded value."""
-    buf = [struct.pack(">I", len(record.schema.fields))]
-    for fname, tag in record.schema.sorted_fields():
-        buf.append(_enc_str(fname))
-        buf.append(bytes([tag]))
-        buf.append(_enc_value(tag, record.values[fname]))
-    return b"".join(buf)
+    return record.schema._codec.encode(record.values)
+
+
+def canonical_decode(schema: ModelSchema, data: bytes) -> Record:
+    """Inverse of canonical_encode; rejects trailing bytes and any layout
+    that canonical_encode could not have produced."""
+    return schema._codec.decode(data)
+
+
+# ---------------------------------------------------------------------------
+# generated codecs
+#
+# Each schema gets one encoder, decoder and validator, written as Python
+# source for its sorted fields and compiled once, the way dataclasses builds
+# __init__. A field's head, str(name) || tag byte, is a bytes constant (the
+# first one also carries the u32 field count), so the encoder is one join and
+# the decoder checks each head with one slice compare. Only a failed check
+# goes back over the input to say what is wrong, with the same messages a
+# field-by-field reader would give.
+
+# the test that a value `v` has a tag's type, inlined by the validator
+_TYPE_TESTS = {
+    SemanticType.STRING: "isinstance(v, str)",
+    # bool passes isinstance(int); reject it so tags stay unambiguous
+    SemanticType.INT: "isinstance(v, int) and not isinstance(v, bool)",
+    SemanticType.FLOAT: "isinstance(v, float)",
+    SemanticType.BOOL: "isinstance(v, bool)",
+    SemanticType.LIST_OF_STRING: "isinstance(v, list) and all([isinstance(i, str) for i in v])",
+    SemanticType.MAP_STRING_TO_FLOAT: (
+        "isinstance(v, dict)"
+        " and all([isinstance(k, str) and isinstance(x, float) for k, x in v.items()])"
+    ),
+}
+_I64_TEST = f"{I64_MIN} <= v <= {I64_MAX}"
+_IS_TYPE = {tag: eval(f"lambda v: {test}") for tag, test in _TYPE_TESTS.items()}
+_IN_I64 = eval(f"lambda v: {_I64_TEST}")
+
+_TRUNCATED = "truncated payload"
+
+# the statements that read one value of a tag into `v` and advance `pos`
+_READERS = {
+    SemanticType.STRING: """\
+stop = pos + 4 + U32(data, pos)[0]
+if stop > end:
+    raise SchemaMismatch(TRUNCATED)
+v = data[pos + 4:stop].decode()
+pos = stop""",
+    SemanticType.INT: "v = I64(data, pos)[0]\npos += 8",
+    SemanticType.FLOAT: "v = F64(data, pos)[0]\npos += 8",
+    SemanticType.BOOL: """\
+v = data[pos]
+if v > 1:
+    raise SchemaMismatch(f"bool byte must be 0 or 1, got {v}")
+v = v == 1
+pos += 1""",
+    SemanticType.LIST_OF_STRING: "v, pos = dec_list(data, pos, end)",
+    SemanticType.MAP_STRING_TO_FLOAT: "v, pos = dec_map(data, pos, end)",
+}
+
+
+# the two compound readers; like the inline ones they leave a short read to
+# struct.error, caught by the generated decoder
+def _dec_list(data: bytes, pos: int, end: int) -> tuple[list[str], int]:
+    items = []
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    for _ in range(count):
+        stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+        if stop > end:
+            raise SchemaMismatch(_TRUNCATED)
+        items.append(data[pos + 4:stop].decode())
+        pos = stop
+    return items, pos
+
+
+def _dec_map(data: bytes, pos: int, end: int) -> tuple[dict[str, float], int]:
+    mapping = {}
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    prev = None
+    for _ in range(count):
+        stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+        if stop > end:
+            raise SchemaMismatch(_TRUNCATED)
+        raw = data[pos + 4:stop]
+        key = raw.decode()
+        if prev is not None and raw <= prev:
+            raise SchemaMismatch("map keys not strictly sorted")
+        prev = raw
+        mapping[key] = _F64.unpack_from(data, stop)[0]
+        pos = stop + 8
+    return mapping, pos
+
+
+def _enc_list(items: list[str]) -> bytes:
+    return _U32.pack(len(items)) + b"".join(map(_enc_str, items))
+
+
+def _enc_map(mapping: dict[str, float]) -> bytes:
+    keys = sorted(mapping, key=lambda key: key.encode("utf-8"))
+    return _U32.pack(len(keys)) + b"".join(_enc_str(k) + _F64.pack(mapping[k]) for k in keys)
+
+
+def _indent(block: str, depth: int) -> str:
+    return "".join(" " * depth + line + "\n" for line in block.splitlines())
+
+
+class _Codec:
+    """One schema's generated `encode(values) -> bytes`,
+    `decode(data) -> Record` and `validate(values)`, each compiled on first
+    use: many schemas are only ever built and encoded, or only decoded."""
+
+    def __init__(self, schema: ModelSchema) -> None:
+        try:
+            fields = tuple((fname, SemanticType(tag)) for fname, tag in schema.sorted_fields())
+        except ValueError as exc:
+            raise SchemaMismatch(f"{schema.name}: {exc}") from None
+        heads = [_enc_str(fname) + bytes([tag]) for fname, tag in fields]
+        heads[:1] = [_U32.pack(len(fields)) + b"".join(heads[:1])]
+        self._fields, self._heads, self._name = fields, heads, schema.name
+        self._namespace = {
+            **{f"HEAD{i}": head for i, head in enumerate(heads)},
+            "schema": schema,
+            "KEYS": frozenset(fname for fname, _ in fields),
+            "U32": _U32.unpack_from,
+            "I64": _I64.unpack_from,
+            "F64": _F64.unpack_from,
+            "pack_u32": _U32.pack,
+            "pack_i64": _I64.pack,
+            "pack_f64": _F64.pack,
+            "enc_list": _enc_list,
+            "enc_map": _enc_map,
+            "dec_list": _dec_list,
+            "dec_map": _dec_map,
+            "mismatch": _mismatch,
+            "head_error": _head_error,
+            "trusted_record": _trusted_record,
+            "SchemaMismatch": SchemaMismatch,
+            "TRUNCATED": _TRUNCATED,
+            "struct_error": struct.error,
+        }
+
+    def _compile(self, source: str, name: str) -> Callable:
+        exec(compile(source, f"<codec {self._name!r}>", "exec"), self._namespace)
+        return self._namespace[name]
+
+    @cached_property
+    def encode(self) -> Callable[[Mapping[str, Any]], bytes]:
+        return self._compile(_encoder_source(self._fields), "encode")
+
+    @cached_property
+    def decode(self) -> Callable[[bytes], "Record"]:
+        return self._compile(_decoder_source(self._fields, self._heads), "decode")
+
+    @cached_property
+    def validate(self) -> Callable[[Mapping[str, Any]], None]:
+        return self._compile(_validator_source(self._fields), "validate")
+
+
+def _encoder_source(fields) -> str:
+    lines, parts = [], []
+    for i, (fname, tag) in enumerate(fields):
+        value = f"values[{fname!r}]"
+        parts.append(f"HEAD{i}")
+        if tag is SemanticType.STRING:
+            lines.append(f"s{i} = {value}.encode()")
+            parts += [f"pack_u32(len(s{i}))", f"s{i}"]
+        elif tag is SemanticType.INT:
+            parts.append(f"pack_i64({value})")
+        elif tag is SemanticType.FLOAT:
+            parts.append(f"pack_f64({value})")
+        elif tag is SemanticType.BOOL:
+            parts.append(f'(b"\\x01" if {value} else b"\\x00")')
+        elif tag is SemanticType.LIST_OF_STRING:
+            parts.append(f"enc_list({value})")
+        else:
+            parts.append(f"enc_map({value})")
+    if not fields:
+        parts.append("HEAD0")
+    lines.append(f"return b''.join(({', '.join(parts)},))")
+    return "def encode(values):\n" + _indent("\n".join(lines), 4)
+
+
+def _decoder_source(fields, heads: list[bytes]) -> str:
+    body = [
+        f"if data[0:{len(heads[0])}] != HEAD0:",
+        "    raise head_error(schema, data, 0, 0)",
+        f"pos = {len(heads[0])}",
+    ]
+    for i, (_, tag) in enumerate(fields):
+        if i:
+            body += [
+                f"if data[pos:pos + {len(heads[i])}] != HEAD{i}:",
+                f"    raise head_error(schema, data, pos, {i})",
+                f"pos += {len(heads[i])}",
+            ]
+        body += [_READERS[tag], f"v{i} = v"]
+    values = ", ".join(f"{fname!r}: v{i}" for i, (fname, _) in enumerate(fields))
+    return (
+        "def decode(data):\n"
+        "    end = len(data)\n"
+        "    try:\n"
+        + _indent("\n".join(body), 8)
+        + "    except (struct_error, IndexError):\n"
+        "        raise SchemaMismatch(TRUNCATED) from None\n"
+        "    except UnicodeDecodeError as exc:\n"
+        '        raise SchemaMismatch(f"invalid UTF-8 in payload: {exc}") from exc\n'
+        "    if pos != end:\n"
+        '        raise SchemaMismatch(f"{schema.name}: {end - pos} trailing bytes")\n'
+        f"    return trusted_record(schema, {{{values}}})\n"
+    )
+
+
+def _validator_source(fields) -> str:
+    lines = ["if values.keys() != KEYS:", "    raise mismatch(schema, values)"]
+    for fname, tag in fields:
+        test = _TYPE_TESTS[tag]
+        if tag is SemanticType.INT:
+            test = f"{test} and {_I64_TEST}"
+        lines += [f"v = values[{fname!r}]", f"if not ({test}):", "    raise mismatch(schema, values)"]
+    return "def validate(values):\n" + _indent("\n".join(lines), 4)
+
+
+def _mismatch(schema: ModelSchema, values: Mapping[str, Any]) -> SchemaMismatch:
+    """What is wrong with values that failed a validator, listed in full."""
+    declared = dict(schema.fields)
+    present = sorted(fname for fname in declared if fname in values)
+    badtype = [fname for fname in present if not _IS_TYPE[declared[fname]](values[fname])]
+    outside = [
+        fname
+        for fname in present
+        if declared[fname] == SemanticType.INT
+        and fname not in badtype
+        and not _IN_I64(values[fname])
+    ]
+    faults = (
+        ("missing", sorted(set(declared) - set(values))),
+        ("unexpected", sorted(set(values) - set(declared))),
+        ("wrong type", badtype),
+        ("out of i64 range", outside),
+    )
+    parts = [f"{label}: {', '.join(names)}" for label, names in faults if names]
+    return SchemaMismatch(f"{schema.name}: " + "; ".join(parts))
+
+
+def _head_error(schema: ModelSchema, data: bytes, pos: int, index: int) -> SchemaMismatch:
+    """Why the field head at `pos` (for index 0, the field count before it)
+    does not match the schema's sorted field `index`."""
+    try:
+        if index == 0:
+            count = _U32.unpack_from(data, 0)[0]
+            if count != len(schema.fields):
+                return SchemaMismatch(
+                    f"{schema.name}: field count {count} != declared {len(schema.fields)}"
+                )
+            pos = 4
+        fname, tag = schema.sorted_fields()[index]
+        stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+        if stop > len(data):
+            return SchemaMismatch(_TRUNCATED)
+        got_name = data[pos + 4:stop].decode("utf-8")
+        if got_name != fname:
+            return SchemaMismatch(f"{schema.name}: expected field {fname!r}, got {got_name!r}")
+        got_tag = data[stop]
+        if got_tag != tag:
+            return SchemaMismatch(f"{schema.name}.{fname}: tag {got_tag} != {int(tag)}")
+    except (struct.error, IndexError):
+        return SchemaMismatch(_TRUNCATED)
+    except UnicodeDecodeError as exc:
+        return SchemaMismatch(f"invalid UTF-8 in payload: {exc}")
+    raise AssertionError(f"{schema.name}: field head {index} matches after all")
+
+
+def _trusted_record(schema: ModelSchema, values: dict[str, Any]) -> "Record":
+    """A Record the decoder has already checked, built without validating
+    it again."""
+    record = object.__new__(Record)
+    # frozen: set past __setattr__, as the dataclass __init__ does
+    object.__setattr__(record, "schema", schema)
+    object.__setattr__(record, "values", values)
+    return record
 
 
 class _Reader:
@@ -208,22 +437,16 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.pos + n > len(self.data):
-            raise SchemaMismatch("truncated payload")
+            raise SchemaMismatch(_TRUNCATED)
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return _U32.unpack(self.take(4))[0]
 
     def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
+        return _I64.unpack(self.take(8))[0]
 
     def string(self) -> str:
         raw = self.take(self.u32())
@@ -234,57 +457,6 @@ class _Reader:
 
     def done(self) -> bool:
         return self.pos == len(self.data)
-
-
-def _dec_value(reader: _Reader, tag: SemanticType) -> Any:
-    if tag is SemanticType.STRING:
-        return reader.string()
-    if tag is SemanticType.INT:
-        return reader.i64()
-    if tag is SemanticType.FLOAT:
-        return reader.f64()
-    if tag is SemanticType.BOOL:
-        byte = reader.u8()
-        if byte not in (0, 1):
-            raise SchemaMismatch(f"bool byte must be 0 or 1, got {byte}")
-        return bool(byte)
-    if tag is SemanticType.LIST_OF_STRING:
-        return [reader.string() for _ in range(reader.u32())]
-    if tag is SemanticType.MAP_STRING_TO_FLOAT:
-        out: dict[str, float] = {}
-        prev: bytes | None = None
-        for _ in range(reader.u32()):
-            key = reader.string()
-            raw_key = key.encode("utf-8")
-            if prev is not None and raw_key <= prev:
-                raise SchemaMismatch("map keys not strictly sorted")
-            prev = raw_key
-            out[key] = reader.f64()
-        return out
-    raise SchemaMismatch(f"undecodable tag {tag!r}")
-
-
-def canonical_decode(schema: ModelSchema, data: bytes) -> Record:
-    """Inverse of canonical_encode; rejects trailing bytes and any layout
-    that canonical_encode could not have produced."""
-    reader = _Reader(data)
-    count = reader.u32()
-    if count != len(schema.fields):
-        raise SchemaMismatch(
-            f"{schema.name}: field count {count} != declared {len(schema.fields)}"
-        )
-    values: dict[str, Any] = {}
-    for fname, tag in schema.sorted_fields():
-        got_name = reader.string()
-        if got_name != fname:
-            raise SchemaMismatch(f"{schema.name}: expected field {fname!r}, got {got_name!r}")
-        got_tag = reader.u8()
-        if got_tag != int(tag):
-            raise SchemaMismatch(f"{schema.name}.{fname}: tag {got_tag} != {int(tag)}")
-        values[fname] = _dec_value(reader, tag)
-    if not reader.done():
-        raise SchemaMismatch(f"{schema.name}: {len(data) - reader.pos} trailing bytes")
-    return Record(schema, values)
 
 
 def record_digest(record: Record) -> bytes:
@@ -446,14 +618,15 @@ def seal_envelope(
 
 def open_envelope(
     env: Envelope,
-    known_schemas: Iterable[ModelSchema],
+    known_schemas: Mapping[bytes, ModelSchema] | Iterable[ModelSchema],
     current_height: int,
 ) -> tuple[Record, str]:
     """Validate and decode one envelope.
 
-    Check order is fixed: signature, then expiry, then schema lookup, then
-    payload decode. Each failure is a distinct typed error so transports can
-    report precise diagnostics.
+    `known_schemas` is a dict from digest to schema, looked up, or any
+    iterable of schemas, scanned in order. Check order is fixed: signature,
+    then expiry, then schema lookup, then payload decode. Each failure is a
+    distinct typed error so transports can report precise diagnostics.
     """
     try:
         ok = verify_digest(env.sender, env.signing_digest(), env.signature)
@@ -463,11 +636,10 @@ def open_envelope(
         raise SignatureInvalid(f"envelope from {env.sender} fails verification")
     if env.expires_at < current_height:
         raise Expired(f"expired at height {env.expires_at}, now {current_height}")
-    schema = None
-    for candidate in known_schemas:
-        if candidate.digest() == env.schema_digest:
-            schema = candidate
-            break
+    if isinstance(known_schemas, dict):
+        schema = known_schemas.get(env.schema_digest)
+    else:
+        schema = next((s for s in known_schemas if s.digest() == env.schema_digest), None)
     if schema is None:
         raise UnknownSchema(f"no schema with digest {env.schema_digest.hex()[:16]}")
     try:

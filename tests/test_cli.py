@@ -72,6 +72,37 @@ def test_run_bad_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[reviews]\n[couriers]\nSpeedyVanCouriers | a_very_secret_seed_phrase | 9223372036854775808 | 210"
+        " | cambridge\n",
+        "user_balance_fet = 99999999999999999999\n",
+        "user_balance_fet = 9223372036854\nagent_float_fet = 9223372036854\n",
+    ],
+    ids=["courier_price", "user_balance", "genesis_supply"],
+)
+def test_run_amount_beyond_i64_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    journal = tmp_path / "journal.txt"
+    assert run_cli("run", "--config", str(path), "--journal", str(journal)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not journal.exists()
+
+
+def test_run_with_the_largest_accepted_balance_completes(tmp_path, capsys):
+    largest_user = (2**63 - 1) // 1_000_000 - 6 * 10
+    path = tmp_path / "rich.cfg"
+    path.write_text(f"user_balance_fet = {largest_user}\n")
+    report = tmp_path / "report.txt"
+    journal = tmp_path / "journal.txt"
+    code = run_cli("run", "--config", str(path), "--report", str(report), "--journal", str(journal))
+    assert code == 0
+    assert "32 FET" in capsys.readouterr().out
+    assert report.read_text() and journal.read_text()
+
+
 def test_run_missing_config_exits_two(capsys):
     assert run_cli("run", "--config", "/no/such/file.cfg") == 2
     assert "config error" in capsys.readouterr().err

@@ -181,6 +181,45 @@ def test_courier_spec_validation():
         CourierSpec("", "seed", 10, 60, "cambridge")
 
 
+# the largest whole-FET amount whose micro-FET value fits a signed 64-bit int
+LARGEST_FET = (2**63 - 1) // 1_000_000
+
+
+def test_courier_price_must_fit_i64_micro_fet():
+    assert CourierSpec("X", "seed", LARGEST_FET, 60, "cambridge").price_fet == LARGEST_FET
+    with pytest.raises(ConfigError, match="price"):
+        CourierSpec("X", "seed", LARGEST_FET + 1, 60, "cambridge")
+    with pytest.raises(ConfigError):
+        parse_config("[couriers]\nX | seed | 9223372036854775808 | 60 | cambridge\n")
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["user_balance_fet", "agent_float_fet", "registration_fee_fet",
+     "packaging_quote_fet", "maps_fee_fet"],
+)
+def test_fet_amounts_must_fit_i64_micro_fet(key):
+    with pytest.raises(ConfigError, match=key):
+        with_overrides(default_config(), **{key: LARGEST_FET + 1})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = 99999999999999999999\n")
+
+
+def test_genesis_supply_must_fit_i64_micro_fet():
+    # the demo mints one float for each of 6 service agents (logistics,
+    # packaging, maps, three couriers) on top of the user's balance
+    config = default_config()
+    largest_user = LARGEST_FET - 6 * config.agent_float_fet
+    assert with_overrides(config, user_balance_fet=largest_user).user_balance_fet == largest_user
+    with pytest.raises(ConfigError, match="genesis"):
+        with_overrides(config, user_balance_fet=largest_user + 1)
+    with pytest.raises(ConfigError, match="genesis"):
+        with_overrides(config, user_balance_fet=LARGEST_FET, agent_float_fet=LARGEST_FET)
+    # each of up to two bid forgers gets a float too
+    with pytest.raises(ConfigError, match="genesis"):
+        with_overrides(config, user_balance_fet=largest_user, forged_bids=1)
+
+
 def test_config_is_frozen():
     config = default_config()
     with pytest.raises(AttributeError):

@@ -9,10 +9,12 @@ purpose is a format bump: update docs/wire.md and these pins together.
 from __future__ import annotations
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
 
+from agentmesh import identity
 from agentmesh.cli import attack_config
 from agentmesh.config import PresenceWindow, default_config, with_overrides
 from agentmesh.ledger import journal_lines
@@ -90,3 +92,44 @@ def test_golden_bytes(name):
         _sha("\n".join(journal_lines(scenario.world.ledger.journal))),
     )
     assert got == GOLDEN[name]
+
+
+# name -> (verify_digest calls, of which False, sign_digest calls,
+# sign_digest_with_wallet calls) over build and run. A speed-up that skips a
+# signature check, or signs less, moves these.
+SIGNATURE_CALLS = {
+    "attack_50": (117, 24, 143, 0),
+    "demo": (29, 0, 29, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURE_CALLS))
+def test_signature_checks_are_pinned(name, monkeypatch):
+    counts = {"verify": 0, "verify_false": 0, "sign": 0, "sign_wallet": 0}
+    verify = identity.verify_digest
+
+    def counted_verify(*args, **kwargs):
+        ok = verify(*args, **kwargs)
+        counts["verify"] += 1
+        counts["verify_false"] += not ok
+        return ok
+
+    def counting(method, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    # every module that bound verify_digest by name gets the counter
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("agentmesh"):
+            if getattr(module, "verify_digest", None) is verify:
+                monkeypatch.setattr(module, "verify_digest", counted_verify)
+    for attr, key in (("sign_digest", "sign"), ("sign_digest_with_wallet", "sign_wallet")):
+        method = getattr(identity.AgentIdentity, attr)
+        monkeypatch.setattr(identity.AgentIdentity, attr, counting(method, key))
+    scenario = build_scenario(CONFIGS[name]())
+    assert scenario.orchestrator.run().status == "ok"
+    got = (counts["verify"], counts["verify_false"], counts["sign"], counts["sign_wallet"])
+    assert got == SIGNATURE_CALLS[name]

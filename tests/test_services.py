@@ -175,6 +175,36 @@ def test_routes_look_up_the_served_method_per_call(registry_service, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "service, method, args, kwargs",
+    [
+        ("registry", "search", (), {}),
+        ("registry", "search", (1, None, None, None, "extra"), {}),
+        ("registry", "search", (1,), {"current_height": 1}),
+        ("registry", "search", (1,), {"radius": 5}),
+        ("registry", "register", (), {"address": "x"}),
+        ("registry", "aname_verify", ("d.example.agent",), {"current_height": 3}),
+        ("mailbox", "deposit", (), {"current_height": 1}),
+        ("mailbox", "stats", ("extra",), {}),
+    ],
+)
+def test_malformed_calls_raise_the_in_process_type_error(
+    mailbox_service, service, method, args, kwargs
+):
+    # Python binds a client method's arguments before any request is made
+    mail_client, _ = mailbox_service
+    client, served = {
+        "registry": (RegistryClient("http://127.0.0.1:9"), Registry()),
+        "mailbox": (mail_client, MailboxStore()),
+    }[service]
+    with pytest.raises(TypeError) as remote:
+        getattr(client, method)(*args, **kwargs)
+    with pytest.raises(TypeError) as local:
+        getattr(served, method)(*args, **kwargs)
+    message = str(remote.value).replace(type(client).__name__, type(served).__name__, 1)
+    assert message == str(local.value)
+
+
 def test_replayed_sequence_raises_the_real_type(registry_service):
     client, _, _, _ = registry_service
     args = signed_registration(ALICE, sequence=0)

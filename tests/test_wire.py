@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from agentmesh.identity import Signature, derive_identity
 from agentmesh.wire import (
     CHAT_MESSAGE,
+    I64_MAX,
+    I64_MIN,
     CHAT_PROTOCOL,
     DuplicateField,
     EmptyProtocol,
@@ -107,6 +111,27 @@ class TestCanonicalEncode:
         schema = ModelSchema.build("I", n=SemanticType.INT)
         with pytest.raises(SchemaMismatch):
             Record(schema, {"n": True})
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**20])
+    def test_int_outside_i64_rejected(self, value):
+        schema = ModelSchema.build("I", n=SemanticType.INT, m=SemanticType.INT)
+        with pytest.raises(SchemaMismatch, match=r"^I: out of i64 range: n$"):
+            Record(schema, {"n": value, "m": 0})
+
+    def test_int_i64_bounds_round_trip(self):
+        schema = ModelSchema.build("I", lo=SemanticType.INT, hi=SemanticType.INT)
+        record = Record(schema, {"lo": -(2**63), "hi": 2**63 - 1})
+        data = canonical_encode(record)
+        assert data == oracles.enc_record({"lo": "int", "hi": "int"}, record.values)
+        assert canonical_decode(schema, data) == record
+
+    def test_mismatch_message_lists_every_fault(self):
+        with pytest.raises(SchemaMismatch) as info:
+            Record(EXAMPLE, {"price_fet": 1, "rogue": 1, "zzz": 2})
+        assert str(info.value) == (
+            "Example: missing: courier_id, eta_minutes; unexpected: rogue, zzz; "
+            "wrong type: price_fet"
+        )
 
     def test_trailing_bytes_rejected(self):
         data = canonical_encode(Record(EXAMPLE, EXAMPLE_VALUES))
@@ -350,3 +375,75 @@ class TestTamperEvidence:
         for values in variants:
             digest = hashlib.sha256(canonical_encode(Record(EXAMPLE, values))).digest()
             assert digest != base_digest
+
+
+# ---------------------------------------------------------------------------
+# generated codecs against the oracle, on random schemas
+
+ORACLE_TAGS = {tag: name for name, tag in oracles.TAGS.items()}
+FLOATS = st.floats(allow_nan=False) | st.just(-0.0)
+VALUES = {
+    SemanticType.STRING: st.text(max_size=6),
+    SemanticType.INT: st.integers(I64_MIN, I64_MAX) | st.sampled_from([I64_MIN, I64_MAX, 0, -1]),
+    SemanticType.FLOAT: FLOATS,
+    SemanticType.BOOL: st.booleans(),
+    SemanticType.LIST_OF_STRING: st.lists(st.text(max_size=4), max_size=3),
+    SemanticType.MAP_STRING_TO_FLOAT: st.dictionaries(st.text(max_size=4), FLOATS, max_size=3),
+}
+# names mix ASCII with characters that take two to four UTF-8 bytes; lone
+# surrogates have no UTF-8 form, so no schema or value can hold them
+NAMES = st.text(
+    st.sampled_from("abzé名𝄞_") | st.characters(exclude_categories=("Cs",)), max_size=5
+)
+
+
+@st.composite
+def records(draw):
+    fields = draw(st.dictionaries(NAMES, st.sampled_from(list(SemanticType)), max_size=8))
+    schema = ModelSchema(draw(NAMES), tuple(fields.items()))
+    values = {name: draw(VALUES[tag]) for name, tag in fields.items()}
+    return Record(schema, values)
+
+
+def oracle_bytes(record: Record) -> bytes:
+    fields = {name: ORACLE_TAGS[tag] for name, tag in record.schema.fields}
+    return oracles.enc_record(fields, record.values)
+
+
+def decodes_to_itself_or_mismatches(schema: ModelSchema, data: bytes) -> None:
+    try:
+        decoded = canonical_decode(schema, data)
+    except SchemaMismatch:
+        return
+    assert canonical_encode(decoded) == data
+    Record(schema, decoded.values)  # what the decoder builds is valid
+
+
+class TestGeneratedCodecs:
+    @settings(max_examples=150, deadline=None)
+    @given(records())
+    def test_encoding_matches_the_oracle_and_decodes_back(self, record):
+        data = canonical_encode(record)
+        assert data == oracle_bytes(record)
+        decoded = canonical_decode(record.schema, data)
+        assert decoded == record
+        assert canonical_encode(decoded) == data  # -0.0 keeps its sign
+
+    @settings(max_examples=100, deadline=None)
+    @given(records(), st.integers(1, 255))
+    def test_every_cut_and_byte_flip_mismatches_or_round_trips(self, record, mask):
+        data = canonical_encode(record)
+        for end in range(len(data)):
+            decodes_to_itself_or_mismatches(record.schema, data[:end])
+        for pos in range(len(data)):
+            mutated = bytearray(data)
+            mutated[pos] ^= mask
+            decodes_to_itself_or_mismatches(record.schema, bytes(mutated))
+
+    @settings(max_examples=50, deadline=None)
+    @given(records(), st.sampled_from([I64_MAX + 1, I64_MIN - 1, 2**100]))
+    def test_ints_outside_i64_never_reach_the_encoder(self, record, value):
+        ints = [name for name, tag in record.schema.fields if tag is SemanticType.INT]
+        for name in ints:
+            with pytest.raises(SchemaMismatch, match="out of i64 range"):
+                Record(record.schema, dict(record.values, **{name: value}))
