@@ -303,7 +303,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def render_config(config: ScenarioConfig) -> str:

@@ -14,6 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from typing import Iterable
 
 from .config import CourierSpec, ScenarioConfig
 from .contractnet import (
@@ -1117,39 +1118,39 @@ def simulate_network(config: ScenarioConfig) -> NetworkModel:
     )
 
 
-def _register_service(
-    registry,
-    ledger: Ledger,
-    agent: Agent,
-    endpoint: str,
-    metadata: dict[str, str],
-) -> None:
+def _call_all(target, calls: Iterable[tuple]) -> list:
+    """Make (method name, *positional arguments) calls in order and return
+    their results: in one round trip on a service client, one by one on an
+    in-process object. The first call that raises ends the list."""
+    call_many = getattr(target, "call_many", None)
+    if call_many is not None:
+        return call_many(calls)
+    return [getattr(target, name)(*args) for name, *args in calls]
+
+
+def _registration(ledger: Ledger, agent: Agent, endpoint: str, metadata: dict[str, str]) -> tuple:
+    """The signed `register` call for an agent's first registration."""
     digests = frozenset(p.digest() for p in agent.protocols)
     address = agent.identity.address
     digest = registration_signing_digest(address, 0, digests, endpoint, metadata)
-    registry.register(
-        ledger,
-        address,
-        endpoint,
-        digests,
-        metadata,
-        0,
-        agent.identity.sign_digest(digest),
-        agent.identity.wallet_address,
-    )
+    signature = agent.identity.sign_digest(digest)
+    return ("register", ledger, address, endpoint, digests, metadata, 0, signature,
+            agent.identity.wallet_address)
 
 
-def _bind_domain(registry, dns, domain: str, address: str, height: int) -> None:
-    """Claim, publish the TXT challenge, verify. Works both against the
-    in-process registry (explicit resolver) and the service client (the
-    server holds the resolver)."""
-    challenge = registry.aname_claim(domain, address)
+def _verify_domains(registry, dns, challenges: list[tuple[str, bytes]], height: int) -> None:
+    """Publish each claimed domain's TXT challenge, then verify the claim.
+    Against a service client the server holds the resolver, so publishing
+    goes through the client."""
     if hasattr(registry, "dns_publish"):
-        registry.dns_publish(domain, challenge.hex())
-        registry.aname_verify(domain, None, height)
+        calls = []
+        for domain, challenge in challenges:
+            calls += [("dns_publish", domain, challenge.hex()), ("aname_verify", domain, None, height)]
+        _call_all(registry, calls)
     else:
-        dns.publish(domain, challenge.hex())
-        registry.aname_verify(domain, dns, height)
+        for domain, challenge in challenges:
+            dns.publish(domain, challenge.hex())
+            registry.aname_verify(domain, dns, height)
 
 
 @dataclass
@@ -1235,7 +1236,7 @@ def build_scenario(
     cast += list(courier_agents.values()) + saboteurs
     for agent in cast:
         world.add_agent(agent)
-        mailbox.create_account(agent.identity.address)
+    _call_all(mailbox, [("create_account", agent.identity.address) for agent in cast])
 
     # the business geo mirrors the pickup city so discovery-by-area works
     try:
@@ -1243,36 +1244,44 @@ def build_scenario(
     except UnparsableRequest:
         geo_hint = "cambridge"
 
-    _register_service(
-        registry, ledger, logistics_agent, "sim://logistics",
-        {"service_type": "logistics", "wallet": logistics_identity.wallet_address,
-         "display_name": LOGISTICS_NAME},
-    )
-    _register_service(
-        registry, ledger, packaging_agent, "sim://packaging",
-        {"service_type": "packaging", "geo": geo_hint,
-         "wallet": packaging_identity.wallet_address, "display_name": PACKAGING_NAME},
-    )
-    _register_service(
-        registry, ledger, maps_agent, "sim://maps",
-        {"service_type": "maps", "wallet": maps_identity.wallet_address,
-         "display_name": MAPS_NAME},
-    )
+    # (agent, endpoint, metadata, domain to claim) in cast order
+    listings = [
+        (logistics_agent, "sim://logistics",
+         {"service_type": "logistics", "wallet": logistics_identity.wallet_address,
+          "display_name": LOGISTICS_NAME}, ""),
+        (packaging_agent, "sim://packaging",
+         {"service_type": "packaging", "geo": geo_hint,
+          "wallet": packaging_identity.wallet_address, "display_name": PACKAGING_NAME}, ""),
+        (maps_agent, "sim://maps",
+         {"service_type": "maps", "wallet": maps_identity.wallet_address,
+          "display_name": MAPS_NAME}, ""),
+    ]
     for spec in config.couriers:
         agent = courier_agents[spec.name]
-        _register_service(
-            registry, ledger, agent, f"sim://courier/{spec.name}",
-            {"service_type": "courier", "geo": spec.service_area,
-             "wallet": agent.identity.wallet_address, "display_name": spec.name},
-        )
-        if spec.domain:
-            _bind_domain(registry, dns, spec.domain, agent.identity.address, world.height)
+        listings.append((agent, f"sim://courier/{spec.name}",
+                         {"service_type": "courier", "geo": spec.service_area,
+                          "wallet": agent.identity.wallet_address, "display_name": spec.name},
+                         spec.domain))
     for saboteur in saboteurs:
-        _register_service(
-            registry, ledger, saboteur, f"sim://courier/{saboteur.name}",
-            {"service_type": "courier", "geo": geo_hint,
-             "wallet": saboteur.identity.wallet_address, "display_name": saboteur.name},
-        )
+        listings.append((saboteur, f"sim://courier/{saboteur.name}",
+                         {"service_type": "courier", "geo": geo_hint,
+                          "wallet": saboteur.identity.wallet_address,
+                          "display_name": saboteur.name}, ""))
+
+    def registrations():
+        # each signed as it is taken, so an in-process loop never holds them all
+        for agent, endpoint, metadata, domain in listings:
+            yield _registration(ledger, agent, endpoint, metadata)
+            if domain:
+                yield ("aname_claim", domain, agent.identity.address)
+
+    results = iter(_call_all(registry, registrations()))
+    challenges = []
+    for _, _, _, domain in listings:
+        next(results)  # the registration's expiry height
+        if domain:
+            challenges.append((domain, next(results)))
+    _verify_domains(registry, dns, challenges, world.height)
 
     for window in config.offline:
         address = name_to_address[window.agent]

@@ -7,6 +7,17 @@ errors, same state. One table of remote calls drives both sides: each entry
 names an in-process method, and the server route and the client method are
 both built from it. JSON carries the requests; bytes travel as hex.
 
+`POST /batch` makes several calls in one round trip. The body is
+`{"calls": [[path, request], ...]}`, each request being the body that
+path takes alone. Every path is resolved before anything runs: an unknown
+one, a nested `/batch` or `/config` is a 400 `BadRequest` and nothing
+runs. The calls run in order under one hold of the server lock and the
+reply is `{"result": [result, ...]}`. The first call that raises ends the
+batch with the 400 body it would get alone (error type, detail, attrs);
+the calls before it stay applied and the ones after it never run, as in
+an in-process loop. Clients send a batch with `call_many`. Batched
+set-up takes a `services` bench order from 33 RPCs to 14.
+
 The transport is a keep-alive HTTP/1.1 subset: each message goes out in one
 write with a `Content-Length` body; head lines stop at 64 KiB and fields at
 100; `Expect: 100-continue` is answered before the body is read. A reply
@@ -24,7 +35,7 @@ import socket
 import socketserver
 import threading
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 from urllib.parse import urlsplit
 
 from . import ledger as ledger_mod
@@ -186,6 +197,23 @@ def _route(rpc: _Rpc, served: dict[str, object]) -> Callable[[dict], dict]:
         return {"result": to_json(method(**arguments, **held))}
 
     return route
+
+
+def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable[[dict], dict]]:
+    """The routes plus `/batch`, which runs a list of calls to them."""
+
+    def batch(request: dict) -> dict:
+        # resolve every path first, so a bad one runs nothing
+        calls = []
+        for path, call in request["calls"]:
+            if path not in routes:
+                raise ValueError(f"no route {path!r} to batch")
+            calls.append((routes[path], call))
+        # the server holds its lock across the whole batch; the first call
+        # that raises ends it, and its error is the batch's reply
+        return {"result": [route(call)["result"] for route, call in calls]}
+
+    return {**routes, "/batch": batch}
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +401,7 @@ def _start(server: _ServiceServer) -> ServiceHandle:
 
 def registry_routes(registry: Registry, ledger: Ledger, dns) -> dict:
     served = {"registry": registry, "ledger": ledger, "resolver": dns}
-    return {rpc.path: _route(rpc, served) for rpc in _REGISTRY_RPCS}
+    return _with_batch({rpc.path: _route(rpc, served) for rpc in _REGISTRY_RPCS})
 
 
 def serve_registry(
@@ -398,7 +426,7 @@ def mailbox_routes(store: MailboxStore) -> dict:
         return {"ack_mode": store.ack_mode, "capacity": store.capacity}
 
     routes = {rpc.path: _route(rpc, {"store": store}) for rpc in _MAILBOX_RPCS}
-    return {**routes, "/config": config}
+    return {**_with_batch(routes), "/config": config}
 
 
 def serve_mailbox(store: MailboxStore, host: str = "127.0.0.1", port: int = 0) -> ServiceHandle:
@@ -489,6 +517,9 @@ def _rebuild_error(cls: type[Exception], detail: str, attrs: dict) -> Exception:
 class _ServiceClient:
     """One keep-alive HTTP connection to a service, shared under a lock."""
 
+    # method name -> (path, argument encoder, result decoder), set by _attach
+    _stubs: dict[str, tuple[str, Callable[..., dict], Callable[[Any], Any]]] = {}
+
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self._connection = _Connection(self.base_url, timeout)
@@ -497,6 +528,24 @@ class _ServiceClient:
     def _post(self, path: str, payload: dict) -> dict:
         with self._lock:
             return _post(self._connection, path, payload)
+
+    def call_many(self, calls: Iterable[tuple]) -> list:
+        """Make (method name, *positional arguments) calls in order, in one
+        `/batch` round trip, and return their results. Every call's
+        arguments are bound and encoded before anything is sent. The first
+        call that raises ends the batch with its own error: the calls
+        before it stay applied and the ones after it never run."""
+        requests, decoders = [], []
+        for name, *args in calls:
+            if name not in self._stubs:
+                raise AttributeError(f"{type(self).__name__} has no remote method {name!r}")
+            path, encode, decode = self._stubs[name]
+            requests.append([path, encode(*args)])
+            decoders.append(decode)
+        if not requests:
+            return []
+        results = self._post("/batch", {"calls": requests})["result"]
+        return [decode(result) for decode, result in zip(decoders, results)]
 
     def health(self) -> bool:
         with self._lock:
@@ -518,23 +567,28 @@ class _ServiceClient:
 
 
 def _attach(cls: type, rpcs: tuple[_Rpc, ...]) -> None:
-    """Give a client class one method per table entry."""
+    """Give a client class one method per table entry, and `call_many` the
+    same entries' encoders and decoders."""
+    cls._stubs = {}
     for rpc in rpcs:
-        method = _client_method(rpc)
-        method.__qualname__ = f"{cls.__name__}.{rpc.name}"
+        encode, method = _client_functions(rpc)
+        encode.__qualname__ = method.__qualname__ = f"{cls.__name__}.{rpc.name}"
         setattr(cls, rpc.name, method)
+        cls._stubs[rpc.name] = (rpc.path, encode, rpc.result_codec[1])
 
 
-def _client_method(rpc: _Rpc) -> Callable:
-    """The client method for one entry, generated as straight-line source
-    with the in-process parameters, so Python binds the arguments (and
-    raises the TypeError the in-process method would)."""
+def _client_functions(rpc: _Rpc) -> tuple[Callable[..., dict], Callable]:
+    """One entry's request encoder and client method, generated as
+    straight-line source with the in-process parameters, so Python binds
+    the arguments (and raises the TypeError the in-process method would).
+    The encoder takes the arguments less `self` and returns the request."""
     signature = inspect.signature(rpc.function)
     namespace: dict[str, Any] = {"PATH": rpc.path}
-    parameters = ["self"]
+    parameters, names = [], []
     for parameter in list(signature.parameters.values())[1:]:  # less self
         if parameter.kind is not parameter.POSITIONAL_OR_KEYWORD:
             raise TypeError(f"{rpc.path}: parameter {parameter.name} cannot travel")
+        names.append(parameter.name)
         if parameter.default is parameter.empty:
             parameters.append(parameter.name)
         else:
@@ -548,16 +602,19 @@ def _client_method(rpc: _Rpc) -> Callable:
         else:
             namespace[f"to_json_{name}"] = codec[0]
             items.append(f"{name!r}: to_json_{name}({name})")
-    result = f"self._post(PATH, {{{', '.join(items)}}})['result']"
+    result = f"self._post(PATH, encode({', '.join(names)}))['result']"
     if rpc.result_codec is not _AS_IS:
         namespace["from_json"] = rpc.result_codec[1]
         result = f"from_json({result})"
-    source = f"def {rpc.name}({', '.join(parameters)}):\n    return {result}\n"
+    source = (
+        f"def encode({', '.join(parameters)}):\n    return {{{', '.join(items)}}}\n"
+        f"def {rpc.name}({', '.join(['self', *parameters])}):\n    return {result}\n"
+    )
     exec(compile(source, f"<client {rpc.path}>", "exec"), namespace)
     method = namespace[rpc.name]
     method.__doc__ = rpc.function.__doc__
     method.__signature__ = signature
-    return method
+    return namespace["encode"], method
 
 
 class RegistryClient(_ServiceClient):

@@ -109,14 +109,20 @@ class ModelSchema:
     def sorted_fields(self) -> tuple[tuple[str, SemanticType], ...]:
         cached = self.__dict__.get("_sorted_fields")
         if cached is None:
-            cached = tuple(sorted(self.fields, key=lambda f: f[0].encode("utf-8")))
+            try:
+                cached = tuple(sorted(self.fields, key=lambda f: f[0].encode("utf-8")))
+            except UnicodeEncodeError as exc:
+                raise SchemaMismatch(f"{self.name}: field name not UTF-8: {exc}") from None
             self.__dict__["_sorted_fields"] = cached
         return cached
 
     def digest(self) -> bytes:
         cached = self.__dict__.get("_digest")
         if cached is None:
-            buf = [_enc_str(self.name), struct.pack(">I", len(self.fields))]
+            try:
+                buf = [_enc_str(self.name), struct.pack(">I", len(self.fields))]
+            except UnicodeEncodeError as exc:
+                raise SchemaMismatch(f"schema name not UTF-8: {exc}") from None
             for fname, tag in self.sorted_fields():
                 buf.append(_enc_str(fname))
                 buf.append(bytes([tag]))
@@ -325,7 +331,14 @@ def _encoder_source(fields) -> str:
     if not fields:
         parts.append("HEAD0")
     lines.append(f"return b''.join(({', '.join(parts)},))")
-    return "def encode(values):\n" + _indent("\n".join(lines), 4)
+    # a lone surrogate passes the type checks but has no UTF-8 form
+    return (
+        "def encode(values):\n"
+        "    try:\n"
+        + _indent("\n".join(lines), 8)
+        + "    except UnicodeEncodeError as exc:\n"
+        '        raise SchemaMismatch(f"{schema.name}: text not UTF-8: {exc}") from None\n'
+    )
 
 
 def _decoder_source(fields, heads: list[bytes]) -> str:

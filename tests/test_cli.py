@@ -103,6 +103,14 @@ def test_run_with_the_largest_accepted_balance_completes(tmp_path, capsys):
     assert report.read_text() and journal.read_text()
 
 
+def test_run_config_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"request = caf\xff\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "UTF-8" in err
+
+
 def test_run_missing_config_exits_two(capsys):
     assert run_cli("run", "--config", "/no/such/file.cfg") == 2
     assert "config error" in capsys.readouterr().err

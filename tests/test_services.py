@@ -4,6 +4,8 @@ unchanged behind service clients."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import http.client
 import json
 import socket
@@ -12,10 +14,12 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from agentmesh.config import PresenceWindow, default_config, with_overrides
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import InsufficientFunds, Ledger, fet
+from agentmesh.ledger import InsufficientFunds, Ledger, fet, journal_lines
 from agentmesh.mailbox import BadAuth, MailboxStore, ReplayedNonce, retrieval_auth_digest
 from agentmesh.registry import (
     AlreadyVerified,
@@ -718,6 +722,250 @@ def test_unframed_reply_is_a_service_error(reply, fault):
 
 
 # ---------------------------------------------------------------------------
+# batches: one round trip, the same calls as an in-process loop
+
+PAUPER = derive_identity("service test pauper")
+WHO = {"alice": ALICE, "bob": BOB, "pauper": PAUPER}
+DOMAINS = ("van.example", "bike.example", "not a domain")
+
+
+def _first_challenges(count: int) -> list[str]:
+    registry = Registry()
+    return [registry.aname_claim(f"d{i}.example", ALICE.address).hex() for i in range(count)]
+
+
+def _register_call(who: str, sequence: int, forged: bool) -> tuple:
+    # in-process argument order, less the ledger the client does not send
+    args = signed_registration(WHO[who], sequence, metadata={"geo": who})
+    if forged:
+        other = BOB if who == "alice" else ALICE
+        args["signature"] = signed_registration(other, sequence)["signature"]
+    return ("register", None, *args.values())
+
+
+def _retrieve_call(who: str, nonce: int, forged: bool) -> tuple:
+    signer = (BOB if who == "alice" else ALICE) if forged else WHO[who]
+    auth = signer.sign_digest(retrieval_auth_digest(WHO[who].address, nonce))
+    return ("retrieve", WHO[who].address, nonce, auth)
+
+
+CHALLENGES = _first_challenges(2)
+_who = st.sampled_from(sorted(WHO))
+_forged = st.sampled_from([False, False, False, True])
+_small = st.sampled_from([0, 0, 1, 2])  # a sequence or nonce, most often the first
+_domain = st.sampled_from(DOMAINS)
+_address = _who.map(lambda who: WHO[who].address)
+
+REGISTRY_CALLS = st.one_of(
+    st.builds(_register_call, _who, _small, _forged),
+    st.builds(_register_call, _who, _small, _forged),
+    st.tuples(
+        st.just("search"), st.sampled_from([0, 60]), st.none(), st.none(),
+        st.sampled_from([None, "alice", "bob"]),
+    ),
+    st.tuples(st.just("resolve"), _address, st.sampled_from([0, 60])),
+    st.tuples(st.just("aname_claim"), _domain, _address),
+    st.tuples(st.just("dns_publish"), _domain, st.sampled_from(CHALLENGES + ["junk"])),
+    st.tuples(st.just("aname_verify"), _domain, st.none(), st.sampled_from([0, 5])),
+    st.tuples(st.just("resolve_domain"), _domain),
+    st.tuples(st.just("domain_of"), _address),
+)
+
+_ENVELOPES = [
+    sealed_chat(ALICE, BOB.address, "to bob"),
+    sealed_chat(BOB, ALICE.address, "to alice"),
+    sealed_chat(PAUPER, ALICE.address, "short-lived", expires_at=3),
+]
+# a valid signature over another envelope's bytes
+_ENVELOPES.append(dataclasses.replace(_ENVELOPES[0], signature=_ENVELOPES[1].signature))
+
+MAILBOX_CALLS = st.one_of(
+    st.tuples(st.just("create_account"), _address),
+    st.tuples(st.just("has_account"), _address),
+    st.tuples(st.just("next_nonce"), _address),
+    st.tuples(st.just("deposit"), st.sampled_from(_ENVELOPES), st.sampled_from([0, 9])),
+    st.builds(_retrieve_call, _who, _small, _forged),
+    st.tuples(st.just("acknowledge"), _address),
+    st.tuples(st.just("stats")),
+)
+
+
+def _fresh(ack_mode: bool = False):
+    """Ledger, registry, resolver and mailbox as every batch example starts
+    them: alice can pay two registrations, bob ten, the pauper none."""
+    ledger = Ledger()
+    ledger.mint(ALICE.wallet_address, fet(2))
+    ledger.mint(BOB.wallet_address, fet(10))
+    return ledger, Registry(ttl=50, fee=fet(1)), FixtureDnsResolver(), MailboxStore(2, ack_mode)
+
+
+def _in_process_call(call: tuple, ledger: Ledger, registry: Registry, dns, store: MailboxStore):
+    """What a client call amounts to on the in-process objects: the held
+    ledger and resolver filled in, and the resolver's own publish."""
+    name, *args = call
+    if name == "register":
+        return registry.register(ledger, *args[1:])
+    if name == "aname_verify":
+        return registry.aname_verify(args[0], dns, args[2])
+    if name == "dns_publish":
+        return dns.publish(*args)
+    return getattr(store if name in services.MailboxClient._stubs else registry, name)(*args)
+
+
+def _comparable(value):
+    if isinstance(value, list):
+        return [_comparable(item) for item in value]
+    return value.to_bytes() if hasattr(value, "to_bytes") else value
+
+
+def _outcome(run) -> tuple:
+    """The calls' results, or the error they ended in as type, message and
+    fields."""
+    try:
+        return ("returned", _comparable(run()))
+    except Exception as exc:  # the error itself is what is compared
+        return ("raised", type(exc), str(exc), vars(exc))
+
+
+def _state(ledger: Ledger, registry: Registry, dns, store: MailboxStore) -> dict:
+    queues = {owner: [(height, env.to_bytes()) for height, env in queue]
+              for owner, queue in store.queues.items()}
+    pending = {owner: [(height, env.to_bytes()) for height, env in batch]
+               for owner, batch in store.pending.items()}
+    return {
+        "records": registry.records, "sequences": registry.last_sequence,
+        "anames": registry.anames, "rng": registry.rng.getstate(), "txt": dns.txt,
+        "balances": ledger.balances, "fee_sink": ledger.fee_sink,
+        "journal": journal_lines(ledger.journal), "queues": queues, "pending": pending,
+        "nonces": store.last_nonce, "deposited": store.deposited_total,
+        "dropped": store.dropped_total,
+    }
+
+
+@pytest.fixture(scope="module")
+def batch_pair():
+    """A served registry and mailbox whose objects each example resets in
+    place, and their clients."""
+    ledger, registry, dns, store = served = _fresh()
+    registry_handle = serve_registry(registry, ledger, dns)
+    mailbox_handle = serve_mailbox(store)
+    with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+        mailbox_handle.base_url
+    ) as mailbox_client:
+        yield served, registry_client, mailbox_client
+    registry_handle.close()
+    mailbox_handle.close()
+
+
+@contextlib.contextmanager
+def logged_methods():
+    """Log (object id, method name) for every registry, resolver and
+    mailbox method a remote call can run, served or in-process."""
+    log: list[tuple[int, str]] = []
+    owners = {cls.__name__: cls for cls in (Registry, FixtureDnsResolver, MailboxStore)}
+
+    def logged(method):
+        def run(self, *args, **kwargs):
+            log.append((id(self), method.__name__))
+            return method(self, *args, **kwargs)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for rpc in services._REGISTRY_RPCS + services._MAILBOX_RPCS:
+            owner = owners[rpc.function.__qualname__.split(".")[0]]
+            patch.setattr(owner, rpc.function.__name__, logged(rpc.function))
+        yield log
+
+
+def _check_batch_parity(batch_pair, calls: list[tuple], client_index: int, ack_mode: bool):
+    served, *clients = batch_pair
+    for obj, fresh in zip(served, _fresh(ack_mode)):
+        vars(obj).clear()
+        vars(obj).update(vars(fresh))
+    local = _fresh(ack_mode)
+    with logged_methods() as log:
+        expected = _outcome(lambda: [_in_process_call(call, *local) for call in calls])
+        got = _outcome(lambda: clients[client_index].call_many(calls))
+    event(got[0] if got[0] == "returned" else got[1].__name__)
+    assert got == expected
+
+    def run_on(objects):
+        ids = {id(obj) for obj in objects}
+        return [name for owner, name in log if owner in ids]
+
+    # the same methods ran, in the same order, and stopped at the same call
+    assert run_on(served) == run_on(local)
+    assert _state(*served) == _state(*local)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(REGISTRY_CALLS, max_size=12))
+@example(calls=[_register_call("alice", 0, False), _register_call("alice", 2, False)])
+@example(calls=[_register_call("bob", 0, False), _register_call("alice", 0, True)])
+@example(calls=[_register_call("alice", 0, False), _register_call("alice", 1, False),
+                _register_call("alice", 2, False)])
+@example(calls=[("aname_claim", "van.example", ALICE.address),
+                ("dns_publish", "van.example", CHALLENGES[0]),
+                ("aname_verify", "van.example", None, 5), ("resolve_domain", "van.example"),
+                ("domain_of", ALICE.address), ("aname_claim", "van.example", BOB.address)])
+@example(calls=[("aname_claim", "van.example", ALICE.address),
+                ("aname_verify", "van.example", None, 5)])
+@example(calls=[("aname_claim", "van.example", ALICE.address),
+                ("aname_verify", "bike.example", None, 5)])
+def test_registry_batch_matches_an_in_process_loop(batch_pair, calls):
+    _check_batch_parity(batch_pair, calls, 0, ack_mode=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(MAILBOX_CALLS, max_size=12), ack_mode=st.booleans())
+@example(
+    calls=[("create_account", BOB.address), ("deposit", _ENVELOPES[0], 0),
+           ("deposit", _ENVELOPES[3], 0), ("stats",), _retrieve_call("bob", 0, False),
+           ("acknowledge", BOB.address), _retrieve_call("bob", 0, False)],
+    ack_mode=True,
+)
+@example(calls=[_retrieve_call("alice", 0, False), _retrieve_call("alice", 1, True)],
+         ack_mode=False)
+def test_mailbox_batch_matches_an_in_process_loop(batch_pair, calls, ack_mode):
+    _check_batch_parity(batch_pair, calls, 1, ack_mode)
+
+
+@pytest.mark.parametrize("path", ["/no_such_route", "/batch", "/config", "/health"])
+def test_a_batch_with_a_path_it_cannot_run_applies_nothing(mailbox_service, path):
+    client, store = mailbox_service
+    calls = [["/create_account", {"address": BOB.address}], [path, {}]]
+    with pytest.raises(ServiceError, match="BadRequest"):
+        client._post("/batch", {"calls": calls})
+    assert store.queues == {}
+
+
+def test_a_failing_batch_replies_as_its_failing_call_would(registry_service):
+    client, registry, _, _ = registry_service
+    args = signed_registration(ALICE)
+    client.register(None, **args)
+    replay = client._stubs["register"][1](None, **args)
+    alone = services._exchange(client._connection, "POST", "/register", json.dumps(replay).encode())
+    batch = {"calls": [["/domain_of", {"agent_address": ALICE.address}], ["/register", replay],
+                       ["/aname/claim", {"domain": "van.example", "agent_address": ALICE.address}]]}
+    batched = services._exchange(client._connection, "POST", "/batch", json.dumps(batch).encode())
+    assert batched == alone
+    assert json.loads(alone[1])["attrs"] == {"expected": 1, "got": 0}
+    assert registry.anames == {}  # the call after the failure never ran
+
+
+def test_call_many_checks_every_call_before_sending(mailbox_service, monkeypatch):
+    client, store = mailbox_service
+    sent = []
+    monkeypatch.setattr(services, "_post", lambda *args: sent.append(args))
+    assert client.call_many([]) == []
+    with pytest.raises(AttributeError, match="purge_expired"):
+        client.call_many([("create_account", BOB.address), ("purge_expired", 3)])
+    with pytest.raises(TypeError, match=r"MailboxClient\.deposit\(\) missing"):
+        client.call_many([("create_account", BOB.address), ("deposit", None)])
+    assert sent == [] and store.queues == {}
+
+
+# ---------------------------------------------------------------------------
 # the whole scenario behind services
 
 def test_scenario_behind_services_matches_in_process():
@@ -744,6 +992,43 @@ def test_scenario_behind_services_matches_in_process():
     assert report.status == "ok"
     assert report.encoded_hex() == baseline.encoded_hex()
     assert report.transcript_sha256() == baseline.transcript_sha256()
+
+
+def test_a_services_order_makes_fourteen_round_trips(monkeypatch):
+    # set-up sends three batches (mailbox accounts; registrations with their
+    # domain claims; TXT publish and verify pairs), the order itself eleven
+    # calls: four searches, two has_account, the deposit, next_nonce and
+    # retrieve of the parked call for bids, domain_of and resolve
+    config = with_overrides(
+        default_config(),
+        offline=(PresenceWindow("CamBikeExpress", 7, 17),),
+        bid_window_ticks=14,
+    )
+    ledger, registry_handle, mailbox_handle = served_pair(config)
+    paths = []
+    post = services._post
+
+    def counted(connection, path, payload):
+        paths.append(path)
+        return post(connection, path, payload)
+
+    try:
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            monkeypatch.setattr(services, "_post", counted)
+            scenario = build_scenario(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            )
+            setup = list(paths)
+            report = scenario.orchestrator.run()
+    finally:
+        registry_handle.close()
+        mailbox_handle.close()
+    assert report.status == "ok"
+    assert setup == ["/batch"] * 3
+    assert len(paths) == 14
+    assert report.encoded_hex() == run_scenario(config).encoded_hex()
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,20 @@ class TestCanonicalEncode:
         bumped = canonical_encode(Record(EXAMPLE, dict(EXAMPLE_VALUES, eta_minutes=91)))
         assert base != bumped
 
+    @pytest.mark.parametrize(
+        "schema, values",
+        [
+            (ModelSchema.build("S", a=SemanticType.STRING), {"a": "\udcff"}),
+            (ModelSchema.build("L", a=SemanticType.LIST_OF_STRING), {"a": ["ok", "\ud800"]}),
+            (ModelSchema.build("M", a=SemanticType.MAP_STRING_TO_FLOAT), {"a": {"\udcff": 1.0}}),
+        ],
+        ids=["string", "list", "map_key"],
+    )
+    def test_lone_surrogate_is_a_schema_mismatch(self, schema, values):
+        # what surrogateescape makes of undecodable bytes has no UTF-8 form
+        with pytest.raises(SchemaMismatch, match="UTF-8"):
+            canonical_encode(Record(schema, values))
+
 
 class TestSchemaDigest:
     def test_golden_courier_bid(self):
@@ -174,6 +188,23 @@ class TestSchemaDigest:
     def test_duplicate_field_rejected(self):
         with pytest.raises(DuplicateField):
             ModelSchema("S", (("x", SemanticType.INT), ("x", SemanticType.STRING)))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"\udcff": SemanticType.STRING}, {"a": SemanticType.INT, "\udcff": SemanticType.INT}],
+        ids=["only_field", "second_field"],
+    )
+    def test_lone_surrogate_field_name_is_a_schema_mismatch(self, fields):
+        schema = ModelSchema.build("X", **fields)
+        with pytest.raises(SchemaMismatch, match="UTF-8"):
+            schema.digest()
+        values = {fname: "" if tag is SemanticType.STRING else 0 for fname, tag in fields.items()}
+        with pytest.raises(SchemaMismatch, match="UTF-8"):
+            canonical_encode(Record(schema, values))
+
+    def test_lone_surrogate_schema_name_is_a_schema_mismatch(self):
+        with pytest.raises(SchemaMismatch, match="UTF-8"):
+            ModelSchema.build("\udcff", a=SemanticType.INT).digest()
 
     def test_matches_oracle(self):
         fields = {"a": "int", "b": "string", "c": "bool"}
