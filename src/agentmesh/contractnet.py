@@ -5,7 +5,8 @@ discovers couriers by protocol digest, sends each a CallForBids, verifies
 every CourierBid's content digest and signature, filters out bids that miss
 the delivery deadline, scores the rest on price, speed, and reputation, and
 awards exactly one AcceptBid (everyone else gets RejectBid). Rejected or
-tampered bids never reach scoring.
+tampered bids never reach scoring. This module decides whom to call and
+whom to award; the handler's Context seals and sends the messages.
 
 Winner scoring uses exact rational arithmetic:
 
@@ -29,6 +30,7 @@ from typing import Iterable, Mapping, Protocol as TypingProtocol, Sequence
 from .identity import AgentIdentity, Signature, verify_digest
 from .ledger import InsufficientFunds, Ledger
 from .registry import Registry
+from .runtime import Context
 from .wire import ModelSchema, ProtocolSpec, Record, SemanticType, canonical_encode
 
 # Message models. AcceptBid and RejectBid carry no fields: the session id
@@ -330,27 +332,19 @@ def select_winner(
 
 
 def announce(
-    logistics: "object",
-    task: DeliveryTask,
-    registry: Registry,
-    current_height: int,
-    bid_deadline: int,
-) -> list:
-    """Seal one CallForBids per live courier found by protocol-digest search.
+    ctx: Context, task: DeliveryTask, registry: Registry, bid_deadline: int
+) -> list[str]:
+    """Send one CallForBids, valid until the bid deadline, to each live
+    courier found by protocol-digest search; returns their addresses.
 
     Couriers are discovered exclusively through the registry; a hardcoded
-    address can never enter the auction. Returns the sealed envelopes for
-    the transport to carry.
+    address can never enter the auction.
     """
-    from .runtime import Agent  # local import to avoid a cycle
-    from .wire import seal_envelope
-
-    assert isinstance(logistics, Agent)
-    if bid_deadline <= current_height:
+    if bid_deadline <= ctx.height:
         raise ContractNetError("bid_deadline must be after the announcement height")
-    couriers = registry.search(current_height, protocol_digest=COURIER_AUCTION.digest())
-    couriers = [r for r in couriers if r.address != logistics.identity.address]
-    if not couriers:
+    couriers = registry.search(ctx.height, protocol_digest=COURIER_AUCTION.digest())
+    invited = [r.address for r in couriers if r.address != ctx.address]
+    if not invited:
         raise NoCouriers("no live courier advertises the auction protocol")
     call = Record(
         CALL_FOR_BIDS,
@@ -361,79 +355,41 @@ def announce(
             "bid_deadline": bid_deadline,
         },
     )
-    envelopes = []
-    for courier in couriers:
-        session = logistics.fresh_session_id()
-        envelopes.append(
-            seal_envelope(
-                logistics.identity,
-                courier.address,
-                COURIER_AUCTION,
-                call,
-                session,
-                bid_deadline,
-            )
-        )
-    return envelopes
+    for address in invited:
+        ctx.send(address, call, expires_at=bid_deadline)
+    return invited
 
 
-@dataclass(frozen=True)
-class SettleResult:
-    accept: object | None  # Envelope to the winner, None on abort
-    rejects: tuple  # Envelopes to everyone else
-    escrow_id: bytes | None
-    error: str | None = None
-
-
-def _seal_answer(logistics, schema: ModelSchema, target: str, expires_at: int):
-    from .wire import seal_envelope
-
-    return seal_envelope(
-        logistics.identity,
-        target,
-        COURIER_AUCTION,
-        Record(schema, {}),
-        logistics.fresh_session_id(),
-        expires_at,
-    )
-
-
-def reject_bidders(logistics: "object", bidders: Iterable[str], expires_at: int) -> tuple:
-    """One RejectBid per bidder, in address order, each in a fresh session:
-    to the losers of a settled auction, or to every bidder of one that
-    closes without an escrow."""
-    return tuple(
-        _seal_answer(logistics, REJECT_BID, address, expires_at) for address in sorted(bidders)
-    )
+def reject_bidders(ctx: Context, bidders: Iterable[str]) -> None:
+    """Send one RejectBid per bidder, in address order, each in a fresh
+    session: to the losers of a settled auction, or to every bidder of one
+    that closes without an escrow."""
+    for address in sorted(bidders):
+        ctx.send(address, Record(REJECT_BID, {}))
 
 
 def settle(
-    logistics: "object",
+    ctx: Context,
     winner: str,
     losers: Iterable[str],
     ledger: Ledger,
     escrow_amount: int,
     payer_wallet: str,
     payee_wallet: str,
-    current_height: int,
-    expires_at: int,
-) -> SettleResult:
-    """Open the escrow and close the auction loop.
+) -> bytes:
+    """Open the escrow and close the auction loop; returns the escrow id.
 
     Success: escrow holds the winning price with the logistics agent as
-    arbiter, the winner gets AcceptBid, every loser a RejectBid. If the
-    payer cannot fund the escrow the auction aborts: no escrow, and every
-    bidder including the would-be winner receives RejectBid.
+    arbiter, every loser gets a RejectBid, then the winner its AcceptBid.
+    If the payer cannot fund the escrow the auction aborts: no escrow, every
+    bidder including the would-be winner gets a RejectBid, and
+    InsufficientFunds propagates.
     """
-    from .runtime import Agent
-
-    assert isinstance(logistics, Agent)
     try:
-        escrow_id = ledger.open_escrow(
-            payer_wallet, payee_wallet, escrow_amount, logistics.identity.address
-        )
-    except InsufficientFunds as exc:
-        rejects = reject_bidders(logistics, [winner, *losers], expires_at)
-        return SettleResult(None, rejects, None, error=f"InsufficientFunds: {exc}")
-    accept = _seal_answer(logistics, ACCEPT_BID, winner, expires_at)
-    return SettleResult(accept, reject_bidders(logistics, losers, expires_at), escrow_id)
+        escrow_id = ledger.open_escrow(payer_wallet, payee_wallet, escrow_amount, ctx.address)
+    except InsufficientFunds:
+        reject_bidders(ctx, [winner, *losers])
+        raise
+    reject_bidders(ctx, losers)
+    ctx.send(winner, Record(ACCEPT_BID, {}))
+    return escrow_id

@@ -1,6 +1,6 @@
 """Agent execution engine and the simulated network world.
 
-Agents register handlers (interval, message, query, lifecycle events) and
+Agents register handlers (interval, message, lifecycle events) and
 exchange signed envelopes through a World that owns the clock. Time is a
 logical tick counter equal to the ledger block height: one tick is one
 block. The world delivers envelopes with seeded random latency and drop
@@ -96,11 +96,6 @@ class Message:
 
 
 @dataclass(frozen=True)
-class Query:
-    schema: ModelSchema
-
-
-@dataclass(frozen=True)
 class Event:
     name: str
 
@@ -109,7 +104,7 @@ class Event:
             raise RuntimeError_(f"unknown event {self.name!r}")
 
 
-HandlerKind = Interval | Message | Query | Event
+HandlerKind = Interval | Message | Event
 
 
 class ContextStorage:
@@ -158,6 +153,26 @@ class TranscriptLine:
         )
 
 
+def transcript_line(height: int, env: Envelope, outcome: str, schema_name: str) -> TranscriptLine:
+    """The transcript line for one envelope, keyed by its payload digest."""
+    return TranscriptLine(
+        height,
+        env.sender,
+        env.target,
+        schema_name,
+        hashlib.sha256(env.payload).hexdigest()[:8],
+        outcome,
+    )
+
+
+# what an envelope that fails to open is logged as
+_REJECT_OUTCOMES: dict[type[WireError], str] = {
+    SignatureInvalid: "signature_invalid",
+    Expired: "expired",
+    UnknownSchema: "unknown_schema",
+}
+
+
 class Context:
     """What a handler sees: its agent, the clock, and an outbox."""
 
@@ -198,7 +213,7 @@ class Context:
         expires_at: int | None = None,
     ) -> Envelope:
         """Seal and queue one envelope; the transport picks it up after
-        the handler returns."""
+        the handler returns. Every envelope an agent emits is sealed here."""
         protocol = self.agent.protocol_for(record.schema)
         if session_id is None:
             session_id = self.agent.fresh_session_id()
@@ -239,7 +254,6 @@ class Agent:
         self.storage = ContextStorage()
         self.protocols: list[ProtocolSpec] = []
         self.message_handlers: dict[bytes, Callable] = {}
-        self.query_handlers: dict[bytes, Callable] = {}
         self.interval_handlers: list[tuple[int, Callable]] = []
         self.event_handlers: dict[str, list[Callable]] = {"startup": [], "shutdown": []}
         self.started = False
@@ -266,16 +280,15 @@ class Agent:
             raise AgentAlreadyStarted(f"{self.name} already started")
         if isinstance(kind, Interval):
             self.interval_handlers.append((kind.period, handler))
-        elif isinstance(kind, (Message, Query)):
+        elif isinstance(kind, Message):
             digest = kind.schema.digest()
             if not any(p.has_schema(kind.schema) for p in self.protocols):
                 raise SchemaNotInProtocol(
                     f"{kind.schema.name} is in none of {self.name}'s protocols"
                 )
-            if digest in self.message_handlers or digest in self.query_handlers:
+            if digest in self.message_handlers:
                 raise DuplicateHandler(f"handler for {kind.schema.name} already registered")
-            table = self.message_handlers if isinstance(kind, Message) else self.query_handlers
-            table[digest] = handler
+            self.message_handlers[digest] = handler
         elif isinstance(kind, Event):
             if handler in self.event_handlers[kind.name]:
                 raise DuplicateHandler(f"{kind.name} handler registered twice")
@@ -293,12 +306,6 @@ class Agent:
     def on_message(self, schema: ModelSchema) -> Callable:
         def wrap(fn: Callable) -> Callable:
             self.register_handler(Message(schema), fn)
-            return fn
-        return wrap
-
-    def on_query(self, schema: ModelSchema) -> Callable:
-        def wrap(fn: Callable) -> Callable:
-            self.register_handler(Query(schema), fn)
             return fn
         return wrap
 
@@ -368,47 +375,37 @@ class Agent:
         """
         if not self.started:
             raise AgentNotStarted(f"{self.name} has not joined a world")
-        digest_prefix = hashlib.sha256(env.payload).hexdigest()[:8]
-
-        def diag(outcome: str, schema_name: str) -> None:
-            self.record_diag(
-                TranscriptLine(
-                    current_height, env.sender, env.target, schema_name,
-                    digest_prefix, outcome,
-                )
-            )
-
         try:
             record, sender = open_envelope(env, self._schemas, current_height)
-        except SignatureInvalid:
-            diag("signature_invalid", self._schema_name_of(env.schema_digest))
-            return []
-        except Expired:
-            diag("expired", self._schema_name_of(env.schema_digest))
-            return []
-        except UnknownSchema:
-            diag("unknown_schema", self._schema_name_of(env.schema_digest))
+        except tuple(_REJECT_OUTCOMES) as exc:
+            self.record_diag(self._reject_line(current_height, env, exc))
             return []
         schema_name = record.schema.name
-        handler = self.message_handlers.get(env.schema_digest) or self.query_handlers.get(
-            env.schema_digest
-        )
+        handler = self.message_handlers.get(env.schema_digest)
         if handler is None:
-            diag("no_handler", schema_name)
+            self.record_diag(transcript_line(current_height, env, "no_handler", schema_name))
             return []
+        # built up front so the handler's diagnostics share its digest prefix
+        handled = transcript_line(current_height, env, "handled", schema_name)
         ctx = Context(
             self,
             current_height,
             sender=sender,
             session_id=env.session_id,
             schema_name=schema_name,
-            digest_prefix=digest_prefix,
+            digest_prefix=handled.digest_prefix,
         )
         result = self._run_handler(handler, ctx, sender, record)
         if isinstance(result, Record):
             ctx.reply(result)
-        diag("handled", schema_name)
+        self.record_diag(handled)
         return ctx.outbound
+
+    def _reject_line(self, height: int, env: Envelope, exc: WireError) -> TranscriptLine:
+        """The line for an envelope to this agent that failed to open."""
+        return transcript_line(
+            height, env, _REJECT_OUTCOMES[type(exc)], self._schema_name_of(env.schema_digest)
+        )
 
     def _schema_name_of(self, digest: bytes) -> str:
         schema = self._schemas.get(digest)
@@ -512,13 +509,8 @@ class World:
         batch = self.mailbox.retrieve(address, nonce, auth)
         for env in batch:
             self.transcript.append(
-                TranscriptLine(
-                    self.height,
-                    env.sender,
-                    env.target,
-                    self.schema_name_of(env.schema_digest),
-                    hashlib.sha256(env.payload).hexdigest()[:8],
-                    "retrieved",
+                transcript_line(
+                    self.height, env, "retrieved", self.schema_name_of(env.schema_digest)
                 )
             )
             self._deliver(env)
@@ -550,31 +542,20 @@ class World:
             agent = self.agents[env.target]
             try:
                 record, _ = open_envelope(env, agent._schemas, self.height)
-            except (SignatureInvalid, Expired, UnknownSchema) as exc:
+            except tuple(_REJECT_OUTCOMES) as exc:
                 self._query_errors[env.session_id] = type(exc)
+                self.transcript.append(agent._reject_line(self.height, env, exc))
                 return
             self._pending_queries[env.session_id] = (pending[0], record)
             self.transcript.append(
-                TranscriptLine(
-                    self.height,
-                    env.sender,
-                    env.target,
-                    record.schema.name,
-                    hashlib.sha256(env.payload).hexdigest()[:8],
-                    "reply_received",
-                )
+                transcript_line(self.height, env, "reply_received", record.schema.name)
             )
             return
         agent = self.agents.get(env.target)
         if agent is None:
             self.transcript.append(
-                TranscriptLine(
-                    self.height,
-                    env.sender,
-                    env.target,
-                    self.schema_name_of(env.schema_digest),
-                    hashlib.sha256(env.payload).hexdigest()[:8],
-                    "no_such_agent",
+                transcript_line(
+                    self.height, env, "no_such_agent", self.schema_name_of(env.schema_digest)
                 )
             )
             return
@@ -593,14 +574,7 @@ class World:
         else:
             outcome = "offline_lost"
         self.transcript.append(
-            TranscriptLine(
-                self.height,
-                env.sender,
-                env.target,
-                self.schema_name_of(env.schema_digest),
-                hashlib.sha256(env.payload).hexdigest()[:8],
-                outcome,
-            )
+            transcript_line(self.height, env, outcome, self.schema_name_of(env.schema_digest))
         )
 
     # -- clock ---------------------------------------------------------------
@@ -659,12 +633,7 @@ class World:
         session_id: bytes | None = None,
         expires_at: int | None = None,
     ) -> Envelope:
-        protocol = sender.protocol_for(record.schema)
-        if session_id is None:
-            session_id = sender.fresh_session_id()
-        if expires_at is None:
-            expires_at = self.height + DEFAULT_REPLY_TTL
-        env = seal_envelope(sender.identity, target, protocol, record, session_id, expires_at)
+        env = Context(sender, self.height).send(target, record, session_id, expires_at)
         self.send(env)
         return env
 

@@ -38,7 +38,7 @@ from .contractnet import (
     verify_bid,
 )
 from .identity import AgentIdentity, derive_identity
-from .ledger import EscrowOutcome, Ledger, LedgerError, UFET_PER_FET, fet
+from .ledger import EscrowOutcome, InsufficientFunds, Ledger, LedgerError, UFET_PER_FET, fet
 from .mailbox import MailboxStore
 from .registry import (
     FixtureDnsResolver,
@@ -46,7 +46,7 @@ from .registry import (
     RegistryError,
     registration_signing_digest,
 )
-from .runtime import DEFAULT_REPLY_TTL, Agent, DrainIncomplete, NetworkModel, Timeout, World
+from .runtime import Agent, DrainIncomplete, NetworkModel, Timeout, World
 from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
@@ -439,15 +439,14 @@ def build_logistics_agent(
         bid_deadline = ctx.height + config.bid_window_ticks
         registry = ctx.agent.world.registry
         try:
-            envelopes = announce(ctx.agent, task, registry, ctx.height, bid_deadline)
+            invited = announce(ctx, task, registry, bid_deadline)
         except NoCouriers as exc:
             propose(ctx, "no_couriers", detail=str(exc))
             return
-        ctx.storage.set("announced", frozenset(env.target for env in envelopes))
+        ctx.storage.set("announced", frozenset(invited))
         ctx.storage.set("bid_deadline", bid_deadline)
         ctx.storage.set("bids", {})
         ctx.storage.set("phase", "collecting")
-        ctx.outbound.extend(envelopes)
         ctx.diag("auction_opened")
 
     @agent.on_message(LOGISTICS_REQUEST)
@@ -568,8 +567,7 @@ def build_logistics_agent(
         )
 
     def reject_everyone(ctx) -> None:
-        bidders = [ctx.storage.get("winner"), *ctx.storage.get("losers")]
-        ctx.outbound.extend(reject_bidders(ctx.agent, bidders, ctx.height + DEFAULT_REPLY_TTL))
+        reject_bidders(ctx, [ctx.storage.get("winner"), *ctx.storage.get("losers")])
 
     @agent.on_message(DELIVERY_DECISION)
     def on_decision(ctx, sender: str, msg: Record):
@@ -593,25 +591,22 @@ def build_logistics_agent(
             ctx.storage.set("phase", "closed")
             outcome(ctx, "no_payee_wallet")
             return
-        result = settle(
-            ctx.agent,
-            winner,
-            ctx.storage.get("losers"),
-            world.ledger,
-            fet(price),
-            ctx.storage.get("payer_wallet"),
-            payee_wallet,
-            ctx.height,
-            ctx.height + 100,
-        )
-        ctx.outbound.extend(result.rejects)
-        if result.error is not None:
+        try:
+            escrow_id = settle(
+                ctx,
+                winner,
+                ctx.storage.get("losers"),
+                world.ledger,
+                fet(price),
+                ctx.storage.get("payer_wallet"),
+                payee_wallet,
+            )
+        except InsufficientFunds as exc:
             ctx.storage.set("phase", "closed")
             ctx.diag("escrow_underfunded")
-            outcome(ctx, "insufficient_funds", detail=result.error)
+            outcome(ctx, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
             return
-        ctx.outbound.append(result.accept)
-        ctx.storage.set("escrow_id", result.escrow_id)
+        ctx.storage.set("escrow_id", escrow_id)
         ctx.storage.set("phase", "awaiting_delivery")
         ctx.diag("escrow_opened")
 
@@ -789,24 +784,10 @@ _FAILURE_BY_STATUS = {
 class Orchestrator:
     """Deterministic stand-in for the conversational planner.
 
-    Follows a fixed step list and records every user-facing line. The two
-    approval gates block on a decision: scripted configs answer from their
-    fields, interactive mode reads y/n from the terminal.
+    Runs a fixed, straight-line plan and records every user-facing line.
+    The two approval gates block on a decision: scripted configs answer from
+    their fields, interactive mode reads y/n from the terminal.
     """
-
-    PLAN = (
-        "parse_request",
-        "find_packaging",
-        "negotiate_packaging",
-        "packaging_approval",
-        "pay_packaging",
-        "trigger_logistics",
-        "relay_proposal",
-        "delivery_approval",
-        "confirm_delivery",
-        "feedback",
-        "report",
-    )
 
     def __init__(
         self,
@@ -825,7 +806,6 @@ class Orchestrator:
         self.discovered: set[str] = set()
         self.contacted: set[str] = set()
         self.decisions: list[tuple[str, bool]] = []
-        self._step = -1
         self._initial_user_balance = world.ledger.balance(user_agent.identity.wallet_address)
         self._packaging_paid = 0
         self._delivery_paid = 0
@@ -833,18 +813,6 @@ class Orchestrator:
         self._winner_address = ""
         self._winner_domain = ""
         self._feedback_stars = 0
-
-    # -- plan bookkeeping --------------------------------------------------
-
-    def _advance(self, step: str) -> None:
-        # the plan is strictly monotone; a revisit is a bug, not a retry
-        index = self.PLAN.index(step)
-        if index <= self._step:
-            raise ScenarioError(f"plan step {step} out of order")
-        self._step = index
-
-    def current_step(self) -> str:
-        return self.PLAN[self._step] if 0 <= self._step < len(self.PLAN) else "(not started)"
 
     # -- conversation ------------------------------------------------------
 
@@ -893,14 +861,12 @@ class Orchestrator:
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
 
-        self._advance("parse_request")
         self._hear("user", config.request)
         try:
             task = parse_request(config.request, base_date=config.wall_clock().date())
         except UnparsableRequest as exc:
             return self._report("failed", f"UnparsableRequest: missing {', '.join(exc.missing)}")
 
-        self._advance("find_packaging")
         geo = task.source.split()[0].lower()
         packaging_hits = self._search(metadata={"service_type": "packaging"}, geo=geo)
         if not packaging_hits:
@@ -908,10 +874,8 @@ class Orchestrator:
         business = packaging_hits[0]
         business_name = business.metadata.get("display_name", business.address)
 
-        self._advance("negotiate_packaging")
         quote = self._negotiate_packaging(business, business_name, task)
 
-        self._advance("packaging_approval")
         approved = self._ask(
             "packaging",
             f"After a brief chat with '{business_name}', they can professionally "
@@ -921,11 +885,9 @@ class Orchestrator:
         if not approved:
             return self._report("failed", "NoPackaging")
 
-        self._advance("pay_packaging")
         ledger.transfer(user_wallet, business.metadata["wallet"], fet(quote))
         self._packaging_paid = fet(quote)
 
-        self._advance("trigger_logistics")
         logistics_hits = self._search(metadata={"service_type": "logistics"})
         if not logistics_hits:
             return self._report("failed", "NoLogisticsService")
@@ -944,7 +906,6 @@ class Orchestrator:
             logistics.address, request, config.bid_window_ticks + 30
         )
 
-        self._advance("relay_proposal")
         if proposal["status"] != "proposal":
             return self._report(
                 "failed", _FAILURE_BY_STATUS.get(proposal["status"], proposal["status"])
@@ -961,7 +922,6 @@ class Orchestrator:
             self._decide(logistics.address, False, "insufficient_funds")
             return self._report("failed", "InsufficientFunds")
 
-        self._advance("delivery_approval")
         if proposal["domain_verified"]:
             prompt = (
                 f"A logistics agent has found a courier that can deliver your package "
@@ -982,7 +942,6 @@ class Orchestrator:
             self._decide(logistics.address, False, "declined_by_user")
             return self._report("failed", "DeliveryDeclined")
 
-        self._advance("confirm_delivery")
         self._say(
             "Great! I've confirmed the delivery and the payment has been secured in an "
             f"escrow smart contract. The {proposal['courier_id']}, a highly-rated "
@@ -1002,7 +961,6 @@ class Orchestrator:
             user_wallet, outcome["escrow_id"], self._winner_address
         )
 
-        self._advance("feedback")
         if config.feedback_stars > 0:
             self._say(
                 f"Your package has been delivered. How would you rate the service "
@@ -1027,7 +985,6 @@ class Orchestrator:
         else:
             self._say("Your package has been delivered.")
 
-        self._advance("report")
         return self._report("ok", "")
 
     def _negotiate_packaging(self, business, business_name: str, task: DeliveryTask) -> int:

@@ -23,7 +23,10 @@ write with a `Content-Length` body; head lines stop at 64 KiB and fields at
 100; `Expect: 100-continue` is answered before the body is read. A reply
 closes the connection when the request asks (`Connection: close`, HTTP/1.0)
 or its end is unknown (any `Transfer-Encoding`, a `Content-Length` that is
-not plain digits, a head that cannot be parsed).
+not plain digits, a head that cannot be parsed). A request that declares a
+body over 16 MiB gets a 400 `BadRequest` and the connection closes before
+any of the body is read. That bounds memory only: a long batch still holds
+the server lock from its first call to its last.
 """
 
 from __future__ import annotations
@@ -221,6 +224,8 @@ def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable
 
 _MAX_LINE = 65536  # bytes per start or header line
 _MAX_HEADERS = 100
+# bytes per request body; a 100-courier set-up `/batch` is about 72 KB
+_MAX_BODY = 16 * 1024 * 1024
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
 
 
@@ -283,6 +288,8 @@ class _JsonHandler(socketserver.StreamRequestHandler):
             if not version.startswith("HTTP/1."):
                 raise ValueError(f"unsupported version {version!r}")
             length = _body_length(headers, default="0")
+            if length > _MAX_BODY:
+                raise ValueError(f"body of {length} bytes is over {_MAX_BODY}")
         except ValueError as exc:
             # the request's end is unknown, so the connection cannot be reused
             return self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)

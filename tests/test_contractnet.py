@@ -33,9 +33,9 @@ from agentmesh.contractnet import (
     verify_bid,
 )
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import Ledger, fet
+from agentmesh.ledger import InsufficientFunds, Ledger, fet
 from agentmesh.registry import Registry, registration_signing_digest
-from agentmesh.runtime import Agent
+from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context
 from agentmesh.wire import Record
 
 GOLDEN_BID_BODY = "155a70134b6d99478c04b1bd9f806f1ce37ee7e910d9ac8fc79869020bf59351"
@@ -307,22 +307,30 @@ class TestAnnounceAndSettle:
 
     def test_announce_reaches_every_live_courier(self):
         ledger, registry, logistics, couriers = self.registered_world(5)
-        envs = announce(logistics, self.task(), registry, ledger.height, bid_deadline=20)
+        ctx = Context(logistics, ledger.height)
+        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        envs = ctx.outbound
         assert len(envs) == 5
         assert {e.target for e in envs} == {c.address for c in couriers}
+        assert [e.target for e in envs] == invited
         assert all(e.schema_digest == CALL_FOR_BIDS.digest() for e in envs)
         assert all(e.expires_at == 20 for e in envs)
+        assert len({e.session_id for e in envs}) == 5
 
     def test_announce_without_couriers(self):
         ledger, registry, logistics, _ = self.registered_world(0)
+        ctx = Context(logistics, ledger.height)
         with pytest.raises(NoCouriers):
-            announce(logistics, self.task(), registry, ledger.height, bid_deadline=20)
+            announce(ctx, self.task(), registry, bid_deadline=20)
+        assert ctx.outbound == []
 
     def test_targets_come_from_search_only(self):
         ledger, registry, logistics, couriers = self.registered_world(3)
         ledger.advance_block(501)  # all registrations lapse
+        ctx = Context(logistics, ledger.height)
         with pytest.raises(NoCouriers):
-            announce(logistics, self.task(), registry, ledger.height, bid_deadline=600)
+            announce(ctx, self.task(), registry, bid_deadline=600)
+        assert ctx.outbound == []
 
     def test_settle_exactly_one_accept(self):
         ledger, registry, logistics, couriers = self.registered_world(3)
@@ -330,18 +338,18 @@ class TestAnnounceAndSettle:
         ledger.mint(user_wallet, fet(100))
         winner = couriers[0].address
         losers = [c.address for c in couriers[1:]]
-        result = settle(
-            logistics, winner, losers, ledger, fet(25),
-            user_wallet, couriers[0].wallet_address, ledger.height, expires_at=1000,
+        ctx = Context(logistics, ledger.height)
+        escrow_id = settle(
+            ctx, winner, losers, ledger, fet(25), user_wallet, couriers[0].wallet_address
         )
-        assert result.error is None
-        assert result.accept is not None
-        assert result.accept.target == winner
-        assert result.accept.schema_digest == ACCEPT_BID.digest()
-        assert len(result.rejects) == 2
-        assert {e.target for e in result.rejects} == set(losers)
-        assert all(e.schema_digest == REJECT_BID.digest() for e in result.rejects)
-        contract = ledger.escrows[result.escrow_id]
+        *rejects, accept = ctx.outbound  # the rejects go out first
+        assert accept.target == winner
+        assert accept.schema_digest == ACCEPT_BID.digest()
+        assert len(rejects) == 2
+        assert {e.target for e in rejects} == set(losers)
+        assert all(e.schema_digest == REJECT_BID.digest() for e in rejects)
+        assert all(e.expires_at == ledger.height + DEFAULT_REPLY_TTL for e in ctx.outbound)
+        contract = ledger.escrows[escrow_id]
         assert contract.amount == fet(25)
         assert contract.arbiter == logistics.identity.address
         assert ledger.balance(user_wallet) == fet(75)
@@ -350,15 +358,16 @@ class TestAnnounceAndSettle:
         ledger, registry, logistics, couriers = self.registered_world(3)
         user_wallet = "wallet1" + "u" * 52
         ledger.mint(user_wallet, fet(10))  # cannot cover 25
-        result = settle(
-            logistics, couriers[0].address, [c.address for c in couriers[1:]],
-            ledger, fet(25), user_wallet, couriers[0].wallet_address,
-            ledger.height, expires_at=1000,
-        )
-        assert result.error is not None and "InsufficientFunds" in result.error
-        assert result.accept is None
-        assert result.escrow_id is None
-        assert len(result.rejects) == 3  # everyone, including the would-be winner
+        ctx = Context(logistics, ledger.height)
+        with pytest.raises(InsufficientFunds):
+            settle(
+                ctx, couriers[0].address, [c.address for c in couriers[1:]],
+                ledger, fet(25), user_wallet, couriers[0].wallet_address,
+            )
+        assert ledger.escrows == {}
+        # everyone, including the would-be winner
+        assert sorted(e.target for e in ctx.outbound) == sorted(c.address for c in couriers)
+        assert all(e.schema_digest == REJECT_BID.digest() for e in ctx.outbound)
         assert ledger.balance(user_wallet) == fet(10)
         assert ledger.locked_total() == 0
 

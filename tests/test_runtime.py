@@ -19,7 +19,6 @@ from agentmesh.runtime import (
     Interval,
     Message,
     NetworkModel,
-    Query,
     Timeout,
     World,
 )
@@ -66,8 +65,6 @@ class TestRegistration:
         agent.register_handler(Message(PING), lambda ctx, s, r: None)
         with pytest.raises(DuplicateHandler):
             agent.register_handler(Message(PING), lambda ctx, s, r: None)
-        with pytest.raises(DuplicateHandler):
-            agent.register_handler(Query(PING), lambda ctx, s, r: None)
 
     def test_schema_not_in_protocol(self):
         agent = Agent("bare", derive_identity("bare"))
@@ -520,6 +517,24 @@ class TestQuery:
             with pytest.raises(expected, match=f"query reply failed validation: {fault}$"):
                 world.poll_reply(session)
         assert world._query_errors[session] is expected
+
+    @pytest.mark.parametrize(
+        "fault, outcome", [("Expired", "expired"), ("UnknownSchema", "unknown_schema")]
+    )
+    def test_failed_reply_is_logged_like_a_dispatch_reject(self, fault, outcome):
+        world, client, server = self.faulty_pair(fault)
+        world.send_query(client, server.identity.address, Record(PING, {"text": "x"}))
+        world.tick(6)
+        # the client never learnt Stranger, so it names the schema by digest
+        stranger = ModelSchema.build("Stranger", text=SemanticType.STRING)
+        schema_name = {"Expired": "Pong", "UnknownSchema": stranger.digest().hex()[:8]}[fault]
+        handled, rejected = [line.split("|") for line in world.transcript_lines()]
+        assert handled[1:4] + handled[5:] == [
+            client.identity.address, server.identity.address, "Ping", "handled"
+        ]
+        assert rejected[1:4] + rejected[5:] == [
+            server.identity.address, client.identity.address, schema_name, outcome
+        ]
 
     def test_timeout_cleans_up(self):
         world = fresh_world()

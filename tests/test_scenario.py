@@ -271,6 +271,29 @@ def test_wire_error_mid_order_fails_typed(monkeypatch):
     assert report.conserved
 
 
+def test_wallet_emptied_before_approval_rejects_every_bidder(monkeypatch):
+    # the wallet pre-check passes, then the funds leave before the escrow opens
+    scenario = build_scenario(default_config())
+    orchestrator, ledger = scenario.orchestrator, scenario.world.ledger
+    decide = orchestrator._decide
+
+    def drain_then_decide(target, approved, reason):
+        wallet = orchestrator.user_agent.identity.wallet_address
+        ledger.transfer(wallet, "wallet1" + "z" * 52, ledger.balance(wallet) - 1)
+        return decide(target, approved, reason)
+
+    monkeypatch.setattr(orchestrator, "_decide", drain_then_decide)
+    report = orchestrator.run()
+    assert report.status == "failed"
+    assert report.failure_cause == "InsufficientFunds"
+    assert report.escrows == ()
+    assert sum(line.endswith("|escrow_underfunded") for line in report.transcript) == 1
+    # every bidder, the would-be winner included, is told the auction closed
+    assert sum("bid_lost" in line for line in report.transcript) == 3
+    assert not any("|AcceptBid|" in line for line in report.transcript)
+    assert report.conserved
+
+
 def test_drain_that_cannot_settle_fails_typed():
     # CamBikeExpress reconnects long after the order ends, so the final
     # drain runs out of ticks with that presence change still pending

@@ -564,11 +564,12 @@ POST_STATS = b"POST /stats HTTP/1.1\r\nHost: x\r\n"
         b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
         b"GET /health HTTP/2.0\r\n\r\n",
         b"GET /health\r\n\r\n",
+        POST_STATS + b"Content-Length: 99999999999999\r\n\r\n{}",
     ],
     ids=[
         "chunked", "length_and_chunked", "negative_length", "underscored_length",
         "two_lengths", "header_over_64KiB", "101_headers", "no_colon",
-        "request_line_over_64KiB", "http_2", "no_version",
+        "request_line_over_64KiB", "http_2", "no_version", "body_over_16MiB",
     ],
 )
 def test_unframeable_request_is_refused_and_closed(mailbox_service, request_bytes):
