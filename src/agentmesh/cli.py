@@ -11,7 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, CourierSpec, default_config, load_config, with_overrides
+from .config import (
+    DEFAULT_COURIERS,
+    ConfigError,
+    CourierSpec,
+    default_config,
+    load_config,
+    with_overrides,
+)
 from .contractnet import COURIER_AUCTION
 from .ledger import Ledger, LedgerError, UFET_PER_FET, read_journal, replay
 from .mailbox import MailboxStore
@@ -102,13 +109,7 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
-ATTACK_COURIERS: tuple[CourierSpec, ...] = (
-    CourierSpec("SpeedyVanCouriers", "a_very_secret_seed_phrase", 25, 210, "cambridge",
-                "speedyvan.example.agent"),
-    CourierSpec("CamBikeExpress", "cam bike express fleet seed", 12, 270, "cambridge",
-                "cambike.example.agent"),
-    CourierSpec("DroneDashLtd", "drone dash ltd fleet seed", 40, 90, "cambridge",
-                "dronedash.example.agent"),
+ATTACK_COURIERS: tuple[CourierSpec, ...] = DEFAULT_COURIERS + (
     CourierSpec("ParcelPonyCo", "parcel pony co fleet seed", 30, 180, "cambridge"),
     CourierSpec("NightOwlFreight", "night owl freight fleet seed", 28, 240, "cambridge"),
 )

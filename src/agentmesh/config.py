@@ -191,17 +191,10 @@ class ScenarioConfig:
         return datetime.fromisoformat(self.wall_clock_start)
 
 
-# frozen-dataclass field sets drive the parser: ints/bools/fractions by name
-_FRACTION_KEYS = {"drop_probability", "weight_price", "weight_speed", "weight_reputation"}
-_STR_KEYS = {"wall_clock_start", "approval_mode", "request"}
-_BOOL_KEYS = {"approve_packaging", "approve_delivery"}
-_INT_KEYS = {
-    f.name
-    for f in fields(ScenarioConfig)
-    if f.name not in _FRACTION_KEYS | _STR_KEYS | _BOOL_KEYS | {"couriers", "reviews", "offline"}
-}
-
 _SECTIONS = ("couriers", "reviews", "offline")
+
+# every other field is a scalar key, parsed as the type of its default
+_SCALAR_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name not in _SECTIONS}
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -214,20 +207,15 @@ def _parse_bool(key: str, value: str) -> bool:
 
 
 def _parse_scalar(key: str, value: str) -> object:
+    kind = _SCALAR_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind is bool:
+        return _parse_bool(key, value)
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FRACTION_KEYS:
-            return Fraction(value)
-        if key in _BOOL_KEYS:
-            return _parse_bool(key, value)
-    except ConfigError:
-        raise
+        return kind(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: bad value {value!r} ({exc})") from exc
-    if key in _STR_KEYS:
-        return value
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def _courier_row(cells: list[str], line_no: int) -> CourierSpec:
@@ -256,8 +244,7 @@ def _offline_row(cells: list[str], line_no: int) -> PresenceWindow:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse config text; keys not mentioned keep their demo defaults."""
     scalars: dict[str, object] = {}
-    tables: dict[str, list] = {name: [] for name in _SECTIONS}
-    seen_sections: set[str] = set()
+    tables: dict[str, list] = {}  # the sections declared, in their rows
     section: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -267,7 +254,7 @@ def parse_config(text: str) -> ScenarioConfig:
             section = line[1:-1].strip().lower()
             if section not in _SECTIONS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
-            seen_sections.add(section)
+            tables.setdefault(section, [])
             continue
         if section is None:
             if "=" not in line:
@@ -289,12 +276,7 @@ def parse_config(text: str) -> ScenarioConfig:
             cells = [c.strip() for c in line.split("|")]
             tables["offline"].append(_offline_row(cells, line_no))
     # a declared section replaces the default table even when left empty
-    if "couriers" in seen_sections:
-        scalars["couriers"] = tuple(tables["couriers"])
-    if "reviews" in seen_sections:
-        scalars["reviews"] = tuple(tables["reviews"])
-    if "offline" in seen_sections:
-        scalars["offline"] = tuple(tables["offline"])
+    scalars.update((name, tuple(rows)) for name, rows in tables.items())
     try:
         return ScenarioConfig(**scalars)
     except TypeError as exc:

@@ -89,13 +89,6 @@ class EscrowContract:
     state: EscrowState = EscrowState.OPEN
 
 
-@dataclass(frozen=True)
-class Receipt:
-    op: str
-    height: int
-    amount: int
-
-
 # Journal record shapes. Addresses travel as strings, escrow ids as hex,
 # string->string metadata as sorted "key=value" items (the wire type set
 # has no string map).
@@ -159,10 +152,6 @@ class Ledger:
     def _journal(self, schema: ModelSchema, **values: object) -> None:
         self.journal.append(Record(schema, values))
 
-    def journal_append(self, record: Record) -> None:
-        """Used by the registry to share this journal."""
-        self.journal.append(record)
-
     # -- queries ---------------------------------------------------------
 
     def balance(self, wallet: str) -> int:
@@ -176,14 +165,13 @@ class Ledger:
 
     # -- mutations ---------------------------------------------------
 
-    def mint(self, wallet: str, amount: int) -> Receipt:
+    def mint(self, wallet: str, amount: int) -> None:
         """Create supply (scenario setup only)."""
         if amount <= 0:
             raise ZeroAmount("mint amount must be positive")
         self.balances[wallet] = self.balance(wallet) + amount
         self.total_supply += amount
         self._journal(MINT_OP, wallet=wallet, amount=amount)
-        return Receipt("mint", self.height, amount)
 
     def advance_block(self, n: int) -> int:
         if n < 0:
@@ -193,7 +181,7 @@ class Ledger:
             self._journal(ADVANCE_OP, blocks=n)
         return self.height
 
-    def transfer(self, sender: str, recipient: str, amount: int) -> Receipt:
+    def transfer(self, sender: str, recipient: str, amount: int) -> None:
         if amount <= 0:
             raise ZeroAmount(f"transfer amount must be positive, got {amount}")
         have = self.balance(sender)
@@ -202,9 +190,8 @@ class Ledger:
         self.balances[sender] = have - amount
         self.balances[recipient] = self.balance(recipient) + amount
         self._journal(TRANSFER_OP, sender=sender, recipient=recipient, amount=amount)
-        return Receipt("transfer", self.height, amount)
 
-    def charge_fee(self, wallet: str, amount: int) -> Receipt:
+    def charge_fee(self, wallet: str, amount: int) -> None:
         if amount <= 0:
             raise ZeroAmount(f"fee must be positive, got {amount}")
         have = self.balance(wallet)
@@ -213,7 +200,6 @@ class Ledger:
         self.balances[wallet] = have - amount
         self.fee_sink += amount
         self._journal(FEE_OP, wallet=wallet, amount=amount)
-        return Receipt("fee", self.height, amount)
 
     def open_escrow(
         self, payer: str, payee: str, amount: int, arbiter: str, escrow_id: bytes | None = None
@@ -242,7 +228,7 @@ class Ledger:
         )
         return escrow_id
 
-    def settle_escrow(self, escrow_id: bytes, caller: str, outcome: EscrowOutcome) -> Receipt:
+    def settle_escrow(self, escrow_id: bytes, caller: str, outcome: EscrowOutcome) -> None:
         contract = self.escrows.get(escrow_id)
         if contract is None:
             raise UnknownEscrow(f"no escrow {escrow_id.hex()}")
@@ -262,7 +248,6 @@ class Ledger:
             caller=caller,
             outcome=outcome.value,
         )
-        return Receipt("settle", self.height, contract.amount)
 
 
 # -- journal file format ---------------------------------------------------
@@ -330,7 +315,7 @@ def replay(records: Iterable[Record]) -> Ledger:
                 EscrowOutcome(record["outcome"]),
             )
         elif name == "RegistryRegister":
-            ledger.journal_append(record)
+            ledger.journal.append(record)
         else:
             raise LedgerError(f"unknown journal record {name!r}")
         if not ledger.conservation_ok():

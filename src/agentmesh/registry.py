@@ -197,7 +197,7 @@ class Registry:
         )
         self.records[address] = record
         self.last_sequence[address] = sequence
-        ledger.journal_append(
+        ledger.journal.append(
             Record(
                 REGISTER_OP,
                 {

@@ -685,10 +685,3 @@ class World:
 
     def transcript_lines(self) -> list[str]:
         return [line.to_line() for line in self.transcript]
-
-    def write_transcript(self, path: str) -> int:
-        lines = self.transcript_lines()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta
 from typing import Iterable
 
@@ -395,21 +395,48 @@ def build_saboteur_agent(name: str, identity: AgentIdentity, bid_quota: int) -> 
     return agent
 
 
+@dataclass
+class _Auction:
+    """One order as the logistics agent tracks it, from request to payout."""
+
+    requester: str
+    request_session: bytes
+    payer_wallet: str
+    task: DeliveryTask
+    # awaiting_traffic | collecting | awaiting_decision | awaiting_delivery | closed | done
+    phase: str = "awaiting_traffic"
+    maps_address: str = ""  # the only sender whose traffic estimate counts
+    traffic_delay: int = 0
+    invited: frozenset[str] = frozenset()
+    bid_deadline: int = -1
+    bids: dict[str, VerifiedBid] = field(default_factory=dict)
+    winner: str = ""
+    losers: list[str] = field(default_factory=list)
+    price_fet: int = 0
+    escrow_id: bytes = b""
+    decision_session: bytes = b""  # the session of the accepted approval
+
+
 def build_logistics_agent(
     identity: AgentIdentity,
     config: ScenarioConfig,
     scorer: DeterministicScorer,
 ) -> Agent:
     """The auctioneer: traffic lookup, call for bids, verification,
-    reputation-weighted selection, escrow settlement."""
+    reputation-weighted selection, escrow settlement.
+
+    It runs one auction at a time. Only the order's requester may decide
+    on it, and only the maps agent it queried may set the traffic delay.
+    """
     agent = Agent(LOGISTICS_NAME, identity)
     agent.include_protocol(COURIER_AUCTION)
     agent.include_protocol(LOGISTICS_PROTOCOL)
     agent.include_protocol(MAPS_PROTOCOL)
     weights = config.weights()
     announced_at = config.wall_clock()
+    auction: _Auction | None = None
 
-    def propose(ctx, status: str, detail: str = "", **fields) -> None:
+    def propose(ctx, status: str, detail: str = "", **extra) -> None:
         body = {
             "status": status,
             "courier_id": "",
@@ -421,43 +448,32 @@ def build_logistics_agent(
             "domain_verified": False,
             "detail": detail,
         }
-        body.update(fields)
+        body.update(extra)
         ctx.send(
-            ctx.storage.get("requester"),
-            Record(LOGISTICS_PROPOSAL, body),
-            session_id=ctx.storage.get("request_session"),
+            auction.requester, Record(LOGISTICS_PROPOSAL, body), session_id=auction.request_session
         )
-        ctx.storage.set("phase", "awaiting_decision" if status == "proposal" else "closed")
+        auction.phase = "awaiting_decision" if status == "proposal" else "closed"
 
     def open_auction(ctx) -> None:
-        task = DeliveryTask(
-            ctx.storage.get("source"),
-            ctx.storage.get("destination"),
-            ctx.storage.get("deadline"),
-            tuple(ctx.storage.get("requirements")),
-        )
         bid_deadline = ctx.height + config.bid_window_ticks
         registry = ctx.agent.world.registry
         try:
-            invited = announce(ctx, task, registry, bid_deadline)
+            invited = announce(ctx, auction.task, registry, bid_deadline)
         except NoCouriers as exc:
             propose(ctx, "no_couriers", detail=str(exc))
             return
-        ctx.storage.set("announced", frozenset(invited))
-        ctx.storage.set("bid_deadline", bid_deadline)
-        ctx.storage.set("bids", {})
-        ctx.storage.set("phase", "collecting")
+        auction.invited = frozenset(invited)
+        auction.bid_deadline = bid_deadline
+        auction.phase = "collecting"
         ctx.diag("auction_opened")
 
     @agent.on_message(LOGISTICS_REQUEST)
     def on_request(ctx, sender: str, msg: Record):
-        ctx.storage.set("requester", sender)
-        ctx.storage.set("request_session", ctx.session_id)
-        ctx.storage.set("payer_wallet", msg["payer_wallet"])
-        for key in ("source", "destination", "deadline"):
-            ctx.storage.set(key, msg[key])
-        ctx.storage.set("requirements", list(msg["requirements"]))
-        ctx.storage.set("traffic_delay", 0)
+        nonlocal auction
+        task = DeliveryTask(
+            msg["source"], msg["destination"], msg["deadline"], tuple(msg["requirements"])
+        )
+        auction = _Auction(sender, ctx.session_id, msg["payer_wallet"], task)
         world = ctx.agent.world
         maps_hits = world.registry.search(ctx.height, metadata={"service_type": "maps"})
         if maps_hits:
@@ -469,7 +485,7 @@ def build_logistics_agent(
                     fet(config.maps_fee_fet),
                 )
                 ctx.diag("maps_fee_paid")
-            ctx.storage.set("phase", "awaiting_traffic")
+            auction.maps_address = maps_record.address
             ctx.send(
                 maps_record.address,
                 Record(MAPS_QUERY, {"origin": msg["source"], "destination": msg["destination"]}),
@@ -479,20 +495,18 @@ def build_logistics_agent(
 
     @agent.on_message(MAPS_REPLY)
     def on_traffic(ctx, sender: str, msg: Record):
-        if ctx.storage.get("phase") != "awaiting_traffic":
+        if auction is None or auction.phase != "awaiting_traffic" or sender != auction.maps_address:
             ctx.diag("unexpected_traffic_reply")
             return
-        ctx.storage.set("traffic_delay", msg["delay_minutes"])
+        auction.traffic_delay = msg["delay_minutes"]
         open_auction(ctx)
 
     @agent.on_message(COURIER_BID)
     def on_bid(ctx, sender: str, msg: Record):
-        phase = ctx.storage.get("phase")
-        deadline = ctx.storage.get("bid_deadline", -1)
-        if phase != "collecting" or ctx.height > deadline:
+        if auction is None or auction.phase != "collecting" or ctx.height > auction.bid_deadline:
             ctx.diag("late_bid_rejected")
             return
-        if sender not in ctx.storage.get("announced"):
+        if sender not in auction.invited:
             ctx.diag("bid_rejected_uninvited")
             return
         verification = verify_bid(msg, sender)
@@ -504,27 +518,23 @@ def build_logistics_agent(
         except ContractNetError:
             ctx.diag("bid_rejected_invalid")
             return
-        bids = ctx.storage.get("bids")
-        bids[sender] = bid
-        ctx.storage.set("bids", bids)
+        auction.bids[sender] = bid
         ctx.diag("bid_verified")
 
     @agent.on_interval(1)
     def close_when_due(ctx):
-        if ctx.storage.get("phase") != "collecting":
+        if auction is None or auction.phase != "collecting" or ctx.height < auction.bid_deadline:
             return
-        if ctx.height < ctx.storage.get("bid_deadline"):
-            return
-        bids: dict[str, VerifiedBid] = ctx.storage.get("bids")
+        bids = auction.bids
         if not bids:
             propose(ctx, "no_feasible_bid", detail="no bids arrived before the deadline")
             return
         scores = assess_reputation(scorer, sorted(bids))
-        delay = ctx.storage.get("traffic_delay")
+        delay = auction.traffic_delay
         adjusted = [
             replace(bid, eta_minutes=bid.eta_minutes + delay) for bid in bids.values()
         ]
-        deadline_dt = datetime.fromisoformat(ctx.storage.get("deadline"))
+        deadline_dt = auction.task.deadline_dt()
         try:
             winner, losers = select_winner(adjusted, scores, weights, deadline_dt, announced_at)
         except ContractNetError as exc:
@@ -535,9 +545,7 @@ def build_logistics_agent(
         arrival = (announced_at + timedelta(minutes=eta)).isoformat()
         registry = ctx.agent.world.registry
         domain = registry.domain_of(winner) or ""
-        ctx.storage.set("winner", winner)
-        ctx.storage.set("losers", losers)
-        ctx.storage.set("price_fet", chosen.price_fet)
+        auction.winner, auction.losers, auction.price_fet = winner, losers, chosen.price_fet
         ctx.diag("winner_selected")
         propose(
             ctx,
@@ -551,7 +559,7 @@ def build_logistics_agent(
             domain_verified=bool(domain),
         )
 
-    def outcome(ctx, status: str, detail: str = "", **fields) -> None:
+    def outcome(status: str, detail: str = "", **extra) -> Record:
         body = {
             "status": status,
             "escrow_id": "",
@@ -559,74 +567,64 @@ def build_logistics_agent(
             "paid_fet": 0,
             "detail": detail,
         }
-        body.update(fields)
-        ctx.send(
-            ctx.storage.get("requester"),
-            Record(DELIVERY_OUTCOME, body),
-            session_id=ctx.storage.get("decision_session"),
-        )
+        body.update(extra)
+        return Record(DELIVERY_OUTCOME, body)
 
-    def reject_everyone(ctx) -> None:
-        reject_bidders(ctx, [ctx.storage.get("winner"), *ctx.storage.get("losers")])
-
+    # every outcome but the delivery's is the reply to a decision
     @agent.on_message(DELIVERY_DECISION)
     def on_decision(ctx, sender: str, msg: Record):
-        ctx.storage.set("decision_session", ctx.session_id)
-        if ctx.storage.get("phase") != "awaiting_decision":
-            outcome(ctx, "no_open_proposal")
-            return
+        if auction is None or sender != auction.requester or auction.phase != "awaiting_decision":
+            return outcome("no_open_proposal")
+        bidders = [auction.winner, *auction.losers]
         if not msg["approved"]:
-            reject_everyone(ctx)
-            ctx.storage.set("phase", "closed")
+            reject_bidders(ctx, bidders)
+            auction.phase = "closed"
             ctx.diag("auction_closed_unapproved")
-            outcome(ctx, msg["reason"] or "declined_by_user")
-            return
+            return outcome(msg["reason"] or "declined_by_user")
         world = ctx.agent.world
-        winner = ctx.storage.get("winner")
-        price = ctx.storage.get("price_fet")
         try:
-            payee_wallet = world.registry.resolve(winner, ctx.height).metadata["wallet"]
+            payee_wallet = world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
         except (RegistryError, KeyError):
-            reject_everyone(ctx)
-            ctx.storage.set("phase", "closed")
-            outcome(ctx, "no_payee_wallet")
-            return
+            reject_bidders(ctx, bidders)
+            auction.phase = "closed"
+            return outcome("no_payee_wallet")
         try:
-            escrow_id = settle(
+            auction.escrow_id = settle(
                 ctx,
-                winner,
-                ctx.storage.get("losers"),
+                auction.winner,
+                auction.losers,
                 world.ledger,
-                fet(price),
-                ctx.storage.get("payer_wallet"),
+                fet(auction.price_fet),
+                auction.payer_wallet,
                 payee_wallet,
             )
         except InsufficientFunds as exc:
-            ctx.storage.set("phase", "closed")
+            auction.phase = "closed"
             ctx.diag("escrow_underfunded")
-            outcome(ctx, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
-            return
-        ctx.storage.set("escrow_id", escrow_id)
-        ctx.storage.set("phase", "awaiting_delivery")
+            return outcome("insufficient_funds", detail=f"InsufficientFunds: {exc}")
+        auction.decision_session = ctx.session_id
+        auction.phase = "awaiting_delivery"
         ctx.diag("escrow_opened")
 
     @agent.on_message(DELIVERY_CONFIRMED)
     def on_confirmed(ctx, sender: str, msg: Record):
-        if ctx.storage.get("phase") != "awaiting_delivery" or sender != ctx.storage.get("winner"):
+        if auction is None or auction.phase != "awaiting_delivery" or sender != auction.winner:
             ctx.diag("unexpected_delivery_confirmation")
             return
-        escrow_id = ctx.storage.get("escrow_id")
         ctx.agent.world.ledger.settle_escrow(
-            escrow_id, identity.address, EscrowOutcome.RELEASED
+            auction.escrow_id, identity.address, EscrowOutcome.RELEASED
         )
-        ctx.storage.set("phase", "done")
+        auction.phase = "done"
         ctx.diag("escrow_released")
-        outcome(
-            ctx,
-            "delivered",
-            escrow_id=escrow_id.hex(),
-            courier_id=msg["courier_id"],
-            paid_fet=ctx.storage.get("price_fet"),
+        ctx.send(
+            auction.requester,
+            outcome(
+                "delivered",
+                escrow_id=auction.escrow_id.hex(),
+                courier_id=msg["courier_id"],
+                paid_fet=auction.price_fet,
+            ),
+            session_id=auction.decision_session,
         )
 
     return agent
@@ -660,24 +658,27 @@ REPORT_SCHEMA = ModelSchema.build(
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """What one order came to. The defaults are a failed order that
+    settled nothing."""
+
     status: str  # "ok" | "failed"
     failure_cause: str  # "" when ok
-    winner: str
-    winner_address: str
-    winner_domain: str
-    packaging_ufet: int
-    delivery_ufet: int
-    total_user_spend_ufet: int
-    fee_sink_ufet: int
-    total_supply_ufet: int
-    conserved: bool
-    escrows: tuple[str, ...]  # "escrow_hex=State"
-    balances: tuple[str, ...]  # "wallet=micro_fet"
-    dialogue: tuple[str, ...]
-    discovered: tuple[str, ...]  # addresses returned by registry searches
-    contacted: tuple[str, ...]  # addresses the orchestrator messaged
-    feedback_stars: int  # 0 = no feedback recorded
-    transcript: tuple[str, ...]
+    winner: str = ""
+    winner_address: str = ""
+    winner_domain: str = ""
+    packaging_ufet: int = 0
+    delivery_ufet: int = 0
+    total_user_spend_ufet: int = 0
+    fee_sink_ufet: int = 0
+    total_supply_ufet: int = 0
+    conserved: bool = True
+    escrows: tuple[str, ...] = ()  # "escrow_hex=State"
+    balances: tuple[str, ...] = ()  # "wallet=micro_fet"
+    dialogue: tuple[str, ...] = ()
+    discovered: tuple[str, ...] = ()  # addresses returned by registry searches
+    contacted: tuple[str, ...] = ()  # addresses the orchestrator messaged
+    feedback_stars: int = 0  # 0 = no feedback recorded
+    transcript: tuple[str, ...] = ()
 
     @property
     def packaging_fet(self) -> int:
@@ -696,29 +697,14 @@ class ScenarioReport:
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
     def to_record(self) -> Record:
-        return Record(
-            REPORT_SCHEMA,
-            {
-                "status": self.status,
-                "failure_cause": self.failure_cause,
-                "winner": self.winner,
-                "winner_address": self.winner_address,
-                "winner_domain": self.winner_domain,
-                "packaging_ufet": self.packaging_ufet,
-                "delivery_ufet": self.delivery_ufet,
-                "total_user_spend_ufet": self.total_user_spend_ufet,
-                "fee_sink_ufet": self.fee_sink_ufet,
-                "total_supply_ufet": self.total_supply_ufet,
-                "conserved": self.conserved,
-                "escrows": list(self.escrows),
-                "balances": list(self.balances),
-                "dialogue": list(self.dialogue),
-                "discovered": list(self.discovered),
-                "contacted": list(self.contacted),
-                "feedback_stars": self.feedback_stars,
-                "transcript_sha256": self.transcript_sha256(),
-            },
-        )
+        """The wire form: tuples go as lists, the transcript as its digest."""
+        values = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values[f.name] = list(value) if isinstance(value, tuple) else value
+        del values["transcript"]
+        values["transcript_sha256"] = self.transcript_sha256()
+        return Record(REPORT_SCHEMA, values)
 
     def encoded_hex(self) -> str:
         return canonical_encode(self.to_record()).hex()
@@ -807,12 +793,8 @@ class Orchestrator:
         self.contacted: set[str] = set()
         self.decisions: list[tuple[str, bool]] = []
         self._initial_user_balance = world.ledger.balance(user_agent.identity.wallet_address)
-        self._packaging_paid = 0
-        self._delivery_paid = 0
-        self._winner = ""
-        self._winner_address = ""
-        self._winner_domain = ""
-        self._feedback_stars = 0
+        # report fields the order has settled so far, by name
+        self._settled: dict[str, object] = {}
 
     # -- conversation ------------------------------------------------------
 
@@ -886,7 +868,7 @@ class Orchestrator:
             return self._report("failed", "NoPackaging")
 
         ledger.transfer(user_wallet, business.metadata["wallet"], fet(quote))
-        self._packaging_paid = fet(quote)
+        self._settled["packaging_ufet"] = fet(quote)
 
         logistics_hits = self._search(metadata={"service_type": "logistics"})
         if not logistics_hits:
@@ -953,18 +935,19 @@ class Orchestrator:
             return self._report(
                 "failed", _FAILURE_BY_STATUS.get(outcome["status"], outcome["status"])
             )
-        self._winner = outcome["courier_id"]
-        self._winner_address = proposal["courier_address"]
-        self._winner_domain = proposal["domain"]
-        self._delivery_paid = fet(outcome["paid_fet"])
-        auction_id = self.register.mark_delivered(
-            user_wallet, outcome["escrow_id"], self._winner_address
+        winner, winner_address = outcome["courier_id"], proposal["courier_address"]
+        self._settled.update(
+            winner=winner,
+            winner_address=winner_address,
+            winner_domain=proposal["domain"],
+            delivery_ufet=fet(outcome["paid_fet"]),
         )
+        auction_id = self.register.mark_delivered(user_wallet, outcome["escrow_id"], winner_address)
 
         if config.feedback_stars > 0:
             self._say(
                 f"Your package has been delivered. How would you rate the service "
-                f"from '{self._winner}' out of 5 stars?"
+                f"from '{winner}' out of 5 stars?"
             )
             if config.approval_mode == "interactive":
                 raw = self._input("stars [1-5, empty to skip] ").strip()
@@ -976,12 +959,12 @@ class Orchestrator:
                 record_feedback(
                     self.register,
                     user_wallet,
-                    self._winner_address,
+                    winner_address,
                     stars,
                     auction_id,
                     self.world.height,
                 )
-                self._feedback_stars = stars
+                self._settled["feedback_stars"] = stars
         else:
             self._say("Your package has been delivered.")
 
@@ -1042,13 +1025,8 @@ class Orchestrator:
             f"{wallet}={amount}" for wallet, amount in sorted(ledger.balances.items())
         )
         return ScenarioReport(
-            status=status,
-            failure_cause=failure_cause,
-            winner=self._winner,
-            winner_address=self._winner_address,
-            winner_domain=self._winner_domain,
-            packaging_ufet=self._packaging_paid,
-            delivery_ufet=self._delivery_paid,
+            status,
+            failure_cause,
             total_user_spend_ufet=spend,
             fee_sink_ufet=ledger.fee_sink,
             total_supply_ufet=ledger.total_supply,
@@ -1058,8 +1036,8 @@ class Orchestrator:
             dialogue=tuple(self.dialogue),
             discovered=tuple(sorted(self.discovered)),
             contacted=tuple(sorted(self.contacted)),
-            feedback_stars=self._feedback_stars,
             transcript=tuple(self.world.transcript_lines()),
+            **self._settled,
         )
 
 
@@ -1272,28 +1250,5 @@ def run_scenario(
             config, registry, mailbox, dns, feedback_register, input_fn, ledger
         )
     except (LedgerError, RegistryError, ScenarioError, ServiceError) as exc:
-        return _setup_failure_report(f"{type(exc).__name__}: {exc}")
+        return ScenarioReport("failed", f"{type(exc).__name__}: {exc}")
     return scenario.orchestrator.run()
-
-
-def _setup_failure_report(cause: str) -> ScenarioReport:
-    return ScenarioReport(
-        status="failed",
-        failure_cause=cause,
-        winner="",
-        winner_address="",
-        winner_domain="",
-        packaging_ufet=0,
-        delivery_ufet=0,
-        total_user_spend_ufet=0,
-        fee_sink_ufet=0,
-        total_supply_ufet=0,
-        conserved=True,
-        escrows=(),
-        balances=(),
-        dialogue=(),
-        discovered=(),
-        contacted=(),
-        feedback_stars=0,
-        transcript=(),
-    )

@@ -472,10 +472,6 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def record_digest(record: Record) -> bytes:
-    return hashlib.sha256(canonical_encode(record)).digest()
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """A named, versioned set of message schemas.

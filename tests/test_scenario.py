@@ -3,6 +3,7 @@ feedback rules, offline couriers, determinism."""
 
 from __future__ import annotations
 
+import hashlib
 from datetime import date
 
 import pytest
@@ -13,8 +14,14 @@ from agentmesh.config import (
     default_config,
     with_overrides,
 )
+from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET
+from agentmesh.runtime import Agent
 from agentmesh.scenario import (
+    DELIVERY_DECISION,
+    LOGISTICS_REQUEST,
+    MAPS_PROTOCOL,
+    MAPS_REPLY,
     DuplicateFeedback,
     FeedbackRegister,
     NoCompletedDelivery,
@@ -27,7 +34,7 @@ from agentmesh.scenario import (
     run_scenario,
     simulate_network,
 )
-from agentmesh.wire import Expired, canonical_decode
+from agentmesh.wire import Expired, Record, canonical_decode
 
 DEMO_REQUEST = default_config().request
 
@@ -328,6 +335,101 @@ def test_out_of_area_couriers_decline():
     assert report.status == "failed"
     assert report.failure_cause == "NoFeasibleBid"
     assert sum("declined_out_of_area" in line for line in report.transcript) == 3
+
+
+def test_setup_failure_report_bytes_are_pinned():
+    report = run_scenario(with_overrides(default_config(), agent_float_fet=0))
+    assert report.failure_cause == "ZeroAmount: mint amount must be positive"
+    assert hashlib.sha256(report.encoded_hex().encode()).hexdigest() == (
+        "128bd32626eab84032ca4c27fbeffced0c7e599faded895e5a64c018221cc015"
+    )
+    assert hashlib.sha256(report.render_text().encode()).hexdigest() == (
+        "91bf07cf447f2bbbb72072b3c0ddd342c859717cc76507b925bd1b497b6dca6e"
+    )
+
+
+# ---------------------------------------------------------------------------
+# only the order's parties move it
+
+def _fast_world(**overrides):
+    config = with_overrides(default_config(), latency_min=1, latency_max=1, **overrides)
+    return build_scenario(config)
+
+
+def _intruder_approves_first(monkeypatch, scenario):
+    """A courier, which speaks LogisticsCoordination too, sends an approval
+    to the logistics agent just before the user's own decision; returns
+    the intruder and the report."""
+    orchestrator = scenario.orchestrator
+    intruder = scenario.courier_agents["DroneDashLtd"]
+    approval = Record(DELIVERY_DECISION, {"approved": True, "reason": ""})
+    decide = orchestrator._decide
+
+    def approve_first(target, approved, reason):
+        scenario.world.send_message(intruder, target, approval)
+        return decide(target, approved, reason)
+
+    monkeypatch.setattr(orchestrator, "_decide", approve_first)
+    return intruder, orchestrator.run()
+
+
+def _outcomes_to(report, address: str) -> int:
+    return sum(
+        line.split("|")[2] == address and "|DeliveryOutcome|" in line
+        for line in report.transcript
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_third_party_approval_does_not_open_the_escrow(monkeypatch, seed):
+    scenario = _fast_world(approve_delivery=False, random_seed=seed)
+    intruder, report = _intruder_approves_first(monkeypatch, scenario)
+    assert report.failure_cause == "DeliveryDeclined"
+    assert report.escrows == ()
+    assert report.total_user_spend_fet == 7
+    assert report.conserved
+    assert not any("|AcceptBid|" in line for line in report.transcript)
+    # the intruder is answered, and only the user hears the real outcome
+    assert _outcomes_to(report, intruder.identity.address) == 1
+    assert _outcomes_to(report, scenario.user_agent.identity.address) == 1
+
+
+def test_third_party_approval_does_not_preempt_the_user(monkeypatch):
+    _, report = _intruder_approves_first(monkeypatch, _fast_world())
+    assert report.status == "ok"
+    assert report.winner == "SpeedyVanCouriers"
+    assert report.total_user_spend_fet == 32
+
+
+def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
+    scenario = _fast_world()
+    world = scenario.world
+    spoofer = Agent("RogueMaps", derive_identity("rogue maps seed"))
+    spoofer.include_protocol(MAPS_PROTOCOL)
+    world.add_agent(spoofer)
+    send_query = world.send_query
+
+    def estimate_after_request(sender, target, record, expires_at=None):
+        session_id = send_query(sender, target, record, expires_at)
+        if record.schema is LOGISTICS_REQUEST:
+            world.send_message(spoofer, target, Record(MAPS_REPLY, {"delay_minutes": 100000}))
+        return session_id
+
+    monkeypatch.setattr(world, "send_query", estimate_after_request)
+    report = scenario.orchestrator.run()
+    assert report.status == "ok"
+    assert report.winner == "SpeedyVanCouriers"
+    assert sum(line.endswith("|unexpected_traffic_reply") for line in report.transcript) == 1
+
+
+def test_decision_before_any_request_gets_no_open_proposal():
+    scenario = build_scenario(default_config())
+    decision = Record(DELIVERY_DECISION, {"approved": True, "reason": ""})
+    reply = scenario.world.query(
+        scenario.user_agent, scenario.logistics_agent.identity.address, decision, 10
+    )
+    assert reply["status"] == "no_open_proposal"
+    assert scenario.world.ledger.escrows == {}
 
 
 # ---------------------------------------------------------------------------
