@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from fractions import Fraction
 
-from .contractnet import ContractNetError, SelectionWeights
+from .contractnet import ContractNetError, SelectionWeights, local_time
 from .ledger import UFET_PER_FET
 from .wire import I64_MAX
 
@@ -166,7 +166,10 @@ class ScenarioConfig:
             raise ConfigError("registry_ttl must be >= 1")
         if self.traffic_delay_minutes < 0:
             raise ConfigError("traffic_delay_minutes cannot be negative")
-        datetime.fromisoformat(self.wall_clock_start)  # ValueError if unparsable
+        try:
+            self.wall_clock()
+        except ValueError as exc:
+            raise ConfigError(f"wall_clock_start: {exc}") from exc
         if not self.couriers:
             raise ConfigError("at least one courier is required")
         names = [c.name for c in self.couriers]
@@ -188,7 +191,7 @@ class ScenarioConfig:
         return SelectionWeights(self.weight_price, self.weight_speed, self.weight_reputation)
 
     def wall_clock(self) -> datetime:
-        return datetime.fromisoformat(self.wall_clock_start)
+        return local_time(self.wall_clock_start)
 
 
 _SECTIONS = ("couriers", "reviews", "offline")

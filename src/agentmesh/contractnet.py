@@ -81,18 +81,26 @@ class ScorerUnavailable(ContractNetError):
     """Reputation backend is down; callers fall back to a neutral prior."""
 
 
+def local_time(text: str) -> datetime:
+    """An ISO-8601 time without a UTC offset; ValueError for anything else."""
+    moment = datetime.fromisoformat(text)
+    if moment.tzinfo is not None:
+        raise ValueError(f"{text!r} carries a UTC offset")
+    return moment
+
+
 @dataclass(frozen=True)
 class DeliveryTask:
     source: str
     destination: str
-    deadline: str  # ISO-8601
+    deadline: str  # ISO-8601, local time
     requirements: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        datetime.fromisoformat(self.deadline)  # ValueError if unparsable
+        local_time(self.deadline)  # ValueError unless a local ISO-8601 time
 
     def deadline_dt(self) -> datetime:
-        return datetime.fromisoformat(self.deadline)
+        return local_time(self.deadline)
 
 
 @dataclass(frozen=True)

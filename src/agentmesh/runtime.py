@@ -1,12 +1,14 @@
 """Agent execution engine and the simulated network world.
 
-Agents register handlers (interval, message, lifecycle events) and
-exchange signed envelopes through a World that owns the clock. Time is a
-logical tick counter equal to the ledger block height: one tick is one
-block. The world delivers envelopes with seeded random latency and drop
-behavior, redirects traffic for offline agents to the mailbox when one is
-attached, and appends one transcript line per delivery outcome. Identical
-(config, seed) runs produce byte-identical transcripts.
+Agents register message and lifecycle-event handlers and exchange signed
+envelopes through a World that owns the clock. Time is a logical tick
+counter equal to the ledger block height: one tick is one block. The world
+delivers envelopes with seeded random latency and drop behavior, redirects
+traffic for offline agents to the mailbox when one is attached, and
+appends one transcript line per delivery outcome. Identical (config, seed)
+runs produce byte-identical transcripts. Nothing polls: `ctx.at(height, fn)`
+sets a timer on one world heap, and `on_interval(p)` is a timer that fires
+at each multiple of p.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -70,13 +72,18 @@ class HandlerOverlap(RuntimeError_):
 class DrainIncomplete(RuntimeError_):
     """World.drain ran out of ticks before the world settled."""
 
-    def __init__(self, max_ticks: int, in_flight: int, presence_changes: int) -> None:
+    def __init__(self, max_ticks: int, in_flight: int, presence_changes: int, timers: int) -> None:
         super().__init__(
             f"not settled after {max_ticks} ticks: {in_flight} envelopes in flight, "
-            f"{presence_changes} presence changes pending"
+            f"{presence_changes} presence changes pending, {timers} timers pending"
         )
         self.in_flight = in_flight
         self.presence_changes = presence_changes
+
+
+class InvalidRecord(WireError):
+    """A handler refuses a record that decoded but whose values it cannot
+    act on; dispatch logs it like an envelope that failed to open."""
 
 
 # Handler kinds. register_handler takes one of these plus the callable.
@@ -105,28 +112,6 @@ class Event:
 
 
 HandlerKind = Interval | Message | Event
-
-
-class ContextStorage:
-    """Per-agent key-value store; keys enumerate sorted."""
-
-    def __init__(self) -> None:
-        self._data: dict[str, Any] = {}
-
-    def set(self, key: str, value: Any) -> None:
-        self._data[key] = value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-    def delete(self, key: str) -> None:
-        self._data.pop(key, None)
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
 
 
 @dataclass
@@ -170,6 +155,7 @@ _REJECT_OUTCOMES: dict[type[WireError], str] = {
     SignatureInvalid: "signature_invalid",
     Expired: "expired",
     UnknownSchema: "unknown_schema",
+    InvalidRecord: "invalid_record",
 }
 
 
@@ -201,10 +187,6 @@ class Context:
     def name(self) -> str:
         return self.agent.name
 
-    @property
-    def storage(self) -> ContextStorage:
-        return self.agent.storage
-
     def send(
         self,
         target: str,
@@ -224,6 +206,11 @@ class Context:
         )
         self.outbound.append(env)
         return env
+
+    def at(self, height: int, handler: Callable) -> None:
+        """Run handler(ctx) once, in the first timer phase at or after tick
+        `height`."""
+        self.agent.world.schedule_timer(self.agent, height, handler)
 
     def reply(self, record: Record, expires_at: int | None = None) -> Envelope:
         """Send back to the incoming sender, reusing its session id."""
@@ -246,12 +233,11 @@ class Context:
 
 
 class Agent:
-    """One agent: identity, protocols, handlers, private storage."""
+    """One agent: identity, protocols and handlers."""
 
     def __init__(self, name: str, identity: AgentIdentity) -> None:
         self.name = name
         self.identity = identity
-        self.storage = ContextStorage()
         self.protocols: list[ProtocolSpec] = []
         self.message_handlers: dict[bytes, Callable] = {}
         self.interval_handlers: list[tuple[int, Callable]] = []
@@ -349,22 +335,14 @@ class Agent:
         finally:
             self._in_handler = False
 
-    def run_event(self, name: str, height: int) -> list[Envelope]:
-        out: list[Envelope] = []
-        for handler in self.event_handlers[name]:
-            ctx = Context(self, height)
-            self._run_handler(handler, ctx)
-            out.extend(ctx.outbound)
-        return out
+    def invoke(self, handler: Callable, height: int) -> list[Envelope]:
+        """Run a handler that takes only a context; returns what it sent."""
+        ctx = Context(self, height)
+        self._run_handler(handler, ctx)
+        return ctx.outbound
 
-    def run_intervals(self, height: int) -> list[Envelope]:
-        out: list[Envelope] = []
-        for period, handler in self.interval_handlers:
-            if height % period == 0:
-                ctx = Context(self, height)
-                self._run_handler(handler, ctx)
-                out.extend(ctx.outbound)
-        return out
+    def run_event(self, name: str, height: int) -> list[Envelope]:
+        return [env for fn in self.event_handlers[name] for env in self.invoke(fn, height)]
 
     def dispatch(self, env: Envelope, current_height: int) -> list[Envelope]:
         """Validate one envelope and run its handler.
@@ -395,7 +373,11 @@ class Agent:
             schema_name=schema_name,
             digest_prefix=handled.digest_prefix,
         )
-        result = self._run_handler(handler, ctx, sender, record)
+        try:
+            result = self._run_handler(handler, ctx, sender, record)
+        except InvalidRecord as exc:
+            self.record_diag(self._reject_line(current_height, env, exc))
+            return []
         if isinstance(result, Record):
             ctx.reply(result)
         self.record_diag(handled)
@@ -458,7 +440,12 @@ class World:
         # session id -> (awaiting address, reply record once it lands)
         self._pending_queries: dict[bytes, tuple[str, Record | None]] = {}
         self._query_errors: dict[bytes, type[WireError]] = {}
-        self._status_changes: list[tuple[int, str, bool]] = []
+        self._status_changes: list[tuple[int, str, bool]] = []  # a heap
+        # heap of (due, join rank, set order, agent, handler, period; 0 = once)
+        self._timers: list[tuple] = []
+        self._timer_seq = 0
+        self._parked: dict[str, list[tuple]] = {}  # offline agent -> its due timers
+        self._rank: dict[str, int] = {}
         # schema digest -> name over every agent's schemas (the name is part
         # of the digest, so agents never disagree on it)
         self._schema_names: dict[bytes, str] = {}
@@ -475,10 +462,23 @@ class World:
         agent.world = self
         agent.start()
         self.agents[agent.identity.address] = agent
+        self._rank[agent.identity.address] = len(self._agent_order)
         self._agent_order.append(agent)
         self.online[agent.identity.address] = True
         for schema in agent.known_schemas():
             self._schema_names[schema.digest()] = schema.name
+        for period, handler in agent.interval_handlers:
+            self.schedule_timer(agent, (self.height // period + 1) * period, handler, period)
+
+    def schedule_timer(self, agent: Agent, height: int, handler: Callable, period: int = 0) -> None:
+        """Run handler(ctx) for the agent in the first timer phase at or
+        after tick `height`; a periodic one then at each multiple of period."""
+        self._timer_seq += 1
+        due, rank = max(height, self.height), self._rank[agent.identity.address]
+        heapq.heappush(self._timers, (due, rank, self._timer_seq, agent, handler, period))
+
+    def _pending_timers(self) -> int:
+        return sum(1 for entry in self._timers if not entry[5])
 
     def schema_name_of(self, digest: bytes) -> str:
         name = self._schema_names.get(digest)
@@ -487,16 +487,18 @@ class World:
     # -- presence ------------------------------------------------------------
 
     def set_online(self, address: str, online: bool) -> None:
-        """Immediate status flip; coming back online drains the mailbox."""
+        """Immediate status flip; coming back online drains the mailbox and
+        puts the timers that fell due while offline back on the heap."""
         was = self.online.get(address, True)
         self.online[address] = online
         if online and not was:
             self._drain_mailbox(address)
+            for entry in self._parked.pop(address, ()):
+                heapq.heappush(self._timers, (self.height, *entry[1:]))
 
     def schedule_presence(self, address: str, tick: int, online: bool) -> None:
         """Apply a status change at the start of the given tick."""
-        self._status_changes.append((tick, address, online))
-        self._status_changes.sort()
+        heapq.heappush(self._status_changes, (tick, address, online))
 
     def _drain_mailbox(self, address: str) -> None:
         if self.mailbox is None or not self.mailbox.has_account(address):
@@ -581,12 +583,12 @@ class World:
 
     def tick(self, n: int = 1) -> None:
         """Advance n ticks: presence changes, startup (first tick only),
-        due deliveries, then interval handlers; one block per tick."""
+        due deliveries, then due timers; one block per tick."""
         for _ in range(n):
             self.ledger.advance_block(1)
             h = self.height
             while self._status_changes and self._status_changes[0][0] <= h:
-                _, address, online = self._status_changes.pop(0)
+                _, address, online = heapq.heappop(self._status_changes)
                 self.set_online(address, online)
             if not self._startup_done:
                 self._startup_done = True
@@ -596,24 +598,34 @@ class World:
             while self._in_flight and self._in_flight[0][0] <= h:
                 _, _, env, dropped = heapq.heappop(self._in_flight)
                 self._deliver_or_divert(env, dropped)
-            for agent in self._agent_order:
-                if not self.online.get(agent.identity.address, True):
-                    continue  # an offline agent's schedule is paused
-                for env in agent.run_intervals(h):
+            while self._timers and self._timers[0][0] <= h:
+                entry = heapq.heappop(self._timers)
+                agent, handler, period = entry[3:]
+                address = agent.identity.address
+                if not self.online.get(address, True):
+                    self._parked.setdefault(address, []).append(entry)
+                    continue
+                if period:
+                    heapq.heappush(self._timers, ((h // period + 1) * period, *entry[1:]))
+                    if h % period:
+                        continue  # back from offline between beats
+                for env in agent.invoke(handler, h):
                     self.send(env)
 
     def drain(self, max_ticks: int = 1000) -> int:
-        """Tick until pending presence changes and in-flight traffic settle;
-        returns the ticks used, or raises DrainIncomplete when `max_ticks`
-        run out first.
+        """Tick until pending presence changes, in-flight traffic and one-shot
+        timers settle; returns the ticks used, or raises DrainIncomplete when
+        `max_ticks` run out first.
 
         Envelopes parked in an offline agent's mailbox do not count as in
-        flight; they stay stored until the owner reconnects.
+        flight, nor do its parked timers; both wait for the owner to
+        reconnect. Periodic timers never settle, so they do not count.
         """
         used = 0
-        while self._in_flight or self._status_changes:
+        while self._in_flight or self._status_changes or self._pending_timers():
             if used >= max_ticks:
-                raise DrainIncomplete(max_ticks, len(self._in_flight), len(self._status_changes))
+                pending = (len(self._in_flight), len(self._status_changes), self._pending_timers())
+                raise DrainIncomplete(max_ticks, *pending)
             self.tick()
             used += 1
         return used

@@ -46,7 +46,7 @@ from .registry import (
     RegistryError,
     registration_signing_digest,
 )
-from .runtime import Agent, DrainIncomplete, NetworkModel, Timeout, World
+from .runtime import Agent, DrainIncomplete, InvalidRecord, NetworkModel, Timeout, World
 from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
@@ -289,13 +289,13 @@ def build_user_agent(identity: AgentIdentity) -> Agent:
 def build_packaging_agent(identity: AgentIdentity, quote_fet: int) -> Agent:
     agent = Agent(PACKAGING_NAME, identity)
     agent.include_protocol(CHAT_PROTOCOL)
+    # dialogue position is tracked per customer, not per session
+    turns: dict[str, int] = {}
 
     @agent.on_message(CHAT_MESSAGE)
     def on_chat(ctx, sender: str, msg: Record):
-        # dialogue position is tracked per customer, not per session
-        turns = ctx.storage.get(f"turns:{sender}", 0) + 1
-        ctx.storage.set(f"turns:{sender}", turns)
-        if turns == 1:
+        turns[sender] = turns.get(sender, 0) + 1
+        if turns[sender] == 1:
             ctx.reply(_chat(ctx, _CLARIFYING_QUESTION))
         else:
             ctx.reply(
@@ -332,24 +332,17 @@ def build_courier_agent(spec: CourierSpec, identity: AgentIdentity, delivery_tic
 
     @agent.on_message(ACCEPT_BID)
     def on_accept(ctx, sender: str, msg: Record):
-        ctx.storage.set("auctioneer", sender)
-        ctx.storage.set("deliver_at", ctx.height + delivery_ticks)
+        # each accepted job gets its own timer
+        def deliver(ctx):
+            ctx.send(sender, Record(DELIVERY_CONFIRMED, {"courier_id": spec.name}))
+            ctx.diag("delivered")
+
+        ctx.at(ctx.height + delivery_ticks, deliver)
         ctx.diag("bid_accepted")
 
     @agent.on_message(REJECT_BID)
     def on_reject(ctx, sender: str, msg: Record):
         ctx.diag("bid_lost")
-
-    @agent.on_interval(1)
-    def drive(ctx):
-        due = ctx.storage.get("deliver_at")
-        if due is not None and ctx.height >= due:
-            ctx.storage.delete("deliver_at")
-            ctx.send(
-                ctx.storage.get("auctioneer"),
-                Record(DELIVERY_CONFIRMED, {"courier_id": spec.name}),
-            )
-            ctx.diag("delivered")
 
     return agent
 
@@ -465,14 +458,18 @@ def build_logistics_agent(
         auction.invited = frozenset(invited)
         auction.bid_deadline = bid_deadline
         auction.phase = "collecting"
+        ctx.at(bid_deadline, close_when_due)
         ctx.diag("auction_opened")
 
     @agent.on_message(LOGISTICS_REQUEST)
     def on_request(ctx, sender: str, msg: Record):
         nonlocal auction
-        task = DeliveryTask(
-            msg["source"], msg["destination"], msg["deadline"], tuple(msg["requirements"])
-        )
+        try:  # refused before the current auction is touched
+            task = DeliveryTask(
+                msg["source"], msg["destination"], msg["deadline"], tuple(msg["requirements"])
+            )
+        except ValueError as exc:
+            raise InvalidRecord(f"deadline: {exc}") from exc
         auction = _Auction(sender, ctx.session_id, msg["payer_wallet"], task)
         world = ctx.agent.world
         maps_hits = world.registry.search(ctx.height, metadata={"service_type": "maps"})
@@ -521,7 +518,6 @@ def build_logistics_agent(
         auction.bids[sender] = bid
         ctx.diag("bid_verified")
 
-    @agent.on_interval(1)
     def close_when_due(ctx):
         if auction is None or auction.phase != "collecting" or ctx.height < auction.bid_deadline:
             return

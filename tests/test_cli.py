@@ -103,6 +103,13 @@ def test_run_with_the_largest_accepted_balance_completes(tmp_path, capsys):
     assert report.read_text() and journal.read_text()
 
 
+def test_run_bad_clock_exits_two(tmp_path, capsys):
+    path = tmp_path / "clock.cfg"
+    path.write_text("wall_clock_start = x\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_config_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"request = caf\xff\n")

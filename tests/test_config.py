@@ -121,6 +121,13 @@ def test_parse_errors(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("clock", ["x", "2026-03-02T13:00:00+00:00"], ids=["garbage", "utc_offset"])
+def test_bad_wall_clock_is_a_config_error(clock):
+    # an offset-carrying clock would later be compared with local deadlines
+    with pytest.raises(ConfigError, match="wall_clock_start"):
+        parse_config(f"wall_clock_start = {clock}\n")
+
+
 def test_error_messages_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("random_seed = 1\n???\n")

@@ -17,6 +17,7 @@ from agentmesh.runtime import (
     Event,
     HandlerOverlap,
     Interval,
+    InvalidRecord,
     Message,
     NetworkModel,
     Timeout,
@@ -216,6 +217,22 @@ class TestDispatch:
         assert agent.dispatch(env, 1) == []
         assert [d.outcome for d in world.transcript] == ["unknown_schema"]
 
+    def test_invalid_record_reject_is_one_line_and_sends_nothing(self):
+        agent = make_agent("picky")
+        sender = make_agent("picky sender")
+
+        @agent.on_message(PING)
+        def handle(ctx, sender_address, record):
+            ctx.diag("looked")
+            ctx.reply(Record(PONG, {"text": "never sent"}))
+            raise InvalidRecord(f"text {record['text']!r} makes no sense here")
+
+        world = fresh_world()
+        world.add_agent(agent)
+        assert agent.dispatch(self.ping_env(sender, agent), 1) == []
+        assert [d.outcome for d in world.transcript] == ["looked", "invalid_record"]
+        assert world.transcript[-1].schema_name == "Ping"
+
     def test_handler_overlap_detected(self):
         agent = make_agent("overlap")
         inner_error = []
@@ -235,21 +252,6 @@ class TestDispatch:
         sender = make_agent("overlap sender")
         agent.dispatch(self.ping_env(sender, agent), 1)
         assert len(inner_error) == 1
-
-    def test_context_storage(self):
-        agent = make_agent("storage")
-
-        @agent.on_message(PING)
-        def handle(ctx, sender, record):
-            ctx.storage.set("last", record["text"])
-
-        agent.start()
-        sender = make_agent("storage sender")
-        agent.dispatch(self.ping_env(sender, agent, text="first"), 1)
-        agent.dispatch(self.ping_env(sender, agent, text="second"), 2)
-        assert agent.storage.get("last") == "second"
-        agent.storage.set("alpha", 1)
-        assert agent.storage.keys() == ["alpha", "last"]
 
 
 class TestScheduling:
@@ -364,6 +366,201 @@ class TestScheduling:
         world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
         assert world.drain(max_ticks=3) == 3
         assert world.drain(max_ticks=0) == 0
+
+
+def count_timer_runs(monkeypatch) -> list[str]:
+    """Names of the handlers run with a context alone (timers, intervals
+    and lifecycle events), in the order they ran."""
+    runs: list[str] = []
+    original = Agent._run_handler
+
+    def counting(self, handler, *args):
+        if len(args) == 1:
+            runs.append(handler.__name__)
+        return original(self, handler, *args)
+
+    monkeypatch.setattr(Agent, "_run_handler", counting)
+    return runs
+
+
+class TestTimers:
+    def test_one_shot_fires_once_after_deliveries(self):
+        world = fresh_world()
+        receiver = make_agent("timer receiver")
+        sender = make_agent("timer sender")
+        order = []
+
+        @receiver.on_message(PING)
+        def handle(ctx, sender_address, record):
+            order.append(f"ping@{ctx.height}")
+            ctx.at(ctx.height + 2, lambda later: order.append(f"timer@{later.height}"))
+
+        world.add_agent(receiver)
+        world.add_agent(sender)
+        world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
+        world.tick(10)
+        assert order == ["ping@1", "timer@3"]
+
+    def test_timer_at_or_below_the_current_height_runs_this_tick(self):
+        world = fresh_world()
+        receiver = make_agent("past timer receiver")
+        sender = make_agent("past timer sender")
+        fired = []
+
+        @receiver.on_message(PING)
+        def handle(ctx, sender_address, record):
+            ctx.at(ctx.height - 5, lambda later: fired.append(later.height))
+            ctx.at(ctx.height, lambda later: fired.append(later.height))
+
+        world.add_agent(receiver)
+        world.add_agent(sender)
+        world.tick(2)
+        world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
+        world.tick(3)
+        assert fired == [3, 3]
+
+    def test_timer_sends_like_a_handler(self):
+        world = fresh_world()
+        receiver = echo_agent("timer echo")
+        waker = make_agent("waker")
+
+        @waker.on_event("startup")
+        def boot(ctx):
+            ctx.at(4, lambda later: later.send(receiver.identity.address,
+                                               Record(PING, {"text": "late"})))
+
+        world.add_agent(receiver)
+        world.add_agent(waker)
+        world.tick(6)
+        outcomes = [(line.tick, line.schema_name, line.outcome) for line in world.transcript]
+        assert outcomes == [(5, "Ping", "handled"), (6, "Pong", "no_handler")]
+
+    def test_offline_agents_timer_fires_on_its_reconnect_tick(self):
+        world = fresh_world()
+        agent = make_agent("sleeper")
+        fired = []
+
+        @agent.on_event("startup")
+        def boot(ctx):
+            ctx.at(3, lambda later: fired.append(later.height))
+
+        world.add_agent(agent)
+        world.schedule_presence(agent.identity.address, 2, False)
+        world.schedule_presence(agent.identity.address, 9, True)
+        world.tick(8)
+        assert fired == []
+        world.tick(1)
+        assert fired == [9]
+        world.tick(5)
+        assert fired == [9]
+
+    def test_interval_pauses_offline_and_resumes_on_its_beat(self):
+        world = fresh_world()
+        agent = make_agent("beat")
+        fired = []
+
+        @agent.on_interval(3)
+        def every(ctx):
+            fired.append(ctx.height)
+
+        world.add_agent(agent)
+        world.schedule_presence(agent.identity.address, 4, False)
+        world.schedule_presence(agent.identity.address, 10, True)
+        world.tick(16)
+        assert fired == [3, 12, 15]
+
+    def test_interval_resumes_on_its_beat_after_a_reconnect_between_ticks(self):
+        world = fresh_world()
+        agent = make_agent("between")
+        fired = []
+
+        @agent.on_interval(3)
+        def every(ctx):
+            fired.append(ctx.height)
+
+        world.add_agent(agent)
+        world.tick(4)
+        world.set_online(agent.identity.address, False)
+        world.tick(2)  # the beat at 6 is missed
+        world.set_online(agent.identity.address, True)  # after tick 6's timers
+        world.tick(4)
+        assert fired == [3, 9]
+
+    def test_interval_joining_late_starts_at_the_next_multiple(self):
+        world = fresh_world()
+        world.tick(4)
+        agent = make_agent("late joiner")
+        fired = []
+
+        @agent.on_interval(5)
+        def every(ctx):
+            fired.append(ctx.height)
+
+        world.add_agent(agent)
+        world.tick(8)
+        assert fired == [5, 10]
+
+    def test_due_timers_run_in_join_order_then_set_order(self):
+        world = fresh_world()
+        first, second, third = agents = [make_agent(f"joiner {i}") for i in range(3)]
+        for agent in agents:
+            world.add_agent(agent)
+        order = []
+        plan = [("third a", third, 5), ("second", second, 5), ("third b", third, 5),
+                ("first", first, 5), ("second early", second, 4)]
+        for label, agent, height in plan:
+            world.schedule_timer(agent, height, lambda later, label=label: order.append(label))
+        world.tick(5)
+        assert order == ["second early", "first", "second", "third a", "third b"]
+
+    def test_drain_waits_for_a_one_shot_timer(self):
+        world = fresh_world()
+        agent = make_agent("drain timer")
+        fired = []
+        world.add_agent(agent)
+        world.schedule_timer(agent, 7, lambda later: fired.append(later.height))
+        assert world.drain(max_ticks=20) == 7
+        assert fired == [7]
+        assert world.drain(max_ticks=20) == 0
+
+    def test_drain_does_not_wait_for_a_periodic_timer(self):
+        world = fresh_world()
+        agent = make_agent("drain interval")
+
+        @agent.on_interval(1)
+        def every(ctx):
+            pass
+
+        world.add_agent(agent)
+        assert world.drain(max_ticks=20) == 0
+
+    def test_drain_does_not_wait_for_a_parked_timer(self):
+        world = fresh_world()
+        agent = make_agent("drain parked")
+        world.add_agent(agent)
+        world.schedule_timer(agent, 2, lambda later: None)
+        world.set_online(agent.identity.address, False)
+        assert world.drain(max_ticks=20) == 2  # popped at 2 and parked
+
+    def test_drain_that_runs_out_counts_pending_timers(self):
+        world = fresh_world()
+        agent = make_agent("drain far timer")
+        world.add_agent(agent)
+        world.schedule_timer(agent, 50, lambda later: None)
+        with pytest.raises(DrainIncomplete) as excinfo:
+            world.drain(max_ticks=5)
+        assert "1 timers pending" in str(excinfo.value)
+
+    def test_idle_agents_run_no_handler(self, monkeypatch):
+        # guard against polling coming back: ticking a world of agents
+        # that set no timer runs nothing per agent
+        runs = count_timer_runs(monkeypatch)
+        world = fresh_world()
+        for i in range(400):
+            world.add_agent(make_agent(f"idle {i}"))
+        world.tick(40)
+        assert runs == []
+        assert world.transcript == []
 
 
 class TestOfflineAndMailbox:

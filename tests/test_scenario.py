@@ -16,7 +16,8 @@ from agentmesh.config import (
 )
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET
-from agentmesh.runtime import Agent
+from agentmesh.contractnet import ACCEPT_BID
+from agentmesh.runtime import Agent, Timeout
 from agentmesh.scenario import (
     DELIVERY_DECISION,
     LOGISTICS_REQUEST,
@@ -509,6 +510,114 @@ def test_reconnect_at_the_deadline_yields_late_bid_diagnostic():
     assert report.status == "ok"
     assert any("late_bid_rejected" in line for line in report.transcript)
     assert sum("bid_verified" in line for line in report.transcript) == 2
+
+
+@pytest.mark.parametrize("online_tick", [50, 60, 80])
+def test_final_drain_runs_a_delivery_that_fell_due_offline(online_tick):
+    # the winner reconnects after the orchestrator gave up waiting; its
+    # AcceptBid is retrieved then and the delivery falls due during the
+    # final drain. The report still says failed (the report/ledger
+    # disagreement is a separate defect), but no money stays locked.
+    config = with_overrides(
+        default_config(), offline=(PresenceWindow("SpeedyVanCouriers", 14, online_tick),)
+    )
+    report = run_scenario(config)
+    assert report.escrows
+    assert not any(escrow.endswith("=Open") for escrow in report.escrows)
+    assert all(escrow.endswith("=Released") for escrow in report.escrows)
+    delivered = [line for line in report.transcript if line.endswith("|delivered")]
+    assert [int(line.split("|")[0]) for line in delivered] == [online_tick + config.delivery_ticks]
+    assert report.conserved
+
+
+def test_a_courier_serves_every_job_it_accepts():
+    scenario = build_scenario(default_config())
+    world = scenario.world
+    courier = scenario.courier_agents["CamBikeExpress"].identity.address
+    for _ in range(2):
+        world.send_message(scenario.logistics_agent, courier, Record(ACCEPT_BID, {}))
+        world.tick(1)
+    world.drain()
+    delivered = [line for line in world.transcript_lines() if line.endswith("|delivered")]
+    assert len(delivered) == 2
+    assert len({line.split("|")[0] for line in delivered}) == 2  # one job per timer
+
+
+def _count_timer_runs(monkeypatch) -> list[str]:
+    """Names of the handlers run with a context alone: in a scenario world,
+    which has no lifecycle-event handlers, those are the timers."""
+    runs: list[str] = []
+    original = Agent._run_handler
+
+    def counting(self, handler, *args):
+        if len(args) == 1:
+            runs.append(handler.__name__)
+        return original(self, handler, *args)
+
+    monkeypatch.setattr(Agent, "_run_handler", counting)
+    return runs
+
+
+def _fleet_config(size: int):
+    couriers = tuple(
+        CourierSpec(
+            f"FleetCourier{i:03d}", f"fleet courier seed {i}", 10 + i % 50,
+            60 + (37 * i) % 170, "cambridge",
+        )
+        for i in range(size)
+    )
+    return with_overrides(default_config(), couriers=couriers, reviews=(), bid_window_ticks=14)
+
+
+def test_timer_work_per_order_does_not_grow_with_the_fleet(monkeypatch):
+    # guard against polling coming back: one close and one delivery per
+    # order, whether three couriers bid or a hundred
+    runs = _count_timer_runs(monkeypatch)
+    counts = []
+    for config in (default_config(), _fleet_config(100)):
+        runs.clear()
+        report = run_scenario(config)
+        assert report.status == "ok", report.failure_cause
+        counts.append(sorted(runs))
+    assert counts == [["close_when_due", "deliver"]] * 2
+
+
+@pytest.mark.parametrize(
+    "deadline", ["soon", "2026-03-02T17:00:00+00:00"], ids=["not_iso", "utc_offset"]
+)
+def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
+    scenario = build_scenario(default_config())
+    world, user = scenario.world, scenario.user_agent
+    logistics = scenario.logistics_agent.identity.address
+    task = parse_request(DEMO_REQUEST)
+
+    def request(deadline: str) -> Record:
+        return Record(
+            LOGISTICS_REQUEST,
+            {
+                "source": task.source,
+                "destination": task.destination,
+                "deadline": deadline,
+                "requirements": list(task.requirements),
+                "payer_wallet": user.identity.wallet_address,
+            },
+        )
+
+    good = world.send_query(user, logistics, request(task.deadline))
+    for _ in range(20):
+        world.tick()
+        if any(line.outcome == "auction_opened" for line in world.transcript):
+            break
+    with pytest.raises(Timeout):
+        world.query(user, logistics, request(deadline), 10)
+    refused = [line for line in world.transcript if line.outcome == "invalid_record"]
+    assert [line.schema_name for line in refused] == ["LogisticsRequest"]
+    for _ in range(40):
+        if world.poll_reply(good) is not None:
+            break
+        world.tick()
+    proposal = world.poll_reply(good)
+    assert proposal is not None and proposal["status"] == "proposal"
 
 
 def test_simulate_network_reflects_config():
