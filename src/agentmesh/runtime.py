@@ -1,7 +1,8 @@
 """Agent execution engine and the simulated network world.
 
-Agents register message and lifecycle-event handlers and exchange signed
-envelopes through a World that owns the clock. Time is a logical tick
+Agent code runs in two cases only: a message is delivered, or a timer
+falls due. Agents register message handlers and exchange signed envelopes
+through a World that owns the clock. Time is a logical tick
 counter equal to the ledger block height: one tick is one block. The world
 delivers envelopes with seeded random latency and drop behavior, redirects
 traffic for offline agents to the mailbox when one is attached, and
@@ -21,7 +22,7 @@ import hashlib
 import heapq
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .identity import AgentIdentity
@@ -50,7 +51,7 @@ class RuntimeError_(Exception):
 
 
 class DuplicateHandler(RuntimeError_):
-    """A handler is already registered for that schema or event."""
+    """A handler is already registered for that schema."""
 
 
 class AgentAlreadyStarted(RuntimeError_):
@@ -84,34 +85,6 @@ class DrainIncomplete(RuntimeError_):
 class InvalidRecord(WireError):
     """A handler refuses a record that decoded but whose values it cannot
     act on; dispatch logs it like an envelope that failed to open."""
-
-
-# Handler kinds. register_handler takes one of these plus the callable.
-
-@dataclass(frozen=True)
-class Interval:
-    period: int
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise RuntimeError_("interval period must be >= 1 tick")
-
-
-@dataclass(frozen=True)
-class Message:
-    schema: ModelSchema
-
-
-@dataclass(frozen=True)
-class Event:
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in ("startup", "shutdown"):
-            raise RuntimeError_(f"unknown event {self.name!r}")
-
-
-HandlerKind = Interval | Message | Event
 
 
 @dataclass
@@ -183,10 +156,6 @@ class Context:
     def address(self) -> str:
         return self.agent.identity.address
 
-    @property
-    def name(self) -> str:
-        return self.agent.name
-
     def send(
         self,
         target: str,
@@ -241,7 +210,6 @@ class Agent:
         self.protocols: list[ProtocolSpec] = []
         self.message_handlers: dict[bytes, Callable] = {}
         self.interval_handlers: list[tuple[int, Callable]] = []
-        self.event_handlers: dict[str, list[Callable]] = {"startup": [], "shutdown": []}
         self.started = False
         # digest -> schema over every included protocol, first declared wins;
         # include_protocol raises after start, so it never goes stale
@@ -252,52 +220,38 @@ class Agent:
 
     # -- setup (before start) ---------------------------------------------
 
-    def include_protocol(self, spec: ProtocolSpec) -> None:
+    def _refuse_if_started(self) -> None:
         if self.started:
             raise AgentAlreadyStarted(f"{self.name} already started")
+
+    def include_protocol(self, spec: ProtocolSpec) -> None:
+        self._refuse_if_started()
         if any(p.digest() == spec.digest() for p in self.protocols):
             return
         self.protocols.append(spec)
         for model in spec.models:
             self._schemas.setdefault(model.digest(), model)
 
-    def register_handler(self, kind: HandlerKind, handler: Callable) -> None:
-        if self.started:
-            raise AgentAlreadyStarted(f"{self.name} already started")
-        if isinstance(kind, Interval):
-            self.interval_handlers.append((kind.period, handler))
-        elif isinstance(kind, Message):
-            digest = kind.schema.digest()
-            if not any(p.has_schema(kind.schema) for p in self.protocols):
-                raise SchemaNotInProtocol(
-                    f"{kind.schema.name} is in none of {self.name}'s protocols"
-                )
-            if digest in self.message_handlers:
-                raise DuplicateHandler(f"handler for {kind.schema.name} already registered")
-            self.message_handlers[digest] = handler
-        elif isinstance(kind, Event):
-            if handler in self.event_handlers[kind.name]:
-                raise DuplicateHandler(f"{kind.name} handler registered twice")
-            self.event_handlers[kind.name].append(handler)
-        else:
-            raise RuntimeError_(f"unknown handler kind {kind!r}")
-
-    # decorator sugar, mirroring the usual event-driven agent style
     def on_interval(self, period: int) -> Callable:
+        """Decorator: run fn(ctx) at every multiple of `period` ticks."""
         def wrap(fn: Callable) -> Callable:
-            self.register_handler(Interval(period), fn)
+            if period < 1:
+                raise RuntimeError_("interval period must be >= 1 tick")
+            self._refuse_if_started()
+            self.interval_handlers.append((period, fn))
             return fn
         return wrap
 
     def on_message(self, schema: ModelSchema) -> Callable:
+        """Decorator: run fn(ctx, sender, record) on each delivered `schema`."""
         def wrap(fn: Callable) -> Callable:
-            self.register_handler(Message(schema), fn)
-            return fn
-        return wrap
-
-    def on_event(self, name: str) -> Callable:
-        def wrap(fn: Callable) -> Callable:
-            self.register_handler(Event(name), fn)
+            self._refuse_if_started()
+            if not any(p.has_schema(schema) for p in self.protocols):
+                raise SchemaNotInProtocol(f"{schema.name} is in none of {self.name}'s protocols")
+            digest = schema.digest()
+            if digest in self.message_handlers:
+                raise DuplicateHandler(f"handler for {schema.name} already registered")
+            self.message_handlers[digest] = fn
             return fn
         return wrap
 
@@ -336,13 +290,11 @@ class Agent:
             self._in_handler = False
 
     def invoke(self, handler: Callable, height: int) -> list[Envelope]:
-        """Run a handler that takes only a context; returns what it sent."""
+        """Run a timer handler, which takes only a context; returns what it
+        sent."""
         ctx = Context(self, height)
         self._run_handler(handler, ctx)
         return ctx.outbound
-
-    def run_event(self, name: str, height: int) -> list[Envelope]:
-        return [env for fn in self.event_handlers[name] for env in self.invoke(fn, height)]
 
     def dispatch(self, env: Envelope, current_height: int) -> list[Envelope]:
         """Validate one envelope and run its handler.
@@ -430,13 +382,11 @@ class World:
         self.network = network if network is not None else NetworkModel()
         self.rng = random.Random(seed)
         self.agents: dict[str, Agent] = {}
-        self._agent_order: list[Agent] = []
         self.online: dict[str, bool] = {}
         self.transcript: list[TranscriptLine] = []
         self._in_flight: list[tuple[int, int, Envelope, bool]] = []
         self._send_seq = 0
         self._last_delivery: dict[tuple[str, str], int] = {}
-        self._startup_done = False
         # session id -> (awaiting address, reply record once it lands)
         self._pending_queries: dict[bytes, tuple[str, Record | None]] = {}
         self._query_errors: dict[bytes, type[WireError]] = {}
@@ -462,8 +412,7 @@ class World:
         agent.world = self
         agent.start()
         self.agents[agent.identity.address] = agent
-        self._rank[agent.identity.address] = len(self._agent_order)
-        self._agent_order.append(agent)
+        self._rank[agent.identity.address] = len(self._rank)
         self.online[agent.identity.address] = True
         for schema in agent.known_schemas():
             self._schema_names[schema.digest()] = schema.name
@@ -582,19 +531,14 @@ class World:
     # -- clock ---------------------------------------------------------------
 
     def tick(self, n: int = 1) -> None:
-        """Advance n ticks: presence changes, startup (first tick only),
-        due deliveries, then due timers; one block per tick."""
+        """Advance n ticks: presence changes, due deliveries, then due
+        timers; one block per tick."""
         for _ in range(n):
             self.ledger.advance_block(1)
             h = self.height
             while self._status_changes and self._status_changes[0][0] <= h:
                 _, address, online = heapq.heappop(self._status_changes)
                 self.set_online(address, online)
-            if not self._startup_done:
-                self._startup_done = True
-                for agent in self._agent_order:
-                    for env in agent.run_event("startup", h):
-                        self.send(env)
             while self._in_flight and self._in_flight[0][0] <= h:
                 _, _, env, dropped = heapq.heappop(self._in_flight)
                 self._deliver_or_divert(env, dropped)
@@ -629,11 +573,6 @@ class World:
             self.tick()
             used += 1
         return used
-
-    def shutdown(self) -> None:
-        for agent in self._agent_order:
-            for env in agent.run_event("shutdown", self.height):
-                self.send(env)
 
     # -- direct sends and queries (harness-level API) ------------------------
 

@@ -476,11 +476,15 @@ def build_logistics_agent(
         if maps_hits:
             maps_record = maps_hits[0]
             if config.maps_fee_fet > 0 and "wallet" in maps_record.metadata:
-                world.ledger.transfer(
-                    identity.wallet_address,
-                    maps_record.metadata["wallet"],
-                    fet(config.maps_fee_fet),
-                )
+                try:
+                    world.ledger.transfer(
+                        identity.wallet_address,
+                        maps_record.metadata["wallet"],
+                        fet(config.maps_fee_fet),
+                    )
+                except InsufficientFunds as exc:
+                    propose(ctx, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
+                    return
                 ctx.diag("maps_fee_paid")
             auction.maps_address = maps_record.address
             ctx.send(

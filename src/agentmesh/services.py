@@ -11,8 +11,9 @@ both built from it. JSON carries the requests; bytes travel as hex.
 `{"calls": [[path, request], ...]}`, each request being the body that
 path takes alone. Every path is resolved before anything runs: an unknown
 one, a nested `/batch` or `/config` is a 400 `BadRequest` and nothing
-runs. The calls run in order under one hold of the server lock and the
-reply is `{"result": [result, ...]}`. The first call that raises ends the
+runs. The calls run in order, each taking the server lock for itself, in
+arrival order, so other clients' calls run between them; the reply is
+`{"result": [result, ...]}`. The first call that raises ends the
 batch with the 400 body it would get alone (error type, detail, attrs);
 the calls before it stay applied and the ones after it never run, as in
 an in-process loop. Clients send a batch with `call_many`. Batched
@@ -25,8 +26,8 @@ closes the connection when the request asks (`Connection: close`, HTTP/1.0)
 or its end is unknown (any `Transfer-Encoding`, a `Content-Length` that is
 not plain digits, a head that cannot be parsed). A request that declares a
 body over 16 MiB gets a 400 `BadRequest` and the connection closes before
-any of the body is read. That bounds memory only: a long batch still holds
-the server lock from its first call to its last.
+any of the body is read; a reply that does is a `ServiceError` in the
+client, which drops the connection unread.
 """
 
 from __future__ import annotations
@@ -187,7 +188,27 @@ _MAILBOX_RPCS = (
 )
 
 
-def _route(rpc: _Rpc, served: dict[str, object]) -> Callable[[dict], dict]:
+class _FifoLock:
+    """A lock taken in arrival order. A batch takes it once per call, and a
+    plain lock would let the batch thread take it back before a waiting
+    client wakes; with tickets, a call that waits goes next."""
+
+    def __init__(self) -> None:
+        self._turns = threading.Condition()
+        self._issued = self._serving = 0
+
+    def __enter__(self) -> None:
+        with self._turns:
+            ticket, self._issued = self._issued, self._issued + 1
+            self._turns.wait_for(lambda: self._serving == ticket)
+
+    def __exit__(self, *exc) -> None:
+        with self._turns:
+            self._serving += 1
+            self._turns.notify_all()
+
+
+def _route(rpc: _Rpc, served: dict[str, object], lock: _FifoLock) -> Callable[[dict], dict]:
     decoders = [(name, _ARGUMENT_CODECS.get(name, _AS_IS)[1]) for name in rpc.sent()]
     held = {name: served[name] for name in rpc.held}
     target, method_name = served[rpc.target], rpc.function.__name__
@@ -197,7 +218,9 @@ def _route(rpc: _Rpc, served: dict[str, object]) -> Callable[[dict], dict]:
         arguments = {name: from_json(request[name]) for name, from_json in decoders}
         # looked up per call, so a method replaced on the class is the one run
         method = getattr(target, method_name)
-        return {"result": to_json(method(**arguments, **held))}
+        # the served objects are single-writer: one call at a time
+        with lock:
+            return {"result": to_json(method(**arguments, **held))}
 
     return route
 
@@ -212,8 +235,9 @@ def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable
             if path not in routes:
                 raise ValueError(f"no route {path!r} to batch")
             calls.append((routes[path], call))
-        # the server holds its lock across the whole batch; the first call
-        # that raises ends it, and its error is the batch's reply
+        # each call takes the lock for itself, so other clients run between
+        # them; the first call that raises ends the batch, and its error is
+        # the batch's reply
         return {"result": [route(call)["result"] for route, call in calls]}
 
     return {**routes, "/batch": batch}
@@ -224,7 +248,7 @@ def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable
 
 _MAX_LINE = 65536  # bytes per start or header line
 _MAX_HEADERS = 100
-# bytes per request body; a 100-courier set-up `/batch` is about 72 KB
+# bytes per request or reply body; a 100-courier set-up `/batch` is about 72 KB
 _MAX_BODY = 16 * 1024 * 1024
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
 
@@ -255,13 +279,17 @@ def _read_head(rfile) -> tuple[str, dict[str, str]] | None:
 
 
 def _body_length(headers: dict[str, str], default: str | None = None) -> int:
-    """The declared body length. ValueError when the body's end is unknown:
-    any Transfer-Encoding, or a Content-Length missing (with no default) or
-    not plain digits, as two fields joined into one are not."""
+    """The declared body length. ValueError when the body's end is unknown
+    (any Transfer-Encoding, or a Content-Length missing with no default or
+    not plain digits, as two fields joined into one are not) or when it is
+    over _MAX_BODY, so no caller reads a body it cannot hold."""
     value = headers.get("content-length", default)
     if "transfer-encoding" in headers or not (value and value.isascii() and value.isdigit()):
         raise ValueError(f"body not framed by one Content-Length: {value!r}")
-    return int(value)
+    length = int(value)
+    if length > _MAX_BODY:
+        raise ValueError(f"body of {length} bytes is over {_MAX_BODY}")
+    return length
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +316,6 @@ class _JsonHandler(socketserver.StreamRequestHandler):
             if not version.startswith("HTTP/1."):
                 raise ValueError(f"unsupported version {version!r}")
             length = _body_length(headers, default="0")
-            if length > _MAX_BODY:
-                raise ValueError(f"body of {length} bytes is over {_MAX_BODY}")
         except ValueError as exc:
             # the request's end is unknown, so the connection cannot be reused
             return self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)
@@ -315,8 +341,7 @@ class _JsonHandler(socketserver.StreamRequestHandler):
         except ValueError as exc:
             return 400, {"error": "BadRequest", "detail": str(exc)}
         try:
-            with self.server.lock:
-                return 200, route(request)
+            return 200, route(request)
         except (RegistryError, MailboxError, LedgerError, IdentityError, WireError) as exc:
             # structured fields (BadSequence.expected, InsufficientFunds.
             # shortfall, ...) travel as attributes for the client to restore
@@ -344,8 +369,6 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _JsonHandler)
         self.service_name = service_name
         self.routes = routes
-        # the wrapped stores are single-writer; serialize every operation
-        self.lock = threading.Lock()
         # each open connection and the thread serving it, so server_close()
         # can end and join them (ThreadingMixIn tracks no daemon thread)
         self._connections: dict[socket.socket, threading.Thread] = {}
@@ -407,8 +430,8 @@ def _start(server: _ServiceServer) -> ServiceHandle:
 # registry service
 
 def registry_routes(registry: Registry, ledger: Ledger, dns) -> dict:
-    served = {"registry": registry, "ledger": ledger, "resolver": dns}
-    return _with_batch({rpc.path: _route(rpc, served) for rpc in _REGISTRY_RPCS})
+    served, lock = {"registry": registry, "ledger": ledger, "resolver": dns}, _FifoLock()
+    return _with_batch({rpc.path: _route(rpc, served, lock) for rpc in _REGISTRY_RPCS})
 
 
 def serve_registry(
@@ -432,7 +455,8 @@ def mailbox_routes(store: MailboxStore) -> dict:
     def config(request: dict) -> dict:
         return {"ack_mode": store.ack_mode, "capacity": store.capacity}
 
-    routes = {rpc.path: _route(rpc, {"store": store}) for rpc in _MAILBOX_RPCS}
+    lock = _FifoLock()
+    routes = {rpc.path: _route(rpc, {"store": store}, lock) for rpc in _MAILBOX_RPCS}
     return {**_with_batch(routes), "/config": config}
 
 

@@ -14,11 +14,8 @@ from agentmesh.runtime import (
     Context,
     DrainIncomplete,
     DuplicateHandler,
-    Event,
     HandlerOverlap,
-    Interval,
     InvalidRecord,
-    Message,
     NetworkModel,
     Timeout,
     World,
@@ -63,21 +60,21 @@ def fresh_world(**kw) -> World:
 class TestRegistration:
     def test_duplicate_handler(self):
         agent = make_agent("dup")
-        agent.register_handler(Message(PING), lambda ctx, s, r: None)
+        agent.on_message(PING)(lambda ctx, s, r: None)
         with pytest.raises(DuplicateHandler):
-            agent.register_handler(Message(PING), lambda ctx, s, r: None)
+            agent.on_message(PING)(lambda ctx, s, r: None)
 
     def test_schema_not_in_protocol(self):
         agent = Agent("bare", derive_identity("bare"))
         with pytest.raises(SchemaNotInProtocol):
-            agent.register_handler(Message(PING), lambda ctx, s, r: None)
+            agent.on_message(PING)(lambda ctx, s, r: None)
 
     def test_register_after_start(self):
         agent = make_agent("late reg")
         world = fresh_world()
         world.add_agent(agent)
         with pytest.raises(AgentAlreadyStarted):
-            agent.register_handler(Message(PING), lambda ctx, s, r: None)
+            agent.on_message(PING)(lambda ctx, s, r: None)
         with pytest.raises(AgentAlreadyStarted):
             agent.include_protocol(ECHO)
 
@@ -88,11 +85,7 @@ class TestRegistration:
 
     def test_interval_period_validated(self):
         with pytest.raises(Exception):
-            Interval(0)
-
-    def test_event_name_validated(self):
-        with pytest.raises(Exception):
-            Event("reboot")
+            make_agent("zero period").on_interval(0)(lambda ctx: None)
 
 
 class TestSchemaIndex:
@@ -263,22 +256,18 @@ class TestScheduling:
         assert world.height == 0
         assert world.transcript == []
 
-    def test_startup_fires_once_before_everything(self):
-        order = []
+    def test_interval_period_one_fires_every_tick(self):
+        fired = []
         world = fresh_world()
-        agent = make_agent("starter")
-
-        @agent.on_event("startup")
-        def boot(ctx):
-            order.append("startup")
+        agent = make_agent("every tick")
 
         @agent.on_interval(1)
         def every(ctx):
-            order.append(f"interval@{ctx.height}")
+            fired.append(ctx.height)
 
         world.add_agent(agent)
         world.tick(3)
-        assert order == ["startup", "interval@1", "interval@2", "interval@3"]
+        assert fired == [1, 2, 3]
 
     def test_interval_period_five_in_twelve_ticks(self):
         fired = []
@@ -324,20 +313,6 @@ class TestScheduling:
             world.send_message(sender, receiver.identity.address, Record(PING, {"text": str(i)}))
         world.tick(30)
         assert texts == [str(i) for i in range(10)]
-
-    def test_shutdown_event(self):
-        seen = []
-        world = fresh_world()
-        agent = make_agent("stopper")
-
-        @agent.on_event("shutdown")
-        def stop(ctx):
-            seen.append(ctx.height)
-
-        world.add_agent(agent)
-        world.tick(4)
-        world.shutdown()
-        assert seen == [4]
 
     def test_drain_that_runs_out_of_ticks_says_so(self):
         world = fresh_world()
@@ -423,14 +398,10 @@ class TestTimers:
         world = fresh_world()
         receiver = echo_agent("timer echo")
         waker = make_agent("waker")
-
-        @waker.on_event("startup")
-        def boot(ctx):
-            ctx.at(4, lambda later: later.send(receiver.identity.address,
-                                               Record(PING, {"text": "late"})))
-
         world.add_agent(receiver)
         world.add_agent(waker)
+        world.schedule_timer(waker, 4, lambda later: later.send(receiver.identity.address,
+                                                                Record(PING, {"text": "late"})))
         world.tick(6)
         outcomes = [(line.tick, line.schema_name, line.outcome) for line in world.transcript]
         assert outcomes == [(5, "Ping", "handled"), (6, "Pong", "no_handler")]
@@ -439,12 +410,8 @@ class TestTimers:
         world = fresh_world()
         agent = make_agent("sleeper")
         fired = []
-
-        @agent.on_event("startup")
-        def boot(ctx):
-            ctx.at(3, lambda later: fired.append(later.height))
-
         world.add_agent(agent)
+        world.schedule_timer(agent, 3, lambda later: fired.append(later.height))
         world.schedule_presence(agent.identity.address, 2, False)
         world.schedule_presence(agent.identity.address, 9, True)
         world.tick(8)

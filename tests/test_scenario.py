@@ -20,6 +20,7 @@ from agentmesh.contractnet import ACCEPT_BID
 from agentmesh.runtime import Agent, Timeout
 from agentmesh.scenario import (
     DELIVERY_DECISION,
+    LOGISTICS_PROTOCOL,
     LOGISTICS_REQUEST,
     MAPS_PROTOCOL,
     MAPS_REPLY,
@@ -431,6 +432,33 @@ def test_decision_before_any_request_gets_no_open_proposal():
     )
     assert reply["status"] == "no_open_proposal"
     assert scenario.world.ledger.escrows == {}
+
+
+def test_request_spam_ends_in_a_report():
+    """Each request costs the logistics agent the maps fee from its own
+    float; once the float runs dry, it refuses requests in place of raising
+    out of the world."""
+    scenario = build_scenario(default_config())
+    world = scenario.world
+    spammer = Agent("Spammer", derive_identity("request spammer seed"))
+    spammer.include_protocol(LOGISTICS_PROTOCOL)
+    world.add_agent(spammer)
+    task = parse_request(DEMO_REQUEST)
+    spam = Record(
+        LOGISTICS_REQUEST,
+        {
+            "source": task.source,
+            "destination": task.destination,
+            "deadline": task.deadline,
+            "requirements": list(task.requirements),
+            "payer_wallet": spammer.identity.wallet_address,
+        },
+    )
+    for _ in range(12):
+        world.send_message(spammer, scenario.logistics_agent.identity.address, spam)
+    report = scenario.orchestrator.run()
+    assert report.conserved
+    assert not any(escrow.endswith("=Open") for escrow in report.escrows)
 
 
 # ---------------------------------------------------------------------------

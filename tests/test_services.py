@@ -9,6 +9,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -706,8 +707,10 @@ def one_reply_server(reply: bytes) -> tuple[str, threading.Thread]:
         (b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{\"result\": null}", "cut short"),
         (b"HTTP/1.1 OK\r\nContent-Length: 16\r\n\r\n{\"result\": null}", "unpack"),
         (b"", "closed before the reply"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n{\"result\": null}",
+         "is over"),
     ],
-    ids=["no_length", "chunked", "cut_short", "bad_status_line", "no_reply"],
+    ids=["no_length", "chunked", "cut_short", "bad_status_line", "no_reply", "huge_length"],
 )
 def test_unframed_reply_is_a_service_error(reply, fault):
     base_url, thread = one_reply_server(reply)
@@ -952,6 +955,67 @@ def test_a_failing_batch_replies_as_its_failing_call_would(registry_service):
     assert batched == alone
     assert json.loads(alone[1])["attrs"] == {"expected": 1, "got": 0}
     assert registry.anames == {}  # the call after the failure never ran
+
+
+def test_a_long_batch_does_not_stall_other_clients(monkeypatch):
+    """The server takes its lock per call, in arrival order, so a call from
+    another client runs between two calls of a batch."""
+    store = MailboxStore()
+    handle = serve_mailbox(store)
+    entered, release = threading.Event(), threading.Event()
+    next_nonce = MailboxStore.next_nonce
+    held = []
+
+    def held_nonce(self, address):
+        if address == BOB.address:
+            entered.set()
+            release.wait(timeout=0.05)  # a 100-call batch takes 5 s unreleased
+            held.append(address)
+        return next_nonce(self, address)
+
+    monkeypatch.setattr(MailboxStore, "next_nonce", held_nonce)
+    calls = [("create_account", BOB.address)] + [("next_nonce", BOB.address)] * 100
+    results = []
+    with MailboxClient(handle.base_url) as client:
+        batch = threading.Thread(target=lambda: results.append(client.call_many(calls)))
+        batch.start()
+        try:
+            assert entered.wait(timeout=5)
+            with MailboxClient(handle.base_url, timeout=2) as other:
+                assert other.has_account(BOB.address) is True
+            # it waited for the call in progress, not for the batch's turn
+            assert len(held) < 4
+            assert batch.is_alive()
+        finally:
+            release.set()
+            batch.join(timeout=5)
+    handle.close()
+    assert results == [[None] + [0] * 100]
+
+
+def test_the_server_lock_excludes_under_contention():
+    lock, counter = services._FifoLock(), [0]
+
+    def bump():
+        for _ in range(2000):
+            with lock:
+                value = counter[0]
+                if value % 97 == 0:
+                    time.sleep(0)  # let another thread run mid-update
+                counter[0] = value + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=bump) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert counter[0] == 8 * 2000
 
 
 def test_call_many_checks_every_call_before_sending(mailbox_service, monkeypatch):
