@@ -16,6 +16,9 @@ from .identity import Signature, verify_digest
 from .wire import Envelope, _enc_str
 
 DEFAULT_CAPACITY = 1024
+# envelope bytes one queue holds at most, so that a retrieve, which hands
+# back the whole queue, fits a 16 MiB service reply as hex
+QUEUE_MAX_BYTES = 4 * 1024 * 1024
 
 
 class MailboxError(Exception):
@@ -50,7 +53,8 @@ def retrieval_auth_digest(address: str, nonce: int) -> bytes:
 
 @dataclass
 class MailboxStore:
-    """Per-agent FIFO queues with bounded capacity.
+    """Per-agent FIFO queues with bounded capacity, in envelopes and in
+    bytes.
 
     Deposits never evict: a full queue rejects the newcomer so the oldest
     messages survive. Nonces are monotone per owner, mirroring the registry
@@ -92,7 +96,8 @@ class MailboxStore:
         if env.expires_at < current_height:
             self.dropped_total += 1
             return DepositResult(False, "Expired")
-        if len(queue) >= self.capacity:
+        held = sum(queued.size for _, queued in queue)
+        if len(queue) >= self.capacity or held + env.size > QUEUE_MAX_BYTES:
             self.dropped_total += 1
             return DepositResult(False, "Full")
         queue.append((current_height, env))

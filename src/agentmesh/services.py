@@ -11,8 +11,8 @@ both built from it. JSON carries the requests; bytes travel as hex.
 `{"calls": [[path, request], ...]}`, each request being the body that
 path takes alone. Every path is resolved before anything runs: an unknown
 one, a nested `/batch` or `/config` is a 400 `BadRequest` and nothing
-runs. The calls run in order, each taking the server lock for itself, in
-arrival order, so other clients' calls run between them; the reply is
+runs. The calls run in order, each taking the server lock for itself,
+so other clients' calls can run between them; the reply is
 `{"result": [result, ...]}`. The first call that raises ends the
 batch with the 400 body it would get alone (error type, detail, attrs);
 the calls before it stay applied and the ones after it never run, as in
@@ -27,7 +27,9 @@ or its end is unknown (any `Transfer-Encoding`, a `Content-Length` that is
 not plain digits, a head that cannot be parsed). A request that declares a
 body over 16 MiB gets a 400 `BadRequest` and the connection closes before
 any of the body is read; a reply that does is a `ServiceError` in the
-client, which drops the connection unread.
+client, which drops the connection unread. The server sends a 400
+`BadRequest` in place of a reply over 16 MiB, whose calls have run; a
+mailbox queue holds at most 4 MiB, so a retrieve always fits.
 """
 
 from __future__ import annotations
@@ -188,27 +190,7 @@ _MAILBOX_RPCS = (
 )
 
 
-class _FifoLock:
-    """A lock taken in arrival order. A batch takes it once per call, and a
-    plain lock would let the batch thread take it back before a waiting
-    client wakes; with tickets, a call that waits goes next."""
-
-    def __init__(self) -> None:
-        self._turns = threading.Condition()
-        self._issued = self._serving = 0
-
-    def __enter__(self) -> None:
-        with self._turns:
-            ticket, self._issued = self._issued, self._issued + 1
-            self._turns.wait_for(lambda: self._serving == ticket)
-
-    def __exit__(self, *exc) -> None:
-        with self._turns:
-            self._serving += 1
-            self._turns.notify_all()
-
-
-def _route(rpc: _Rpc, served: dict[str, object], lock: _FifoLock) -> Callable[[dict], dict]:
+def _route(rpc: _Rpc, served: dict[str, object], lock: threading.Lock) -> Callable[[dict], dict]:
     decoders = [(name, _ARGUMENT_CODECS.get(name, _AS_IS)[1]) for name in rpc.sent()]
     held = {name: served[name] for name in rpc.held}
     target, method_name = served[rpc.target], rpc.function.__name__
@@ -235,9 +217,9 @@ def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable
             if path not in routes:
                 raise ValueError(f"no route {path!r} to batch")
             calls.append((routes[path], call))
-        # each call takes the lock for itself, so other clients run between
-        # them; the first call that raises ends the batch, and its error is
-        # the batch's reply
+        # each call takes the lock for itself, so other clients can run
+        # between them; the first call that raises ends the batch, and its
+        # error is the batch's reply
         return {"result": [route(call)["result"] for route, call in calls]}
 
     return {**routes, "/batch": batch}
@@ -353,6 +335,10 @@ class _JsonHandler(socketserver.StreamRequestHandler):
         """Send status line, headers and body in one write; returns whether
         the connection stays open."""
         body = json.dumps(payload).encode("utf-8")
+        if len(body) > _MAX_BODY:
+            # a client would drop such a reply unread; tell it why instead
+            detail = f"reply of {len(body)} bytes is over {_MAX_BODY}"
+            status, body = 400, json.dumps({"error": "BadRequest", "detail": detail}).encode()
         close_field = "Connection: close\r\n" if close else ""
         self.wfile.write(
             f"HTTP/1.1 {status} {_REASONS[status]}\r\nContent-Type: application/json\r\n"
@@ -430,7 +416,7 @@ def _start(server: _ServiceServer) -> ServiceHandle:
 # registry service
 
 def registry_routes(registry: Registry, ledger: Ledger, dns) -> dict:
-    served, lock = {"registry": registry, "ledger": ledger, "resolver": dns}, _FifoLock()
+    served, lock = {"registry": registry, "ledger": ledger, "resolver": dns}, threading.Lock()
     return _with_batch({rpc.path: _route(rpc, served, lock) for rpc in _REGISTRY_RPCS})
 
 
@@ -455,7 +441,7 @@ def mailbox_routes(store: MailboxStore) -> dict:
     def config(request: dict) -> dict:
         return {"ack_mode": store.ack_mode, "capacity": store.capacity}
 
-    lock = _FifoLock()
+    lock = threading.Lock()
     routes = {rpc.path: _route(rpc, {"store": store}, lock) for rpc in _MAILBOX_RPCS}
     return {**_with_batch(routes), "/config": config}
 

@@ -552,6 +552,11 @@ class Envelope:
             ]
         )
 
+    @cached_property
+    def size(self) -> int:
+        """len(self.to_bytes()), worked out once."""
+        return len(self.to_bytes())
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
         reader = _Reader(data)

@@ -11,6 +11,7 @@ from agentmesh.identity import derive_identity
 from agentmesh.mailbox import (
     BadAuth,
     DEFAULT_CAPACITY,
+    QUEUE_MAX_BYTES,
     MailboxStore,
     NoPendingRetrieve,
     ReplayedNonce,
@@ -81,6 +82,17 @@ class TestDeposit:
         batch = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
         texts = [env.payload for env in batch]
         assert len(texts) == 2  # first two retained, newcomer dropped
+
+    def test_full_in_bytes_keeps_oldest(self):
+        store = MailboxStore()
+        store.create_account(OWNER.address)
+        big, more, small = note_env("a" * 3_000_000), note_env("b" * 2_000_000), note_env("c")
+        assert len(big.to_bytes()) + len(more.to_bytes()) > QUEUE_MAX_BYTES
+        assert store.deposit(big, 1).accepted
+        assert store.deposit(more, 1).reason == "Full"
+        assert store.deposit(small, 1).accepted  # a newcomer that still fits
+        assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == [big, small]
+        assert store.deposit(more, 2).accepted  # room again once retrieved
 
     def test_default_capacity(self):
         assert MailboxStore().capacity == DEFAULT_CAPACITY
