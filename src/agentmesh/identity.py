@@ -9,17 +9,21 @@ Address text format (see docs/wire.md):
 
     agent1<base32>   - 52 chars of lowercase unpadded base32 of the verify key
     wallet1<base32>  - same encoding over the wallet verify key
+
+Ed25519 runs on libsodium, called through ctypes, when the system library
+loads; otherwise on `cryptography`. Both give the same RFC 8032 keys and
+signatures, so every address and signed byte is the same either way.
 """
 
 from __future__ import annotations
 
 import base64
+import ctypes
 import functools
 import hashlib
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -35,6 +39,21 @@ SIGNATURE_LEN = 64
 # Verify keys kept by _public_key. Bounded so a long run meeting many
 # addresses holds a fixed amount of memory.
 PUBLIC_KEY_CACHE_SIZE = 512
+
+# Names the libsodium shared library goes by: 1.0.18, later releases, macOS.
+_SODIUM_NAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib")
+
+# Verify keys no signature may be checked against, refused before either
+# backend runs so both refuse the same keys. A key of small order (the 8
+# points of order 1, 2, 4 and 8) verifies forged signatures, such as
+# R = identity, S = 0 for the identity key; libsodium also refuses a
+# non-canonical key (y >= p). The y coordinates of the small-order points
+# are libsodium's list; the x sign bit is ignored.
+_P = 2**255 - 19
+_ORDER_8_Y = int.from_bytes(
+    bytes.fromhex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"), "little"
+)
+_SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _ORDER_8_Y, _P - _ORDER_8_Y})
 
 
 class IdentityError(Exception):
@@ -76,6 +95,84 @@ def decode_address(address: str) -> bytes:
     return raw
 
 
+class _Sodium:
+    """Ed25519 through libsodium's C functions. The public handle is the raw
+    32-byte key; the secret handle is the 64-byte seed-and-key libsodium
+    signs with. Callers check every length before a call; a message or
+    signature in another bytes-like type is copied to bytes, which is all
+    `c_char_p` takes."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+        self._keypair = lib.crypto_sign_ed25519_seed_keypair
+        self._keypair.argtypes = [buf, buf, buf]
+        self._sign = lib.crypto_sign_ed25519_detached
+        self._sign.argtypes = [buf, ctypes.POINTER(size), buf, size, buf]
+        self._verify = lib.crypto_sign_ed25519_verify_detached
+        self._verify.argtypes = [buf, buf, size, buf]
+        for fn in (self._keypair, self._sign, self._verify):
+            fn.restype = ctypes.c_int
+
+    def keypair(self, seed: bytes) -> tuple[bytes, bytes]:
+        public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+        self._keypair(public, secret, seed)
+        return public.raw, secret.raw
+
+    def public(self, raw: bytes) -> bytes:
+        return raw
+
+    def sign(self, secret: bytes, message: bytes) -> bytes:
+        signature = ctypes.create_string_buffer(SIGNATURE_LEN)
+        self._sign(signature, None, bytes(message), len(message), secret)
+        return signature.raw
+
+    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        return self._verify(bytes(signature), bytes(message), len(message), public) == 0
+
+
+class _Cryptography:
+    """Ed25519 through `cryptography` (OpenSSL), with its key objects as
+    the handles."""
+
+    def keypair(self, seed: bytes) -> tuple[bytes, Ed25519PrivateKey]:
+        secret = Ed25519PrivateKey.from_private_bytes(seed)
+        return secret.public_key().public_bytes_raw(), secret
+
+    def public(self, raw: bytes) -> Ed25519PublicKey | None:
+        try:
+            return Ed25519PublicKey.from_public_bytes(raw)
+        except ValueError:
+            return None
+
+    def sign(self, secret: Ed25519PrivateKey, message: bytes) -> bytes:
+        return secret.sign(message)
+
+    def verify(self, public: Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
+        try:
+            public.verify(signature, message)
+        except InvalidSignature:
+            return False
+        return True
+
+
+def _load_backend() -> _Sodium | _Cryptography:
+    """libsodium when its library loads and initialises, else `cryptography`."""
+    for name in _SODIUM_NAMES:
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            continue
+        lib.sodium_init.argtypes = []
+        lib.sodium_init.restype = ctypes.c_int
+        # 1 means already initialised; -1 a failure
+        if lib.sodium_init() >= 0:
+            return _Sodium(lib)
+    return _Cryptography()
+
+
+_backend = _load_backend()
+
+
 @dataclass(frozen=True)
 class Signature:
     """A 64-byte Ed25519 signature over a 32-byte digest."""
@@ -106,20 +203,21 @@ class AgentIdentity:
     address: str
     wallet_address: str
     verify_key: bytes
-    _signing_key: Ed25519PrivateKey = field(repr=False)
-    _wallet_key: Ed25519PrivateKey = field(repr=False)
+    # secret handles of the backend the identity was derived with
+    _signing_key: object = field(repr=False)
+    _wallet_key: object = field(repr=False)
 
     def sign_digest(self, digest: bytes) -> Signature:
         """Sign a 32-byte digest with the agent key (deterministic)."""
         if len(digest) != DIGEST_LEN:
             raise BadDigestLength(f"digest must be {DIGEST_LEN} bytes, got {len(digest)}")
-        return Signature(self._signing_key.sign(digest))
+        return Signature(_backend.sign(self._signing_key, digest))
 
     def sign_digest_with_wallet(self, digest: bytes) -> Signature:
         """Sign a 32-byte digest with the wallet key."""
         if len(digest) != DIGEST_LEN:
             raise BadDigestLength(f"digest must be {DIGEST_LEN} bytes, got {len(digest)}")
-        return Signature(self._wallet_key.sign(digest))
+        return Signature(_backend.sign(self._wallet_key, digest))
 
 
 def derive_identity(phrase: str) -> AgentIdentity:
@@ -132,14 +230,8 @@ def derive_identity(phrase: str) -> AgentIdentity:
         raise EmptySeed("seed phrase must be non-empty")
     signing_seed = hashlib.sha256(phrase.encode("utf-8")).digest()
     wallet_seed = hashlib.sha256(phrase.encode("utf-8") + WALLET_SUFFIX).digest()
-    signing_key = Ed25519PrivateKey.from_private_bytes(signing_seed)
-    wallet_key = Ed25519PrivateKey.from_private_bytes(wallet_seed)
-    verify_key = signing_key.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    wallet_verify = wallet_key.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    verify_key, signing_key = _backend.keypair(signing_seed)
+    wallet_verify, wallet_key = _backend.keypair(wallet_seed)
     return AgentIdentity(
         address=_encode_key(AGENT_PREFIX, verify_key),
         wallet_address=_encode_key(WALLET_PREFIX, wallet_verify),
@@ -150,17 +242,18 @@ def derive_identity(phrase: str) -> AgentIdentity:
 
 
 @functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)
-def _public_key(address: str) -> Ed25519PublicKey | None:
-    """The verify key behind address, or None if its bytes are no valid key.
+def _public_key(address: str) -> object | None:
+    """The backend's handle for the verify key behind address, or None if
+    its bytes are no valid key or one of small order or non-canonical.
 
     A pure function of the address, so it is cached. MalformedAddress is
     raised, and an exception is never cached, so it is raised on every call.
     """
     raw_key = decode_address(address)
-    try:
-        return Ed25519PublicKey.from_public_bytes(raw_key)
-    except ValueError:
+    y = int.from_bytes(raw_key, "little") & ((1 << 255) - 1)
+    if y >= _P or y in _SMALL_ORDER_Y:
         return None
+    return _backend.public(raw_key)
 
 
 def verify_digest(address: str, digest: bytes, signature: Signature | bytes) -> bool:
@@ -175,10 +268,4 @@ def verify_digest(address: str, digest: bytes, signature: Signature | bytes) -> 
     sig = signature.data if isinstance(signature, Signature) else signature
     if key is None or len(sig) != SIGNATURE_LEN:
         return False
-    try:
-        key.verify(sig, digest)
-    except InvalidSignature:
-        return False
-    except Exception:
-        return False
-    return True
+    return _backend.verify(key, digest, sig)

@@ -10,10 +10,10 @@ both built from it. JSON carries the requests; bytes travel as hex.
 `POST /batch` makes several calls in one round trip. The body is
 `{"calls": [[path, request], ...]}`, each request being the body that
 path takes alone. Every path is resolved before anything runs: an unknown
-one, a nested `/batch` or `/config` is a 400 `BadRequest` and nothing
-runs. The calls run in order, each taking the server lock for itself,
-so other clients' calls can run between them; the reply is
-`{"result": [result, ...]}`. The first call that raises ends the
+one, a nested `/batch` or `/config`, or more than 4096 calls, is a 400
+`BadRequest` and nothing runs. The calls run in order, each taking the
+server lock for itself, so other clients' calls can run between them; the
+reply is `{"result": [result, ...]}`. The first call that raises ends the
 batch with the 400 body it would get alone (error type, detail, attrs);
 the calls before it stay applied and the ones after it never run, as in
 an in-process loop. Clients send a batch with `call_many`. Batched
@@ -207,15 +207,21 @@ def _route(rpc: _Rpc, served: dict[str, object], lock: threading.Lock) -> Callab
     return route
 
 
+# calls per `/batch`; a 100-courier set-up sends a few hundred in one
+_MAX_BATCH_CALLS = 4096
+
+
 def _with_batch(routes: dict[str, Callable[[dict], dict]]) -> dict[str, Callable[[dict], dict]]:
     """The routes plus `/batch`, which runs a list of calls to them."""
 
     def batch(request: dict) -> dict:
-        # resolve every path first, so a bad one runs nothing
+        # resolve every path first, so a bad one or one too many runs nothing
         calls = []
         for path, call in request["calls"]:
             if path not in routes:
                 raise ValueError(f"no route {path!r} to batch")
+            if len(calls) == _MAX_BATCH_CALLS:
+                raise ValueError(f"a batch holds at most {_MAX_BATCH_CALLS} calls")
             calls.append((routes[path], call))
         # each call takes the lock for itself, so other clients can run
         # between them; the first call that raises ends the batch, and its

@@ -94,6 +94,12 @@ def test_golden_bytes(name):
     assert got == GOLDEN[name]
 
 
+@pytest.mark.usefixtures("cryptography_backend")
+def test_golden_demo_on_the_cryptography_backend():
+    """The fallback Ed25519 backend makes the same bytes as libsodium."""
+    test_golden_bytes("demo")
+
+
 # name -> (verify_digest calls, of which False, sign_digest calls,
 # sign_digest_with_wallet calls) over build and run. A speed-up that skips a
 # signature check, or signs less, moves these.

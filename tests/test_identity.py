@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmesh import identity as identity_module
 from agentmesh.identity import (
@@ -25,6 +28,21 @@ from agentmesh.identity import (
 DEMO_PHRASE = "a_very_secret_seed_phrase"
 DEMO_ADDRESS = "agent1i7ibm23l2qvq6oxnyqxtavlagnmatmxth2bxer5wl5misewgu6fq"
 DEMO_WALLET = "wallet1md2j5iz2t5hvstmo2ucb5zt4byv7q6xvzoxoy4sk63utvcm3tcsq"
+
+
+# libsodium's list of small-order encodings (y of the points of order 1, 2,
+# 4 and 8, and of their non-canonical forms y + p), little-endian
+SMALL_ORDER_KEYS = [
+    "00" * 32,
+    "01" + "00" * 31,
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "ec" + "ff" * 30 + "7f",  # p - 1
+    "ed" + "ff" * 30 + "7f",  # p
+    "ee" + "ff" * 30 + "7f",  # p + 1
+]
+# the other non-canonical encodings (y >= p), which libsodium refuses too
+NON_CANONICAL_KEYS = ["ef" + "ff" * 30 + "7f", "ff" * 31 + "7f"]
 
 
 def digest_of(text: bytes) -> bytes:
@@ -125,6 +143,30 @@ class TestSigning:
         with pytest.raises(BadDigestLength):
             Signature(b"\x01" * 63)
 
+    def test_bytes_like_digest_and_signature(self):
+        identity = derive_identity("bytes-like")
+        digest = digest_of(b"x")
+        sig = identity.sign_digest(bytearray(digest))
+        assert sig.data == identity.sign_digest(digest).data
+        assert verify_digest(identity.address, memoryview(digest), bytearray(sig.data))
+        assert not verify_digest(identity.address, bytearray(digest_of(b"y")), memoryview(sig.data))
+
+    def test_identity_key_signs_nothing(self):
+        """The identity point is a small-order key: R = identity, S = 0
+        satisfies the verify equation for every digest."""
+        address = AGENT_PREFIX + "ae" + "a" * 50
+        assert decode_address(address) == b"\x01" + bytes(31)
+        for text in (b"", b"pay 100 FET", b"any digest"):
+            assert not verify_digest(address, digest_of(text), b"\x01" + bytes(63))
+
+    @pytest.mark.parametrize("encoding", SMALL_ORDER_KEYS + NON_CANONICAL_KEYS)
+    def test_small_order_and_non_canonical_keys_are_refused(self, encoding):
+        key = bytes.fromhex(encoding)
+        for raw in (key, key[:31] + bytes([key[31] ^ 0x80])):  # either x sign
+            address = identity_module._encode_key(AGENT_PREFIX, raw)
+            assert identity_module._public_key(address) is None
+            assert not verify_digest(address, digest_of(b"x"), raw + bytes(32))
+
 
 class TestKeyCache:
     """verify_digest keeps parsed verify keys per address in a bounded cache."""
@@ -164,3 +206,86 @@ class TestKeyCache:
             assert verify_digest(signer.address, digest, signer.sign_digest(digest))
             assert cache_info().currsize <= PUBLIC_KEY_CACHE_SIZE
         assert cache_info().currsize == PUBLIC_KEY_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the two Ed25519 backends: libsodium through ctypes, and `cryptography`
+
+SODIUM = identity_module._load_backend()
+CRYPTOGRAPHY = identity_module._Cryptography()
+needs_sodium = pytest.mark.skipif(
+    not isinstance(SODIUM, identity_module._Sodium), reason="libsodium did not load"
+)
+
+# RFC 8032 section 7.1, TEST 1
+RFC_SECRET = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+RFC_PUBLIC = bytes.fromhex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+RFC_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+    "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+
+
+def _verdict(backend, raw_key: bytes, message: bytes, signature: bytes) -> bool:
+    key = backend.public(raw_key)
+    return key is not None and backend.verify(key, message, signature)
+
+
+@pytest.mark.parametrize(
+    "backend", [pytest.param(SODIUM, marks=needs_sodium, id="sodium"),
+                pytest.param(CRYPTOGRAPHY, id="cryptography")]
+)
+def test_rfc8032_test_1(backend):
+    public, secret = backend.keypair(RFC_SECRET)
+    assert public == RFC_PUBLIC
+    assert backend.sign(secret, b"") == RFC_SIGNATURE
+    assert _verdict(backend, RFC_PUBLIC, b"", RFC_SIGNATURE)
+    assert not _verdict(backend, RFC_PUBLIC, b"\x00", RFC_SIGNATURE)
+
+
+@needs_sodium
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    digest=st.binary(min_size=32, max_size=32),
+    part=st.sampled_from(["signature", "key", "digest"]),
+    position=st.integers(0, 63),
+    flip=st.integers(1, 255),
+)
+@settings(max_examples=200, deadline=None)
+def test_backends_agree(seed, digest, part, position, flip):
+    (public, secret), (public_c, secret_c) = SODIUM.keypair(seed), CRYPTOGRAPHY.keypair(seed)
+    assert public == public_c
+    signature = SODIUM.sign(secret, digest)
+    assert signature == CRYPTOGRAPHY.sign(secret_c, digest)
+    inputs = {"key": public, "digest": digest, "signature": signature}
+    assert _verdict(SODIUM, public, digest, signature)
+    assert _verdict(CRYPTOGRAPHY, public, digest, signature)
+    tampered = bytearray(inputs[part])
+    tampered[position % len(tampered)] ^= flip
+    inputs[part] = bytes(tampered)
+    verdicts = {_verdict(backend, inputs["key"], inputs["digest"], inputs["signature"])
+                for backend in (SODIUM, CRYPTOGRAPHY)}
+    assert verdicts == {False}
+
+
+def test_backend_falls_back_when_libsodium_will_not_load(monkeypatch):
+    def no_library(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert isinstance(identity_module._load_backend(), identity_module._Cryptography)
+
+
+@pytest.mark.usefixtures("cryptography_backend")
+class TestDerivationOnCryptography(TestDerivation):
+    pass
+
+
+@pytest.mark.usefixtures("cryptography_backend")
+class TestSigningOnCryptography(TestSigning):
+    pass
+
+
+@pytest.mark.usefixtures("cryptography_backend")
+class TestKeyCacheOnCryptography(TestKeyCache):
+    pass

@@ -942,6 +942,21 @@ def test_a_batch_with_a_path_it_cannot_run_applies_nothing(mailbox_service, path
     assert store.queues == {}
 
 
+@pytest.mark.parametrize("extra, runs", [(0, True), (1, False)])
+def test_a_batch_runs_only_up_to_the_call_cap(mailbox_service, extra, runs):
+    client, store = mailbox_service
+    stats = ["/stats", {}]
+    calls = [["/create_account", {"address": BOB.address}]]
+    calls += [stats] * (services._MAX_BATCH_CALLS - 1 + extra)
+    if runs:
+        assert len(client._post("/batch", {"calls": calls})["result"]) == len(calls)
+        assert BOB.address in store.queues
+    else:
+        with pytest.raises(ServiceError, match="at most 4096 calls"):
+            client._post("/batch", {"calls": calls})
+        assert store.queues == {}
+
+
 def test_a_failing_batch_replies_as_its_failing_call_would(registry_service):
     client, registry, _, _ = registry_service
     args = signed_registration(ALICE)
