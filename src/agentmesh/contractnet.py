@@ -27,7 +27,8 @@ from datetime import datetime, timedelta
 from fractions import Fraction
 from typing import Iterable, Mapping, Protocol as TypingProtocol, Sequence
 
-from .identity import AgentIdentity, Signature, verify_digest
+# unused here; bench/tests/test_bench.py looks verify_digest up on this module
+from .identity import AgentIdentity, BadDigestLength, Signature, signed_by, verify_digest
 from .ledger import InsufficientFunds, Ledger
 from .registry import Registry
 from .runtime import Context
@@ -192,13 +193,9 @@ def verify_bid(bid: Record, sender_address: str) -> BidVerification:
         return BidVerification(False, "TamperedPayload")
     try:
         signature = Signature(bytes.fromhex(bid["signature"]))
-    except Exception:
+    except (ValueError, BadDigestLength):
         return BidVerification(False, "BadSignature")
-    try:
-        ok = verify_digest(sender_address, recomputed, signature)
-    except Exception:
-        ok = False
-    if not ok:
+    if not signed_by(sender_address, recomputed, signature):
         return BidVerification(False, "BadSignature")
     return BidVerification(True)
 

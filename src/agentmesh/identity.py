@@ -22,12 +22,10 @@ import ctypes
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import ed25519
 
 AGENT_PREFIX = "agent1"
 WALLET_PREFIX = "wallet1"
@@ -132,25 +130,33 @@ class _Sodium:
 
 class _Cryptography:
     """Ed25519 through `cryptography` (OpenSSL), with its key objects as
-    the handles."""
+    the handles. The package is imported here, not with the module, so a
+    process on libsodium never pays for loading it."""
 
-    def keypair(self, seed: bytes) -> tuple[bytes, Ed25519PrivateKey]:
-        secret = Ed25519PrivateKey.from_private_bytes(seed)
+    def __init__(self) -> None:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric import ed25519
+
+        self._invalid = InvalidSignature
+        self._private, self._public = ed25519.Ed25519PrivateKey, ed25519.Ed25519PublicKey
+
+    def keypair(self, seed: bytes) -> tuple[bytes, ed25519.Ed25519PrivateKey]:
+        secret = self._private.from_private_bytes(seed)
         return secret.public_key().public_bytes_raw(), secret
 
-    def public(self, raw: bytes) -> Ed25519PublicKey | None:
+    def public(self, raw: bytes) -> ed25519.Ed25519PublicKey | None:
         try:
-            return Ed25519PublicKey.from_public_bytes(raw)
+            return self._public.from_public_bytes(raw)
         except ValueError:
             return None
 
-    def sign(self, secret: Ed25519PrivateKey, message: bytes) -> bytes:
+    def sign(self, secret: ed25519.Ed25519PrivateKey, message: bytes) -> bytes:
         return secret.sign(message)
 
-    def verify(self, public: Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
+    def verify(self, public: ed25519.Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
         try:
             public.verify(signature, message)
-        except InvalidSignature:
+        except self._invalid:
             return False
         return True
 
@@ -269,3 +275,13 @@ def verify_digest(address: str, digest: bytes, signature: Signature | bytes) -> 
     if key is None or len(sig) != SIGNATURE_LEN:
         return False
     return _backend.verify(key, digest, sig)
+
+
+def signed_by(address: str, digest: bytes, signature: Signature | bytes) -> bool:
+    """verify_digest for a signature from outside the program: False, not
+    an error, for an address or digest that verify_digest refuses. It calls
+    verify_digest through this module, so a wrapper installed here sees it."""
+    try:
+        return verify_digest(address, digest, signature)
+    except IdentityError:
+        return False

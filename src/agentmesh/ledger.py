@@ -181,42 +181,33 @@ class Ledger:
             self._journal(ADVANCE_OP, blocks=n)
         return self.height
 
-    def transfer(self, sender: str, recipient: str, amount: int) -> None:
+    def _debit(self, wallet: str, amount: int, what: str) -> None:
+        """Take amount from wallet, checking that it is positive and held
+        before changing anything; `what` names it in a ZeroAmount message."""
         if amount <= 0:
-            raise ZeroAmount(f"transfer amount must be positive, got {amount}")
-        have = self.balance(sender)
-        if have < amount:
-            raise InsufficientFunds(sender, amount, have)
-        self.balances[sender] = have - amount
-        self.balances[recipient] = self.balance(recipient) + amount
-        self._journal(TRANSFER_OP, sender=sender, recipient=recipient, amount=amount)
-
-    def charge_fee(self, wallet: str, amount: int) -> None:
-        if amount <= 0:
-            raise ZeroAmount(f"fee must be positive, got {amount}")
+            raise ZeroAmount(f"{what} must be positive, got {amount}")
         have = self.balance(wallet)
         if have < amount:
             raise InsufficientFunds(wallet, amount, have)
         self.balances[wallet] = have - amount
+
+    def transfer(self, sender: str, recipient: str, amount: int) -> None:
+        self._debit(sender, amount, "transfer amount")
+        self.balances[recipient] = self.balance(recipient) + amount
+        self._journal(TRANSFER_OP, sender=sender, recipient=recipient, amount=amount)
+
+    def charge_fee(self, wallet: str, amount: int) -> None:
+        self._debit(wallet, amount, "fee")
         self.fee_sink += amount
         self._journal(FEE_OP, wallet=wallet, amount=amount)
 
-    def open_escrow(
-        self, payer: str, payee: str, amount: int, arbiter: str, escrow_id: bytes | None = None
-    ) -> bytes:
-        """Lock amount from payer; returns the escrow id. Replay passes the
-        journaled id, which is reused instead of minting a fresh one."""
-        if amount <= 0:
-            raise ZeroAmount(f"escrow amount must be positive, got {amount}")
-        have = self.balance(payer)
-        if have < amount:
-            raise InsufficientFunds(payer, amount, have)
+    def open_escrow(self, payer: str, payee: str, amount: int, arbiter: str) -> bytes:
+        """Lock amount from payer; returns the escrow id, minted from a
+        counter, so a replay of the journal mints the same ids."""
+        self._debit(payer, amount, "escrow amount")
         self._escrow_counter += 1
-        if escrow_id is None:
-            escrow_id = hashlib.sha256(
-                b"escrow" + struct.pack(">Q", self._escrow_counter)
-            ).digest()[:16]
-        self.balances[payer] = have - amount
+        counter = struct.pack(">Q", self._escrow_counter)
+        escrow_id = hashlib.sha256(b"escrow" + counter).digest()[:16]
         self.escrows[escrow_id] = EscrowContract(escrow_id, payer, payee, amount, arbiter)
         self._journal(
             ESCROW_OPEN_OP,
@@ -301,13 +292,11 @@ def replay(records: Iterable[Record]) -> Ledger:
         elif name == "LedgerFee":
             ledger.charge_fee(record["wallet"], record["amount"])
         elif name == "EscrowOpen":
-            ledger.open_escrow(
-                record["payer"],
-                record["payee"],
-                record["amount"],
-                record["arbiter"],
-                escrow_id=bytes.fromhex(record["escrow_id"]),
+            escrow_id = ledger.open_escrow(
+                record["payer"], record["payee"], record["amount"], record["arbiter"]
             )
+            if escrow_id.hex() != record["escrow_id"]:
+                raise LedgerError(f"EscrowOpen {record['escrow_id']} is not the id minted")
         elif name == "EscrowSettle":
             ledger.settle_escrow(
                 bytes.fromhex(record["escrow_id"]),

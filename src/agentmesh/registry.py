@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Protocol as TypingProtocol
 
-from .identity import Signature, verify_digest
+# unused here; bench/tests/test_bench.py looks verify_digest up on this module
+from .identity import Signature, signed_by, verify_digest
 from .ledger import REGISTER_OP, Ledger, fet
 from .wire import Record, _enc_str
 
@@ -175,11 +176,7 @@ class Registry:
         """
         digests = frozenset(protocol_digests)
         digest = registration_signing_digest(address, sequence, digests, endpoint, metadata)
-        try:
-            ok = verify_digest(address, digest, signature)
-        except Exception:
-            ok = False
-        if not ok:
+        if not signed_by(address, digest, signature):
             raise BadSignature(f"registration for {address} fails signature check")
         expected = self.last_sequence.get(address, -1) + 1
         if sequence != expected:

@@ -791,7 +791,6 @@ class Orchestrator:
         self.dialogue: list[str] = []
         self.discovered: set[str] = set()
         self.contacted: set[str] = set()
-        self.decisions: list[tuple[str, bool]] = []
         self._initial_user_balance = world.ledger.balance(user_agent.identity.wallet_address)
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
@@ -804,7 +803,7 @@ class Orchestrator:
     def _hear(self, speaker: str, text: str) -> None:
         self.dialogue.append(f"[{speaker}] {text}")
 
-    def _ask(self, gate: str, prompt: str, scripted_answer: bool) -> bool:
+    def _ask(self, prompt: str, scripted_answer: bool) -> bool:
         self._say(prompt)
         if self.config.approval_mode == "interactive":
             raw = self._input("approve? [y/n] ").strip().lower()
@@ -812,7 +811,6 @@ class Orchestrator:
         else:
             answer = scripted_answer
         self._hear("user", "yes" if answer else "no")
-        self.decisions.append((gate, answer))
         return answer
 
     # -- network access (all service addresses come from here) -------------
@@ -859,7 +857,6 @@ class Orchestrator:
         quote = self._negotiate_packaging(business, business_name, task)
 
         approved = self._ask(
-            "packaging",
             f"After a brief chat with '{business_name}', they can professionally "
             f"package your fragile item for {quote} FET. Do you approve?",
             config.approve_packaging,
@@ -919,7 +916,7 @@ class Orchestrator:
                 "in a secure on-chain escrow contract and only released upon successful "
                 "delivery. Do you want to proceed?"
             )
-        approved = self._ask("delivery", prompt, config.approve_delivery)
+        approved = self._ask(prompt, config.approve_delivery)
         if not approved:
             self._decide(logistics.address, False, "declined_by_user")
             return self._report("failed", "DeliveryDeclined")

@@ -20,11 +20,8 @@ from enum import IntEnum
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .identity import (
-    AgentIdentity,
-    Signature,
-    verify_digest,
-)
+# unused here; bench/tests/test_bench.py looks verify_digest up on this module
+from .identity import AgentIdentity, Signature, signed_by, verify_digest
 
 SESSION_ID_LEN = 16
 DIGEST_LEN = 32
@@ -526,8 +523,8 @@ class Envelope:
     expires_at: int
     signature: Signature
 
-    def signing_digest(self) -> bytes:
-        return envelope_signing_digest(
+    def _unsigned_bytes(self) -> bytes:
+        return _unsigned_envelope(
             self.sender,
             self.target,
             self.protocol_digest,
@@ -537,20 +534,11 @@ class Envelope:
             self.expires_at,
         )
 
+    def signing_digest(self) -> bytes:
+        return hashlib.sha256(self._unsigned_bytes()).digest()
+
     def to_bytes(self) -> bytes:
-        return b"".join(
-            [
-                _enc_str(self.sender),
-                _enc_str(self.target),
-                self.protocol_digest,
-                self.schema_digest,
-                struct.pack(">I", len(self.payload)),
-                self.payload,
-                self.session_id,
-                struct.pack(">q", self.expires_at),
-                self.signature.data,
-            ]
-        )
+        return self._unsigned_bytes() + self.signature.data
 
     @cached_property
     def size(self) -> int:
@@ -573,7 +561,7 @@ class Envelope:
         return cls(sender, target, proto, schema, payload, session, expires, Signature(sig))
 
 
-def envelope_signing_digest(
+def _unsigned_envelope(
     sender: str,
     target: str,
     proto_digest: bytes,
@@ -582,7 +570,8 @@ def envelope_signing_digest(
     session_id: bytes,
     expires_at: int,
 ) -> bytes:
-    buf = b"".join(
+    """An envelope's bytes less its signature, in wire order (docs/wire.md)."""
+    return b"".join(
         [
             _enc_str(sender),
             _enc_str(target),
@@ -594,7 +583,20 @@ def envelope_signing_digest(
             struct.pack(">q", expires_at),
         ]
     )
-    return hashlib.sha256(buf).digest()
+
+
+def envelope_signing_digest(
+    sender: str,
+    target: str,
+    proto_digest: bytes,
+    sch_digest: bytes,
+    payload: bytes,
+    session_id: bytes,
+    expires_at: int,
+) -> bytes:
+    """The digest the sender signs: SHA-256 of the unsigned bytes."""
+    fields = (sender, target, proto_digest, sch_digest, payload, session_id, expires_at)
+    return hashlib.sha256(_unsigned_envelope(*fields)).digest()
 
 
 def seal_envelope(
@@ -630,6 +632,16 @@ def seal_envelope(
     )
 
 
+def check_envelope(env: Envelope, current_height: int) -> None:
+    """Accept an envelope from outside or raise: SignatureInvalid unless
+    its sender signed it, then Expired if its expiry height has passed.
+    Every reader and every mailbox deposit makes these two checks here."""
+    if not signed_by(env.sender, env.signing_digest(), env.signature):
+        raise SignatureInvalid(f"envelope from {env.sender} fails verification")
+    if env.expires_at < current_height:
+        raise Expired(f"expired at height {env.expires_at}, now {current_height}")
+
+
 def open_envelope(
     env: Envelope,
     known_schemas: Mapping[bytes, ModelSchema] | Iterable[ModelSchema],
@@ -642,14 +654,7 @@ def open_envelope(
     then expiry, then schema lookup, then payload decode. Each failure is a
     distinct typed error so transports can report precise diagnostics.
     """
-    try:
-        ok = verify_digest(env.sender, env.signing_digest(), env.signature)
-    except Exception:
-        ok = False
-    if not ok:
-        raise SignatureInvalid(f"envelope from {env.sender} fails verification")
-    if env.expires_at < current_height:
-        raise Expired(f"expired at height {env.expires_at}, now {current_height}")
+    check_envelope(env, current_height)
     if isinstance(known_schemas, dict):
         schema = known_schemas.get(env.schema_digest)
     else:

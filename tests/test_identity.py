@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from agentmesh.identity import (
     Signature,
     decode_address,
     derive_identity,
+    signed_by,
     verify_digest,
 )
 
@@ -133,6 +138,17 @@ class TestSigning:
             verify_digest("agent1notbase32!!" + "a" * 36, digest, Signature(b"\x00" * 64))
         with pytest.raises(MalformedAddress):
             verify_digest("agent1short", digest, Signature(b"\x00" * 64))
+
+    def test_signed_by_is_false_where_verify_digest_raises(self):
+        identity = derive_identity("signer")
+        digest = digest_of(b"x")
+        sig = identity.sign_digest(digest)
+        assert signed_by(identity.address, digest, sig)
+        assert not signed_by(identity.address, digest_of(b"y"), sig)
+        for address, text in ((identity.address, b"short"), ("agent1short", digest)):
+            with pytest.raises((BadDigestLength, MalformedAddress)):
+                verify_digest(address, text, sig)
+            assert not signed_by(address, text, sig)
 
     def test_garbage_signature_returns_false(self):
         identity = derive_identity("garbage sig")
@@ -274,6 +290,22 @@ def test_backend_falls_back_when_libsodium_will_not_load(monkeypatch):
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
     assert isinstance(identity_module._load_backend(), identity_module._Cryptography)
+
+
+@needs_sodium
+def test_a_process_on_libsodium_never_imports_cryptography():
+    src = str(Path(identity_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, agentmesh, agentmesh.cli\n"
+        "assert isinstance(agentmesh.identity._backend, agentmesh.identity._Sodium)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('cryptography')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.usefixtures("cryptography_backend")

@@ -13,8 +13,10 @@ from agentmesh.ledger import (
     AlreadySettled,
     EscrowOutcome,
     EscrowState,
+    ESCROW_SETTLE_OP,
     InsufficientFunds,
     Ledger,
+    LedgerError,
     NotArbiter,
     UnknownEscrow,
     ZeroAmount,
@@ -77,6 +79,30 @@ class TestTransfer:
             ledger.transfer(USER, COURIER, 0)
         with pytest.raises(ZeroAmount):
             ledger.transfer(USER, COURIER, -5)
+
+
+@pytest.mark.parametrize(
+    "debit, what",
+    [
+        (lambda ledger, amount: ledger.transfer(USER, COURIER, amount), "transfer amount"),
+        (lambda ledger, amount: ledger.charge_fee(USER, amount), "fee"),
+        (lambda ledger, amount: ledger.open_escrow(USER, COURIER, amount, ARBITER), "escrow amount"),
+    ],
+    ids=["transfer", "charge_fee", "open_escrow"],
+)
+def test_a_refused_debit_changes_nothing(debit, what):
+    ledger = funded_ledger()
+    before = journal_lines(ledger.journal), dict(ledger.balances), ledger.fee_sink
+    for amount, error in ((0, ZeroAmount), (-1, ZeroAmount), (fet(100) + 1, InsufficientFunds)):
+        with pytest.raises(error) as err:
+            debit(ledger, amount)
+        if error is ZeroAmount:
+            assert str(err.value) == f"{what} must be positive, got {amount}"
+        assert (journal_lines(ledger.journal), ledger.balances, ledger.fee_sink) == before
+    assert ledger.escrows == {}
+    # a refused escrow used no id: the next one gets the first id
+    first = funded_ledger().open_escrow(USER, COURIER, 1, ARBITER)
+    assert ledger.open_escrow(USER, COURIER, 1, ARBITER) == first
 
     def test_micro_payment(self):
         ledger = funded_ledger()
@@ -243,6 +269,18 @@ class TestJournal:
             funded_ledger().open_escrow(USER, COURIER, 0, ARBITER)
         with pytest.raises(ZeroAmount):
             replay([*funded_ledger().journal, zero])
+
+    def test_replay_refuses_a_rewritten_escrow_id(self):
+        """Escrow ids are minted from a counter; a journal that names
+        another id, even one its settle record agrees with, is refused."""
+        forged = "ab" * 16
+        records = []
+        for record in self.scripted_ledger().journal:
+            if record.schema in (ESCROW_OPEN_OP, ESCROW_SETTLE_OP):
+                record = Record(record.schema, {**record.values, "escrow_id": forged})
+            records.append(record)
+        with pytest.raises(LedgerError, match=forged):
+            replay(records)
 
     def test_file_roundtrip(self, tmp_path):
         original = self.scripted_ledger()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from agentmesh.identity import derive_identity
+from agentmesh.identity import Signature, derive_identity
 from agentmesh.mailbox import (
     BadAuth,
     DEFAULT_CAPACITY,
@@ -17,7 +19,16 @@ from agentmesh.mailbox import (
     ReplayedNonce,
     retrieval_auth_digest,
 )
-from agentmesh.wire import ModelSchema, ProtocolSpec, Record, SemanticType, seal_envelope
+from agentmesh.wire import (
+    Expired,
+    ModelSchema,
+    ProtocolSpec,
+    Record,
+    SemanticType,
+    SignatureInvalid,
+    open_envelope,
+    seal_envelope,
+)
 
 NOTE = ModelSchema.build("Note", text=SemanticType.STRING)
 NOTES = ProtocolSpec("Notes", "1.0", (NOTE,))
@@ -71,6 +82,38 @@ class TestDeposit:
         store = MailboxStore()
         store.create_account(OWNER.address)
         assert store.deposit(note_env("edge", expires_at=5), current_height=5).accepted
+
+    @given(
+        part=st.sampled_from(["none", "sender", "payload", "signature"]),
+        position=st.integers(0, 63),
+        flip=st.integers(1, 127),
+        height=st.integers(8, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_what_a_reader_refuses(self, part, position, flip, height):
+        """A deposit accepts exactly the envelopes open_envelope passes
+        through its signature and expiry checks, and names the failed one."""
+        def flipped(raw: bytes) -> bytes:
+            out = bytearray(raw)
+            out[position % len(out)] ^= flip
+            return bytes(out)
+
+        env = note_env("flip me", expires_at=10)
+        if part == "sender":  # a flip below 128 keeps the address ASCII
+            env = dataclasses.replace(env, sender=flipped(env.sender.encode()).decode())
+        elif part == "payload":
+            env = dataclasses.replace(env, payload=flipped(env.payload))
+        elif part == "signature":
+            env = dataclasses.replace(env, signature=Signature(flipped(env.signature.data)))
+        try:
+            open_envelope(env, NOTES.models, height)
+            refusal = None
+        except (SignatureInvalid, Expired) as exc:
+            refusal = type(exc).__name__
+        store = MailboxStore()
+        store.create_account(OWNER.address)
+        result = store.deposit(env, height)
+        assert (result.accepted, result.reason) == (refusal is None, refusal)
 
     def test_full_keeps_oldest(self):
         store = MailboxStore(capacity=2)
@@ -128,6 +171,18 @@ class TestRetrieve:
             store.retrieve(OWNER.address, 4, auth_for(OWNER, 4))
         store.retrieve(OWNER.address, 6, auth_for(OWNER, 6))  # fresh nonce fine
 
+    @pytest.mark.parametrize(
+        "address, nonce",
+        [(OWNER.address, 2**63), (OWNER.address, "0"), (OWNER.address, 0.5), (5, 0)],
+        ids=["nonce_past_i64", "nonce_str", "nonce_float", "address_int"],
+    )
+    def test_request_no_key_could_sign_is_bad_auth(self, address, nonce):
+        store = MailboxStore()
+        store.create_account(OWNER.address)
+        with pytest.raises(BadAuth):
+            store.retrieve(address, nonce, auth_for(OWNER, 0))
+        assert store.last_nonce == {}
+
     def test_auth_digest_matches_oracle(self):
         assert retrieval_auth_digest(OWNER.address, 17) == oracles.mailbox_auth_digest(
             OWNER.address, 17
@@ -136,8 +191,6 @@ class TestRetrieve:
     @given(st.integers(0, 100), st.binary(min_size=64, max_size=64))
     @settings(max_examples=50)
     def test_random_wrong_signatures_never_pass(self, nonce, raw_sig):
-        from agentmesh.identity import Signature
-
         store = MailboxStore()
         store.create_account(OWNER.address)
         good = auth_for(OWNER, nonce)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,6 +309,7 @@ class TestEnvelope:
             env.expires_at,
         )
         assert env.signing_digest() == expected
+        assert hashlib.sha256(env.to_bytes()[:-64]).digest() == expected
 
     def test_payload_tamper_fails(self):
         env, proto, _ = self.make_envelope()
