@@ -80,6 +80,12 @@ class TestTransfer:
         with pytest.raises(ZeroAmount):
             ledger.transfer(USER, COURIER, -5)
 
+    def test_micro_payment(self):
+        ledger = funded_ledger()
+        ledger.transfer(USER, COURIER, 250_000)  # a quarter FET for map data
+        assert ledger.balance(COURIER) == fet(10) + 250_000
+        assert ledger.conservation_ok()
+
 
 @pytest.mark.parametrize(
     "debit, what",
@@ -103,12 +109,6 @@ def test_a_refused_debit_changes_nothing(debit, what):
     # a refused escrow used no id: the next one gets the first id
     first = funded_ledger().open_escrow(USER, COURIER, 1, ARBITER)
     assert ledger.open_escrow(USER, COURIER, 1, ARBITER) == first
-
-    def test_micro_payment(self):
-        ledger = funded_ledger()
-        ledger.transfer(USER, COURIER, 250_000)  # a quarter FET for map data
-        assert ledger.balance(COURIER) == fet(10) + 250_000
-        assert ledger.conservation_ok()
 
 
 class TestFees:
