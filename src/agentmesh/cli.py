@@ -337,11 +337,9 @@ def mailboxd_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8701)
     parser.add_argument("--capacity", type=int, default=1024)
-    parser.add_argument("--ack-mode", action="store_true",
-                        help="keep batches until acknowledged (at-least-once)")
     args = parser.parse_args(argv)
 
-    store = MailboxStore(capacity=args.capacity, ack_mode=args.ack_mode)
+    store = MailboxStore(capacity=args.capacity)
     handle = serve_mailbox(store, args.host, args.port)
     return _serve_forever(handle, "mailboxd")
 

@@ -1,9 +1,10 @@
 """Store-and-forward mailbox for offline agents.
 
 Envelopes addressed to an offline agent are deposited here and handed back,
-in deposit order, when the agent reconnects and authenticates. Retrieval is
-destructive and atomic by default; an acknowledgment mode keeps messages
-until the caller confirms receipt, for crash-between-retrieve-and-ack tests.
+in deposit order, when the agent reconnects and authenticates. Delivery is
+at-least-once: a retrieve hands out the queue but removes nothing, and the
+batch stays until the owner acknowledges it, so a retrieve whose reply never
+arrives loses no mail.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ class MailboxStore:
     """
 
     capacity: int = DEFAULT_CAPACITY
-    ack_mode: bool = False
-    queues: dict[str, list[tuple[int, Envelope]]] = field(default_factory=dict)
+    queues: dict[str, list[Envelope]] = field(default_factory=dict)
     last_nonce: dict[str, int] = field(default_factory=dict)
-    # owner -> the queue entries handed out by an unacknowledged retrieve
-    pending: dict[str, list[tuple[int, Envelope]]] = field(default_factory=dict)
+    # owner -> how many envelopes at the head of its queue an unacknowledged
+    # retrieve handed out; only acknowledge() removes from a queue, so they
+    # stay its head until then
+    pending: dict[str, int] = field(default_factory=dict)
     deposited_total: int = 0
     dropped_total: int = 0
 
@@ -93,21 +95,18 @@ class MailboxStore:
         except (wire.SignatureInvalid, wire.Expired) as exc:
             self.dropped_total += 1
             return DepositResult(False, type(exc).__name__)
-        held = sum(queued.size for _, queued in queue)
+        held = sum(queued.size for queued in queue)
         if len(queue) >= self.capacity or held + env.size > QUEUE_MAX_BYTES:
             self.dropped_total += 1
             return DepositResult(False, "Full")
-        queue.append((current_height, env))
+        queue.append(env)
         self.deposited_total += 1
         return DepositResult(True)
 
     def retrieve(self, address: str, nonce: int, auth: Signature) -> list[Envelope]:
-        """Hand back the queue in deposit order.
-
-        Default mode clears atomically. In ack_mode the queue is kept until
-        acknowledge(); a repeat retrieve before the ack redelivers the same
-        batch (at-least-once), which the crash test relies on.
-        """
+        """Hand back the queue in deposit order, keeping it until
+        acknowledge(). A repeat retrieve before the ack redelivers the same
+        batch, so a crash between the two loses nothing."""
         try:
             digest = retrieval_auth_digest(address, nonce)
         except (AttributeError, ValueError, struct.error):
@@ -122,40 +121,18 @@ class MailboxStore:
         queue = self.queues.get(address)
         if queue is None:
             return []
-        if self.ack_mode:
-            # an unacked batch from a crashed retrieve is redelivered as is;
-            # an empty one holds nothing back from the next retrieve
-            entries = self.pending.get(address) or list(queue)
-            self.pending[address] = entries
-            return [env for _, env in entries]
-        batch = [env for _, env in queue]
-        queue.clear()
-        return batch
+        # an empty batch holds nothing back from the next retrieve
+        count = self.pending[address] = self.pending.get(address) or len(queue)
+        return queue[:count]
 
     def acknowledge(self, address: str) -> int:
-        """ack_mode only: confirm the outstanding batch, clearing it.
-
-        The batch is removed by envelope identity, not by position, so deposits
-        and purges between retrieve and ack never cost an undelivered envelope
-        and never leave a delivered one behind.
-        """
+        """Confirm the outstanding batch: remove it from the head of the
+        queue, leaving what was deposited since, and return its size."""
         if address not in self.pending:
             raise NoPendingRetrieve(f"no outstanding retrieve for {address}")
-        batch = self.pending.pop(address)
-        # the batch holds its envelopes, so their ids stay unique until here
-        acked = {id(env) for _, env in batch}
-        queue = self.queues.get(address, [])
-        queue[:] = [entry for entry in queue if id(entry[1]) not in acked]
-        return len(batch)
-
-    def purge_expired(self, current_height: int) -> int:
-        """Drop every stored envelope whose expiry height has passed."""
-        removed = 0
-        for queue in self.queues.values():
-            keep = [entry for entry in queue if entry[1].expires_at >= current_height]
-            removed += len(queue) - len(keep)
-            queue[:] = keep
-        return removed
+        count = self.pending.pop(address)
+        del self.queues[address][:count]
+        return count
 
     def stats(self) -> dict[str, int]:
         return {addr: len(q) for addr, q in sorted(self.queues.items())}

@@ -175,8 +175,11 @@ class Registry:
         an explicit argument (the scenario uses the agent's own wallet).
         """
         digests = frozenset(protocol_digests)
-        digest = registration_signing_digest(address, sequence, digests, endpoint, metadata)
-        if not signed_by(address, digest, signature):
+        try:
+            digest = registration_signing_digest(address, sequence, digests, endpoint, metadata)
+        except (AttributeError, ValueError, struct.error):
+            digest = None  # a field not str, or no i64 sequence: nothing signed it
+        if digest is None or not signed_by(address, digest, signature):
             raise BadSignature(f"registration for {address} fails signature check")
         expected = self.last_sequence.get(address, -1) + 1
         if sequence != expected:

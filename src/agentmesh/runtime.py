@@ -450,10 +450,8 @@ class World:
         heapq.heappush(self._status_changes, (tick, address, online))
 
     def _drain_mailbox(self, address: str) -> None:
-        if self.mailbox is None or not self.mailbox.has_account(address):
-            return
         agent = self.agents.get(address)
-        if agent is None:
+        if self.mailbox is None or agent is None:
             return
         nonce = self.mailbox.next_nonce(address)
         auth = agent.identity.sign_digest(retrieval_auth_digest(address, nonce))
@@ -465,7 +463,7 @@ class World:
                 )
             )
             self._deliver(env)
-        if self.mailbox.ack_mode and batch:
+        if batch:  # delivered: the mailbox may let it go
             self.mailbox.acknowledge(address)
 
     # -- transport ---------------------------------------------------------
@@ -519,7 +517,7 @@ class World:
                 self._deliver(env)
                 return
             outcome = "dropped"
-        elif self.mailbox is not None and self.mailbox.has_account(env.target):
+        elif self.mailbox is not None:
             result = self.mailbox.deposit(env, self.height)
             outcome = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
         else:

@@ -633,29 +633,6 @@ def build_logistics_agent(
 # ---------------------------------------------------------------------------
 # report
 
-REPORT_SCHEMA = ModelSchema.build(
-    "ScenarioReport",
-    status=SemanticType.STRING,
-    failure_cause=SemanticType.STRING,
-    winner=SemanticType.STRING,
-    winner_address=SemanticType.STRING,
-    winner_domain=SemanticType.STRING,
-    packaging_ufet=SemanticType.INT,
-    delivery_ufet=SemanticType.INT,
-    total_user_spend_ufet=SemanticType.INT,
-    fee_sink_ufet=SemanticType.INT,
-    total_supply_ufet=SemanticType.INT,
-    conserved=SemanticType.BOOL,
-    escrows=SemanticType.LIST_OF_STRING,
-    balances=SemanticType.LIST_OF_STRING,
-    dialogue=SemanticType.LIST_OF_STRING,
-    discovered=SemanticType.LIST_OF_STRING,
-    contacted=SemanticType.LIST_OF_STRING,
-    feedback_stars=SemanticType.INT,
-    transcript_sha256=SemanticType.STRING,
-)
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     """What one order came to. The defaults are a failed order that
@@ -746,6 +723,20 @@ class ScenarioReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.encoded_hex() + "\n\n")
             fh.write(self.render_text())
+
+
+# the wire form of a report: each field by its type, the transcript as its digest
+_REPORT_TYPES = {
+    "str": SemanticType.STRING,
+    "int": SemanticType.INT,
+    "bool": SemanticType.BOOL,
+    "tuple[str, ...]": SemanticType.LIST_OF_STRING,
+}
+REPORT_SCHEMA = ModelSchema.build(
+    "ScenarioReport",
+    **{f.name: _REPORT_TYPES[f.type] for f in fields(ScenarioReport) if f.name != "transcript"},
+    transcript_sha256=SemanticType.STRING,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
 from .identity import AgentIdentity, Signature, signed_by, verify_digest
@@ -644,21 +644,18 @@ def check_envelope(env: Envelope, current_height: int) -> None:
 
 def open_envelope(
     env: Envelope,
-    known_schemas: Mapping[bytes, ModelSchema] | Iterable[ModelSchema],
+    known_schemas: Mapping[bytes, ModelSchema],
     current_height: int,
 ) -> tuple[Record, str]:
     """Validate and decode one envelope.
 
-    `known_schemas` is a dict from digest to schema, looked up, or any
-    iterable of schemas, scanned in order. Check order is fixed: signature,
-    then expiry, then schema lookup, then payload decode. Each failure is a
-    distinct typed error so transports can report precise diagnostics.
+    `known_schemas` maps a schema digest to its schema. Check order is
+    fixed: signature, then expiry, then schema lookup, then payload decode.
+    Each failure is a distinct typed error so transports can report precise
+    diagnostics.
     """
     check_envelope(env, current_height)
-    if isinstance(known_schemas, dict):
-        schema = known_schemas.get(env.schema_digest)
-    else:
-        schema = next((s for s in known_schemas if s.digest() == env.schema_digest), None)
+    schema = known_schemas.get(env.schema_digest)
     if schema is None:
         raise UnknownSchema(f"no schema with digest {env.schema_digest.hex()[:16]}")
     try:

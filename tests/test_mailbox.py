@@ -1,4 +1,5 @@
-"""Store-and-forward queues: deposit rules, authenticated retrieval, purge."""
+"""Store-and-forward queues: deposit rules, authenticated retrieval, and
+at-least-once delivery: nothing leaves a queue until it is acknowledged."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import oracles
 from agentmesh.identity import Signature, derive_identity
@@ -106,7 +108,7 @@ class TestDeposit:
         elif part == "signature":
             env = dataclasses.replace(env, signature=Signature(flipped(env.signature.data)))
         try:
-            open_envelope(env, NOTES.models, height)
+            open_envelope(env, {m.digest(): m for m in NOTES.models}, height)
             refusal = None
         except (SignatureInvalid, Expired) as exc:
             refusal = type(exc).__name__
@@ -135,7 +137,8 @@ class TestDeposit:
         assert store.deposit(more, 1).reason == "Full"
         assert store.deposit(small, 1).accepted  # a newcomer that still fits
         assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == [big, small]
-        assert store.deposit(more, 2).accepted  # room again once retrieved
+        assert store.acknowledge(OWNER.address) == 2
+        assert store.deposit(more, 2).accepted  # room again once acknowledged
 
     def test_default_capacity(self):
         assert MailboxStore().capacity == DEFAULT_CAPACITY
@@ -150,6 +153,7 @@ class TestRetrieve:
             store.deposit(env, i)
         batch = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
         assert batch == envs
+        assert store.acknowledge(OWNER.address) == 3
         assert store.stats()[OWNER.address] == 0
 
     def test_wrong_key(self):
@@ -201,8 +205,10 @@ class TestRetrieve:
 
 
 class TestAckMode:
+    """Retrieve keeps the batch; acknowledge lets it go."""
+
     def test_crash_before_ack_redelivers(self):
-        store = MailboxStore(ack_mode=True)
+        store = MailboxStore()
         store.create_account(OWNER.address)
         envs = [note_env(f"m{i}") for i in range(2)]
         for env in envs:
@@ -216,7 +222,7 @@ class TestAckMode:
         assert store.stats()[OWNER.address] == 0
 
     def test_deposits_during_pending_survive_ack(self):
-        store = MailboxStore(ack_mode=True)
+        store = MailboxStore()
         store.create_account(OWNER.address)
         store.deposit(note_env("early"), 1)
         store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
@@ -224,30 +230,8 @@ class TestAckMode:
         store.acknowledge(OWNER.address)
         assert store.stats()[OWNER.address] == 1
 
-    def test_purge_between_retrieve_and_ack_keeps_new_mail(self):
-        store = MailboxStore(ack_mode=True)
-        store.create_account(OWNER.address)
-        store.deposit(note_env("stale", expires_at=10), 1)
-        store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
-        fresh = note_env("fresh", expires_at=100)
-        store.deposit(fresh, 5)
-        assert store.purge_expired(11) == 1  # the pending envelope expires
-        store.acknowledge(OWNER.address)
-        # the acked batch is gone; the never-delivered deposit is not
-        assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == [fresh]
-
-    def test_purge_that_removes_nothing_then_ack_clears_the_batch(self):
-        store = MailboxStore(ack_mode=True)
-        store.create_account(OWNER.address)
-        store.deposit(note_env("kept", expires_at=100), 1)
-        store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
-        assert store.purge_expired(5) == 0
-        assert store.acknowledge(OWNER.address) == 1
-        # the delivered envelope is not handed out a second time
-        assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == []
-
     def test_unacked_empty_retrieve_does_not_freeze_the_queue(self):
-        store = MailboxStore(ack_mode=True)
+        store = MailboxStore()
         store.create_account(OWNER.address)
         assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == []
         later = note_env("later")
@@ -255,34 +239,70 @@ class TestAckMode:
         assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == [later]
 
     def test_ack_without_retrieve(self):
-        store = MailboxStore(ack_mode=True)
+        store = MailboxStore()
         with pytest.raises(NoPendingRetrieve):
             store.acknowledge(OWNER.address)
 
 
-class TestPurge:
-    def test_nothing_expired(self):
-        store = MailboxStore()
-        store.create_account(OWNER.address)
-        store.deposit(note_env("fresh", expires_at=100), 1)
-        assert store.purge_expired(50) == 0
+OTHER = derive_identity("mailbox other owner")
 
-    def test_all_expired(self):
-        store = MailboxStore()
-        store.create_account(OWNER.address)
-        for i in range(3):
-            store.deposit(note_env(f"m{i}", expires_at=10), 1)
-        assert store.purge_expired(11) == 3
-        assert store.stats()[OWNER.address] == 0
 
-    def test_mixed_keeps_order(self):
-        store = MailboxStore()
-        store.create_account(OWNER.address)
-        keep1 = note_env("keep1", expires_at=100)
-        dead = note_env("dead", expires_at=10)
-        keep2 = note_env("keep2", expires_at=100)
-        for env in (keep1, dead, keep2):
-            store.deposit(env, 1)
-        assert store.purge_expired(50) == 1
-        batch = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
-        assert batch == [keep1, keep2]
+class MailboxMachine(RuleBasedStateMachine):
+    """Deposit, retrieve, crash and acknowledge against a model FIFO per
+    owner. A crash is a retrieve that is never acknowledged. Nothing is
+    lost, delivery keeps deposit order, and every accepted deposit is
+    acknowledged exactly once."""
+
+    CAPACITY = 3
+
+    def __init__(self):
+        super().__init__()
+        self.store = MailboxStore(capacity=self.CAPACITY)
+        self.sent = 0
+        # owner -> accepted deposits, the envelopes of acknowledged batches,
+        # and the batch the last unacknowledged retrieve handed out
+        self.accepted = {OWNER.address: [], OTHER.address: []}
+        self.acked = {OWNER.address: [], OTHER.address: []}
+        self.batch = {OWNER.address: None, OTHER.address: None}
+        for address in self.accepted:
+            self.store.create_account(address)
+
+    @rule(owner=st.sampled_from([OWNER, OTHER]))
+    def deposit(self, owner):
+        self.sent += 1
+        env = note_env(f"m{self.sent}", target=owner)
+        queued = len(self.accepted[owner.address]) - len(self.acked[owner.address])
+        assert self.store.deposit(env, 1).accepted == (queued < self.CAPACITY)
+        if queued < self.CAPACITY:
+            self.accepted[owner.address].append(env)
+
+    @rule(owner=st.sampled_from([OWNER, OTHER]))
+    def retrieve(self, owner):
+        """Also the crash: nothing says this batch is acknowledged."""
+        address = owner.address
+        nonce = self.store.next_nonce(address)
+        batch = self.store.retrieve(address, nonce, auth_for(owner, nonce))
+        # an outstanding batch is handed out again; an empty one holds nothing
+        expected = self.batch[address] or self.accepted[address][len(self.acked[address]):]
+        assert batch == expected
+        self.batch[address] = batch
+
+    @rule(owner=st.sampled_from([OWNER, OTHER]))
+    def acknowledge(self, owner):
+        address = owner.address
+        if self.batch[address] is None:
+            with pytest.raises(NoPendingRetrieve):
+                self.store.acknowledge(address)
+            return
+        assert self.store.acknowledge(address) == len(self.batch[address])
+        self.acked[address].extend(self.batch[address])
+        self.batch[address] = None
+
+    @invariant()
+    def every_deposit_is_acked_once_or_still_queued_in_order(self):
+        for address, accepted in self.accepted.items():
+            assert self.acked[address] + self.store.queues[address] == accepted
+
+
+TestMailboxMachine = MailboxMachine.TestCase
+TestMailboxMachine.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)

@@ -115,6 +115,21 @@ class TestRegister:
         with pytest.raises(BadSignature):
             registry.register(ledger, **fields)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sequence", 2**64), ("endpoint", 5), ("metadata", {"geo": 5})],
+        ids=["sequence_past_i64", "endpoint_int", "metadata_value_int"],
+    )
+    def test_registration_no_key_could_sign_is_bad_signature(self, field, value):
+        registry, ledger = Registry(), Ledger()
+        courier = derive_identity("unsignable")
+        funded(ledger, courier)
+        fields = signed_registration(courier, 0)
+        fields[field] = value
+        with pytest.raises(BadSignature):
+            registry.register(ledger, **fields)
+        assert registry.records == {} and ledger.fee_sink == 0
+
     def test_unpayable_fee_refused(self):
         registry, ledger = Registry(), Ledger()
         broke = derive_identity("broke")

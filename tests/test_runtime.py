@@ -559,6 +559,21 @@ class TestOfflineAndMailbox:
         outcomes = [line.outcome for line in world.transcript]
         assert "retrieved" in outcomes and "handled" in outcomes
 
+    def test_offline_without_an_account_is_refused_by_the_mailbox(self):
+        mailbox = MailboxStore()
+        world = fresh_world(mailbox=mailbox)
+        receiver = echo_agent("unaccounted receiver")
+        sender = make_agent("unaccounted sender")
+        world.add_agent(receiver)
+        world.add_agent(sender)
+        world.set_online(receiver.identity.address, False)
+        world.send_message(sender, receiver.identity.address, Record(PING, {"text": "refused"}))
+        world.tick(2)
+        world.set_online(receiver.identity.address, True)  # nothing to retrieve
+        outcomes = [line.outcome for line in world.transcript]
+        assert outcomes == ["mailbox_NoAccount"]
+        assert (mailbox.dropped_total, mailbox.stats()) == (1, {})
+
     def test_offline_without_mailbox_loses(self):
         world = fresh_world()  # no mailbox attached
         receiver = echo_agent("lost receiver")

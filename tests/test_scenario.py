@@ -692,6 +692,14 @@ def test_report_encodes_and_decodes():
     assert record["transcript_sha256"] == report.transcript_sha256()
 
 
+def test_report_schema_digest_is_pinned():
+    # built from ScenarioReport's fields; a field added, renamed or retyped
+    # there moves this digest, and with it every encoded report
+    assert REPORT_SCHEMA.digest().hex() == (
+        "1634e7de1005eb96c4e1b8a6c6cf932766ad5ef25785fabccd185d041b835d4e"
+    )
+
+
 def test_report_write_layout(tmp_path):
     report = run_scenario(default_config())
     path = tmp_path / "report.out"

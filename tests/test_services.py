@@ -325,6 +325,7 @@ def test_mailbox_roundtrip_is_byte_identical(mailbox_service):
     auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, nonce))
     batch = client.retrieve(BOB.address, nonce, auth)
     assert [e.to_bytes() for e in batch] == [env.to_bytes()]
+    assert client.acknowledge(BOB.address) == 1
     assert client.stats() == {BOB.address: 0}
 
 
@@ -353,27 +354,21 @@ def test_mailbox_auth_errors_cross_the_wire(mailbox_service):
         client.retrieve(BOB.address, nonce, auth)
 
 
-def test_ack_mode_redelivery_over_http():
-    store = MailboxStore(ack_mode=True)
-    handle = serve_mailbox(store)
-    try:
-        with MailboxClient(handle.base_url) as client:
-            assert client.ack_mode is True  # picked up from /config
-            client.create_account(BOB.address)
-            client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1)
+def test_redelivery_over_http(mailbox_service):
+    client, _ = mailbox_service
+    client.create_account(BOB.address)
+    client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1)
 
-            auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
-            first = client.retrieve(BOB.address, 0, auth)
-            # no acknowledge yet: a fresh nonce redelivers the same batch
-            auth2 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 1))
-            again = client.retrieve(BOB.address, 1, auth2)
-            assert [e.to_bytes() for e in again] == [e.to_bytes() for e in first]
+    auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
+    first = client.retrieve(BOB.address, 0, auth)
+    # no acknowledge yet: a fresh nonce redelivers the same batch
+    auth2 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 1))
+    again = client.retrieve(BOB.address, 1, auth2)
+    assert [e.to_bytes() for e in again] == [e.to_bytes() for e in first]
 
-            assert client.acknowledge(BOB.address) == 1
-            auth3 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 2))
-            assert client.retrieve(BOB.address, 2, auth3) == []
-    finally:
-        handle.close()
+    assert client.acknowledge(BOB.address) == 1
+    auth3 = BOB.sign_digest(retrieval_auth_digest(BOB.address, 2))
+    assert client.retrieve(BOB.address, 2, auth3) == []
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +418,22 @@ def test_error_replies_keep_the_connection():
                 client._post("/no_such_route", {"body": "not to be read as a request"})
             assert client.domain_of(ALICE.address) is None
             assert client.health() is True
+        assert len(handlers) == 1
+    finally:
+        handle.close()
+
+
+def test_an_unsignable_registration_is_refused_typed():
+    ledger = Ledger()
+    ledger.mint(ALICE.wallet_address, fet(10))
+    handle = serve_registry(Registry(ttl=50, fee=fet(1)), ledger)
+    handlers = handler_threads(handle)
+    try:
+        with RegistryClient(handle.base_url) as client:
+            args = signed_registration(ALICE)
+            with pytest.raises(BadSignature):
+                client.register(None, **{**args, "sequence": 2**64})
+            client.register(None, **args)  # the same connection serves on
         assert len(handlers) == 1
     finally:
         handle.close()
@@ -793,13 +804,13 @@ MAILBOX_CALLS = st.one_of(
 )
 
 
-def _fresh(ack_mode: bool = False):
+def _fresh():
     """Ledger, registry, resolver and mailbox as every batch example starts
     them: alice can pay two registrations, bob ten, the pauper none."""
     ledger = Ledger()
     ledger.mint(ALICE.wallet_address, fet(2))
     ledger.mint(BOB.wallet_address, fet(10))
-    return ledger, Registry(ttl=50, fee=fet(1)), FixtureDnsResolver(), MailboxStore(2, ack_mode)
+    return ledger, Registry(ttl=50, fee=fet(1)), FixtureDnsResolver(), MailboxStore(2)
 
 
 def _in_process_call(call: tuple, ledger: Ledger, registry: Registry, dns, store: MailboxStore):
@@ -831,15 +842,12 @@ def _outcome(run) -> tuple:
 
 
 def _state(ledger: Ledger, registry: Registry, dns, store: MailboxStore) -> dict:
-    queues = {owner: [(height, env.to_bytes()) for height, env in queue]
-              for owner, queue in store.queues.items()}
-    pending = {owner: [(height, env.to_bytes()) for height, env in batch]
-               for owner, batch in store.pending.items()}
+    queues = {owner: [env.to_bytes() for env in queue] for owner, queue in store.queues.items()}
     return {
         "records": registry.records, "sequences": registry.last_sequence,
         "anames": registry.anames, "rng": registry.rng.getstate(), "txt": dns.txt,
         "balances": ledger.balances, "fee_sink": ledger.fee_sink,
-        "journal": journal_lines(ledger.journal), "queues": queues, "pending": pending,
+        "journal": journal_lines(ledger.journal), "queues": queues, "pending": store.pending,
         "nonces": store.last_nonce, "deposited": store.deposited_total,
         "dropped": store.dropped_total,
     }
@@ -880,12 +888,12 @@ def logged_methods():
         yield log
 
 
-def _check_batch_parity(batch_pair, calls: list[tuple], client_index: int, ack_mode: bool):
+def _check_batch_parity(batch_pair, calls: list[tuple], client_index: int):
     served, *clients = batch_pair
-    for obj, fresh in zip(served, _fresh(ack_mode)):
+    for obj, fresh in zip(served, _fresh()):
         vars(obj).clear()
         vars(obj).update(vars(fresh))
-    local = _fresh(ack_mode)
+    local = _fresh()
     with logged_methods() as log:
         expected = _outcome(lambda: [_in_process_call(call, *local) for call in calls])
         got = _outcome(lambda: clients[client_index].call_many(calls))
@@ -916,21 +924,19 @@ def _check_batch_parity(batch_pair, calls: list[tuple], client_index: int, ack_m
 @example(calls=[("aname_claim", "van.example", ALICE.address),
                 ("aname_verify", "bike.example", None, 5)])
 def test_registry_batch_matches_an_in_process_loop(batch_pair, calls):
-    _check_batch_parity(batch_pair, calls, 0, ack_mode=False)
+    _check_batch_parity(batch_pair, calls, 0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(MAILBOX_CALLS, max_size=12), ack_mode=st.booleans())
+@given(calls=st.lists(MAILBOX_CALLS, max_size=12))
 @example(
     calls=[("create_account", BOB.address), ("deposit", _ENVELOPES[0], 0),
            ("deposit", _ENVELOPES[3], 0), ("stats",), _retrieve_call("bob", 0, False),
            ("acknowledge", BOB.address), _retrieve_call("bob", 0, False)],
-    ack_mode=True,
 )
-@example(calls=[_retrieve_call("alice", 0, False), _retrieve_call("alice", 1, True)],
-         ack_mode=False)
-def test_mailbox_batch_matches_an_in_process_loop(batch_pair, calls, ack_mode):
-    _check_batch_parity(batch_pair, calls, 1, ack_mode)
+@example(calls=[_retrieve_call("alice", 0, False), _retrieve_call("alice", 1, True)])
+def test_mailbox_batch_matches_an_in_process_loop(batch_pair, calls):
+    _check_batch_parity(batch_pair, calls, 1)
 
 
 @pytest.mark.parametrize("path", ["/no_such_route", "/batch", "/config", "/health"])
@@ -1017,7 +1023,32 @@ def test_a_retrieve_reply_fits_the_cap_and_no_mail_is_lost(mailbox_service):
     assert [env.to_bytes() for env in client.retrieve(BOB.address, 0, auth)] == [
         sent[0].to_bytes()
     ]
+    assert client.acknowledge(BOB.address) == 1
     assert store.queues[BOB.address] == []
+
+
+def test_a_refused_batch_of_retrieves_loses_no_mail(mailbox_service):
+    """Three retrieves on three accounts, each holding one 3 MB envelope,
+    make an 18 MB reply. The server refuses it, yet each account's next
+    retrieve still hands back its envelope: nothing is gone until acked."""
+    client, _ = mailbox_service
+    owners = [derive_identity(f"batch owner {n}") for n in range(3)]
+    sent = {}
+    for n, owner in enumerate(owners):
+        client.create_account(owner.address)
+        sent[owner.address] = sealed_chat(ALICE, owner.address, str(n) * 3_000_000)
+        assert client.deposit(sent[owner.address], 0).accepted
+    calls = [
+        ("retrieve", owner.address, 0,
+         owner.sign_digest(retrieval_auth_digest(owner.address, 0)))
+        for owner in owners
+    ]
+    with pytest.raises(ServiceError, match="BadRequest: reply of .* bytes is over"):
+        client.call_many(calls)
+    for owner in owners:
+        auth = owner.sign_digest(retrieval_auth_digest(owner.address, 1))
+        batch = client.retrieve(owner.address, 1, auth)
+        assert [env.to_bytes() for env in batch] == [sent[owner.address].to_bytes()]
 
 
 def test_a_reply_over_the_cap_is_refused_by_the_server(mailbox_service, monkeypatch):
@@ -1035,8 +1066,8 @@ def test_call_many_checks_every_call_before_sending(mailbox_service, monkeypatch
     sent = []
     monkeypatch.setattr(services, "_post", lambda *args: sent.append(args))
     assert client.call_many([]) == []
-    with pytest.raises(AttributeError, match="purge_expired"):
-        client.call_many([("create_account", BOB.address), ("purge_expired", 3)])
+    with pytest.raises(AttributeError, match="drop_queue"):
+        client.call_many([("create_account", BOB.address), ("drop_queue", BOB.address)])
     with pytest.raises(TypeError, match=r"MailboxClient\.deposit\(\) missing"):
         client.call_many([("create_account", BOB.address), ("deposit", None)])
     assert sent == [] and store.queues == {}
@@ -1071,11 +1102,12 @@ def test_scenario_behind_services_matches_in_process():
     assert report.transcript_sha256() == baseline.transcript_sha256()
 
 
-def test_a_services_order_makes_fourteen_round_trips(monkeypatch):
+def test_a_services_order_makes_thirteen_round_trips(monkeypatch):
     # set-up sends three batches (mailbox accounts; registrations with their
-    # domain claims; TXT publish and verify pairs), the order itself eleven
-    # calls: four searches, two has_account, the deposit, next_nonce and
-    # retrieve of the parked call for bids, domain_of and resolve
+    # domain claims; TXT publish and verify pairs), the order itself ten
+    # calls: four searches; the deposit of the call for bids to the offline
+    # courier; next_nonce, retrieve and acknowledge when it reconnects;
+    # domain_of and resolve
     config = with_overrides(
         default_config(),
         offline=(PresenceWindow("CamBikeExpress", 7, 17),),
@@ -1104,7 +1136,7 @@ def test_a_services_order_makes_fourteen_round_trips(monkeypatch):
         mailbox_handle.close()
     assert report.status == "ok"
     assert setup == ["/batch"] * 3
-    assert len(paths) == 14
+    assert len(paths) == 13
     assert report.encoded_hex() == run_scenario(config).encoded_hex()
 
 

@@ -54,6 +54,11 @@ def sample_protocol() -> ProtocolSpec:
     return ProtocolSpec("PingPong", "1.0", (ping, pong))
 
 
+def by_digest(models) -> dict:
+    """The digest -> schema map open_envelope looks schemas up in."""
+    return {m.digest(): m for m in models}
+
+
 class TestCanonicalEncode:
     def test_golden_example(self):
         import hashlib
@@ -293,7 +298,7 @@ class TestEnvelope:
 
     def test_seal_open_roundtrip(self):
         env, proto, record = self.make_envelope()
-        out, sender_addr = open_envelope(env, proto.models, current_height=5)
+        out, sender_addr = open_envelope(env, by_digest(proto.models), current_height=5)
         assert out.values == record.values
         assert sender_addr == env.sender
 
@@ -324,7 +329,7 @@ class TestEnvelope:
             env.signature,
         )
         with pytest.raises(SignatureInvalid):
-            open_envelope(bad, proto.models, 5)
+            open_envelope(bad, by_digest(proto.models), 5)
 
     def test_sender_swap_fails(self):
         env, proto, _ = self.make_envelope()
@@ -340,20 +345,20 @@ class TestEnvelope:
             env.signature,
         )
         with pytest.raises(SignatureInvalid):
-            open_envelope(bad, proto.models, 5)
+            open_envelope(bad, by_digest(proto.models), 5)
 
     def test_expired(self):
         env, proto, _ = self.make_envelope(expires_at=10)
-        out, _ = open_envelope(env, proto.models, 10)  # boundary: still valid
+        out, _ = open_envelope(env, by_digest(proto.models), 10)  # boundary: still valid
         assert out["text"] == "hello"
         with pytest.raises(Expired):
-            open_envelope(env, proto.models, 11)
+            open_envelope(env, by_digest(proto.models), 11)
 
     def test_unknown_schema(self):
         env, _, _ = self.make_envelope()
         stranger = ModelSchema.build("Stranger", z=SemanticType.INT)
         with pytest.raises(UnknownSchema):
-            open_envelope(env, [stranger], 5)
+            open_envelope(env, by_digest([stranger]), 5)
 
     def test_schema_not_in_protocol(self):
         sender = derive_identity("env sender")
@@ -379,7 +384,7 @@ class TestEnvelope:
             except Exception:
                 continue  # refusing to parse is also a pass
             with pytest.raises((SignatureInvalid, UnknownSchema, Expired, SchemaMismatch)):
-                out, _ = open_envelope(candidate, proto.models, 5)
+                out, _ = open_envelope(candidate, by_digest(proto.models), 5)
                 # opening may only succeed if the flip left the envelope identical
                 assert candidate == env
 
