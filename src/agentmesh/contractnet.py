@@ -339,8 +339,9 @@ def select_winner(
 def announce(
     ctx: Context, task: DeliveryTask, registry: Registry, bid_deadline: int
 ) -> list[str]:
-    """Send one CallForBids, valid until the bid deadline, to each live
-    courier found by protocol-digest search; returns their addresses.
+    """Send one CallForBids, valid until the bid deadline and in the
+    context's session, to each live courier found by protocol-digest
+    search; returns their addresses.
 
     Couriers are discovered exclusively through the registry; a hardcoded
     address can never enter the auction.
@@ -366,7 +367,7 @@ def announce(
 
 
 def reject_bidders(ctx: Context, bidders: Iterable[str]) -> None:
-    """Send one RejectBid per bidder, in address order, each in a fresh
+    """Send one RejectBid per bidder, in address order and in the context's
     session: to the losers of a settled auction, or to every bidder of one
     that closes without an escrow."""
     for address in sorted(bidders):

@@ -80,6 +80,7 @@ class DrainIncomplete(RuntimeError_):
         )
         self.in_flight = in_flight
         self.presence_changes = presence_changes
+        self.timers = timers
 
 
 class InvalidRecord(WireError):
@@ -164,10 +165,11 @@ class Context:
         expires_at: int | None = None,
     ) -> Envelope:
         """Seal and queue one envelope; the transport picks it up after
-        the handler returns. Every envelope an agent emits is sealed here."""
+        the handler returns. Every envelope an agent emits is sealed here, by
+        default in this context's session, or a fresh one outside any."""
         protocol = self.agent.protocol_for(record.schema)
         if session_id is None:
-            session_id = self.agent.fresh_session_id()
+            session_id = self.session_id or self.agent.fresh_session_id()
         if expires_at is None:
             expires_at = self.height + DEFAULT_REPLY_TTL
         env = seal_envelope(
@@ -178,8 +180,8 @@ class Context:
 
     def at(self, height: int, handler: Callable) -> None:
         """Run handler(ctx) once, in the first timer phase at or after tick
-        `height`."""
-        self.agent.world.schedule_timer(self.agent, height, handler)
+        `height`, in this context's session."""
+        self.agent.world.schedule_timer(self.agent, height, handler, session_id=self.session_id)
 
     def reply(self, record: Record, expires_at: int | None = None) -> Envelope:
         """Send back to the incoming sender, reusing its session id."""
@@ -289,10 +291,11 @@ class Agent:
         finally:
             self._in_handler = False
 
-    def invoke(self, handler: Callable, height: int) -> list[Envelope]:
-        """Run a timer handler, which takes only a context; returns what it
-        sent."""
-        ctx = Context(self, height)
+    def invoke(self, handler: Callable, height: int,
+               session_id: bytes | None = None) -> list[Envelope]:
+        """Run a timer handler, which takes only a context, in the session
+        that set it; returns what it sent."""
+        ctx = Context(self, height, session_id=session_id)
         self._run_handler(handler, ctx)
         return ctx.outbound
 
@@ -387,11 +390,11 @@ class World:
         self._in_flight: list[tuple[int, int, Envelope, bool]] = []
         self._send_seq = 0
         self._last_delivery: dict[tuple[str, str], int] = {}
-        # session id -> (awaiting address, reply record once it lands)
-        self._pending_queries: dict[bytes, tuple[str, Record | None]] = {}
+        # session id -> (awaiting address, queried address, reply once it lands)
+        self._pending_queries: dict[bytes, tuple[str, str, Record | None]] = {}
         self._query_errors: dict[bytes, type[WireError]] = {}
         self._status_changes: list[tuple[int, str, bool]] = []  # a heap
-        # heap of (due, join rank, set order, agent, handler, period; 0 = once)
+        # heap of (due, join rank, set order, agent, handler, period; 0 = once, session)
         self._timers: list[tuple] = []
         self._timer_seq = 0
         self._parked: dict[str, list[tuple]] = {}  # offline agent -> its due timers
@@ -419,12 +422,13 @@ class World:
         for period, handler in agent.interval_handlers:
             self.schedule_timer(agent, (self.height // period + 1) * period, handler, period)
 
-    def schedule_timer(self, agent: Agent, height: int, handler: Callable, period: int = 0) -> None:
+    def schedule_timer(self, agent: Agent, height: int, handler: Callable, period: int = 0,
+                       session_id: bytes | None = None) -> None:
         """Run handler(ctx) for the agent in the first timer phase at or
         after tick `height`; a periodic one then at each multiple of period."""
         self._timer_seq += 1
-        due, rank = max(height, self.height), self._rank[agent.identity.address]
-        heapq.heappush(self._timers, (due, rank, self._timer_seq, agent, handler, period))
+        order = (max(height, self.height), self._rank[agent.identity.address], self._timer_seq)
+        heapq.heappush(self._timers, (*order, agent, handler, period, session_id))
 
     def _pending_timers(self) -> int:
         return sum(1 for entry in self._timers if not entry[5])
@@ -486,8 +490,8 @@ class World:
     def _deliver(self, env: Envelope) -> None:
         """Hand one envelope to its target agent right now."""
         pending = self._pending_queries.get(env.session_id)
-        if pending is not None and pending[1] is None and env.target == pending[0]:
-            # the reply a blocked query is waiting for: intercept it
+        if pending is not None and pending[2] is None and (env.target, env.sender) == pending[:2]:
+            # the reply a blocked query is waiting for, from the agent asked: intercept it
             agent = self.agents[env.target]
             try:
                 record, _ = open_envelope(env, agent._schemas, self.height)
@@ -495,7 +499,7 @@ class World:
                 self._query_errors[env.session_id] = type(exc)
                 self.transcript.append(agent._reject_line(self.height, env, exc))
                 return
-            self._pending_queries[env.session_id] = (pending[0], record)
+            self._pending_queries[env.session_id] = (*pending[:2], record)
             self.transcript.append(
                 transcript_line(self.height, env, "reply_received", record.schema.name)
             )
@@ -542,7 +546,7 @@ class World:
                 self._deliver_or_divert(env, dropped)
             while self._timers and self._timers[0][0] <= h:
                 entry = heapq.heappop(self._timers)
-                agent, handler, period = entry[3:]
+                agent, handler, period, session_id = entry[3:]
                 address = agent.identity.address
                 if not self.online.get(address, True):
                     self._parked.setdefault(address, []).append(entry)
@@ -551,7 +555,7 @@ class World:
                     heapq.heappush(self._timers, ((h // period + 1) * period, *entry[1:]))
                     if h % period:
                         continue  # back from offline between beats
-                for env in agent.invoke(handler, h):
+                for env in agent.invoke(handler, h, session_id):
                     self.send(env)
 
     def drain(self, max_ticks: int = 1000) -> int:
@@ -592,10 +596,12 @@ class World:
         target: str,
         record: Record,
         expires_at: int | None = None,
+        session_id: bytes | None = None,
     ) -> bytes:
-        """Non-blocking query start; poll_reply() checks for the answer."""
-        session_id = sender.fresh_session_id()
-        self._pending_queries[session_id] = (sender.identity.address, None)
+        """Non-blocking query start, in the given session or a fresh one;
+        poll_reply() checks for the answer."""
+        session_id = session_id or sender.fresh_session_id()
+        self._pending_queries[session_id] = (sender.identity.address, target, None)
         self.send_message(sender, target, record, session_id, expires_at)
         return session_id
 
@@ -606,7 +612,7 @@ class World:
         if error_type is not None:
             raise error_type(f"query reply failed validation: {error_type.__name__}")
         pending = self._pending_queries.get(session_id)
-        return None if pending is None else pending[1]
+        return None if pending is None else pending[2]
 
     def query(
         self,
@@ -614,11 +620,12 @@ class World:
         target: str,
         record: Record,
         timeout_ticks: int,
+        session_id: bytes | None = None,
     ) -> Record:
         """Blocking request-response: ticks the world until the session's
         reply lands or the timeout elapses. Never call from inside a
         handler; it drives the same scheduler."""
-        session_id = self.send_query(sender, target, record)
+        session_id = self.send_query(sender, target, record, session_id=session_id)
         try:
             for _ in range(timeout_ticks):
                 self.tick()

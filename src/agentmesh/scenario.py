@@ -388,15 +388,28 @@ def build_saboteur_agent(name: str, identity: AgentIdentity, bid_quota: int) -> 
     return agent
 
 
+# each field type's zero comes from calling its Python type, in SemanticType order
+_ZERO_OF = dict(zip(SemanticType, (str, int, float, bool, list, dict)))
+
+
+def _filled(schema: ModelSchema, **values) -> Record:
+    """A record of `schema`; every field not given is its type's zero."""
+    return Record(schema, {**{name: _ZERO_OF[tag]() for name, tag in schema.fields}, **values})
+
+
+def _bid_window(config: ScenarioConfig) -> int:
+    """Ticks an auction stays open: a round trip at the slowest latency, or more."""
+    return max(config.bid_window_ticks, 2 * config.latency_max)
+
+
 @dataclass
 class _Auction:
     """One order as the logistics agent tracks it, from request to payout."""
 
     requester: str
-    request_session: bytes
     payer_wallet: str
     task: DeliveryTask
-    # awaiting_traffic | collecting | awaiting_decision | awaiting_delivery | closed | done
+    # awaiting_traffic | collecting | awaiting_decision | awaiting_delivery
     phase: str = "awaiting_traffic"
     maps_address: str = ""  # the only sender whose traffic estimate counts
     traffic_delay: int = 0
@@ -407,7 +420,6 @@ class _Auction:
     losers: list[str] = field(default_factory=list)
     price_fet: int = 0
     escrow_id: bytes = b""
-    decision_session: bytes = b""  # the session of the accepted approval
 
 
 def build_logistics_agent(
@@ -418,8 +430,9 @@ def build_logistics_agent(
     """The auctioneer: traffic lookup, call for bids, verification,
     reputation-weighted selection, escrow settlement.
 
-    It runs one auction at a time. Only the order's requester may decide
-    on it, and only the maps agent it queried may set the traffic delay.
+    One auction per request session, kept until the order ends; only its
+    requester may decide on it, and only the maps agent it queried may set
+    the traffic delay.
     """
     agent = Agent(LOGISTICS_NAME, identity)
     agent.include_protocol(COURIER_AUCTION)
@@ -427,33 +440,22 @@ def build_logistics_agent(
     agent.include_protocol(MAPS_PROTOCOL)
     weights = config.weights()
     announced_at = config.wall_clock()
-    auction: _Auction | None = None
+    auctions: dict[bytes, _Auction] = {}  # request session -> its live order
 
-    def propose(ctx, status: str, detail: str = "", **extra) -> None:
-        body = {
-            "status": status,
-            "courier_id": "",
-            "courier_address": "",
-            "price_fet": 0,
-            "eta_minutes": 0,
-            "arrival": "",
-            "domain": "",
-            "domain_verified": False,
-            "detail": detail,
-        }
-        body.update(extra)
-        ctx.send(
-            auction.requester, Record(LOGISTICS_PROPOSAL, body), session_id=auction.request_session
-        )
-        auction.phase = "awaiting_decision" if status == "proposal" else "closed"
+    def propose(ctx, auction: _Auction, status: str, **values) -> None:
+        ctx.send(auction.requester, _filled(LOGISTICS_PROPOSAL, status=status, **values))
+        if status == "proposal":
+            auction.phase = "awaiting_decision"
+        else:
+            del auctions[ctx.session_id]
 
-    def open_auction(ctx) -> None:
-        bid_deadline = ctx.height + config.bid_window_ticks
+    def open_auction(ctx, auction: _Auction) -> None:
+        bid_deadline = ctx.height + _bid_window(config)
         registry = ctx.agent.world.registry
         try:
             invited = announce(ctx, auction.task, registry, bid_deadline)
         except NoCouriers as exc:
-            propose(ctx, "no_couriers", detail=str(exc))
+            propose(ctx, auction, "no_couriers", detail=str(exc))
             return
         auction.invited = frozenset(invited)
         auction.bid_deadline = bid_deadline
@@ -463,14 +465,15 @@ def build_logistics_agent(
 
     @agent.on_message(LOGISTICS_REQUEST)
     def on_request(ctx, sender: str, msg: Record):
-        nonlocal auction
-        try:  # refused before the current auction is touched
+        if ctx.session_id in auctions:
+            raise InvalidRecord("this session already carries a live order")
+        try:
             task = DeliveryTask(
                 msg["source"], msg["destination"], msg["deadline"], tuple(msg["requirements"])
             )
         except ValueError as exc:
             raise InvalidRecord(f"deadline: {exc}") from exc
-        auction = _Auction(sender, ctx.session_id, msg["payer_wallet"], task)
+        auction = auctions[ctx.session_id] = _Auction(sender, msg["payer_wallet"], task)
         world = ctx.agent.world
         maps_hits = world.registry.search(ctx.height, metadata={"service_type": "maps"})
         if maps_hits:
@@ -483,7 +486,7 @@ def build_logistics_agent(
                         fet(config.maps_fee_fet),
                     )
                 except InsufficientFunds as exc:
-                    propose(ctx, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
+                    propose(ctx, auction, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
                     return
                 ctx.diag("maps_fee_paid")
             auction.maps_address = maps_record.address
@@ -492,18 +495,20 @@ def build_logistics_agent(
                 Record(MAPS_QUERY, {"origin": msg["source"], "destination": msg["destination"]}),
             )
         else:
-            open_auction(ctx)
+            open_auction(ctx, auction)
 
     @agent.on_message(MAPS_REPLY)
     def on_traffic(ctx, sender: str, msg: Record):
+        auction = auctions.get(ctx.session_id)
         if auction is None or auction.phase != "awaiting_traffic" or sender != auction.maps_address:
             ctx.diag("unexpected_traffic_reply")
             return
         auction.traffic_delay = msg["delay_minutes"]
-        open_auction(ctx)
+        open_auction(ctx, auction)
 
     @agent.on_message(COURIER_BID)
     def on_bid(ctx, sender: str, msg: Record):
+        auction = auctions.get(ctx.session_id)
         if auction is None or auction.phase != "collecting" or ctx.height > auction.bid_deadline:
             ctx.diag("late_bid_rejected")
             return
@@ -523,11 +528,12 @@ def build_logistics_agent(
         ctx.diag("bid_verified")
 
     def close_when_due(ctx):
-        if auction is None or auction.phase != "collecting" or ctx.height < auction.bid_deadline:
+        auction = auctions.get(ctx.session_id)
+        if auction is None or auction.phase != "collecting":
             return
         bids = auction.bids
         if not bids:
-            propose(ctx, "no_feasible_bid", detail="no bids arrived before the deadline")
+            propose(ctx, auction, "no_feasible_bid", detail="no bids arrived before the deadline")
             return
         scores = assess_reputation(scorer, sorted(bids))
         delay = auction.traffic_delay
@@ -538,7 +544,7 @@ def build_logistics_agent(
         try:
             winner, losers = select_winner(adjusted, scores, weights, deadline_dt, announced_at)
         except ContractNetError as exc:
-            propose(ctx, "no_feasible_bid", detail=str(exc))
+            propose(ctx, auction, "no_feasible_bid", detail=str(exc))
             return
         chosen = bids[winner]
         eta = chosen.eta_minutes + delay
@@ -549,6 +555,7 @@ def build_logistics_agent(
         ctx.diag("winner_selected")
         propose(
             ctx,
+            auction,
             "proposal",
             courier_id=chosen.courier_id,
             courier_address=winner,
@@ -559,35 +566,25 @@ def build_logistics_agent(
             domain_verified=bool(domain),
         )
 
-    def outcome(status: str, detail: str = "", **extra) -> Record:
-        body = {
-            "status": status,
-            "escrow_id": "",
-            "courier_id": "",
-            "paid_fet": 0,
-            "detail": detail,
-        }
-        body.update(extra)
-        return Record(DELIVERY_OUTCOME, body)
-
     # every outcome but the delivery's is the reply to a decision
     @agent.on_message(DELIVERY_DECISION)
     def on_decision(ctx, sender: str, msg: Record):
+        auction = auctions.get(ctx.session_id)
         if auction is None or sender != auction.requester or auction.phase != "awaiting_decision":
-            return outcome("no_open_proposal")
+            return _filled(DELIVERY_OUTCOME, status="no_open_proposal")
         bidders = [auction.winner, *auction.losers]
         if not msg["approved"]:
             reject_bidders(ctx, bidders)
-            auction.phase = "closed"
+            del auctions[ctx.session_id]
             ctx.diag("auction_closed_unapproved")
-            return outcome(msg["reason"] or "declined_by_user")
+            return _filled(DELIVERY_OUTCOME, status=msg["reason"] or "declined_by_user")
         world = ctx.agent.world
         try:
             payee_wallet = world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
         except (RegistryError, KeyError):
             reject_bidders(ctx, bidders)
-            auction.phase = "closed"
-            return outcome("no_payee_wallet")
+            del auctions[ctx.session_id]
+            return _filled(DELIVERY_OUTCOME, status="no_payee_wallet")
         try:
             auction.escrow_id = settle(
                 ctx,
@@ -599,32 +596,33 @@ def build_logistics_agent(
                 payee_wallet,
             )
         except InsufficientFunds as exc:
-            auction.phase = "closed"
+            del auctions[ctx.session_id]
             ctx.diag("escrow_underfunded")
-            return outcome("insufficient_funds", detail=f"InsufficientFunds: {exc}")
-        auction.decision_session = ctx.session_id
+            detail = f"InsufficientFunds: {exc}"
+            return _filled(DELIVERY_OUTCOME, status="insufficient_funds", detail=detail)
         auction.phase = "awaiting_delivery"
         ctx.diag("escrow_opened")
 
     @agent.on_message(DELIVERY_CONFIRMED)
     def on_confirmed(ctx, sender: str, msg: Record):
+        auction = auctions.get(ctx.session_id)
         if auction is None or auction.phase != "awaiting_delivery" or sender != auction.winner:
             ctx.diag("unexpected_delivery_confirmation")
             return
         ctx.agent.world.ledger.settle_escrow(
             auction.escrow_id, identity.address, EscrowOutcome.RELEASED
         )
-        auction.phase = "done"
+        del auctions[ctx.session_id]
         ctx.diag("escrow_released")
         ctx.send(
             auction.requester,
-            outcome(
-                "delivered",
+            _filled(
+                DELIVERY_OUTCOME,
+                status="delivered",
                 escrow_id=auction.escrow_id.hex(),
                 courier_id=msg["courier_id"],
                 paid_fet=auction.price_fet,
             ),
-            session_id=auction.decision_session,
         )
 
     return agent
@@ -785,6 +783,7 @@ class Orchestrator:
         self._initial_user_balance = world.ledger.balance(user_agent.identity.wallet_address)
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
+        self._order_session: bytes | None = None  # the request's; the decision continues it
 
     # -- conversation ------------------------------------------------------
 
@@ -811,9 +810,11 @@ class Orchestrator:
         self.discovered.update(record.address for record in hits)
         return hits
 
-    def _query(self, target: str, record: Record, timeout_ticks: int) -> Record:
+    def _query(
+        self, target: str, record: Record, timeout_ticks: int, session_id: bytes | None = None
+    ) -> Record:
         self.contacted.add(target)
-        return self.world.query(self.user_agent, target, record, timeout_ticks)
+        return self.world.query(self.user_agent, target, record, timeout_ticks, session_id)
 
     # -- the plan ----------------------------------------------------------
 
@@ -872,9 +873,9 @@ class Orchestrator:
                 "payer_wallet": user_wallet,
             },
         )
-        proposal = self._query(
-            logistics.address, request, config.bid_window_ticks + 30
-        )
+        self._order_session = self.user_agent.fresh_session_id()
+        wait = _bid_window(config) + 4 * config.latency_max  # request, traffic, proposal
+        proposal = self._query(logistics.address, request, wait, self._order_session)
 
         if proposal["status"] != "proposal":
             return self._report(
@@ -970,7 +971,8 @@ class Orchestrator:
             ],
         )
         self._hear("user", opener["content"][0])
-        question = self._query(business.address, opener, 20)
+        wait = max(20, 2 * self.config.latency_max)  # there and back
+        question = self._query(business.address, opener, wait)
         self._hear(business_name, question["content"][0])
         answer = make_chat_message(
             f"tick-{world.height}",
@@ -978,7 +980,7 @@ class Orchestrator:
             ["The item is a 40cm x 30cm x 20cm box weighing 2.5 kilograms."],
         )
         self._hear("user", answer["content"][0])
-        quote_msg = self._query(business.address, answer, 20)
+        quote_msg = self._query(business.address, answer, wait)
         self._hear(business_name, quote_msg["content"][0])
         match = re.search(r"for (\d+) FET", quote_msg["content"][0])
         if match is None:
@@ -988,7 +990,7 @@ class Orchestrator:
     def _decide(self, logistics_address: str, approved: bool, reason: str) -> Record:
         decision = Record(DELIVERY_DECISION, {"approved": approved, "reason": reason})
         timeout = self.config.delivery_ticks + self.config.latency_max * 6 + 20
-        return self._query(logistics_address, decision, timeout)
+        return self._query(logistics_address, decision, timeout, self._order_session)
 
     # -- assembly ----------------------------------------------------------
 

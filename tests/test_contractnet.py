@@ -317,6 +317,13 @@ class TestAnnounceAndSettle:
         assert all(e.expires_at == 20 for e in envs)
         assert len({e.session_id for e in envs}) == 5
 
+    def test_announce_sends_in_the_context_session(self):
+        ledger, registry, logistics, _ = self.registered_world(5)
+        session = b"\x07" * 16
+        ctx = Context(logistics, ledger.height, session_id=session)
+        announce(ctx, self.task(), registry, bid_deadline=20)
+        assert [e.session_id for e in ctx.outbound] == [session] * 5
+
     def test_announce_without_couriers(self):
         ledger, registry, logistics, _ = self.registered_world(0)
         ctx = Context(logistics, ledger.height)

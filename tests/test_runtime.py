@@ -394,6 +394,25 @@ class TestTimers:
         world.tick(3)
         assert fired == [3, 3]
 
+    def test_a_timer_set_by_a_handler_sends_in_its_session(self):
+        world = fresh_world()
+        receiver = make_agent("session timer receiver")
+        sender = make_agent("session timer sender")
+        sent = []
+
+        @receiver.on_message(PING)
+        def handle(ctx, sender_address, record):
+            def answer_later(later):
+                sent.append(later.send(sender_address, Record(PONG, {"text": "later"})))
+
+            ctx.at(ctx.height + 2, answer_later)
+
+        world.add_agent(receiver)
+        world.add_agent(sender)
+        ping = world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
+        world.tick(4)
+        assert [env.session_id for env in sent] == [ping.session_id]
+
     def test_timer_sends_like_a_handler(self):
         world = fresh_world()
         receiver = echo_agent("timer echo")
@@ -517,6 +536,7 @@ class TestTimers:
         with pytest.raises(DrainIncomplete) as excinfo:
             world.drain(max_ticks=5)
         assert "1 timers pending" in str(excinfo.value)
+        assert excinfo.value.timers == 1
 
     def test_idle_agents_run_no_handler(self, monkeypatch):
         # guard against polling coming back: ticking a world of agents

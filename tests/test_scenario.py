@@ -16,10 +16,11 @@ from agentmesh.config import (
 )
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET
-from agentmesh.contractnet import ACCEPT_BID
+from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS
 from agentmesh.runtime import Agent, Timeout
 from agentmesh.scenario import (
     DELIVERY_DECISION,
+    LOGISTICS_PROPOSAL,
     LOGISTICS_PROTOCOL,
     LOGISTICS_REQUEST,
     MAPS_PROTOCOL,
@@ -358,19 +359,49 @@ def _fast_world(**overrides):
     return build_scenario(config)
 
 
+def _logistics_request(payer_wallet: str, deadline: str | None = None) -> Record:
+    task = parse_request(DEMO_REQUEST)
+    return Record(
+        LOGISTICS_REQUEST,
+        {
+            "source": task.source,
+            "destination": task.destination,
+            "deadline": task.deadline if deadline is None else deadline,
+            "requirements": list(task.requirements),
+            "payer_wallet": payer_wallet,
+        },
+    )
+
+
 def _intruder_approves_first(monkeypatch, scenario):
     """A courier, which speaks LogisticsCoordination too, sends an approval
-    to the logistics agent just before the user's own decision; returns
-    the intruder and the report."""
-    orchestrator = scenario.orchestrator
+    to the logistics agent just before the user's own decision, in the
+    order's own session, which it reads off its CallForBids. Returns the
+    intruder and the report."""
+    world, orchestrator = scenario.world, scenario.orchestrator
+    user = scenario.user_agent.identity.address
     intruder = scenario.courier_agents["DroneDashLtd"]
     approval = Record(DELIVERY_DECISION, {"approved": True, "reason": ""})
-    decide = orchestrator._decide
+    send, dispatch, decide = world.send, intruder.dispatch, orchestrator._decide
+    requests, calls = [], []
+
+    def recording_requests(env):
+        if env.sender == user and env.schema_digest == LOGISTICS_REQUEST.digest():
+            requests.append(env.session_id)
+        send(env)
+
+    def reading_calls(env, height):
+        if env.schema_digest == CALL_FOR_BIDS.digest():
+            calls.append(env.session_id)
+        return dispatch(env, height)
 
     def approve_first(target, approved, reason):
-        scenario.world.send_message(intruder, target, approval)
+        assert calls == requests  # the call for bids came in the order's session
+        world.send_message(intruder, target, approval, session_id=calls[0])
         return decide(target, approved, reason)
 
+    monkeypatch.setattr(world, "send", recording_requests)
+    monkeypatch.setattr(intruder, "dispatch", reading_calls)
     monkeypatch.setattr(orchestrator, "_decide", approve_first)
     return intruder, orchestrator.run()
 
@@ -411,8 +442,8 @@ def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
     world.add_agent(spoofer)
     send_query = world.send_query
 
-    def estimate_after_request(sender, target, record, expires_at=None):
-        session_id = send_query(sender, target, record, expires_at)
+    def estimate_after_request(sender, target, record, expires_at=None, session_id=None):
+        session_id = send_query(sender, target, record, expires_at, session_id)
         if record.schema is LOGISTICS_REQUEST:
             world.send_message(spoofer, target, Record(MAPS_REPLY, {"delay_minutes": 100000}))
         return session_id
@@ -422,6 +453,32 @@ def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
     assert report.status == "ok"
     assert report.winner == "SpeedyVanCouriers"
     assert sum(line.endswith("|unexpected_traffic_reply") for line in report.transcript) == 1
+
+
+def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monkeypatch):
+    # every invited courier sees the order's session in its CallForBids
+    scenario = _fast_world()
+    world, user = scenario.world, scenario.user_agent.identity.address
+    intruder = scenario.courier_agents["DroneDashLtd"]
+    forged = Record(
+        LOGISTICS_PROPOSAL,
+        {"status": "no_couriers", "courier_id": "", "courier_address": "", "price_fet": 0,
+         "eta_minutes": 0, "arrival": "", "domain": "", "domain_verified": False, "detail": ""},
+    )
+    send = world.send
+
+    def forge_after_request(env):
+        send(env)
+        if env.sender == user and env.schema_digest == LOGISTICS_REQUEST.digest():
+            world.send_message(intruder, user, forged, session_id=env.session_id)
+
+    monkeypatch.setattr(world, "send", forge_after_request)
+    report = scenario.orchestrator.run()
+    assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
+    assert any(
+        line.sender == intruder.identity.address and line.outcome == "no_handler"
+        for line in world.transcript
+    )
 
 
 def test_decision_before_any_request_gets_no_open_proposal():
@@ -443,22 +500,62 @@ def test_request_spam_ends_in_a_report():
     spammer = Agent("Spammer", derive_identity("request spammer seed"))
     spammer.include_protocol(LOGISTICS_PROTOCOL)
     world.add_agent(spammer)
-    task = parse_request(DEMO_REQUEST)
-    spam = Record(
-        LOGISTICS_REQUEST,
-        {
-            "source": task.source,
-            "destination": task.destination,
-            "deadline": task.deadline,
-            "requirements": list(task.requirements),
-            "payer_wallet": spammer.identity.wallet_address,
-        },
-    )
+    spam = _logistics_request(spammer.identity.wallet_address)
     for _ in range(12):
         world.send_message(spammer, scenario.logistics_agent.identity.address, spam)
     report = scenario.orchestrator.run()
     assert report.conserved
     assert not any(escrow.endswith("=Open") for escrow in report.escrows)
+
+
+def test_two_requests_in_one_world_are_both_answered():
+    scenario = build_scenario(default_config())
+    world, user = scenario.world, scenario.user_agent
+    logistics = scenario.logistics_agent.identity.address
+    request = _logistics_request(user.identity.wallet_address)
+    sessions = [world.send_query(user, logistics, request) for _ in range(2)]
+    world.tick(60)
+    replies = [world.poll_reply(session) for session in sessions]
+    assert [reply and reply["status"] for reply in replies] == ["proposal", "proposal"]
+
+
+def test_a_second_request_in_a_live_order_session_is_refused(monkeypatch):
+    scenario = _fast_world()
+    world = scenario.world
+    intruder = Agent("Overwriter", derive_identity("order overwriter seed"))
+    intruder.include_protocol(LOGISTICS_PROTOCOL)
+    world.add_agent(intruder)
+    send = world.send
+    user = scenario.user_agent.identity.address
+
+    def request_again(env):
+        send(env)
+        if env.sender == user and env.schema_digest == LOGISTICS_REQUEST.digest():
+            again = _logistics_request(intruder.identity.wallet_address)
+            world.send_message(intruder, env.target, again, session_id=env.session_id)
+
+    monkeypatch.setattr(world, "send", request_again)
+    report = scenario.orchestrator.run()
+    refused = [line for line in world.transcript if line.outcome == "invalid_record"]
+    assert [(line.sender, line.schema_name) for line in refused] == [
+        (intruder.identity.address, "LogisticsRequest")
+    ]
+    assert report.status == "ok"
+    assert report.winner == "SpeedyVanCouriers"
+    assert [escrow.split("=")[1] for escrow in report.escrows] == ["Released"]
+    assert report.total_user_spend_fet == 32
+
+
+@pytest.mark.parametrize("same_min", [False, True], ids=["min_1", "min_eq_max"])
+@pytest.mark.parametrize("latency", [10, 20, 40])
+def test_waits_follow_the_network_latency(latency, same_min):
+    config = with_overrides(
+        default_config(), latency_min=latency if same_min else 1, latency_max=latency
+    )
+    report = run_scenario(config)
+    assert (report.status, report.failure_cause) == ("ok", "")
+    assert report.total_user_spend_fet == 32
+    assert [escrow.split("=")[1] for escrow in report.escrows] == ["Released"]
 
 
 # ---------------------------------------------------------------------------
@@ -617,27 +714,13 @@ def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
     scenario = build_scenario(default_config())
     world, user = scenario.world, scenario.user_agent
     logistics = scenario.logistics_agent.identity.address
-    task = parse_request(DEMO_REQUEST)
-
-    def request(deadline: str) -> Record:
-        return Record(
-            LOGISTICS_REQUEST,
-            {
-                "source": task.source,
-                "destination": task.destination,
-                "deadline": deadline,
-                "requirements": list(task.requirements),
-                "payer_wallet": user.identity.wallet_address,
-            },
-        )
-
-    good = world.send_query(user, logistics, request(task.deadline))
+    good = world.send_query(user, logistics, _logistics_request(user.identity.wallet_address))
     for _ in range(20):
         world.tick()
         if any(line.outcome == "auction_opened" for line in world.transcript):
             break
     with pytest.raises(Timeout):
-        world.query(user, logistics, request(deadline), 10)
+        world.query(user, logistics, _logistics_request(user.identity.wallet_address, deadline), 10)
     refused = [line for line in world.transcript if line.outcome == "invalid_record"]
     assert [line.schema_name for line in refused] == ["LogisticsRequest"]
     for _ in range(40):
