@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     except Exception as exc:  # setup must not leave half a world behind
         print(f"setup error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
 
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:

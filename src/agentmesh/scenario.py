@@ -41,6 +41,7 @@ from .identity import AgentIdentity, derive_identity
 from .ledger import EscrowOutcome, InsufficientFunds, Ledger, LedgerError, UFET_PER_FET, fet
 from .mailbox import MailboxStore
 from .registry import (
+    Expired as RegistrationExpired,
     FixtureDnsResolver,
     Registry,
     RegistryError,
@@ -212,24 +213,23 @@ class FeedbackRecord:
 class FeedbackRegister:
     """Append-only public register; one record per (rater, auction).
 
-    mark_delivered() issues the auction id a rating must reference. The id
-    is scoped to this register, not to one run's ledger: escrow ids repeat
-    across deterministic replays, but each delivery is its own auction.
+    mark_delivered() issues the auction id a rating must reference: the
+    delivery's escrow id, which never repeats within one world's ledger.
+    `stars` indexes the ratings by rated address; a world's reputation
+    scorer reads that index as it grows.
     """
 
     records: list[FeedbackRecord] = field(default_factory=list)
+    stars: dict[str, list[int]] = field(default_factory=dict)
     _by_auction: dict[tuple[str, str], FeedbackRecord] = field(default_factory=dict)
     _completed: dict[tuple[str, str], str] = field(default_factory=dict)
-    _delivery_seq: int = 0
 
     def mark_delivered(self, rater_wallet: str, escrow_hex: str, rated_address: str) -> str:
-        auction_id = f"{escrow_hex}@{self._delivery_seq}"
-        self._delivery_seq += 1
-        self._completed[(rater_wallet, auction_id)] = rated_address
-        return auction_id
+        self._completed[(rater_wallet, escrow_hex)] = rated_address
+        return escrow_hex
 
     def stars_for(self, address: str) -> list[int]:
-        return [r.stars for r in self.records if r.rated_address == address]
+        return list(self.stars.get(address, ()))
 
 
 def record_feedback(
@@ -252,6 +252,7 @@ def record_feedback(
         raise DuplicateFeedback(f"auction {auction_id} already rated by this wallet")
     record = FeedbackRecord(rater_wallet, rated_address, stars, published_at)
     register.records.append(record)
+    register.stars.setdefault(rated_address, []).append(stars)
     register._by_auction[key] = record
     return record
 
@@ -289,15 +290,17 @@ def build_user_agent(identity: AgentIdentity) -> Agent:
 def build_packaging_agent(identity: AgentIdentity, quote_fet: int) -> Agent:
     agent = Agent(PACKAGING_NAME, identity)
     agent.include_protocol(CHAT_PROTOCOL)
-    # dialogue position is tracked per customer, not per session
-    turns: dict[str, int] = {}
+    # dialogue position is tracked per customer, not per session; a quote
+    # ends the dialogue, so the customer's next message opens a new one
+    asked: set[str] = set()
 
     @agent.on_message(CHAT_MESSAGE)
     def on_chat(ctx, sender: str, msg: Record):
-        turns[sender] = turns.get(sender, 0) + 1
-        if turns[sender] == 1:
+        if sender not in asked:
+            asked.add(sender)
             ctx.reply(_chat(ctx, _CLARIFYING_QUESTION))
         else:
+            asked.discard(sender)
             ctx.reply(
                 _chat(ctx, f"We can professionally package your fragile item for {quote_fet} FET.")
             )
@@ -581,10 +584,13 @@ def build_logistics_agent(
         world = ctx.agent.world
         try:
             payee_wallet = world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
-        except (RegistryError, KeyError):
+        except (RegistryError, KeyError) as exc:
             reject_bidders(ctx, bidders)
             del auctions[ctx.session_id]
-            return _filled(DELIVERY_OUTCOME, status="no_payee_wallet")
+            lapsed = isinstance(exc, RegistrationExpired)
+            return _filled(
+                DELIVERY_OUTCOME, status="payee_registration_expired" if lapsed else "no_payee_wallet"
+            )
         try:
             auction.escrow_id = settle(
                 ctx,
@@ -752,35 +758,30 @@ _FAILURE_BY_STATUS = {
     "no_feasible_bid": "NoFeasibleBid",
     "insufficient_funds": "InsufficientFunds",
     "no_payee_wallet": "NoPayeeWallet",
+    "payee_registration_expired": "PayeeRegistrationExpired",
     "no_open_proposal": "ProtocolViolation",
 }
 
 
 class Orchestrator:
-    """Deterministic stand-in for the conversational planner.
+    """Deterministic stand-in for the conversational planner, for one order.
 
     Runs a fixed, straight-line plan and records every user-facing line.
     The two approval gates block on a decision: scripted configs answer from
     their fields, interactive mode reads y/n from the terminal.
     """
 
-    def __init__(
-        self,
-        world: World,
-        config: ScenarioConfig,
-        user_agent: Agent,
-        feedback_register: FeedbackRegister,
-        input_fn=None,
-    ) -> None:
-        self.world = world
-        self.config = config
-        self.user_agent = user_agent
-        self.register = feedback_register
+    def __init__(self, scenario: ScenarioWorld, input_fn=None) -> None:
+        self.world = scenario.world
+        self.config = scenario.config
+        self.user_agent = scenario.user_agent
+        self.register = scenario.feedback_register
         self._input = input_fn if input_fn is not None else input
         self.dialogue: list[str] = []
         self.discovered: set[str] = set()
         self.contacted: set[str] = set()
-        self._initial_user_balance = world.ledger.balance(user_agent.identity.wallet_address)
+        user_wallet = self.user_agent.identity.wallet_address
+        self._initial_user_balance = self.world.ledger.balance(user_wallet)
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
         self._order_session: bytes | None = None  # the request's; the decision continues it
@@ -1063,16 +1064,17 @@ def _registration(ledger: Ledger, agent: Agent, endpoint: str, metadata: dict[st
             agent.identity.wallet_address)
 
 
-def _verify_domains(registry, dns, challenges: list[tuple[str, bytes]], height: int) -> None:
+def _verify_domains(registry, challenges: list[tuple[str, bytes]], height: int) -> None:
     """Publish each claimed domain's TXT challenge, then verify the claim.
     Against a service client the server holds the resolver, so publishing
-    goes through the client."""
+    goes through the client; in process the world's fixture zone is fresh."""
     if hasattr(registry, "dns_publish"):
         calls = []
         for domain, challenge in challenges:
             calls += [("dns_publish", domain, challenge.hex()), ("aname_verify", domain, None, height)]
         _call_all(registry, calls)
     else:
+        dns = FixtureDnsResolver()
         for domain, challenge in challenges:
             dns.publish(domain, challenge.hex())
             registry.aname_verify(domain, dns, height)
@@ -1080,26 +1082,23 @@ def _verify_domains(registry, dns, challenges: list[tuple[str, bytes]], height: 
 
 @dataclass
 class ScenarioWorld:
-    """Everything run_scenario assembled, exposed for tests and the CLI."""
+    """A standing world: the cast build_scenario assembled, which takes
+    order after order."""
 
     world: World
     config: ScenarioConfig
     user_agent: Agent
     logistics_agent: Agent
     courier_agents: dict[str, Agent]
-    orchestrator: Orchestrator
     feedback_register: FeedbackRegister
 
+    def place_order(self, input_fn=None) -> ScenarioReport:
+        """Run the config's request as one order; failures come back as
+        reports. `input_fn` answers the interactive gates."""
+        return Orchestrator(self, input_fn).run()
 
-def build_scenario(
-    config: ScenarioConfig,
-    registry=None,
-    mailbox=None,
-    dns=None,
-    feedback_register=None,
-    input_fn=None,
-    ledger=None,
-) -> ScenarioWorld:
+
+def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=None) -> ScenarioWorld:
     """Mint, register, and wire the whole cast; no ticks happen yet.
 
     registry and mailbox accept either the in-process objects or service
@@ -1110,11 +1109,9 @@ def build_scenario(
         ledger = Ledger()
     if registry is None:
         registry = Registry(ttl=config.registry_ttl, fee=fet(config.registration_fee_fet))
-    if dns is None:
-        dns = FixtureDnsResolver()
     if mailbox is None:
         mailbox = MailboxStore()
-    register = feedback_register if feedback_register is not None else FeedbackRegister()
+    register = FeedbackRegister()
 
     user_identity = derive_identity(USER_SEED)
     logistics_identity = derive_identity(LOGISTICS_SEED)
@@ -1139,13 +1136,11 @@ def build_scenario(
     for identity in service_identities:
         ledger.mint(identity.wallet_address, fet(config.agent_float_fet))
 
-    # reputation evidence: configured reviews plus any published ratings
-    scorer = DeterministicScorer()
+    # reputation evidence: configured reviews, and the ratings as published
+    scorer = DeterministicScorer(stars=register.stars)
     name_to_address = {name: ident.address for name, ident in courier_identities.items()}
     for courier_name, text in config.reviews:
         scorer.add_review(name_to_address[courier_name], text)
-    for record in register.records:
-        scorer.add_stars(record.rated_address, record.stars)
 
     user_agent = build_user_agent(user_identity)
     logistics_agent = build_logistics_agent(logistics_identity, config, scorer)
@@ -1206,39 +1201,28 @@ def build_scenario(
         next(results)  # the registration's expiry height
         if domain:
             challenges.append((domain, next(results)))
-    _verify_domains(registry, dns, challenges, world.height)
+    _verify_domains(registry, challenges, world.height)
 
     for window in config.offline:
         address = name_to_address[window.agent]
         world.schedule_presence(address, window.offline_tick, False)
         world.schedule_presence(address, window.online_tick, True)
 
-    orchestrator = Orchestrator(world, config, user_agent, register, input_fn)
     return ScenarioWorld(
         world=world,
         config=config,
         user_agent=user_agent,
         logistics_agent=logistics_agent,
         courier_agents=courier_agents,
-        orchestrator=orchestrator,
         feedback_register=register,
     )
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    registry=None,
-    mailbox=None,
-    dns=None,
-    feedback_register=None,
-    input_fn=None,
-    ledger=None,
-) -> ScenarioReport:
-    """Execute the full plan; failures come back as reports, not crashes."""
+def run_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=None) -> ScenarioReport:
+    """Build a world and place one order; failures come back as reports,
+    not crashes."""
     try:
-        scenario = build_scenario(
-            config, registry, mailbox, dns, feedback_register, input_fn, ledger
-        )
+        scenario = build_scenario(config, registry, mailbox, ledger)
     except (LedgerError, RegistryError, ScenarioError, ServiceError) as exc:
         return ScenarioReport("failed", f"{type(exc).__name__}: {exc}")
-    return scenario.orchestrator.run()
+    return scenario.place_order()

@@ -84,7 +84,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_bytes(name):
     scenario = build_scenario(CONFIGS[name]())
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     got = (
         report.status,
         _sha("\n".join(report.transcript)),
@@ -136,6 +136,6 @@ def test_signature_checks_are_pinned(name, monkeypatch):
         method = getattr(identity.AgentIdentity, attr)
         monkeypatch.setattr(identity.AgentIdentity, attr, counting(method, key))
     scenario = build_scenario(CONFIGS[name]())
-    assert scenario.orchestrator.run().status == "ok"
+    assert scenario.place_order().status == "ok"
     got = (counts["verify"], counts["verify_false"], counts["sign"], counts["sign_wallet"])
     assert got == SIGNATURE_CALLS[name]

@@ -4,6 +4,7 @@ feedback rules, offline couriers, determinism."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -14,9 +15,11 @@ from agentmesh.config import (
     default_config,
     with_overrides,
 )
+from agentmesh import scenario as scenario_module
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import UFET_PER_FET
-from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS
+from agentmesh.ledger import UFET_PER_FET, replay
+from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS, NEUTRAL_SCORE, assess_reputation
+from agentmesh.registry import NotFound
 from agentmesh.runtime import Agent, Timeout
 from agentmesh.scenario import (
     DELIVERY_DECISION,
@@ -25,9 +28,11 @@ from agentmesh.scenario import (
     LOGISTICS_REQUEST,
     MAPS_PROTOCOL,
     MAPS_REPLY,
+    PACKAGING_NAME,
     DuplicateFeedback,
     FeedbackRegister,
     NoCompletedDelivery,
+    Orchestrator,
     REPORT_SCHEMA,
     ScenarioError,
     UnparsableRequest,
@@ -128,7 +133,7 @@ def test_feedback_duplicate_rejected():
 def test_feedback_requires_completed_delivery():
     register = FeedbackRegister()
     with pytest.raises(NoCompletedDelivery):
-        record_feedback(register, "wallet1x", "agent1abc", 5, "e1@0", 10)
+        record_feedback(register, "wallet1x", "agent1abc", 5, "e1", 10)
 
 
 def test_feedback_rated_address_must_match_the_delivery():
@@ -156,16 +161,16 @@ def test_feedback_one_record_per_auction_but_many_auctions():
     assert register.stars_for("agent1abc") == [5, 1]
 
 
-def test_feedback_same_escrow_hex_across_runs_is_two_auctions():
-    # deterministic replays reuse escrow ids; the register still treats
-    # each delivery as its own auction
+def test_feedback_auction_id_is_the_escrow_id():
+    # a register belongs to one world, whose ledger never repeats an escrow
+    # id, so the escrow names the auction and rates only once
     register = FeedbackRegister()
-    first = register.mark_delivered("wallet1x", "e1", "agent1abc")
-    second = register.mark_delivered("wallet1x", "e1", "agent1abc")
-    assert first != second
-    record_feedback(register, "wallet1x", "agent1abc", 5, first, 10)
-    record_feedback(register, "wallet1x", "agent1abc", 4, second, 20)
-    assert register.stars_for("agent1abc") == [5, 4]
+    auction = register.mark_delivered("wallet1x", "e1", "agent1abc")
+    assert auction == "e1"
+    record_feedback(register, "wallet1x", "agent1abc", 5, auction, 10)
+    with pytest.raises(DuplicateFeedback):
+        record_feedback(register, "wallet1x", "agent1abc", 4, auction, 20)
+    assert register.stars_for("agent1abc") == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def test_wire_error_mid_order_fails_typed(monkeypatch):
         raise Expired("query reply failed validation: Expired")
 
     monkeypatch.setattr(scenario.world, "query", query)
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     assert report.status == "failed"
     assert report.failure_cause == "Expired: query reply failed validation: Expired"
     assert report.total_user_spend_ufet == 0
@@ -284,16 +289,16 @@ def test_wire_error_mid_order_fails_typed(monkeypatch):
 def test_wallet_emptied_before_approval_rejects_every_bidder(monkeypatch):
     # the wallet pre-check passes, then the funds leave before the escrow opens
     scenario = build_scenario(default_config())
-    orchestrator, ledger = scenario.orchestrator, scenario.world.ledger
-    decide = orchestrator._decide
+    ledger = scenario.world.ledger
+    decide = Orchestrator._decide
 
-    def drain_then_decide(target, approved, reason):
-        wallet = orchestrator.user_agent.identity.wallet_address
+    def drain_then_decide(self, target, approved, reason):
+        wallet = self.user_agent.identity.wallet_address
         ledger.transfer(wallet, "wallet1" + "z" * 52, ledger.balance(wallet) - 1)
-        return decide(target, approved, reason)
+        return decide(self, target, approved, reason)
 
-    monkeypatch.setattr(orchestrator, "_decide", drain_then_decide)
-    report = orchestrator.run()
+    monkeypatch.setattr(Orchestrator, "_decide", drain_then_decide)
+    report = scenario.place_order()
     assert report.status == "failed"
     assert report.failure_cause == "InsufficientFunds"
     assert report.escrows == ()
@@ -378,11 +383,11 @@ def _intruder_approves_first(monkeypatch, scenario):
     to the logistics agent just before the user's own decision, in the
     order's own session, which it reads off its CallForBids. Returns the
     intruder and the report."""
-    world, orchestrator = scenario.world, scenario.orchestrator
+    world = scenario.world
     user = scenario.user_agent.identity.address
     intruder = scenario.courier_agents["DroneDashLtd"]
     approval = Record(DELIVERY_DECISION, {"approved": True, "reason": ""})
-    send, dispatch, decide = world.send, intruder.dispatch, orchestrator._decide
+    send, dispatch, decide = world.send, intruder.dispatch, Orchestrator._decide
     requests, calls = [], []
 
     def recording_requests(env):
@@ -395,15 +400,15 @@ def _intruder_approves_first(monkeypatch, scenario):
             calls.append(env.session_id)
         return dispatch(env, height)
 
-    def approve_first(target, approved, reason):
+    def approve_first(self, target, approved, reason):
         assert calls == requests  # the call for bids came in the order's session
         world.send_message(intruder, target, approval, session_id=calls[0])
-        return decide(target, approved, reason)
+        return decide(self, target, approved, reason)
 
     monkeypatch.setattr(world, "send", recording_requests)
     monkeypatch.setattr(intruder, "dispatch", reading_calls)
-    monkeypatch.setattr(orchestrator, "_decide", approve_first)
-    return intruder, orchestrator.run()
+    monkeypatch.setattr(Orchestrator, "_decide", approve_first)
+    return intruder, scenario.place_order()
 
 
 def _outcomes_to(report, address: str) -> int:
@@ -449,7 +454,7 @@ def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
         return session_id
 
     monkeypatch.setattr(world, "send_query", estimate_after_request)
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     assert report.status == "ok"
     assert report.winner == "SpeedyVanCouriers"
     assert sum(line.endswith("|unexpected_traffic_reply") for line in report.transcript) == 1
@@ -473,7 +478,7 @@ def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monke
             world.send_message(intruder, user, forged, session_id=env.session_id)
 
     monkeypatch.setattr(world, "send", forge_after_request)
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
     assert any(
         line.sender == intruder.identity.address and line.outcome == "no_handler"
@@ -503,7 +508,7 @@ def test_request_spam_ends_in_a_report():
     spam = _logistics_request(spammer.identity.wallet_address)
     for _ in range(12):
         world.send_message(spammer, scenario.logistics_agent.identity.address, spam)
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     assert report.conserved
     assert not any(escrow.endswith("=Open") for escrow in report.escrows)
 
@@ -517,6 +522,43 @@ def test_two_requests_in_one_world_are_both_answered():
     world.tick(60)
     replies = [world.poll_reply(session) for session in sessions]
     assert [reply and reply["status"] for reply in replies] == ["proposal", "proposal"]
+
+
+def test_two_orders_in_one_world(monkeypatch):
+    scenario = build_scenario(default_config())
+    world, ledger = scenario.world, scenario.world.ledger
+    tick, unconserved = world.tick, []
+
+    def checked_tick(n=1):
+        for _ in range(n):
+            tick()
+            if not ledger.conservation_ok():
+                unconserved.append(world.height)
+
+    monkeypatch.setattr(world, "tick", checked_tick)
+    reports = [scenario.place_order() for _ in range(2)]
+    assert [(r.status, r.failure_cause) for r in reports] == [("ok", "")] * 2
+    assert [r.total_user_spend_fet for r in reports] == [32, 32]
+    assert [len(r.dialogue) for r in reports] == [12, 12]
+    assert [c.state.value for c in ledger.escrows.values()] == ["Released"] * 2
+    assert unconserved == []
+    rebuilt = replay(ledger.journal)
+    assert rebuilt.balances == ledger.balances
+    assert rebuilt.fee_sink == ledger.fee_sink
+    assert {eid: c.state for eid, c in rebuilt.escrows.items()} == {
+        eid: c.state for eid, c in ledger.escrows.items()
+    }
+
+
+def test_two_orders_in_one_world_hold_the_same_packaging_chat():
+    scenario = build_scenario(default_config())
+    first, second = scenario.place_order(), scenario.place_order()
+
+    def packaging_lines(report):
+        return [line for line in report.dialogue if line.startswith(f"[{PACKAGING_NAME}]")]
+
+    assert len(packaging_lines(first)) == 2
+    assert packaging_lines(second) == packaging_lines(first)
 
 
 def test_a_second_request_in_a_live_order_session_is_refused(monkeypatch):
@@ -535,7 +577,7 @@ def test_a_second_request_in_a_live_order_session_is_refused(monkeypatch):
             world.send_message(intruder, env.target, again, session_id=env.session_id)
 
     monkeypatch.setattr(world, "send", request_again)
-    report = scenario.orchestrator.run()
+    report = scenario.place_order()
     refused = [line for line in world.transcript if line.outcome == "invalid_record"]
     assert [(line.sender, line.schema_name) for line in refused] == [
         (intruder.identity.address, "LogisticsRequest")
@@ -558,26 +600,53 @@ def test_waits_follow_the_network_latency(latency, same_min):
     assert [escrow.split("=")[1] for escrow in report.escrows] == ["Released"]
 
 
+def test_a_payee_registration_that_lapsed_names_the_lateness():
+    # at 60 ticks a hop the couriers' registrations (TTL 500) lapse before
+    # the user decides, so the winner's wallet cannot be resolved
+    report = run_scenario(with_overrides(default_config(), latency_min=60, latency_max=60))
+    assert (report.status, report.failure_cause) == ("failed", "PayeeRegistrationExpired")
+    assert report.total_user_spend_fet == 7
+    assert report.escrows == ()
+    assert report.conserved
+
+
+def _unknown(record):
+    raise NotFound(record.address)
+
+
+@pytest.mark.parametrize(
+    "resolved", [_unknown, lambda record: replace(record, metadata={})], ids=["unknown", "no_wallet"]
+)
+def test_a_payee_without_a_wallet_is_no_payee_wallet(monkeypatch, resolved):
+    scenario = _fast_world()
+    registry = scenario.world.registry
+    resolve = registry.resolve
+    monkeypatch.setattr(registry, "resolve", lambda *args: resolved(resolve(*args)))
+    report = scenario.place_order()
+    assert (report.status, report.failure_cause) == ("failed", "NoPayeeWallet")
+    assert report.escrows == ()
+    assert report.total_user_spend_fet == 7
+
+
 # ---------------------------------------------------------------------------
 # feedback wiring
 
 def test_feedback_skipped_when_stars_zero():
-    register = FeedbackRegister()
-    report = run_scenario(
-        with_overrides(default_config(), feedback_stars=0), feedback_register=register
-    )
+    scenario = build_scenario(with_overrides(default_config(), feedback_stars=0))
+    report = scenario.place_order()
     assert report.status == "ok"
     assert report.feedback_stars == 0
-    assert register.records == []
+    assert scenario.feedback_register.records == []
 
 
 def test_feedback_register_accumulates_across_runs():
-    register = FeedbackRegister()
-    first = run_scenario(default_config(), feedback_register=register)
-    second = run_scenario(default_config(), feedback_register=register)
+    scenario = build_scenario(default_config())
+    register = scenario.feedback_register
+    first = scenario.place_order()
+    second = scenario.place_order()
     assert first.status == second.status == "ok"
-    # the replay reuses escrow ids, yet each delivery is its own auction,
-    # so the duplicate rule does not trip and both ratings land
+    # each delivery is its own auction, so the duplicate rule does not trip
+    # and both ratings land
     assert len(register.records) == 2
     assert register.stars_for(first.winner_address) == [5, 5]
 
@@ -592,17 +661,37 @@ def test_published_stars_feed_the_next_selection():
     scenario = build_scenario(config)
     drone = scenario.courier_agents["DroneDashLtd"].identity.address
     van = scenario.courier_agents["SpeedyVanCouriers"].identity.address
-    register = FeedbackRegister()
+    register = scenario.feedback_register
     for i in range(3):
         auction = register.mark_delivered("wallet1seed", f"v{i}", van)
         record_feedback(register, "wallet1seed", van, 5, auction, 0)
         auction = register.mark_delivered("wallet1seed", f"d{i}", drone)
         record_feedback(register, "wallet1seed", drone, 1, auction, 0)
 
-    swayed = run_scenario(config, feedback_register=register)
+    swayed = scenario.place_order()
     assert swayed.status == "ok"
     assert swayed.winner == "SpeedyVanCouriers"
     assert swayed.delivery_fet == 25
+
+
+def test_a_rating_in_one_order_sways_the_next_order_in_the_world(monkeypatch):
+    # the user rates the drone 1 star after the first order; the second
+    # order's auction scores it on that rating and picks the van
+    config = with_overrides(default_config(), reviews=(), feedback_stars=1)
+    scenario = build_scenario(config)
+    drone = scenario.courier_agents["DroneDashLtd"].identity.address
+    drone_scores = []
+
+    def recording(scorer, addresses):
+        scores = assess_reputation(scorer, addresses)
+        drone_scores.append(scores[drone].score)
+        return scores
+
+    monkeypatch.setattr(scenario_module, "assess_reputation", recording)
+    first, second = scenario.place_order(), scenario.place_order()
+    assert (first.status, first.winner, first.feedback_stars) == ("ok", "DroneDashLtd", 1)
+    assert (second.status, second.winner) == ("ok", "SpeedyVanCouriers")
+    assert drone_scores == [NEUTRAL_SCORE, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -799,14 +888,14 @@ def test_report_write_layout(tmp_path):
 def test_interactive_gates_read_answers():
     answers = iter(["y", "y", "5"])
     config = with_overrides(default_config(), approval_mode="interactive")
-    report = run_scenario(config, input_fn=lambda prompt: next(answers))
+    report = build_scenario(config).place_order(lambda prompt: next(answers))
     assert report.status == "ok"
     assert report.feedback_stars == 5
 
 
 def test_interactive_no_at_first_gate():
     config = with_overrides(default_config(), approval_mode="interactive")
-    report = run_scenario(config, input_fn=lambda prompt: "n")
+    report = build_scenario(config).place_order(lambda prompt: "n")
     assert report.status == "failed"
     assert report.failure_cause == "NoPackaging"
 
@@ -814,6 +903,6 @@ def test_interactive_no_at_first_gate():
 def test_interactive_skip_feedback():
     answers = iter(["yes", "yes", ""])
     config = with_overrides(default_config(), approval_mode="interactive")
-    report = run_scenario(config, input_fn=lambda prompt: next(answers))
+    report = build_scenario(config).place_order(lambda prompt: next(answers))
     assert report.status == "ok"
     assert report.feedback_stars == 0

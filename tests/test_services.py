@@ -1130,7 +1130,7 @@ def test_a_services_order_makes_thirteen_round_trips(monkeypatch):
                 config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
             )
             setup = list(paths)
-            report = scenario.orchestrator.run()
+            report = scenario.place_order()
     finally:
         registry_handle.close()
         mailbox_handle.close()
@@ -1182,7 +1182,7 @@ def test_service_gone_mid_order_fails_typed(gone):
                 config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
             )
             {"registry": registry_handle, "mailbox": mailbox_handle}[gone].close()
-            report = scenario.orchestrator.run()
+            report = scenario.place_order()
     finally:
         registry_handle.close()
         mailbox_handle.close()
