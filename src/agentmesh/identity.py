@@ -100,6 +100,9 @@ class _Sodium:
     signature in another bytes-like type is copied to bytes, which is all
     `c_char_p` takes."""
 
+    # ctypes lets go of the GIL for the length of each C call
+    releases_gil = True
+
     def __init__(self, lib: ctypes.CDLL) -> None:
         buf, size = ctypes.c_char_p, ctypes.c_ulonglong
         self._keypair = lib.crypto_sign_ed25519_seed_keypair
@@ -132,6 +135,9 @@ class _Cryptography:
     """Ed25519 through `cryptography` (OpenSSL), with its key objects as
     the handles. The package is imported here, not with the module, so a
     process on libsodium never pays for loading it."""
+
+    # its verify holds the GIL: two threads take as long as one
+    releases_gil = False
 
     def __init__(self) -> None:
         from cryptography.exceptions import InvalidSignature
@@ -275,6 +281,12 @@ def verify_digest(address: str, digest: bytes, signature: Signature | bytes) -> 
     if key is None or len(sig) != SIGNATURE_LEN:
         return False
     return _backend.verify(key, digest, sig)
+
+
+def verifies_overlap() -> bool:
+    """Whether verifies on several threads run at the same time, which
+    holds for the backend in use right now."""
+    return _backend.releases_gil
 
 
 def signed_by(address: str, digest: bytes, signature: Signature | bytes) -> bool:

@@ -9,7 +9,9 @@ traffic for offline agents to the mailbox when one is attached, and
 appends one transcript line per delivery outcome. Identical (config, seed)
 runs produce byte-identical transcripts. Nothing polls: `ctx.at(height, fn)`
 sets a timer on one world heap, and `on_interval(p)` is a timer that fires
-at each multiple of p.
+at each multiple of p. Before a tick dispatches, the signatures of the
+envelopes it will open are checked on a small pool of threads when there
+are enough of them; dispatch keeps the order and the outcomes.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -20,12 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
+import queue
 import random
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .identity import AgentIdentity
+from .identity import AgentIdentity, verifies_overlap
 from .ledger import Ledger
 from .mailbox import MailboxStore, retrieval_auth_digest
 from .registry import Registry
@@ -44,6 +49,10 @@ from .wire import (
 )
 
 DEFAULT_REPLY_TTL = 100  # blocks an emitted envelope stays valid
+
+# A tick opening fewer envelopes leaves their signatures to dispatch: for a
+# handful, handing them to a pool thread costs more than it saves.
+POOL_MIN_BATCH = 8
 
 
 class RuntimeError_(Exception):
@@ -349,6 +358,97 @@ class Agent:
         return digest.hex()[:8] if schema is None else schema.name
 
 
+class _Batch:
+    """Envelopes whose signatures a tick checks before dispatch. The calling
+    thread and any pool thread that wakes while some are left take them one
+    at a time, so the caller waits only for the envelopes a pool thread
+    already holds, never for one to wake."""
+
+    def __init__(self, envelopes: list[Envelope]) -> None:
+        self._left = iter(envelopes)
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._held = 0
+        self._error: BaseException | None = None
+
+    def work(self) -> None:
+        """Check envelopes until none is left; one that raises ends the
+        batch, and finish() raises it."""
+        while True:
+            with self._lock:
+                env = next(self._left, None)
+                if env is None:
+                    return
+                self._held += 1
+            error = None
+            try:
+                env.signed()
+            except BaseException as exc:  # raised again by finish()
+                error = exc
+            with self._lock:
+                self._held -= 1
+                if error is not None:
+                    self._error = self._error or error
+                    self._left = iter(())
+                if not self._held:
+                    self._idle.notify_all()
+
+    def finish(self) -> None:
+        """Wait until no pool thread holds an envelope, then raise what a
+        check raised, on the calling thread."""
+        with self._idle:
+            while self._held:
+                self._idle.wait()
+        if self._error is not None:
+            raise self._error
+
+
+class VerifyPool:
+    """Daemon threads that help the calling thread check the signatures of
+    a tick's envelopes; their verifies overlap only where the backend lets go
+    of the GIL."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._batches: queue.SimpleQueue[_Batch | None] = queue.SimpleQueue()
+        for _ in range(workers):
+            threading.Thread(target=self._serve, name="agentmesh-verify", daemon=True).start()
+
+    def _serve(self) -> None:
+        while (batch := self._batches.get()) is not None:
+            batch.work()
+
+    def check(self, envelopes: list[Envelope]) -> None:
+        """Work out every envelope's Envelope.signed() verdict, here and on
+        the pool; raises what a check raised."""
+        batch = _Batch(envelopes)
+        for _ in range(self.workers):
+            self._batches.put(batch)
+        batch.work()
+        batch.finish()
+
+    def close(self) -> None:
+        """Let every pool thread end once it has taken what is queued."""
+        for _ in range(self.workers):
+            self._batches.put(None)
+
+
+# Threads belong to the process, not to one world: every world shares this
+# pool, made on the first tick that needs it.
+_pool: VerifyPool | None = None
+_pool_lock = threading.Lock()
+
+
+def verify_pool() -> VerifyPool:
+    """The process's VerifyPool: one thread fewer than there are CPUs, as
+    the calling thread works too."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = VerifyPool((os.cpu_count() or 1) - 1)
+        return _pool
+
+
 @dataclass
 class NetworkModel:
     """Latency range in ticks plus an independent drop probability.
@@ -541,6 +641,7 @@ class World:
             while self._status_changes and self._status_changes[0][0] <= h:
                 _, address, online = heapq.heappop(self._status_changes)
                 self.set_online(address, online)
+            self._check_signatures_due(h)
             while self._in_flight and self._in_flight[0][0] <= h:
                 _, _, env, dropped = heapq.heappop(self._in_flight)
                 self._deliver_or_divert(env, dropped)
@@ -557,6 +658,26 @@ class World:
                         continue  # back from offline between beats
                 for env in agent.invoke(handler, h, session_id):
                     self.send(env)
+
+    def _check_signatures_due(self, height: int) -> None:
+        """Check on the pool, before dispatch, the signatures of the
+        envelopes this tick opens: due, not dropped, for an agent in the world
+        that is online. Dispatch checks any left unchecked: those of a small
+        tick, or all of them when verifies on several threads would not
+        overlap. One diverted to a mailbox is left to the store's own check;
+        one sent twice is checked once, not on two threads at the same time."""
+        if len(self._in_flight) < POOL_MIN_BATCH or not verifies_overlap():
+            return
+        opened = {
+            id(env): env
+            for due, _, env, dropped in self._in_flight
+            if due <= height
+            and not dropped
+            and env.target in self.agents
+            and self.online.get(env.target, True)
+        }
+        if len(opened) >= POOL_MIN_BATCH:
+            verify_pool().check(list(opened.values()))
 
     def drain(self, max_ticks: int = 1000) -> int:
         """Tick until pending presence changes, in-flight traffic and one-shot

@@ -537,6 +537,17 @@ class Envelope:
     def signing_digest(self) -> bytes:
         return hashlib.sha256(self._unsigned_bytes()).digest()
 
+    def signed(self) -> bool:
+        """Whether the sender's key signed this envelope (identity.signed_by).
+        Worked out once and kept on the envelope, which is immutable; kept by
+        hand, as ModelSchema.digest is, because a cached_property takes one
+        lock across all envelopes and would serialise checks on a pool."""
+        verdict = self.__dict__.get("_signed")
+        if verdict is None:
+            verdict = signed_by(self.sender, self.signing_digest(), self.signature)
+            self.__dict__["_signed"] = verdict
+        return verdict
+
     def to_bytes(self) -> bytes:
         return self._unsigned_bytes() + self.signature.data
 
@@ -636,7 +647,7 @@ def check_envelope(env: Envelope, current_height: int) -> None:
     """Accept an envelope from outside or raise: SignatureInvalid unless
     its sender signed it, then Expired if its expiry height has passed.
     Every reader and every mailbox deposit makes these two checks here."""
-    if not signed_by(env.sender, env.signing_digest(), env.signature):
+    if not env.signed():
         raise SignatureInvalid(f"envelope from {env.sender} fails verification")
     if env.expires_at < current_height:
         raise Expired(f"expired at height {env.expires_at}, now {current_height}")

@@ -4,12 +4,18 @@ replay, and the daemon argument parsing that can fail before serving."""
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from agentmesh.cli import main, registryd_main
+import agentmesh
+from agentmesh.cli import attack_config, main, registryd_main
 from agentmesh.config import default_config, render_config, with_overrides
 from agentmesh.identity import derive_identity
+from agentmesh.scenario import build_scenario
 from agentmesh.wire import (
     CHAT_PROTOCOL,
     canonical_encode,
@@ -143,6 +149,28 @@ def test_attack_rejects_every_forged_bid(capsys):
     assert "forged bids rejected: 10/10" in out
     assert "filter sound: yes" in out
     assert "winner under attack: SpeedyVanCouriers" in out
+
+
+def test_orders_under_attack_share_one_verify_pool():
+    """The forged bids land in one tick, whose signatures are checked on
+    the pool; no order and no tick starts threads of its own."""
+    # funds for five orders; the default balance pays for three
+    scenario = build_scenario(with_overrides(attack_config(60), user_balance_fet=1000))
+    before = threading.active_count()
+    for _ in range(5):
+        assert scenario.place_order().status == "ok"
+    assert threading.active_count() - before <= (os.cpu_count() or 1) - 1
+
+
+def test_attack_process_exits_by_itself():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agentmesh.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from agentmesh.cli import main; "
+         "sys.exit(main(['attack', '--forge-bids', '60']))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "forged bids rejected: 60/60" in done.stdout
 
 
 # ---------------------------------------------------------------------------

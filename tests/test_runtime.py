@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+import time
+
 import pytest
 
-from agentmesh.identity import derive_identity
+from agentmesh import identity, runtime
+from agentmesh.identity import AGENT_PREFIX, Signature, derive_identity
 from agentmesh.ledger import Ledger
 from agentmesh.mailbox import MailboxStore
 from agentmesh.runtime import (
@@ -16,6 +22,7 @@ from agentmesh.runtime import (
     DuplicateHandler,
     HandlerOverlap,
     InvalidRecord,
+    POOL_MIN_BATCH,
     NetworkModel,
     Timeout,
     World,
@@ -126,7 +133,8 @@ class TestSchemaIndex:
 
 
 class TestDispatch:
-    def ping_env(self, sender, target: Agent, text="hi", expires=1000, session=b"\x05" * 16):
+    @staticmethod
+    def ping_env(sender, target: Agent, text="hi", expires=1000, session=b"\x05" * 16):
         return seal_envelope(
             sender.identity if isinstance(sender, Agent) else sender,
             target.identity.address,
@@ -773,3 +781,176 @@ class TestDeterminism:
     def test_drops_happen_and_are_logged(self):
         lines = self.run_once(42)
         assert any("|dropped" in line for line in lines)
+
+
+class TestSignaturePool:
+    """A tick checks the signatures of the envelopes it opens before it
+    dispatches any, on a pool of threads when there are enough of them and
+    the Ed25519 backend lets verifies overlap."""
+
+    SMALL_ORDER_SENDER = AGENT_PREFIX + "ae" + "a" * 50  # the identity point
+
+    def big_tick(self, mailbox: MailboxStore | None = None):
+        """A world whose next tick opens 72 envelopes for one receiver, a
+        quarter of them bad in four ways, with the outcome each should get."""
+        world = fresh_world(mailbox=mailbox)
+        receiver = make_agent("pool receiver")
+        receiver.on_message(PING)(lambda ctx, sender, record: None)
+        world.add_agent(receiver)
+        senders = [make_agent(f"pool sender {i}") for i in range(3)]
+        target = receiver.identity.address
+        expected = []
+        for i in range(72):
+            env = TestDispatch.ping_env(senders[i % 3], receiver, text=f"m{i}")
+            outcome = "handled"
+            if i % 8 == 1:
+                flipped = bytes([env.signature.data[0] ^ 1]) + env.signature.data[1:]
+                env = dataclasses.replace(env, signature=Signature(flipped))
+                outcome = "signature_invalid"
+            elif i % 8 == 3:
+                env = dataclasses.replace(
+                    env, sender=self.SMALL_ORDER_SENDER, signature=Signature(b"\x01" + bytes(63))
+                )
+                outcome = "signature_invalid"
+            elif i % 8 == 5:
+                env = dataclasses.replace(env, sender="agent1short")
+                outcome = "signature_invalid"
+            elif i % 8 == 7:
+                env = TestDispatch.ping_env(senders[0], receiver, f"m{i}", expires=0)
+                outcome = "expired"
+            assert env.target == target
+            world.send(env)
+            expected.append((env.sender, outcome))
+        return world, expected
+
+    @staticmethod
+    def spy_on_pool(monkeypatch) -> list[list[Envelope]]:
+        batches = []
+        check = runtime.VerifyPool.check
+
+        def spy(pool, envelopes):
+            batches.append(list(envelopes))
+            return check(pool, envelopes)
+
+        monkeypatch.setattr(runtime.VerifyPool, "check", spy)
+        return batches
+
+    def tick_lines(self, monkeypatch) -> tuple[list[str], int]:
+        world, expected = self.big_tick()
+        batches = self.spy_on_pool(monkeypatch)
+        world.tick(1)
+        assert [(line.sender, line.outcome) for line in world.transcript] == expected
+        return world.transcript_lines(), len(batches)
+
+    def test_pool_and_calling_thread_log_the_same_lines(self, monkeypatch, request):
+        pooled, pool_batches = self.tick_lines(monkeypatch)
+        assert pool_batches == (1 if identity.verifies_overlap() else 0)
+        request.getfixturevalue("cryptography_backend")
+        assert not identity.verifies_overlap()
+        alone, alone_batches = self.tick_lines(monkeypatch)
+        assert alone_batches == 0
+        assert alone == pooled
+
+    def test_a_check_that_raises_fails_the_tick_in_its_thread_and_loses_nothing(
+        self, monkeypatch
+    ):
+        world, expected = self.big_tick()
+        verify = identity.verify_digest
+        broken = {world._in_flight[40][2].signing_digest()}
+        caller = []
+
+        def flaky_verify(address, digest, signature):
+            if threading.get_ident() == caller[0]:
+                time.sleep(0.001)  # so that the pool takes a share
+            if digest in broken:
+                raise RuntimeError("verify broke")
+            return verify(address, digest, signature)
+
+        monkeypatch.setattr(identity, "verify_digest", flaky_verify)
+        raised = []
+
+        def tick():
+            caller.append(threading.get_ident())
+            try:
+                world.tick(1)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=tick)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in raised] == ["verify broke"]
+        assert world.transcript == []  # nothing dispatched, nothing lost
+        broken.clear()
+        world.tick(1)
+        assert [(line.sender, line.outcome) for line in world.transcript] == expected
+
+    def test_the_mailbox_checks_what_it_stores_itself(self, monkeypatch):
+        mailbox = MailboxStore()
+        world, expected = self.big_tick(mailbox)
+        away = make_agent("pool away")
+        world.add_agent(away)
+        mailbox.create_account(away.identity.address)
+        world.set_online(away.identity.address, False)
+        good = TestDispatch.ping_env(make_agent("pool tamperer"), away)
+        tampered = dataclasses.replace(good, payload=good.payload[:-1] + b"!")
+        world.send(tampered)
+        batches = self.spy_on_pool(monkeypatch)
+        world.tick(1)
+        if identity.verifies_overlap():
+            [checked] = batches
+            assert len(checked) == len(expected) and tampered not in checked
+        assert world.transcript[-1].outcome == "mailbox_SignatureInvalid"
+        assert mailbox.dropped_total == 1
+
+    def test_a_small_tick_stays_on_the_calling_thread(self, monkeypatch):
+        world, expected = self.big_tick()
+        del world._in_flight[POOL_MIN_BATCH - 1:]
+        batches = self.spy_on_pool(monkeypatch)
+        world.tick(1)
+        assert len(world.transcript) == POOL_MIN_BATCH - 1
+        assert batches == []
+
+
+class _Checked:
+    """Stands in for an envelope and counts its checks, which sleep so that
+    pool threads take a share. Given `failed`, a check on a pool thread
+    sets it and raises, and one on the calling thread waits for that."""
+
+    def __init__(self, counts: dict[int, int], lock: threading.Lock, caller: int,
+                 failed: threading.Event | None = None) -> None:
+        self.counts, self.lock, self.caller, self.failed = counts, lock, caller, failed
+
+    def signed(self) -> bool:
+        time.sleep(0.0002)
+        with self.lock:
+            self.counts[id(self)] = self.counts.get(id(self), 0) + 1
+        if self.failed is not None:
+            if threading.get_ident() == self.caller:
+                self.failed.wait(timeout=30)
+            else:
+                self.failed.set()
+                raise RuntimeError("pool thread failed")
+        return True
+
+
+def test_more_pool_threads_than_cores_check_each_envelope_once():
+    pool = runtime.VerifyPool(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts, lock, caller = {}, threading.Lock(), threading.get_ident()
+        for _ in range(50):
+            counts.clear()
+            batch = [_Checked(counts, lock, caller) for _ in range(40)]
+            pool.check(batch)
+            assert sorted(counts) == sorted(id(env) for env in batch)
+            assert set(counts.values()) == {1}
+        failed = threading.Event()
+        with pytest.raises(RuntimeError, match="pool thread failed"):
+            pool.check([_Checked(counts, lock, caller, failed) for _ in range(40)])
+        assert failed.is_set()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
