@@ -9,9 +9,10 @@ traffic for offline agents to the mailbox when one is attached, and
 appends one transcript line per delivery outcome. Identical (config, seed)
 runs produce byte-identical transcripts. Nothing polls: `ctx.at(height, fn)`
 sets a timer on one world heap, and `on_interval(p)` is a timer that fires
-at each multiple of p. Before a tick dispatches, the signatures of the
-envelopes it will open are checked on a small pool of threads when there
-are enough of them; dispatch keeps the order and the outcomes.
+at each multiple of p. Once enough envelopes are in flight, a send hands
+each one the world will open to a small pool of threads, which checks its
+signature while the calling thread runs the handlers of earlier deliveries;
+dispatch keeps the order and the outcomes.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -50,8 +51,8 @@ from .wire import (
 
 DEFAULT_REPLY_TTL = 100  # blocks an emitted envelope stays valid
 
-# A tick opening fewer envelopes leaves their signatures to dispatch: for a
-# handful, handing them to a pool thread costs more than it saves.
+# With fewer envelopes in flight, a send leaves the signature to dispatch:
+# for a handful, handing them to a pool thread costs more than it saves.
 POOL_MIN_BATCH = 8
 
 
@@ -358,94 +359,52 @@ class Agent:
         return digest.hex()[:8] if schema is None else schema.name
 
 
-class _Batch:
-    """Envelopes whose signatures a tick checks before dispatch. The calling
-    thread and any pool thread that wakes while some are left take them one
-    at a time, so the caller waits only for the envelopes a pool thread
-    already holds, never for one to wake."""
-
-    def __init__(self, envelopes: list[Envelope]) -> None:
-        self._left = iter(envelopes)
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._held = 0
-        self._error: BaseException | None = None
-
-    def work(self) -> None:
-        """Check envelopes until none is left; one that raises ends the
-        batch, and finish() raises it."""
-        while True:
-            with self._lock:
-                env = next(self._left, None)
-                if env is None:
-                    return
-                self._held += 1
-            error = None
-            try:
-                env.signed()
-            except BaseException as exc:  # raised again by finish()
-                error = exc
-            with self._lock:
-                self._held -= 1
-                if error is not None:
-                    self._error = self._error or error
-                    self._left = iter(())
-                if not self._held:
-                    self._idle.notify_all()
-
-    def finish(self) -> None:
-        """Wait until no pool thread holds an envelope, then raise what a
-        check raised, on the calling thread."""
-        with self._idle:
-            while self._held:
-                self._idle.wait()
-        if self._error is not None:
-            raise self._error
-
-
 class VerifyPool:
-    """Daemon threads that help the calling thread check the signatures of
-    a tick's envelopes; their verifies overlap only where the backend lets go
-    of the GIL."""
+    """Daemon threads that work out Envelope.signed() for envelopes in
+    flight while the calling thread dispatches earlier ones; their verifies
+    overlap the caller's work only where the backend lets go of the GIL."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._batches: queue.SimpleQueue[_Batch | None] = queue.SimpleQueue()
+        self._envelopes: queue.SimpleQueue[Envelope | None] = queue.SimpleQueue()
         for _ in range(workers):
             threading.Thread(target=self._serve, name="agentmesh-verify", daemon=True).start()
 
     def _serve(self) -> None:
-        while (batch := self._batches.get()) is not None:
-            batch.work()
+        while (env := self._envelopes.get()) is not None:
+            try:
+                env.try_signed()
+            except Exception:
+                pass  # the claim is let go; the thread that opens env checks it and raises
 
-    def check(self, envelopes: list[Envelope]) -> None:
-        """Work out every envelope's Envelope.signed() verdict, here and on
-        the pool; raises what a check raised."""
-        batch = _Batch(envelopes)
-        for _ in range(self.workers):
-            self._batches.put(batch)
-        batch.work()
-        batch.finish()
+    def submit(self, env: Envelope) -> None:
+        """Queue env's check for a pool thread; with none, queue nothing."""
+        if self.workers:
+            self._envelopes.put(env)
 
     def close(self) -> None:
         """Let every pool thread end once it has taken what is queued."""
         for _ in range(self.workers):
-            self._batches.put(None)
+            self._envelopes.put(None)
 
 
 # Threads belong to the process, not to one world: every world shares this
-# pool, made on the first tick that needs it.
+# pool, made on the first send that needs it.
 _pool: VerifyPool | None = None
 _pool_lock = threading.Lock()
 
 
 def verify_pool() -> VerifyPool:
-    """The process's VerifyPool: one thread fewer than there are CPUs, as
-    the calling thread works too."""
+    """The process's VerifyPool: one thread fewer than the CPUs this process
+    may run on, as the calling thread works too."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = VerifyPool((os.cpu_count() or 1) - 1)
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            _pool = VerifyPool(cpus - 1)
         return _pool
 
 
@@ -586,6 +545,18 @@ class World:
         self._send_seq += 1
         # the drop decision rides along; offline redirection outranks it
         heapq.heappush(self._in_flight, (deliver_at, self._send_seq, env, dropped))
+        if (
+            len(self._in_flight) >= POOL_MIN_BATCH
+            and self._opens(env, dropped)
+            and verifies_overlap()
+        ):
+            verify_pool().submit(env)
+
+    def _opens(self, env: Envelope, dropped: bool) -> bool:
+        """Whether delivering env now opens it: not dropped, and its target
+        is in the world and online. One diverted to a mailbox is left to the
+        store's own check."""
+        return not dropped and env.target in self.agents and self.online[env.target]
 
     def _deliver(self, env: Envelope) -> None:
         """Hand one envelope to its target agent right now."""
@@ -641,9 +612,11 @@ class World:
             while self._status_changes and self._status_changes[0][0] <= h:
                 _, address, online = heapq.heappop(self._status_changes)
                 self.set_online(address, online)
-            self._check_signatures_due(h)
             while self._in_flight and self._in_flight[0][0] <= h:
-                _, _, env, dropped = heapq.heappop(self._in_flight)
+                _, _, env, dropped = self._in_flight[0]
+                if self._opens(env, dropped):
+                    env.signed()  # a check that raises leaves env in flight
+                heapq.heappop(self._in_flight)
                 self._deliver_or_divert(env, dropped)
             while self._timers and self._timers[0][0] <= h:
                 entry = heapq.heappop(self._timers)
@@ -658,26 +631,6 @@ class World:
                         continue  # back from offline between beats
                 for env in agent.invoke(handler, h, session_id):
                     self.send(env)
-
-    def _check_signatures_due(self, height: int) -> None:
-        """Check on the pool, before dispatch, the signatures of the
-        envelopes this tick opens: due, not dropped, for an agent in the world
-        that is online. Dispatch checks any left unchecked: those of a small
-        tick, or all of them when verifies on several threads would not
-        overlap. One diverted to a mailbox is left to the store's own check;
-        one sent twice is checked once, not on two threads at the same time."""
-        if len(self._in_flight) < POOL_MIN_BATCH or not verifies_overlap():
-            return
-        opened = {
-            id(env): env
-            for due, _, env, dropped in self._in_flight
-            if due <= height
-            and not dropped
-            and env.target in self.agents
-            and self.online.get(env.target, True)
-        }
-        if len(opened) >= POOL_MIN_BATCH:
-            verify_pool().check(list(opened.values()))
 
     def drain(self, max_ticks: int = 1000) -> int:
         """Tick until pending presence changes, in-flight traffic and one-shot

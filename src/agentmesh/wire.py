@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -539,14 +540,41 @@ class Envelope:
 
     def signed(self) -> bool:
         """Whether the sender's key signed this envelope (identity.signed_by).
-        Worked out once and kept on the envelope, which is immutable; kept by
-        hand, as ModelSchema.digest is, because a cached_property takes one
-        lock across all envelopes and would serialise checks on a pool."""
-        verdict = self.__dict__.get("_signed")
-        if verdict is None:
-            verdict = signed_by(self.sender, self.signing_digest(), self.signature)
-            self.__dict__["_signed"] = verdict
+        Worked out once and kept on the envelope, which is immutable. Any
+        thread may ask: the first to ask claims the check and does it, and
+        one that asks while another holds the claim waits for it, then tries
+        again if that check raised. Kept by hand, as ModelSchema.digest is,
+        because a cached_property takes one lock across all envelopes and
+        would serialise checks on a pool."""
+        while (verdict := self.__dict__.get("_signed")) is None:
+            held = self._claim_signed()
+            if held is not None:
+                with held:  # released once the holder is done, or has raised
+                    pass
         return verdict
+
+    def try_signed(self) -> None:
+        """Work out signed() here unless it is known or another thread holds
+        the claim; never waits."""
+        if "_signed" not in self.__dict__:
+            self._claim_signed()
+
+    def _claim_signed(self) -> threading.Lock | None:
+        """Claim the check and do it, or return the held claim of the thread
+        doing it. The claim is let go whether the check returns or raises."""
+        state = self.__dict__
+        mine = threading.Lock()
+        mine.acquire()
+        held = state.setdefault("_claim", mine)  # atomic: one thread wins
+        if held is not mine:
+            return held
+        try:
+            if "_signed" not in state:  # the last holder may have just finished
+                state["_signed"] = signed_by(self.sender, self.signing_digest(), self.signature)
+        finally:
+            del state["_claim"]
+            mine.release()
+        return None
 
     def to_bytes(self) -> bytes:
         return self._unsigned_bytes() + self.signature.data

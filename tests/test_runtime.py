@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 import threading
 import time
@@ -26,6 +27,7 @@ from agentmesh.runtime import (
     NetworkModel,
     Timeout,
     World,
+    transcript_line,
 )
 from agentmesh.wire import (
     Envelope,
@@ -784,23 +786,24 @@ class TestDeterminism:
 
 
 class TestSignaturePool:
-    """A tick checks the signatures of the envelopes it opens before it
-    dispatches any, on a pool of threads when there are enough of them and
-    the Ed25519 backend lets verifies overlap."""
+    """Once enough envelopes are in flight, a send hands each one the world
+    will open to a pool of threads, when the Ed25519 backend lets verifies
+    overlap; dispatch keeps the order and the outcomes."""
 
     SMALL_ORDER_SENDER = AGENT_PREFIX + "ae" + "a" * 50  # the identity point
 
-    def big_tick(self, mailbox: MailboxStore | None = None):
-        """A world whose next tick opens 72 envelopes for one receiver, a
-        quarter of them bad in four ways, with the outcome each should get."""
+    def big_tick(self, mailbox: MailboxStore | None = None, count: int = 72):
+        """A world, and `count` envelopes for one receiver that its next tick
+        opens once they are sent, a quarter of them bad in four ways, with
+        the outcome each should get."""
         world = fresh_world(mailbox=mailbox)
         receiver = make_agent("pool receiver")
         receiver.on_message(PING)(lambda ctx, sender, record: None)
         world.add_agent(receiver)
         senders = [make_agent(f"pool sender {i}") for i in range(3)]
         target = receiver.identity.address
-        expected = []
-        for i in range(72):
+        envelopes, expected = [], []
+        for i in range(count):
             env = TestDispatch.ping_env(senders[i % 3], receiver, text=f"m{i}")
             outcome = "handled"
             if i % 8 == 1:
@@ -819,48 +822,56 @@ class TestSignaturePool:
                 env = TestDispatch.ping_env(senders[0], receiver, f"m{i}", expires=0)
                 outcome = "expired"
             assert env.target == target
-            world.send(env)
+            envelopes.append(env)
             expected.append((env.sender, outcome))
-        return world, expected
+        return world, envelopes, expected
 
     @staticmethod
-    def spy_on_pool(monkeypatch) -> list[list[Envelope]]:
-        batches = []
-        check = runtime.VerifyPool.check
+    def spy_on_pool(monkeypatch) -> list[Envelope]:
+        submitted = []
+        submit = runtime.VerifyPool.submit
 
-        def spy(pool, envelopes):
-            batches.append(list(envelopes))
-            return check(pool, envelopes)
+        def spy(pool, env):
+            submitted.append(env)
+            return submit(pool, env)
 
-        monkeypatch.setattr(runtime.VerifyPool, "check", spy)
-        return batches
+        monkeypatch.setattr(runtime.VerifyPool, "submit", spy)
+        return submitted
 
-    def tick_lines(self, monkeypatch) -> tuple[list[str], int]:
-        world, expected = self.big_tick()
-        batches = self.spy_on_pool(monkeypatch)
+    @staticmethod
+    def outcomes(world: World) -> list[tuple[str, str]]:
+        return [(line.sender, line.outcome) for line in world.transcript]
+
+    def tick_lines(self, monkeypatch) -> tuple[list[str], list[Envelope]]:
+        submitted = self.spy_on_pool(monkeypatch)
+        world, envelopes, expected = self.big_tick()
+        for env in envelopes:
+            world.send(env)
         world.tick(1)
-        assert [(line.sender, line.outcome) for line in world.transcript] == expected
-        return world.transcript_lines(), len(batches)
+        assert self.outcomes(world) == expected
+        return world.transcript_lines(), submitted
 
     def test_pool_and_calling_thread_log_the_same_lines(self, monkeypatch, request):
-        pooled, pool_batches = self.tick_lines(monkeypatch)
-        assert pool_batches == (1 if identity.verifies_overlap() else 0)
+        pooled, submitted = self.tick_lines(monkeypatch)
+        if identity.verifies_overlap():  # every send from the POOL_MIN_BATCH-th on
+            assert len(submitted) == 72 - POOL_MIN_BATCH + 1
         request.getfixturevalue("cryptography_backend")
         assert not identity.verifies_overlap()
-        alone, alone_batches = self.tick_lines(monkeypatch)
-        assert alone_batches == 0
+        alone, submitted = self.tick_lines(monkeypatch)
+        assert submitted == []
         assert alone == pooled
 
+    @pytest.mark.parametrize("count, broken_at", [(72, 40), (POOL_MIN_BATCH - 1, 2)])
     def test_a_check_that_raises_fails_the_tick_in_its_thread_and_loses_nothing(
-        self, monkeypatch
+        self, monkeypatch, count, broken_at
     ):
-        world, expected = self.big_tick()
+        world, envelopes, expected = self.big_tick(count=count)
         verify = identity.verify_digest
-        broken = {world._in_flight[40][2].signing_digest()}
+        broken = {envelopes[broken_at].signing_digest()}
         caller = []
 
         def flaky_verify(address, digest, signature):
-            if threading.get_ident() == caller[0]:
+            if threading.get_ident() in caller:
                 time.sleep(0.001)  # so that the pool takes a share
             if digest in broken:
                 raise RuntimeError("verify broke")
@@ -869,88 +880,172 @@ class TestSignaturePool:
         monkeypatch.setattr(identity, "verify_digest", flaky_verify)
         raised = []
 
-        def tick():
+        def send_and_tick():
             caller.append(threading.get_ident())
+            for env in envelopes:
+                world.send(env)
             try:
                 world.tick(1)
             except RuntimeError as exc:
                 raised.append(exc)
 
-        thread = threading.Thread(target=tick)
+        thread = threading.Thread(target=send_and_tick)
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert [str(exc) for exc in raised] == ["verify broke"]
-        assert world.transcript == []  # nothing dispatched, nothing lost
+        # the envelopes ahead of the broken one went out; it and the rest wait
+        assert self.outcomes(world) == expected[:broken_at]
         broken.clear()
         world.tick(1)
-        assert [(line.sender, line.outcome) for line in world.transcript] == expected
+        assert self.outcomes(world) == expected
 
     def test_the_mailbox_checks_what_it_stores_itself(self, monkeypatch):
         mailbox = MailboxStore()
-        world, expected = self.big_tick(mailbox)
+        submitted = self.spy_on_pool(monkeypatch)
+        world, envelopes, expected = self.big_tick(mailbox)
         away = make_agent("pool away")
         world.add_agent(away)
         mailbox.create_account(away.identity.address)
         world.set_online(away.identity.address, False)
         good = TestDispatch.ping_env(make_agent("pool tamperer"), away)
         tampered = dataclasses.replace(good, payload=good.payload[:-1] + b"!")
+        for env in envelopes:
+            world.send(env)
         world.send(tampered)
-        batches = self.spy_on_pool(monkeypatch)
         world.tick(1)
-        if identity.verifies_overlap():
-            [checked] = batches
-            assert len(checked) == len(expected) and tampered not in checked
+        assert bool(submitted) == identity.verifies_overlap()
+        assert tampered not in submitted
         assert world.transcript[-1].outcome == "mailbox_SignatureInvalid"
         assert mailbox.dropped_total == 1
 
     def test_a_small_tick_stays_on_the_calling_thread(self, monkeypatch):
-        world, expected = self.big_tick()
-        del world._in_flight[POOL_MIN_BATCH - 1:]
-        batches = self.spy_on_pool(monkeypatch)
+        submitted = self.spy_on_pool(monkeypatch)
+        world, envelopes, expected = self.big_tick(count=POOL_MIN_BATCH - 1)
+        for env in envelopes:
+            world.send(env)
         world.tick(1)
-        assert len(world.transcript) == POOL_MIN_BATCH - 1
-        assert batches == []
+        assert self.outcomes(world) == expected
+        assert submitted == []
+
+    def test_a_pool_without_threads_queues_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(runtime, "_pool", None)
+        world, envelopes, expected = self.big_tick()
+        for env in envelopes:
+            world.send(env)
+        world.tick(1)
+        assert self.outcomes(world) == expected
+        assert runtime.verify_pool().workers == 0
+        assert runtime.verify_pool()._envelopes.empty()
 
 
-class _Checked:
-    """Stands in for an envelope and counts its checks, which sleep so that
-    pool threads take a share. Given `failed`, a check on a pool thread
-    sets it and raises, and one on the calling thread waits for that."""
-
-    def __init__(self, counts: dict[int, int], lock: threading.Lock, caller: int,
-                 failed: threading.Event | None = None) -> None:
-        self.counts, self.lock, self.caller, self.failed = counts, lock, caller, failed
-
-    def signed(self) -> bool:
-        time.sleep(0.0002)
-        with self.lock:
-            self.counts[id(self)] = self.counts.get(id(self), 0) + 1
-        if self.failed is not None:
-            if threading.get_ident() == self.caller:
-                self.failed.wait(timeout=30)
-            else:
-                self.failed.set()
-                raise RuntimeError("pool thread failed")
-        return True
+def test_the_pool_has_a_thread_for_each_cpu_this_process_may_use_but_one(monkeypatch):
+    """The affinity mask, where the platform has one, not the host's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for cpus, workers in [({0}, 0), ({0, 2}, 1), (None, 2)]:
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(runtime, "_pool", None)
+        pool = runtime.verify_pool()
+        pool.close()
+        assert pool.workers == workers
 
 
-def test_more_pool_threads_than_cores_check_each_envelope_once():
+def count_verifies(monkeypatch, pause: float = 0.0) -> dict[bytes, int]:
+    """Count identity.verify_digest calls by digest, under a lock; each call
+    first sleeps `pause` so that other threads take a share."""
+    counts, lock = {}, threading.Lock()
+    verify = identity.verify_digest
+
+    def counted(address, digest, signature):
+        time.sleep(pause)
+        with lock:
+            counts[digest] = counts.get(digest, 0) + 1
+        return verify(address, digest, signature)
+
+    monkeypatch.setattr(identity, "verify_digest", counted)
+    return counts
+
+
+def test_more_pool_threads_than_cores_check_each_envelope_once(monkeypatch):
+    counts = count_verifies(monkeypatch, pause=0.0002)
+    sender, receiver = make_agent("once sender"), make_agent("once receiver")
     pool = runtime.VerifyPool(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts, lock, caller = {}, threading.Lock(), threading.get_ident()
-        for _ in range(50):
-            counts.clear()
-            batch = [_Checked(counts, lock, caller) for _ in range(40)]
-            pool.check(batch)
-            assert sorted(counts) == sorted(id(env) for env in batch)
+        for round_ in range(50):
+            envelopes = [
+                TestDispatch.ping_env(sender, receiver, text=f"r{round_} m{i}") for i in range(40)
+            ]
+            for env in envelopes * 2:
+                pool.submit(env)
+            assert all(env.signed() for env in envelopes)
+            assert sorted(counts) == sorted(env.signing_digest() for env in envelopes)
             assert set(counts.values()) == {1}
-        failed = threading.Event()
-        with pytest.raises(RuntimeError, match="pool thread failed"):
-            pool.check([_Checked(counts, lock, caller, failed) for _ in range(40)])
-        assert failed.is_set()
+            counts.clear()
     finally:
         sys.setswitchinterval(interval)
         pool.close()
+
+
+def test_a_raise_on_a_pool_thread_lets_go_of_the_claim_and_the_caller_raises(monkeypatch):
+    claimed = threading.Event()
+    threads = []
+
+    def broken_verify(address, digest, signature):
+        threads.append(threading.current_thread().name)
+        if threading.current_thread().name == "agentmesh-verify":
+            claimed.set()
+            time.sleep(0.05)  # the caller asks while this thread holds the claim
+        raise RuntimeError("verify broke")
+
+    monkeypatch.setattr(identity, "verify_digest", broken_verify)
+    env = TestDispatch.ping_env(make_agent("claim sender"), make_agent("claim receiver"))
+    pool = runtime.VerifyPool(1)
+    raised = []
+
+    def ask():
+        try:
+            env.signed()
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    try:
+        pool.submit(env)
+        assert claimed.wait(timeout=30)
+        thread = threading.Thread(target=ask, name="caller")
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    finally:
+        pool.close()
+    assert [str(exc) for exc in raised] == ["verify broke"]
+    assert threads == ["agentmesh-verify", "caller"]
+
+
+def test_envelopes_the_world_never_opens_are_never_checked(monkeypatch):
+    counts = count_verifies(monkeypatch)
+    world = fresh_world(network=NetworkModel(drop_probability=0.5), seed=7)
+    receiver = make_agent("unopened receiver")
+    receiver.on_message(PING)(lambda ctx, sender, record: None)
+    world.add_agent(receiver)
+    sender, ghost = make_agent("unopened sender"), make_agent("unopened ghost")
+    envelopes = [
+        TestDispatch.ping_env(sender, target, text=f"{target.name} m{i}")
+        for i in range(16)
+        for target in (receiver, ghost)
+    ]
+    for env in envelopes:
+        world.send(env)
+    world.drain()
+    outcome_of = {line.digest_prefix: line.outcome for line in world.transcript}
+    seen = set()
+    for env in envelopes:
+        outcome = outcome_of[transcript_line(0, env, "-", "-").digest_prefix]
+        seen.add(outcome)
+        assert counts.get(env.signing_digest(), 0) == (outcome == "handled"), outcome
+    assert seen == {"handled", "dropped", "no_such_agent"}
