@@ -12,7 +12,8 @@ sets a timer on one world heap, and `on_interval(p)` is a timer that fires
 at each multiple of p. Once enough envelopes are in flight, a send hands
 each one the world will open to a small pool of threads, which checks its
 signature while the calling thread runs the handlers of earlier deliveries;
-dispatch keeps the order and the outcomes.
+dispatch keeps the order and the outcomes. Every envelope reaches its
+target through Agent.dispatch, which gives an awaited reply to its waiter.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -73,7 +74,7 @@ class AgentNotStarted(RuntimeError_):
 
 
 class Timeout(RuntimeError_):
-    """Query ran out of ticks without a reply."""
+    """A wait for a reply ran out of ticks."""
 
 
 class HandlerOverlap(RuntimeError_):
@@ -229,6 +230,9 @@ class Agent:
         self.world: "World | None" = None
         self._in_handler = False
         self._session_counter = 0
+        # (session, peer) asked -> None until dispatch takes the peer's first
+        # signed reply: then its record, or the error of a check it failed
+        self.waiters: dict[tuple[bytes, str], Record | WireError | None] = {}
 
     # -- setup (before start) ---------------------------------------------
 
@@ -313,17 +317,28 @@ class Agent:
         """Validate one envelope and run its handler.
 
         Fire-and-forget: validation failures drop the envelope and record a
-        diagnostic; nothing flows back to the sender. Returns the envelopes
-        the handler emitted, sealed and ready for transport.
+        diagnostic; nothing flows back to the sender. An awaited reply goes
+        to its waiter, not to a handler. Returns the envelopes the handler
+        emitted, sealed and ready for transport.
         """
         if not self.started:
             raise AgentNotStarted(f"{self.name} has not joined a world")
+        key = (env.session_id, env.sender)
+        awaited = key in self.waiters and self.waiters[key] is None
         try:
             record, sender = open_envelope(env, self._schemas, current_height)
         except tuple(_REJECT_OUTCOMES) as exc:
             self.record_diag(self._reject_line(current_height, env, exc))
+            # a bad signature says nothing of the peer, so its wait goes on
+            if awaited and not isinstance(exc, SignatureInvalid):
+                failed = type(exc)
+                self.waiters[key] = failed(f"query reply failed validation: {failed.__name__}")
             return []
         schema_name = record.schema.name
+        if awaited:
+            self.waiters[key] = record
+            self.record_diag(transcript_line(current_height, env, "reply_received", schema_name))
+            return []
         handler = self.message_handlers.get(env.schema_digest)
         if handler is None:
             self.record_diag(transcript_line(current_height, env, "no_handler", schema_name))
@@ -449,9 +464,6 @@ class World:
         self._in_flight: list[tuple[int, int, Envelope, bool]] = []
         self._send_seq = 0
         self._last_delivery: dict[tuple[str, str], int] = {}
-        # session id -> (awaiting address, queried address, reply once it lands)
-        self._pending_queries: dict[bytes, tuple[str, str, Record | None]] = {}
-        self._query_errors: dict[bytes, type[WireError]] = {}
         self._status_changes: list[tuple[int, str, bool]] = []  # a heap
         # heap of (due, join rank, set order, agent, handler, period; 0 = once, session)
         self._timers: list[tuple] = []
@@ -558,23 +570,14 @@ class World:
         store's own check."""
         return not dropped and env.target in self.agents and self.online[env.target]
 
+    def _stores(self, env: Envelope) -> bool:
+        """Whether delivering env now deposits it in this process's mailbox,
+        which checks env first when it holds the target's account."""
+        held = isinstance(self.mailbox, MailboxStore) and self.mailbox.has_account(env.target)
+        return held and not self.online.get(env.target, True)
+
     def _deliver(self, env: Envelope) -> None:
         """Hand one envelope to its target agent right now."""
-        pending = self._pending_queries.get(env.session_id)
-        if pending is not None and pending[2] is None and (env.target, env.sender) == pending[:2]:
-            # the reply a blocked query is waiting for, from the agent asked: intercept it
-            agent = self.agents[env.target]
-            try:
-                record, _ = open_envelope(env, agent._schemas, self.height)
-            except tuple(_REJECT_OUTCOMES) as exc:
-                self._query_errors[env.session_id] = type(exc)
-                self.transcript.append(agent._reject_line(self.height, env, exc))
-                return
-            self._pending_queries[env.session_id] = (*pending[:2], record)
-            self.transcript.append(
-                transcript_line(self.height, env, "reply_received", record.schema.name)
-            )
-            return
         agent = self.agents.get(env.target)
         if agent is None:
             self.transcript.append(
@@ -614,7 +617,7 @@ class World:
                 self.set_online(address, online)
             while self._in_flight and self._in_flight[0][0] <= h:
                 _, _, env, dropped = self._in_flight[0]
-                if self._opens(env, dropped):
+                if self._opens(env, dropped) or self._stores(env):
                     env.signed()  # a check that raises leaves env in flight
                 heapq.heappop(self._in_flight)
                 self._deliver_or_divert(env, dropped)
@@ -664,52 +667,23 @@ class World:
         self.send(env)
         return env
 
-    def send_query(
-        self,
-        sender: Agent,
-        target: str,
-        record: Record,
-        expires_at: int | None = None,
-        session_id: bytes | None = None,
-    ) -> bytes:
-        """Non-blocking query start, in the given session or a fresh one;
-        poll_reply() checks for the answer."""
-        session_id = session_id or sender.fresh_session_id()
-        self._pending_queries[session_id] = (sender.identity.address, target, None)
-        self.send_message(sender, target, record, session_id, expires_at)
-        return session_id
-
-    def poll_reply(self, session_id: bytes) -> Record | None:
-        """The reply once it has landed, else None; a reply that failed
-        validation raises the error recorded for it."""
-        error_type = self._query_errors.get(session_id)
-        if error_type is not None:
-            raise error_type(f"query reply failed validation: {error_type.__name__}")
-        pending = self._pending_queries.get(session_id)
-        return None if pending is None else pending[2]
-
-    def query(
-        self,
-        sender: Agent,
-        target: str,
-        record: Record,
-        timeout_ticks: int,
-        session_id: bytes | None = None,
-    ) -> Record:
-        """Blocking request-response: ticks the world until the session's
-        reply lands or the timeout elapses. Never call from inside a
-        handler; it drives the same scheduler."""
-        session_id = self.send_query(sender, target, record, session_id=session_id)
+    def query(self, sender: Agent, target: str, record: Record, timeout_ticks: int,
+              session_id: bytes | None = None) -> Record:
+        """Blocking request-response for harness code, never for a handler:
+        ticks until the sender's waiter holds the reply, or raises its error."""
+        waiter = (session_id or sender.fresh_session_id(), target)
+        sender.waiters[waiter] = None
         try:
+            self.send_message(sender, target, record, waiter[0])
             for _ in range(timeout_ticks):
                 self.tick()
-                reply = self.poll_reply(session_id)
+                if isinstance(reply := sender.waiters[waiter], WireError):
+                    raise reply
                 if reply is not None:
                     return reply
             raise Timeout(f"no reply from {target} within {timeout_ticks} ticks")
         finally:
-            self._pending_queries.pop(session_id, None)
-            self._query_errors.pop(session_id, None)
+            del sender.waiters[waiter]
 
     # -- transcript -----------------------------------------------------------
 

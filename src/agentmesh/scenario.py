@@ -1,6 +1,6 @@
 """End-to-end logistics demo: request parsing, packaging chat, courier
-auction, escrow settlement, and feedback, driven by a scripted orchestrator
-over the simulated network.
+auction, escrow settlement, and feedback, placed by a scripted orchestrator
+whose plan resumes as each reply lands over the simulated network.
 
 The cast: a user-side assistant agent, a logistics coordinator, a packaging
 business, a traffic-data service, and the configured courier fleet. Every
@@ -280,7 +280,7 @@ def _chat(ctx, text: str) -> Record:
 
 
 def build_user_agent(identity: AgentIdentity) -> Agent:
-    """The assistant's network presence; it only ever drives queries."""
+    """The assistant's network presence; its waiters take the order's replies."""
     agent = Agent(USER_AGENT_NAME, identity)
     agent.include_protocol(CHAT_PROTOCOL)
     agent.include_protocol(LOGISTICS_PROTOCOL)
@@ -763,12 +763,17 @@ _FAILURE_BY_STATUS = {
 }
 
 
+_ORDER_FAILURES = (
+    Timeout, LedgerError, RegistryError, ScenarioError, ContractNetError, WireError, ServiceError
+)
+
+
 class Orchestrator:
     """Deterministic stand-in for the conversational planner, for one order.
 
-    Runs a fixed, straight-line plan and records every user-facing line.
-    The two approval gates block on a decision: scripted configs answer from
-    their fields, interactive mode reads y/n from the terminal.
+    Runs a fixed plan, a generator that yields after each query, and records
+    every user-facing line. The two approval gates block on a decision:
+    scripted configs answer from their fields, interactive mode from the terminal.
     """
 
     def __init__(self, scenario: ScenarioWorld, input_fn=None) -> None:
@@ -785,6 +790,9 @@ class Orchestrator:
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
         self._order_session: bytes | None = None  # the request's; the decision continues it
+        self._plan = None
+        self._wait: tuple[tuple[bytes, str], int, int] | None = None  # waiter, deadline, ticks
+        self.report: ScenarioReport | None = None  # set once the order ends
 
     # -- conversation ------------------------------------------------------
 
@@ -811,25 +819,50 @@ class Orchestrator:
         self.discovered.update(record.address for record in hits)
         return hits
 
-    def _query(
-        self, target: str, record: Record, timeout_ticks: int, session_id: bytes | None = None
-    ) -> Record:
-        self.contacted.add(target)
-        return self.world.query(self.user_agent, target, record, timeout_ticks, session_id)
-
     # -- the plan ----------------------------------------------------------
 
-    def run(self) -> ScenarioReport:
-        try:
-            return self._run_plan()
-        except Timeout as exc:
-            return self._report("failed", f"Timeout: {exc}")
-        except (
-            LedgerError, RegistryError, ScenarioError, ContractNetError, WireError, ServiceError
-        ) as exc:
-            return self._report("failed", f"{type(exc).__name__}: {exc}")
+    def start(self) -> None:
+        """Run the plan up to its first wait; run() takes it on from there."""
+        self._plan = self._run_plan()
+        self._advance(None)
 
-    def _run_plan(self) -> ScenarioReport:
+    def run(self) -> ScenarioReport:
+        """Start the order if need be, then tick the world until it ends."""
+        if self._plan is None:
+            self.start()
+        while self.report is None:
+            waiter, deadline, ticks = self._wait
+            try:
+                self.world.tick()
+            except _ORDER_FAILURES as exc:
+                self.user_agent.waiters[waiter] = exc  # the wait fails with its tick
+            reply = self.user_agent.waiters[waiter]
+            if reply is not None or self.world.height >= deadline:
+                del self.user_agent.waiters[waiter]
+                self._advance(reply or Timeout(f"no reply from {waiter[1]} within {ticks} ticks"))
+        return self.report
+
+    def _advance(self, reply: Record | Exception | None) -> None:
+        """Hand the plan its wait's outcome and run it to its next wait;
+        once the plan ends, or fails typed, keep its report."""
+        resume = self._plan.throw if isinstance(reply, Exception) else self._plan.send
+        try:
+            resume(reply)
+        except StopIteration as end:
+            self.report = end.value
+        except _ORDER_FAILURES as exc:
+            self.report = self._report("failed", f"{type(exc).__name__}: {exc}")
+
+    def _query(self, target: str, record: Record, ticks: int, session_id: bytes) -> None:
+        """Send record and have the user agent's waiter take the target's
+        reply in the session; the plan yields next, for at most `ticks`."""
+        self.contacted.add(target)
+        self.user_agent.waiters[session_id, target] = None
+        self.world.send_message(self.user_agent, target, record, session_id)
+        self._wait = ((session_id, target), self.world.height + ticks, ticks)
+
+    def _run_plan(self):
+        """The order, step by step; each yield is a wait for a reply."""
         config = self.config
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
@@ -847,7 +880,7 @@ class Orchestrator:
         business = packaging_hits[0]
         business_name = business.metadata.get("display_name", business.address)
 
-        quote = self._negotiate_packaging(business, business_name, task)
+        quote = yield from self._negotiate_packaging(business, business_name, task)
 
         approved = self._ask(
             f"After a brief chat with '{business_name}', they can professionally "
@@ -876,7 +909,7 @@ class Orchestrator:
         )
         self._order_session = self.user_agent.fresh_session_id()
         wait = _bid_window(config) + 4 * config.latency_max  # request, traffic, proposal
-        proposal = self._query(logistics.address, request, wait, self._order_session)
+        proposal = yield self._query(logistics.address, request, wait, self._order_session)
 
         if proposal["status"] != "proposal":
             return self._report(
@@ -891,7 +924,7 @@ class Orchestrator:
                 f"Your current balance is not enough to cover the {total_fet} FET cost. "
                 "Please top up your wallet to proceed."
             )
-            self._decide(logistics.address, False, "insufficient_funds")
+            yield self._decide(logistics.address, False, "insufficient_funds")
             return self._report("failed", "InsufficientFunds")
 
         if proposal["domain_verified"]:
@@ -911,7 +944,7 @@ class Orchestrator:
             )
         approved = self._ask(prompt, config.approve_delivery)
         if not approved:
-            self._decide(logistics.address, False, "declined_by_user")
+            yield self._decide(logistics.address, False, "declined_by_user")
             return self._report("failed", "DeliveryDeclined")
 
         self._say(
@@ -920,7 +953,7 @@ class Orchestrator:
             f"service, will deliver your package by {arrival}. I will notify you upon "
             "completion."
         )
-        outcome = self._decide(logistics.address, True, "")
+        outcome = yield self._decide(logistics.address, True, "")
         if outcome["status"] != "delivered":
             return self._report(
                 "failed", _FAILURE_BY_STATUS.get(outcome["status"], outcome["status"])
@@ -960,38 +993,30 @@ class Orchestrator:
 
         return self._report("ok", "")
 
-    def _negotiate_packaging(self, business, business_name: str, task: DeliveryTask) -> int:
-        """Multi-turn quote negotiation over the chat protocol."""
+    def _negotiate_packaging(self, business, business_name: str, task: DeliveryTask):
+        """Multi-turn quote negotiation over the chat protocol; each line
+        goes in a session of its own, minted after the line's message id."""
         world, user = self.world, self.user_agent
-        opener = make_chat_message(
-            f"tick-{world.height}",
-            user.fresh_session_id(),
-            [
-                f"Hello, I need packaging for a fragile item shipping from "
-                f"{task.source} to {task.destination}."
-            ],
-        )
-        self._hear("user", opener["content"][0])
         wait = max(20, 2 * self.config.latency_max)  # there and back
-        question = self._query(business.address, opener, wait)
-        self._hear(business_name, question["content"][0])
-        answer = make_chat_message(
-            f"tick-{world.height}",
-            user.fresh_session_id(),
-            ["The item is a 40cm x 30cm x 20cm box weighing 2.5 kilograms."],
+        lines = (
+            f"Hello, I need packaging for a fragile item shipping from "
+            f"{task.source} to {task.destination}.",
+            "The item is a 40cm x 30cm x 20cm box weighing 2.5 kilograms.",
         )
-        self._hear("user", answer["content"][0])
-        quote_msg = self._query(business.address, answer, wait)
-        self._hear(business_name, quote_msg["content"][0])
-        match = re.search(r"for (\d+) FET", quote_msg["content"][0])
+        for text in lines:
+            message = make_chat_message(f"tick-{world.height}", user.fresh_session_id(), [text])
+            self._hear("user", text)
+            reply = yield self._query(business.address, message, wait, user.fresh_session_id())
+            self._hear(business_name, reply["content"][0])
+        match = re.search(r"for (\d+) FET", reply["content"][0])
         if match is None:
-            raise ScenarioError(f"no quote in reply: {quote_msg['content'][0]!r}")
+            raise ScenarioError(f"no quote in reply: {reply['content'][0]!r}")
         return int(match.group(1))
 
-    def _decide(self, logistics_address: str, approved: bool, reason: str) -> Record:
+    def _decide(self, logistics_address: str, approved: bool, reason: str) -> None:
         decision = Record(DELIVERY_DECISION, {"approved": approved, "reason": reason})
         timeout = self.config.delivery_ticks + self.config.latency_max * 6 + 20
-        return self._query(logistics_address, decision, timeout, self._order_session)
+        self._query(logistics_address, decision, timeout, self._order_session)
 
     # -- assembly ----------------------------------------------------------
 

@@ -679,11 +679,21 @@ class TestQuery:
             client = make_agent("interleave client")
             world.add_agent(server)
             world.add_agent(client)
-            session_a = world.send_query(client, server.identity.address, Record(PING, {"text": "A"}))
-            session_b = world.send_query(client, server.identity.address, Record(PING, {"text": "B"}))
+            target = server.identity.address
+            session_a = self.ask(world, client, target, Record(PING, {"text": "A"}))
+            session_b = self.ask(world, client, target, Record(PING, {"text": "B"}))
             world.tick(6)
-            assert world.poll_reply(session_a)["text"] == "A"
-            assert world.poll_reply(session_b)["text"] == "B"
+            assert client.waiters[session_a, target]["text"] == "A"
+            assert client.waiters[session_b, target]["text"] == "B"
+
+    @staticmethod
+    def ask(world: World, client: Agent, target: str, record: Record) -> bytes:
+        """Send record in a fresh session whose reply the client's waiter
+        takes; returns the session."""
+        session = client.fresh_session_id()
+        client.waiters[session, target] = None
+        world.send_message(client, target, record, session)
+        return session
 
     @staticmethod
     def faulty_pair(fault: str) -> tuple[World, Agent, Agent]:
@@ -713,26 +723,46 @@ class TestQuery:
         expected = {"Expired": Expired, "UnknownSchema": UnknownSchema}[fault]
         with pytest.raises(expected, match=f"query reply failed validation: {fault}$"):
             world.query(client, server.identity.address, Record(PING, {"text": "x"}), 10)
-        assert world._pending_queries == {}
-        assert world._query_errors == {}
+        assert client.waiters == {}
 
     @pytest.mark.parametrize("fault", ["Expired", "UnknownSchema"])
-    def test_poll_reply_raises_the_recorded_type(self, fault):
+    def test_the_waiter_holds_the_failed_reply_s_error(self, fault):
         world, client, server = self.faulty_pair(fault)
-        session = world.send_query(client, server.identity.address, Record(PING, {"text": "x"}))
+        target = server.identity.address
+        session = self.ask(world, client, target, Record(PING, {"text": "x"}))
         world.tick(6)
         expected = {"Expired": Expired, "UnknownSchema": UnknownSchema}[fault]
-        for _ in range(2):  # raised on every poll, from the recorded type alone
-            with pytest.raises(expected, match=f"query reply failed validation: {fault}$"):
-                world.poll_reply(session)
-        assert world._query_errors[session] is expected
+        error = client.waiters[session, target]
+        assert type(error) is expected
+        assert str(error) == f"query reply failed validation: {fault}"
+
+    def test_a_forged_reply_does_not_end_the_wait(self):
+        # an envelope that claims the server as sender but was signed by
+        # another key is an ordinary signature_invalid line
+        world = fresh_world(network=NetworkModel(latency_min=1, latency_max=1))
+        server, client = echo_agent("forged server"), make_agent("forged client")
+        forger = make_agent("forger")
+        for agent in (server, client, forger):
+            world.add_agent(agent)
+        target = server.identity.address
+        session = self.ask(world, client, target, Record(PING, {"text": "x"}))
+        forged = Context(forger, world.height).send(
+            client.identity.address, Record(PONG, {"text": "forged"}), session
+        )
+        world.send(dataclasses.replace(forged, sender=target))
+        world.tick(1)
+        assert world.transcript[-1].outcome == "signature_invalid"
+        assert client.waiters[session, target] is None
+        world.tick(1)
+        assert client.waiters[session, target]["text"] == "x"
+        assert world.transcript[-1].outcome == "reply_received"
 
     @pytest.mark.parametrize(
         "fault, outcome", [("Expired", "expired"), ("UnknownSchema", "unknown_schema")]
     )
     def test_failed_reply_is_logged_like_a_dispatch_reject(self, fault, outcome):
         world, client, server = self.faulty_pair(fault)
-        world.send_query(client, server.identity.address, Record(PING, {"text": "x"}))
+        self.ask(world, client, server.identity.address, Record(PING, {"text": "x"}))
         world.tick(6)
         # the client never learnt Stranger, so it names the schema by digest
         stranger = ModelSchema.build("Stranger", text=SemanticType.STRING)
@@ -754,8 +784,7 @@ class TestQuery:
         world.set_online(server.identity.address, False)
         with pytest.raises(Timeout):
             world.query(client, server.identity.address, Record(PING, {"text": "x"}), 3)
-        assert world._pending_queries == {}
-        assert world._query_errors == {}
+        assert client.waiters == {}
 
 
 class TestDeterminism:
@@ -1029,15 +1058,20 @@ def test_a_raise_on_a_pool_thread_lets_go_of_the_claim_and_the_caller_raises(mon
 
 def test_envelopes_the_world_never_opens_are_never_checked(monkeypatch):
     counts = count_verifies(monkeypatch)
-    world = fresh_world(network=NetworkModel(drop_probability=0.5), seed=7)
+    mailbox = MailboxStore()
+    world = fresh_world(mailbox=mailbox, network=NetworkModel(drop_probability=0.5), seed=7)
     receiver = make_agent("unopened receiver")
     receiver.on_message(PING)(lambda ctx, sender, record: None)
-    world.add_agent(receiver)
     sender, ghost = make_agent("unopened sender"), make_agent("unopened ghost")
+    away, stranger = make_agent("unopened away"), make_agent("unopened stranger")
+    for agent in (receiver, away, stranger):
+        world.add_agent(agent)
+        world.set_online(agent.identity.address, agent is receiver)
+    mailbox.create_account(away.identity.address)  # the stranger has no account
     envelopes = [
         TestDispatch.ping_env(sender, target, text=f"{target.name} m{i}")
         for i in range(16)
-        for target in (receiver, ghost)
+        for target in (receiver, ghost, away, stranger)
     ]
     for env in envelopes:
         world.send(env)
@@ -1047,5 +1081,29 @@ def test_envelopes_the_world_never_opens_are_never_checked(monkeypatch):
     for env in envelopes:
         outcome = outcome_of[transcript_line(0, env, "-", "-").digest_prefix]
         seen.add(outcome)
-        assert counts.get(env.signing_digest(), 0) == (outcome == "handled"), outcome
-    assert seen == {"handled", "dropped", "no_such_agent"}
+        checked = outcome in ("handled", "mailboxed")
+        assert counts.get(env.signing_digest(), 0) == checked, outcome
+    assert seen == {"handled", "dropped", "no_such_agent", "mailboxed", "mailbox_NoAccount"}
+
+
+def test_a_check_that_raises_on_the_way_to_a_mailbox_loses_nothing(monkeypatch):
+    mailbox = MailboxStore()
+    world = fresh_world(mailbox=mailbox)
+    away, sender = make_agent("stored away"), make_agent("stored sender")
+    world.add_agent(away)
+    world.add_agent(sender)
+    mailbox.create_account(away.identity.address)
+    world.set_online(away.identity.address, False)
+    verify = identity.verify_digest
+
+    def broken_verify(address, digest, signature):
+        raise RuntimeError("verify broke")
+
+    monkeypatch.setattr(identity, "verify_digest", broken_verify)
+    world.send_message(sender, away.identity.address, Record(PING, {"text": "keep"}))
+    with pytest.raises(RuntimeError, match="verify broke"):
+        world.tick(1)
+    monkeypatch.setattr(identity, "verify_digest", verify)
+    world.tick(3)
+    assert [line.outcome for line in world.transcript] == ["mailboxed"]
+    assert mailbox.stats()[away.identity.address] == 1

@@ -20,9 +20,10 @@ from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET, replay
 from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS, NEUTRAL_SCORE, assess_reputation
 from agentmesh.registry import NotFound
-from agentmesh.runtime import Agent, Timeout
+from agentmesh.runtime import Agent, Context, Timeout
 from agentmesh.scenario import (
     DELIVERY_DECISION,
+    DELIVERY_OUTCOME,
     LOGISTICS_PROPOSAL,
     LOGISTICS_PROTOCOL,
     LOGISTICS_REQUEST,
@@ -42,7 +43,7 @@ from agentmesh.scenario import (
     run_scenario,
     simulate_network,
 )
-from agentmesh.wire import Expired, Record, canonical_decode
+from agentmesh.wire import CHAT_MESSAGE, Record, canonical_decode, make_chat_message
 
 DEMO_REQUEST = default_config().request
 
@@ -273,12 +274,15 @@ def test_unparsable_request_fails_typed():
 
 
 def test_wire_error_mid_order_fails_typed(monkeypatch):
+    # the packaging business answers with a reply that expires before it lands
     scenario = build_scenario(default_config())
+    packaging = next(a for a in scenario.world.agents.values() if a.name == PACKAGING_NAME)
 
-    def query(*args, **kwargs):
-        raise Expired("query reply failed validation: Expired")
+    def stale_reply(ctx, sender, msg):
+        stale = make_chat_message(f"tick-{ctx.height}", ctx.agent.fresh_session_id(), ["stale"])
+        ctx.reply(stale, expires_at=ctx.height)
 
-    monkeypatch.setattr(scenario.world, "query", query)
+    monkeypatch.setitem(packaging.message_handlers, CHAT_MESSAGE.digest(), stale_reply)
     report = scenario.place_order()
     assert report.status == "failed"
     assert report.failure_cause == "Expired: query reply failed validation: Expired"
@@ -378,6 +382,15 @@ def _logistics_request(payer_wallet: str, deadline: str | None = None) -> Record
     )
 
 
+def _ask(world, asker: Agent, target: str, record: Record) -> bytes:
+    """Send record in a fresh session whose reply the asker's waiter takes;
+    returns the session."""
+    session = asker.fresh_session_id()
+    asker.waiters[session, target] = None
+    world.send_message(asker, target, record, session)
+    return session
+
+
 def _intruder_approves_first(monkeypatch, scenario):
     """A courier, which speaks LogisticsCoordination too, sends an approval
     to the logistics agent just before the user's own decision, in the
@@ -445,15 +458,15 @@ def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
     spoofer = Agent("RogueMaps", derive_identity("rogue maps seed"))
     spoofer.include_protocol(MAPS_PROTOCOL)
     world.add_agent(spoofer)
-    send_query = world.send_query
+    user = scenario.user_agent.identity.address
+    send = world.send
 
-    def estimate_after_request(sender, target, record, expires_at=None, session_id=None):
-        session_id = send_query(sender, target, record, expires_at, session_id)
-        if record.schema is LOGISTICS_REQUEST:
-            world.send_message(spoofer, target, Record(MAPS_REPLY, {"delay_minutes": 100000}))
-        return session_id
+    def estimate_after_request(env):
+        send(env)
+        if env.sender == user and env.schema_digest == LOGISTICS_REQUEST.digest():
+            world.send_message(spoofer, env.target, Record(MAPS_REPLY, {"delay_minutes": 100000}))
 
-    monkeypatch.setattr(world, "send_query", estimate_after_request)
+    monkeypatch.setattr(world, "send", estimate_after_request)
     report = scenario.place_order()
     assert report.status == "ok"
     assert report.winner == "SpeedyVanCouriers"
@@ -484,6 +497,70 @@ def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monke
         line.sender == intruder.identity.address and line.outcome == "no_handler"
         for line in world.transcript
     )
+
+
+@pytest.mark.parametrize(
+    "after, schema",
+    [(LOGISTICS_REQUEST, LOGISTICS_PROPOSAL), (DELIVERY_DECISION, DELIVERY_OUTCOME)],
+    ids=["proposal", "outcome"],
+)
+def test_a_reply_forged_in_the_logistics_agent_s_name_is_not_the_answer(monkeypatch, after, schema):
+    # an invited courier seals a reply with its own key, then names the
+    # logistics agent as its sender, in the order's session
+    scenario = _fast_world()
+    world, user = scenario.world, scenario.user_agent.identity.address
+    logistics = scenario.logistics_agent.identity.address
+    courier = scenario.courier_agents["DroneDashLtd"]
+    record = scenario_module._filled(schema, status="no_couriers")
+    send = world.send
+
+    def forge_after(env):
+        send(env)
+        if env.sender == user and env.schema_digest == after.digest():
+            own = Context(courier, world.height).send(user, record, env.session_id)
+            send(replace(own, sender=logistics))
+
+    monkeypatch.setattr(world, "send", forge_after)
+    report = scenario.place_order()
+    assert (report.status, report.failure_cause) == ("ok", "")
+    assert (report.winner, report.total_user_spend_fet) == ("SpeedyVanCouriers", 32)
+    forged = [line for line in world.transcript if line.outcome == "signature_invalid"]
+    assert [(line.sender, line.target, line.schema_name) for line in forged] == [
+        (logistics, user, schema.name)
+    ]
+
+
+def _silent_logistics(monkeypatch, scenario) -> None:
+    monkeypatch.setitem(
+        scenario.logistics_agent.message_handlers,
+        LOGISTICS_REQUEST.digest(),
+        lambda ctx, sender, msg: None,
+    )
+
+
+def test_an_unanswered_request_times_out_at_its_pinned_height(monkeypatch):
+    scenario = build_scenario(default_config())
+    _silent_logistics(monkeypatch, scenario)
+    report = scenario.place_order()
+    logistics = scenario.logistics_agent.identity.address
+    assert report.failure_cause == f"Timeout: no reply from {logistics} within 14 ticks"
+    assert report.total_user_spend_fet == 7
+    assert scenario.world.height == 19
+
+
+@pytest.mark.parametrize("end", ["ok", "declined", "timed_out"])
+def test_an_order_leaves_no_waiter_and_no_timer(monkeypatch, end):
+    scenario = build_scenario(
+        with_overrides(default_config(), approve_delivery=end != "declined")
+    )
+    if end == "timed_out":
+        _silent_logistics(monkeypatch, scenario)
+    report = scenario.place_order()
+    assert report.status == ("ok" if end == "ok" else "failed")
+    world, user = scenario.world, scenario.user_agent
+    assert user.waiters == {}
+    assert world._pending_timers() == 0
+    assert not any(entry[3] is user for entry in world._timers)
 
 
 def test_decision_before_any_request_gets_no_open_proposal():
@@ -518,9 +595,9 @@ def test_two_requests_in_one_world_are_both_answered():
     world, user = scenario.world, scenario.user_agent
     logistics = scenario.logistics_agent.identity.address
     request = _logistics_request(user.identity.wallet_address)
-    sessions = [world.send_query(user, logistics, request) for _ in range(2)]
+    sessions = [_ask(world, user, logistics, request) for _ in range(2)]
     world.tick(60)
-    replies = [world.poll_reply(session) for session in sessions]
+    replies = [user.waiters[session, logistics] for session in sessions]
     assert [reply and reply["status"] for reply in replies] == ["proposal", "proposal"]
 
 
@@ -803,7 +880,7 @@ def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
     scenario = build_scenario(default_config())
     world, user = scenario.world, scenario.user_agent
     logistics = scenario.logistics_agent.identity.address
-    good = world.send_query(user, logistics, _logistics_request(user.identity.wallet_address))
+    good = _ask(world, user, logistics, _logistics_request(user.identity.wallet_address))
     for _ in range(20):
         world.tick()
         if any(line.outcome == "auction_opened" for line in world.transcript):
@@ -813,10 +890,10 @@ def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
     refused = [line for line in world.transcript if line.outcome == "invalid_record"]
     assert [line.schema_name for line in refused] == ["LogisticsRequest"]
     for _ in range(40):
-        if world.poll_reply(good) is not None:
+        if user.waiters[good, logistics] is not None:
             break
         world.tick()
-    proposal = world.poll_reply(good)
+    proposal = user.waiters[good, logistics]
     assert proposal is not None and proposal["status"] == "proposal"
 
 

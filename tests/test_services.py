@@ -1189,3 +1189,4 @@ def test_service_gone_mid_order_fails_typed(gone):
     assert report.status == "failed"
     assert report.failure_cause.startswith("ServiceError")
     assert report.conserved
+    assert scenario.user_agent.waiters == {}
