@@ -20,7 +20,7 @@ from .config import (
     with_overrides,
 )
 from .contractnet import COURIER_AUCTION
-from .ledger import Ledger, LedgerError, UFET_PER_FET, read_journal, replay
+from .ledger import Ledger, LedgerError, UFET_PER_FET, read_journal, replay, write_journal
 from .mailbox import MailboxStore
 from .registry import FixtureDnsResolver, Registry
 from .scenario import (
@@ -91,16 +91,18 @@ def cmd_run(args) -> int:
         return 2
     report = scenario.place_order()
 
-    if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            for line in report.transcript:
-                fh.write(line + "\n")
-    if args.report:
-        report.write(args.report)
-    if args.journal:
-        from .ledger import write_journal
-
-        write_journal(args.journal, scenario.world.ledger.journal)
+    try:
+        if args.transcript:
+            with open(args.transcript, "w", encoding="utf-8") as fh:
+                for line in report.transcript:
+                    fh.write(line + "\n")
+        if args.report:
+            report.write(args.report)
+        if args.journal:
+            write_journal(args.journal, scenario.world.ledger.journal)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     print(report.render_text(), end="")
     return 0 if report.status == "ok" else 1
@@ -317,6 +319,12 @@ def registryd_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--genesis", action="append", default=[], metavar="WALLET=UFET",
                         help="mint a starting balance (repeatable)")
     args = parser.parse_args(argv)
+    if args.ttl < 1:
+        print(f"--ttl must be at least 1 block, not {args.ttl}", file=sys.stderr)
+        return 2
+    if args.fee_ufet < 0:
+        print(f"--fee-ufet must not be negative, not {args.fee_ufet}", file=sys.stderr)
+        return 2
 
     ledger = Ledger()
     for entry in args.genesis:
@@ -338,6 +346,9 @@ def mailboxd_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8701)
     parser.add_argument("--capacity", type=int, default=1024)
     args = parser.parse_args(argv)
+    if args.capacity < 1:
+        print(f"--capacity must be at least 1 envelope, not {args.capacity}", file=sys.stderr)
+        return 2
 
     store = MailboxStore(capacity=args.capacity)
     handle = serve_mailbox(store, args.host, args.port)

@@ -653,7 +653,7 @@ class World:
             used += 1
         return used
 
-    # -- direct sends and queries (harness-level API) ------------------------
+    # -- direct sends and queries ------------------------------------------
 
     def send_message(
         self,
@@ -669,8 +669,9 @@ class World:
 
     def query(self, sender: Agent, target: str, record: Record, timeout_ticks: int,
               session_id: bytes | None = None) -> Record:
-        """Blocking request-response for harness code, never for a handler:
-        ticks until the sender's waiter holds the reply, or raises its error."""
+        """Blocking request-response, never for a handler: ticks until the
+        sender's waiter holds the reply, or raises its error. It is also the
+        order's wait: Orchestrator.run sends each request of its plan here."""
         waiter = (session_id or sender.fresh_session_id(), target)
         sender.waiters[waiter] = None
         try:

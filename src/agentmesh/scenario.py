@@ -1,6 +1,6 @@
 """End-to-end logistics demo: request parsing, packaging chat, courier
 auction, escrow settlement, and feedback, placed by a scripted orchestrator
-whose plan resumes as each reply lands over the simulated network.
+whose plan yields each request and gets its reply back from World.query.
 
 The cast: a user-side assistant agent, a logistics coordinator, a packaging
 business, a traffic-data service, and the configured courier fleet. Every
@@ -771,9 +771,10 @@ _ORDER_FAILURES = (
 class Orchestrator:
     """Deterministic stand-in for the conversational planner, for one order.
 
-    Runs a fixed plan, a generator that yields after each query, and records
-    every user-facing line. The two approval gates block on a decision:
-    scripted configs answer from their fields, interactive mode from the terminal.
+    Runs a fixed plan, a generator that yields each request it waits on, and
+    records every user-facing line; run() is the one driver of the plan. The
+    two approval gates block on a decision: scripted configs answer from their
+    fields, interactive mode from the terminal, where end of input is "no".
     """
 
     def __init__(self, scenario: ScenarioWorld, input_fn=None) -> None:
@@ -790,9 +791,6 @@ class Orchestrator:
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
         self._order_session: bytes | None = None  # the request's; the decision continues it
-        self._plan = None
-        self._wait: tuple[tuple[bytes, str], int, int] | None = None  # waiter, deadline, ticks
-        self.report: ScenarioReport | None = None  # set once the order ends
 
     # -- conversation ------------------------------------------------------
 
@@ -802,11 +800,17 @@ class Orchestrator:
     def _hear(self, speaker: str, text: str) -> None:
         self.dialogue.append(f"[{speaker}] {text}")
 
+    def _read(self, prompt: str) -> str:
+        """One answer from the terminal; end of input reads as an empty one."""
+        try:
+            return self._input(prompt).strip()
+        except EOFError:
+            return ""
+
     def _ask(self, prompt: str, scripted_answer: bool) -> bool:
         self._say(prompt)
         if self.config.approval_mode == "interactive":
-            raw = self._input("approve? [y/n] ").strip().lower()
-            answer = raw in ("y", "yes")
+            answer = self._read("approve? [y/n] ").lower() in ("y", "yes")
         else:
             answer = scripted_answer
         self._hear("user", "yes" if answer else "no")
@@ -821,48 +825,24 @@ class Orchestrator:
 
     # -- the plan ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Run the plan up to its first wait; run() takes it on from there."""
-        self._plan = self._run_plan()
-        self._advance(None)
-
     def run(self) -> ScenarioReport:
-        """Start the order if need be, then tick the world until it ends."""
-        if self._plan is None:
-            self.start()
-        while self.report is None:
-            waiter, deadline, ticks = self._wait
-            try:
-                self.world.tick()
-            except _ORDER_FAILURES as exc:
-                self.user_agent.waiters[waiter] = exc  # the wait fails with its tick
-            reply = self.user_agent.waiters[waiter]
-            if reply is not None or self.world.height >= deadline:
-                del self.user_agent.waiters[waiter]
-                self._advance(reply or Timeout(f"no reply from {waiter[1]} within {ticks} ticks"))
-        return self.report
-
-    def _advance(self, reply: Record | Exception | None) -> None:
-        """Hand the plan its wait's outcome and run it to its next wait;
-        once the plan ends, or fails typed, keep its report."""
-        resume = self._plan.throw if isinstance(reply, Exception) else self._plan.send
+        """Drive the plan: each wait it yields goes out through World.query,
+        and the reply goes back in; a typed failure ends the order."""
+        plan, reply = self._run_plan(), None
         try:
-            resume(reply)
+            while True:
+                target, record, ticks, session_id = plan.send(reply)
+                self.contacted.add(target)
+                reply = self.world.query(self.user_agent, target, record, ticks, session_id)
         except StopIteration as end:
-            self.report = end.value
+            return end.value
         except _ORDER_FAILURES as exc:
-            self.report = self._report("failed", f"{type(exc).__name__}: {exc}")
-
-    def _query(self, target: str, record: Record, ticks: int, session_id: bytes) -> None:
-        """Send record and have the user agent's waiter take the target's
-        reply in the session; the plan yields next, for at most `ticks`."""
-        self.contacted.add(target)
-        self.user_agent.waiters[session_id, target] = None
-        self.world.send_message(self.user_agent, target, record, session_id)
-        self._wait = ((session_id, target), self.world.height + ticks, ticks)
+            return self._report("failed", f"{type(exc).__name__}: {exc}")
 
     def _run_plan(self):
-        """The order, step by step; each yield is a wait for a reply."""
+        """The order, step by step. Each wait is yielded as (target, record,
+        ticks, session id), and the reply is sent back in; the plan never
+        catches around a yield, so a failed wait ends it."""
         config = self.config
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
@@ -909,7 +889,7 @@ class Orchestrator:
         )
         self._order_session = self.user_agent.fresh_session_id()
         wait = _bid_window(config) + 4 * config.latency_max  # request, traffic, proposal
-        proposal = yield self._query(logistics.address, request, wait, self._order_session)
+        proposal = yield logistics.address, request, wait, self._order_session
 
         if proposal["status"] != "proposal":
             return self._report(
@@ -927,21 +907,16 @@ class Orchestrator:
             yield self._decide(logistics.address, False, "insufficient_funds")
             return self._report("failed", "InsufficientFunds")
 
-        if proposal["domain_verified"]:
-            prompt = (
-                f"A logistics agent has found a courier that can deliver your package "
-                f"by {arrival} for {price} FET. The courier is registered under the "
-                f"domain {proposal['domain']}, which is verified by the ANAME service. "
-                "If you approve, the funds will be held in a secure on-chain escrow "
-                "contract and only released upon successful delivery. Do you want to proceed?"
-            )
-        else:
-            prompt = (
-                f"A logistics agent has found a courier that can deliver your package "
-                f"by {arrival} for {price} FET. If you approve, the funds will be held "
-                "in a secure on-chain escrow contract and only released upon successful "
-                "delivery. Do you want to proceed?"
-            )
+        aname = (
+            f"The courier is registered under the domain {proposal['domain']}, "
+            "which is verified by the ANAME service. "
+        ) if proposal["domain_verified"] else ""
+        prompt = (
+            f"A logistics agent has found a courier that can deliver your package "
+            f"by {arrival} for {price} FET. {aname}If you approve, the funds will be held "
+            "in a secure on-chain escrow contract and only released upon successful "
+            "delivery. Do you want to proceed?"
+        )
         approved = self._ask(prompt, config.approve_delivery)
         if not approved:
             yield self._decide(logistics.address, False, "declined_by_user")
@@ -973,7 +948,7 @@ class Orchestrator:
                 f"from '{winner}' out of 5 stars?"
             )
             if config.approval_mode == "interactive":
-                raw = self._input("stars [1-5, empty to skip] ").strip()
+                raw = self._read("stars [1-5, empty to skip] ")
                 stars = int(raw) if raw.isdigit() and 1 <= int(raw) <= 5 else 0
             else:
                 stars = config.feedback_stars
@@ -1006,17 +981,18 @@ class Orchestrator:
         for text in lines:
             message = make_chat_message(f"tick-{world.height}", user.fresh_session_id(), [text])
             self._hear("user", text)
-            reply = yield self._query(business.address, message, wait, user.fresh_session_id())
+            reply = yield business.address, message, wait, user.fresh_session_id()
             self._hear(business_name, reply["content"][0])
         match = re.search(r"for (\d+) FET", reply["content"][0])
         if match is None:
             raise ScenarioError(f"no quote in reply: {reply['content'][0]!r}")
         return int(match.group(1))
 
-    def _decide(self, logistics_address: str, approved: bool, reason: str) -> None:
+    def _decide(self, logistics_address: str, approved: bool, reason: str) -> tuple:
+        """The decision's wait, in the order's session, for the plan to yield."""
         decision = Record(DELIVERY_DECISION, {"approved": approved, "reason": reason})
         timeout = self.config.delivery_ticks + self.config.latency_max * 6 + 20
-        self._query(logistics_address, decision, timeout, self._order_session)
+        return logistics_address, decision, timeout, self._order_session
 
     # -- assembly ----------------------------------------------------------
 

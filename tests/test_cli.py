@@ -12,8 +12,8 @@ import threading
 import pytest
 
 import agentmesh
-from agentmesh import runtime
-from agentmesh.cli import attack_config, main, registryd_main
+from agentmesh import cli, runtime
+from agentmesh.cli import attack_config, mailboxd_main, main, registryd_main
 from agentmesh.config import default_config, render_config, with_overrides
 from agentmesh.identity import derive_identity
 from agentmesh.scenario import build_scenario
@@ -61,6 +61,15 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert any("SpeedyVanCouriers" in line for line in report_lines[2:])
 
     assert journal.read_text().strip()
+
+
+@pytest.mark.parametrize("artifact", ["--transcript", "--report", "--journal"])
+def test_run_unwritable_artifact_path_exits_two(tmp_path, capsys, artifact):
+    path = tmp_path / "no_such_dir" / "artifact.txt"
+    assert run_cli("run", artifact, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_run_custom_config_failure_exits_one(tmp_path, capsys):
@@ -139,6 +148,15 @@ def test_run_interactive_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("y\ny\n5\n"))
     assert run_cli("run", "--interactive") == 0
     assert "SpeedyVanCouriers" in capsys.readouterr().out
+
+
+def test_run_interactive_at_end_of_input_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert run_cli("run", "--interactive") == 1
+    captured = capsys.readouterr()
+    assert "status: failed (NoPackaging)" in captured.out
+    assert "total user spend: 0 FET" in captured.out
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +267,32 @@ def test_ledger_replay_missing_file(capsys):
 def test_registryd_rejects_bad_genesis(capsys):
     assert registryd_main(["--genesis", "walletonly"]) == 2
     assert "bad --genesis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ttl", "0"], "--ttl must be at least 1"),
+        (["--ttl", "-3"], "--ttl must be at least 1"),
+        (["--fee-ufet", "-5"], "--fee-ufet must not be negative"),
+    ],
+    ids=["ttl_zero", "ttl_negative", "fee_negative"],
+)
+def test_registryd_refuses_settings_that_disable_it(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(cli, "serve_registry", _never_serve)
+    assert registryd_main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_mailboxd_refuses_a_capacity_below_one(monkeypatch, capsys, capacity):
+    monkeypatch.setattr(cli, "serve_mailbox", _never_serve)
+    assert mailboxd_main(["--capacity", capacity]) == 2
+    assert "--capacity must be at least 1" in capsys.readouterr().err
+
+
+def _never_serve(*args):
+    raise AssertionError("a refused setting must return before serving")
 
 
 def test_cli_requires_a_command():

@@ -20,7 +20,7 @@ from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET, replay
 from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS, NEUTRAL_SCORE, assess_reputation
 from agentmesh.registry import NotFound
-from agentmesh.runtime import Agent, Context, Timeout
+from agentmesh.runtime import Agent, Context, Timeout, World
 from agentmesh.scenario import (
     DELIVERY_DECISION,
     DELIVERY_OUTCOME,
@@ -194,6 +194,31 @@ def test_demo_arrival_beats_the_deadline():
     report = run_scenario(default_config())
     assert any("by 4:30 PM for 25 FET" in line for line in report.dialogue)
     assert any("verified by the ANAME service" in line for line in report.dialogue)
+
+
+@pytest.mark.parametrize(
+    "domain, aname",
+    [
+        ("speedyvan.example.agent", "The courier is registered under the domain "
+         "speedyvan.example.agent, which is verified by the ANAME service. "),
+        ("", ""),
+    ],
+    ids=["verified_domain", "no_domain"],
+)
+def test_delivery_gate_prompt_text(domain, aname):
+    config = default_config()
+    if not domain:
+        config = with_overrides(
+            config, couriers=tuple(replace(c, domain="") for c in config.couriers)
+        )
+    report = run_scenario(config)
+    assert report.winner == "SpeedyVanCouriers" and report.winner_domain == domain
+    assert report.dialogue[7] == (
+        "[assistant] A logistics agent has found a courier that can deliver your package "
+        f"by 4:30 PM for 25 FET. {aname}If you approve, the funds will be held in a secure "
+        "on-chain escrow contract and only released upon successful delivery. "
+        "Do you want to proceed?"
+    )
 
 
 def test_orchestrator_only_contacts_discovered_addresses():
@@ -561,6 +586,35 @@ def test_an_order_leaves_no_waiter_and_no_timer(monkeypatch, end):
     assert user.waiters == {}
     assert world._pending_timers() == 0
     assert not any(entry[3] is user for entry in world._timers)
+
+
+def test_an_order_waits_on_each_reply_through_world_query(monkeypatch):
+    config = default_config()
+    scenario = build_scenario(config)
+    world, user = scenario.world, scenario.user_agent
+    query, waits = World.query, []
+
+    def spying_query(self, sender, target, record, timeout_ticks, session_id=None):
+        waits.append((sender, target, record.schema.name, timeout_ticks))
+        return query(self, sender, target, record, timeout_ticks, session_id)
+
+    monkeypatch.setattr(World, "query", spying_query)
+    report = scenario.place_order()
+    assert report.status == "ok"
+    packaging = world.registry.search(
+        world.height, metadata={"service_type": "packaging"}
+    )[0].address
+    logistics = scenario.logistics_agent.identity.address
+    chat_wait = max(20, 2 * config.latency_max)
+    request_wait = scenario_module._bid_window(config) + 4 * config.latency_max
+    decision_wait = config.delivery_ticks + 6 * config.latency_max + 20
+    assert waits == [
+        (user, packaging, "ChatMessage", chat_wait),
+        (user, packaging, "ChatMessage", chat_wait),
+        (user, logistics, "LogisticsRequest", request_wait),
+        (user, logistics, "DeliveryDecision", decision_wait),
+    ]
+    assert user.waiters == {}
 
 
 def test_decision_before_any_request_gets_no_open_proposal():
@@ -975,6 +1029,29 @@ def test_interactive_no_at_first_gate():
     report = build_scenario(config).place_order(lambda prompt: "n")
     assert report.status == "failed"
     assert report.failure_cause == "NoPackaging"
+
+
+def _end_of_input(prompt):
+    raise EOFError
+
+
+def test_interactive_gate_at_end_of_input_answers_no():
+    config = with_overrides(default_config(), approval_mode="interactive")
+    report = build_scenario(config).place_order(_end_of_input)
+    assert report.status == "failed"
+    assert report.failure_cause == "NoPackaging"
+    assert report.total_user_spend_ufet == 0
+    assert report.dialogue[-1] == "[user] no"
+
+
+def test_interactive_rating_at_end_of_input_is_skipped():
+    def answer(prompt):
+        return _end_of_input(prompt) if prompt.startswith("stars") else "y"
+
+    config = with_overrides(default_config(), approval_mode="interactive")
+    report = build_scenario(config).place_order(answer)
+    assert report.status == "ok"
+    assert report.feedback_stars == 0
 
 
 def test_interactive_skip_feedback():
