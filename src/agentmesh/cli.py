@@ -9,6 +9,7 @@ separate entry points that serve the registry and mailbox over HTTP.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import (
@@ -297,6 +298,16 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def _listen(serve, args, label: str) -> int:
+    """Serve on --host and --port until interrupted; 2 if it cannot bind."""
+    try:
+        handle = serve(host=args.host, port=args.port)
+    except (OSError, OverflowError) as exc:
+        print(f"cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
+    return _serve_forever(handle, label)
+
+
 def _serve_forever(handle, label: str) -> int:
     print(f"{label} listening on {handle.base_url}")
     try:
@@ -332,10 +343,14 @@ def registryd_main(argv: list[str] | None = None) -> int:
         if not wallet or not amount.isdigit():
             print(f"bad --genesis entry: {entry!r}", file=sys.stderr)
             return 2
-        ledger.mint(wallet, int(amount))
+        try:
+            ledger.mint(wallet, int(amount))
+        except (LedgerError, WireError) as exc:
+            print(f"bad --genesis entry: {entry!r}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     registry = Registry(ttl=args.ttl, fee=args.fee_ufet)
-    handle = serve_registry(registry, ledger, FixtureDnsResolver(), args.host, args.port)
-    return _serve_forever(handle, "registryd")
+    serve = functools.partial(serve_registry, registry, ledger, FixtureDnsResolver())
+    return _listen(serve, args, "registryd")
 
 
 def mailboxd_main(argv: list[str] | None = None) -> int:
@@ -350,9 +365,8 @@ def mailboxd_main(argv: list[str] | None = None) -> int:
         print(f"--capacity must be at least 1 envelope, not {args.capacity}", file=sys.stderr)
         return 2
 
-    store = MailboxStore(capacity=args.capacity)
-    handle = serve_mailbox(store, args.host, args.port)
-    return _serve_forever(handle, "mailboxd")
+    return _listen(functools.partial(serve_mailbox, MailboxStore(capacity=args.capacity)),
+                   args, "mailboxd")
 
 
 if __name__ == "__main__":

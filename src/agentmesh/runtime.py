@@ -6,13 +6,15 @@ through a World that owns the clock. Time is a logical tick
 counter equal to the ledger block height: one tick is one block. The world
 delivers envelopes with seeded random latency and drop behavior, redirects
 traffic for offline agents to the mailbox when one is attached, and
-appends one transcript line per delivery outcome. Identical (config, seed)
-runs produce byte-identical transcripts. Nothing polls: `ctx.at(height, fn)`
-sets a timer on one world heap, and `on_interval(p)` is a timer that fires
-at each multiple of p. Once enough envelopes are in flight, a send hands
-each one the world will open to a small pool of threads, which checks its
-signature while the calling thread runs the handlers of earlier deliveries;
-dispatch keeps the order and the outcomes. Every envelope reaches its
+appends one transcript line per delivery outcome: the pipe-joined string
+of docs/wire.md, rendered once when the event happens and kept as it is.
+Identical (config, seed) runs produce byte-identical transcripts. Nothing
+polls: `ctx.at(height, fn)` sets a timer on one world heap, and
+`on_interval(p)` is a timer that fires at each multiple of p. Once enough
+envelopes are in flight, a send hands each one the world will open to a
+small pool of threads, which checks its signature while the calling thread
+runs the handlers of earlier deliveries; dispatch keeps the order and the
+outcomes. Every envelope reaches its
 target through Agent.dispatch, which gives an awaited reply to its waiter.
 
 Handlers inside one agent never overlap; the world may interleave agents
@@ -99,40 +101,20 @@ class InvalidRecord(WireError):
     act on; dispatch logs it like an envelope that failed to open."""
 
 
-@dataclass
-class TranscriptLine:
-    """One observable event: tick, parties, message identity, outcome."""
-
-    tick: int
-    sender: str
-    target: str
-    schema_name: str
-    digest_prefix: str
-    outcome: str
-
-    def to_line(self) -> str:
-        return "|".join(
-            [
-                str(self.tick),
-                self.sender,
-                self.target,
-                self.schema_name,
-                self.digest_prefix,
-                self.outcome,
-            ]
-        )
+def _line(tick: int, sender: str, target: str, schema_name: str, digest_prefix: str,
+          outcome: str) -> str:
+    """One observable event, in the one layout the transcript keeps."""
+    return f"{tick}|{sender}|{target}|{schema_name}|{digest_prefix}|{outcome}"
 
 
-def transcript_line(height: int, env: Envelope, outcome: str, schema_name: str) -> TranscriptLine:
+def _payload_prefix(env: Envelope) -> str:
+    """What keys an envelope's lines: the first 8 hex chars of its payload digest."""
+    return hashlib.sha256(env.payload).hexdigest()[:8]
+
+
+def transcript_line(height: int, env: Envelope, outcome: str, schema_name: str) -> str:
     """The transcript line for one envelope, keyed by its payload digest."""
-    return TranscriptLine(
-        height,
-        env.sender,
-        env.target,
-        schema_name,
-        hashlib.sha256(env.payload).hexdigest()[:8],
-        outcome,
-    )
+    return _line(height, env.sender, env.target, schema_name, _payload_prefix(env), outcome)
 
 
 # what an envelope that fails to open is logged as
@@ -203,7 +185,7 @@ class Context:
     def diag(self, outcome: str) -> None:
         """Record a handler-level diagnostic in the world transcript."""
         self.agent.record_diag(
-            TranscriptLine(
+            _line(
                 self.height,
                 self.sender or self.address,
                 self.address,
@@ -292,7 +274,7 @@ class Agent:
             b"session" + self.identity.verify_key + struct.pack(">Q", self._session_counter)
         ).digest()[:16]
 
-    def record_diag(self, line: TranscriptLine) -> None:
+    def record_diag(self, line: str) -> None:
         if self.world is not None:
             self.world.transcript.append(line)
 
@@ -343,15 +325,15 @@ class Agent:
         if handler is None:
             self.record_diag(transcript_line(current_height, env, "no_handler", schema_name))
             return []
-        # built up front so the handler's diagnostics share its digest prefix
-        handled = transcript_line(current_height, env, "handled", schema_name)
+        # the handler's diagnostics share the handled line's digest prefix
+        prefix = _payload_prefix(env)
         ctx = Context(
             self,
             current_height,
             sender=sender,
             session_id=env.session_id,
             schema_name=schema_name,
-            digest_prefix=handled.digest_prefix,
+            digest_prefix=prefix,
         )
         try:
             result = self._run_handler(handler, ctx, sender, record)
@@ -360,10 +342,12 @@ class Agent:
             return []
         if isinstance(result, Record):
             ctx.reply(result)
-        self.record_diag(handled)
+        self.record_diag(
+            _line(current_height, env.sender, env.target, schema_name, prefix, "handled")
+        )
         return ctx.outbound
 
-    def _reject_line(self, height: int, env: Envelope, exc: WireError) -> TranscriptLine:
+    def _reject_line(self, height: int, env: Envelope, exc: WireError) -> str:
         """The line for an envelope to this agent that failed to open."""
         return transcript_line(
             height, env, _REJECT_OUTCOMES[type(exc)], self._schema_name_of(env.schema_digest)
@@ -460,7 +444,7 @@ class World:
         self.rng = random.Random(seed)
         self.agents: dict[str, Agent] = {}
         self.online: dict[str, bool] = {}
-        self.transcript: list[TranscriptLine] = []
+        self.transcript: list[str] = []
         self._in_flight: list[tuple[int, int, Envelope, bool]] = []
         self._send_seq = 0
         self._last_delivery: dict[tuple[str, str], int] = {}
@@ -685,8 +669,3 @@ class World:
             raise Timeout(f"no reply from {target} within {timeout_ticks} ticks")
         finally:
             del sender.waiters[waiter]
-
-    # -- transcript -----------------------------------------------------------
-
-    def transcript_lines(self) -> list[str]:
-        return [line.to_line() for line in self.transcript]

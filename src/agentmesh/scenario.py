@@ -1028,7 +1028,7 @@ class Orchestrator:
             dialogue=tuple(self.dialogue),
             discovered=tuple(sorted(self.discovered)),
             contacted=tuple(sorted(self.contacted)),
-            transcript=tuple(self.world.transcript_lines()),
+            transcript=tuple(self.world.transcript),
             **self._settled,
         )
 

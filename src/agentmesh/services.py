@@ -358,13 +358,14 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
 
     def __init__(self, address, service_name: str, routes: dict) -> None:
-        super().__init__(address, _JsonHandler)
         self.service_name = service_name
         self.routes = routes
         # each open connection and the thread serving it, so server_close()
-        # can end and join them (ThreadingMixIn tracks no daemon thread)
+        # can end and join them (ThreadingMixIn tracks no daemon thread);
+        # set before binding, as a failed bind calls server_close()
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._connections_lock = threading.Lock()
+        super().__init__(address, _JsonHandler)
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(

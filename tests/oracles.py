@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
+from typing import NamedTuple
 
 TAGS = {
     "string": 1,
@@ -200,3 +201,19 @@ def registration_signing_digest(
 
 def mailbox_auth_digest(address: str, nonce: int) -> bytes:
     return hashlib.sha256(enc_str(address) + struct.pack(">q", nonce)).digest()
+
+
+class TranscriptFields(NamedTuple):
+    tick: int
+    sender: str
+    target: str
+    schema_name: str
+    digest_prefix: str
+    outcome: str
+
+
+def line_fields(line: str) -> TranscriptFields:
+    """The fields of one transcript line,
+    tick|sender|target|schema_name|payload_digest_prefix|outcome."""
+    tick, *rest = line.split("|", 5)
+    return TranscriptFields(int(tick), *rest)

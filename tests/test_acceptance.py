@@ -431,7 +431,7 @@ def _mailbox_no_loss_trial(trial: int) -> list[str]:
         missing = sorted(expected - set(received))[:5]
         problems.append(f"trial {trial}: lost {len(expected) - len(set(received))} "
                         f"messages (first {missing})")
-    lines = world.transcript_lines()
+    lines = world.transcript
     mailboxed = sum("mailboxed" in line for line in lines)
     retrieved = sum("retrieved" in line for line in lines)
     if mailboxed != retrieved:

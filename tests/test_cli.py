@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -289,6 +290,39 @@ def test_mailboxd_refuses_a_capacity_below_one(monkeypatch, capsys, capacity):
     monkeypatch.setattr(cli, "serve_mailbox", _never_serve)
     assert mailboxd_main(["--capacity", capacity]) == 2
     assert "--capacity must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "amount, message",
+    [("0", "ZeroAmount"), (str(2**63), "SchemaMismatch")],
+    ids=["zero", "beyond_i64"],
+)
+def test_registryd_refuses_a_genesis_amount_the_ledger_cannot_mint(
+    monkeypatch, capsys, amount, message
+):
+    monkeypatch.setattr(cli, "serve_registry", _never_serve)
+    assert registryd_main(["--genesis", f"wallet={amount}"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad --genesis entry: 'wallet={amount}'" in err and message in err
+
+
+@pytest.fixture
+def held_port():
+    """A port that a live listening socket holds."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        yield str(holder.getsockname()[1])
+
+
+@pytest.mark.parametrize("daemon", [registryd_main, mailboxd_main], ids=["registryd", "mailboxd"])
+@pytest.mark.parametrize("port", ["70000", "-1", None], ids=["70000", "-1", "held"])
+def test_a_daemon_that_cannot_listen_exits_two(monkeypatch, capsys, held_port, daemon, port):
+    port = port or held_port
+    # a daemon that did bind would serve until interrupted
+    monkeypatch.setattr(cli, "_serve_forever", lambda handle, label: handle.close() or 0)
+    assert daemon(["--port", port]) == 2
+    assert f"cannot listen on 127.0.0.1:{port}: " in capsys.readouterr().err
 
 
 def _never_serve(*args):

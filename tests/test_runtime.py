@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import oracles
 from agentmesh import identity, runtime
 from agentmesh.identity import AGENT_PREFIX, Signature, derive_identity
 from agentmesh.ledger import Ledger
@@ -187,7 +188,7 @@ class TestDispatch:
             env.payload[:-1] + b"!", env.session_id, env.expires_at, env.signature,
         )
         assert agent.dispatch(bad, 1) == []
-        assert [d.outcome for d in world.transcript] == ["signature_invalid"]
+        assert [oracles.line_fields(d).outcome for d in world.transcript] == ["signature_invalid"]
 
     def test_no_handler_diagnostic(self):
         agent = make_agent("no handler")
@@ -195,7 +196,7 @@ class TestDispatch:
         world.add_agent(agent)
         sender = make_agent("nh sender")
         assert agent.dispatch(self.ping_env(sender, agent), 1) == []
-        assert [d.outcome for d in world.transcript] == ["no_handler"]
+        assert [oracles.line_fields(d).outcome for d in world.transcript] == ["no_handler"]
 
     def test_expired_diagnostic(self):
         agent = echo_agent("expired target")
@@ -203,7 +204,7 @@ class TestDispatch:
         world.add_agent(agent)
         sender = make_agent("expired sender")
         assert agent.dispatch(self.ping_env(sender, agent, expires=3), 10) == []
-        assert [d.outcome for d in world.transcript] == ["expired"]
+        assert [oracles.line_fields(d).outcome for d in world.transcript] == ["expired"]
 
     def test_unknown_schema_diagnostic(self):
         agent = echo_agent("unknown target")
@@ -218,7 +219,7 @@ class TestDispatch:
             Record(stranger_schema, {"n": 1}), b"\x00" * 16, 100,
         )
         assert agent.dispatch(env, 1) == []
-        assert [d.outcome for d in world.transcript] == ["unknown_schema"]
+        assert [oracles.line_fields(d).outcome for d in world.transcript] == ["unknown_schema"]
 
     def test_invalid_record_reject_is_one_line_and_sends_nothing(self):
         agent = make_agent("picky")
@@ -233,8 +234,9 @@ class TestDispatch:
         world = fresh_world()
         world.add_agent(agent)
         assert agent.dispatch(self.ping_env(sender, agent), 1) == []
-        assert [d.outcome for d in world.transcript] == ["looked", "invalid_record"]
-        assert world.transcript[-1].schema_name == "Ping"
+        outcomes = [oracles.line_fields(d).outcome for d in world.transcript]
+        assert outcomes == ["looked", "invalid_record"]
+        assert oracles.line_fields(world.transcript[-1]).schema_name == "Ping"
 
     def test_handler_overlap_detected(self):
         agent = make_agent("overlap")
@@ -301,9 +303,10 @@ class TestScheduling:
         world.tick(3)  # height now 3
         world.send_message(sender, receiver.identity.address, Record(PING, {"text": "t"}))
         world.tick(1)
-        assert not any(line.outcome == "handled" for line in world.transcript)
+        assert not any(oracles.line_fields(line).outcome == "handled" for line in world.transcript)
         world.tick(1)  # height 5
-        handled = [line for line in world.transcript if line.outcome == "handled"]
+        lines = map(oracles.line_fields, world.transcript)
+        handled = [line for line in lines if line.outcome == "handled"]
         assert len(handled) == 1
         assert handled[0].tick == 5
 
@@ -432,7 +435,10 @@ class TestTimers:
         world.schedule_timer(waker, 4, lambda later: later.send(receiver.identity.address,
                                                                 Record(PING, {"text": "late"})))
         world.tick(6)
-        outcomes = [(line.tick, line.schema_name, line.outcome) for line in world.transcript]
+        outcomes = [
+            (fields.tick, fields.schema_name, fields.outcome)
+            for fields in map(oracles.line_fields, world.transcript)
+        ]
         assert outcomes == [(5, "Ping", "handled"), (6, "Pong", "no_handler")]
 
     def test_offline_agents_timer_fires_on_its_reconnect_tick(self):
@@ -577,7 +583,7 @@ class TestOfflineAndMailbox:
         world.send_message(sender, receiver.identity.address, Record(PING, {"text": "stored"}))
         world.tick(2)
         assert mailbox.stats()[receiver.identity.address] == 1
-        assert any(line.outcome == "mailboxed" for line in world.transcript)
+        assert any(oracles.line_fields(line).outcome == "mailboxed" for line in world.transcript)
 
     def test_reconnect_drains_and_dispatches(self):
         world, mailbox, receiver, sender = self.build()
@@ -586,7 +592,7 @@ class TestOfflineAndMailbox:
         world.tick(2)
         world.set_online(receiver.identity.address, True)
         assert mailbox.stats()[receiver.identity.address] == 0
-        outcomes = [line.outcome for line in world.transcript]
+        outcomes = [oracles.line_fields(line).outcome for line in world.transcript]
         assert "retrieved" in outcomes and "handled" in outcomes
 
     def test_offline_without_an_account_is_refused_by_the_mailbox(self):
@@ -600,7 +606,7 @@ class TestOfflineAndMailbox:
         world.send_message(sender, receiver.identity.address, Record(PING, {"text": "refused"}))
         world.tick(2)
         world.set_online(receiver.identity.address, True)  # nothing to retrieve
-        outcomes = [line.outcome for line in world.transcript]
+        outcomes = [oracles.line_fields(line).outcome for line in world.transcript]
         assert outcomes == ["mailbox_NoAccount"]
         assert (mailbox.dropped_total, mailbox.stats()) == (1, {})
 
@@ -613,7 +619,8 @@ class TestOfflineAndMailbox:
         world.set_online(receiver.identity.address, False)
         world.send_message(sender, receiver.identity.address, Record(PING, {"text": "gone"}))
         world.tick(2)
-        assert any(line.outcome == "offline_lost" for line in world.transcript)
+        outcomes = [oracles.line_fields(line).outcome for line in world.transcript]
+        assert "offline_lost" in outcomes
 
     def test_scheduled_presence(self):
         world, mailbox, receiver, sender = self.build()
@@ -751,11 +758,11 @@ class TestQuery:
         )
         world.send(dataclasses.replace(forged, sender=target))
         world.tick(1)
-        assert world.transcript[-1].outcome == "signature_invalid"
+        assert oracles.line_fields(world.transcript[-1]).outcome == "signature_invalid"
         assert client.waiters[session, target] is None
         world.tick(1)
         assert client.waiters[session, target]["text"] == "x"
-        assert world.transcript[-1].outcome == "reply_received"
+        assert oracles.line_fields(world.transcript[-1]).outcome == "reply_received"
 
     @pytest.mark.parametrize(
         "fault, outcome", [("Expired", "expired"), ("UnknownSchema", "unknown_schema")]
@@ -767,7 +774,7 @@ class TestQuery:
         # the client never learnt Stranger, so it names the schema by digest
         stranger = ModelSchema.build("Stranger", text=SemanticType.STRING)
         schema_name = {"Expired": "Pong", "UnknownSchema": stranger.digest().hex()[:8]}[fault]
-        handled, rejected = [line.split("|") for line in world.transcript_lines()]
+        handled, rejected = [line.split("|") for line in world.transcript]
         assert handled[1:4] + handled[5:] == [
             client.identity.address, server.identity.address, "Ping", "handled"
         ]
@@ -801,7 +808,7 @@ class TestDeterminism:
         for i, agent in enumerate(agents * 3):
             world.send_message(sender, agent.identity.address, Record(PING, {"text": str(i)}))
         world.tick(20)
-        return world.transcript_lines()
+        return world.transcript
 
     def test_same_seed_same_transcript(self):
         assert self.run_once(42) == self.run_once(42)
@@ -869,7 +876,8 @@ class TestSignaturePool:
 
     @staticmethod
     def outcomes(world: World) -> list[tuple[str, str]]:
-        return [(line.sender, line.outcome) for line in world.transcript]
+        lines = map(oracles.line_fields, world.transcript)
+        return [(line.sender, line.outcome) for line in lines]
 
     def tick_lines(self, monkeypatch) -> tuple[list[str], list[Envelope]]:
         submitted = self.spy_on_pool(monkeypatch)
@@ -878,7 +886,7 @@ class TestSignaturePool:
             world.send(env)
         world.tick(1)
         assert self.outcomes(world) == expected
-        return world.transcript_lines(), submitted
+        return world.transcript, submitted
 
     def test_pool_and_calling_thread_log_the_same_lines(self, monkeypatch, request):
         pooled, submitted = self.tick_lines(monkeypatch)
@@ -945,7 +953,7 @@ class TestSignaturePool:
         world.tick(1)
         assert bool(submitted) == identity.verifies_overlap()
         assert tampered not in submitted
-        assert world.transcript[-1].outcome == "mailbox_SignatureInvalid"
+        assert oracles.line_fields(world.transcript[-1]).outcome == "mailbox_SignatureInvalid"
         assert mailbox.dropped_total == 1
 
     def test_a_small_tick_stays_on_the_calling_thread(self, monkeypatch):
@@ -1076,10 +1084,11 @@ def test_envelopes_the_world_never_opens_are_never_checked(monkeypatch):
     for env in envelopes:
         world.send(env)
     world.drain()
-    outcome_of = {line.digest_prefix: line.outcome for line in world.transcript}
+    outcome_of = {fields.digest_prefix: fields.outcome
+                  for fields in map(oracles.line_fields, world.transcript)}
     seen = set()
     for env in envelopes:
-        outcome = outcome_of[transcript_line(0, env, "-", "-").digest_prefix]
+        outcome = outcome_of[oracles.line_fields(transcript_line(0, env, "-", "-")).digest_prefix]
         seen.add(outcome)
         checked = outcome in ("handled", "mailboxed")
         assert counts.get(env.signing_digest(), 0) == checked, outcome
@@ -1105,5 +1114,5 @@ def test_a_check_that_raises_on_the_way_to_a_mailbox_loses_nothing(monkeypatch):
         world.tick(1)
     monkeypatch.setattr(identity, "verify_digest", verify)
     world.tick(3)
-    assert [line.outcome for line in world.transcript] == ["mailboxed"]
+    assert [oracles.line_fields(line).outcome for line in world.transcript] == ["mailboxed"]
     assert mailbox.stats()[away.identity.address] == 1

@@ -9,6 +9,7 @@ from datetime import date
 
 import pytest
 
+import oracles
 from agentmesh.config import (
     CourierSpec,
     PresenceWindow,
@@ -519,8 +520,8 @@ def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monke
     report = scenario.place_order()
     assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
     assert any(
-        line.sender == intruder.identity.address and line.outcome == "no_handler"
-        for line in world.transcript
+        fields.sender == intruder.identity.address and fields.outcome == "no_handler"
+        for fields in map(oracles.line_fields, world.transcript)
     )
 
 
@@ -549,7 +550,8 @@ def test_a_reply_forged_in_the_logistics_agent_s_name_is_not_the_answer(monkeypa
     report = scenario.place_order()
     assert (report.status, report.failure_cause) == ("ok", "")
     assert (report.winner, report.total_user_spend_fet) == ("SpeedyVanCouriers", 32)
-    forged = [line for line in world.transcript if line.outcome == "signature_invalid"]
+    lines = map(oracles.line_fields, world.transcript)
+    forged = [line for line in lines if line.outcome == "signature_invalid"]
     assert [(line.sender, line.target, line.schema_name) for line in forged] == [
         (logistics, user, schema.name)
     ]
@@ -681,6 +683,35 @@ def test_two_orders_in_one_world(monkeypatch):
     }
 
 
+# (status, sha256 of the report's canonical bytes, sha256 of its transcript)
+# for five orders in one world; only the first order has a golden pin
+LATER_ORDERS = (
+    ("ok", "1815d1cbfd221f8783cda9d32fdacb045cc8fac9af97d274b371ccccaf03392d",
+     "18d4cf2b72f7a86e4d31c8fb7ee32a8d26fc8e7cb2e1545985f0bbf36eef696d"),
+    ("ok", "b8dd3462d484054be106cc531b219f1093b056944fa2688808641acbe37174c4",
+     "bed2ba8ac8d781b328db87b51f9695185228e8db927f28761c9f1f8cd67f30c5"),
+    ("ok", "a9b2690ed45f1315d08e9fd8d0477dab3378569aef76e50f2f62133968314c9b",
+     "c514a9e90e77223ff1c7b67a8bb98505366d03415fad80cdd43eb51cbd29e311"),
+    ("ok", "d88d714713f8ea3a4d5379d52ca485d49e14917a6d0b652bce0cb74b9c1d0a5e",
+     "4794566c3a2a6a8023dff3c1e09904618e02cb051013687a4bed37e6c02f854d"),
+    ("ok", "6811dc58c862130d244bac20e9bbe12fa663200ea758b1b4d9afbf44b895d08d",
+     "a25ca1d552a1082dff8c06ca8f9ff57dd35c6df15e8f2b94251590346f9bf603"),
+)
+
+
+def test_later_orders_in_one_world_keep_their_bytes():
+    scenario = build_scenario(with_overrides(default_config(), user_balance_fet=1000))
+    got = []
+    for _ in LATER_ORDERS:
+        report = scenario.place_order()
+        got.append((
+            report.status,
+            hashlib.sha256(bytes.fromhex(report.encoded_hex())).hexdigest(),
+            hashlib.sha256("\n".join(report.transcript).encode()).hexdigest(),
+        ))
+    assert tuple(got) == LATER_ORDERS
+
+
 def test_two_orders_in_one_world_hold_the_same_packaging_chat():
     scenario = build_scenario(default_config())
     first, second = scenario.place_order(), scenario.place_order()
@@ -709,7 +740,8 @@ def test_a_second_request_in_a_live_order_session_is_refused(monkeypatch):
 
     monkeypatch.setattr(world, "send", request_again)
     report = scenario.place_order()
-    refused = [line for line in world.transcript if line.outcome == "invalid_record"]
+    lines = map(oracles.line_fields, world.transcript)
+    refused = [line for line in lines if line.outcome == "invalid_record"]
     assert [(line.sender, line.schema_name) for line in refused] == [
         (intruder.identity.address, "LogisticsRequest")
     ]
@@ -883,7 +915,7 @@ def test_a_courier_serves_every_job_it_accepts():
         world.send_message(scenario.logistics_agent, courier, Record(ACCEPT_BID, {}))
         world.tick(1)
     world.drain()
-    delivered = [line for line in world.transcript_lines() if line.endswith("|delivered")]
+    delivered = [line for line in world.transcript if line.endswith("|delivered")]
     assert len(delivered) == 2
     assert len({line.split("|")[0] for line in delivered}) == 2  # one job per timer
 
@@ -937,11 +969,12 @@ def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
     good = _ask(world, user, logistics, _logistics_request(user.identity.wallet_address))
     for _ in range(20):
         world.tick()
-        if any(line.outcome == "auction_opened" for line in world.transcript):
+        if any(oracles.line_fields(line).outcome == "auction_opened" for line in world.transcript):
             break
     with pytest.raises(Timeout):
         world.query(user, logistics, _logistics_request(user.identity.wallet_address, deadline), 10)
-    refused = [line for line in world.transcript if line.outcome == "invalid_record"]
+    lines = map(oracles.line_fields, world.transcript)
+    refused = [line for line in lines if line.outcome == "invalid_record"]
     assert [line.schema_name for line in refused] == ["LogisticsRequest"]
     for _ in range(40):
         if user.waiters[good, logistics] is not None:

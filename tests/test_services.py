@@ -105,6 +105,15 @@ def test_close_is_prompt():
     assert not handle.thread.is_alive()
 
 
+def test_a_port_a_live_server_holds_is_refused_with_the_bind_error():
+    handle = serve_mailbox(MailboxStore())
+    try:
+        with pytest.raises(OSError):
+            serve_mailbox(MailboxStore(), port=handle.server.server_address[1])
+    finally:
+        handle.close()
+
+
 def test_health_endpoints(registry_service, mailbox_service):
     client, _, _, _ = registry_service
     assert client.health() is True
