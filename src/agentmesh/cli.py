@@ -134,8 +134,12 @@ def _count(lines, needle: str) -> int:
 
 
 def cmd_attack(args) -> int:
-    baseline = run_scenario(attack_config(0, args.seed))
-    attacked = run_scenario(attack_config(args.forge_bids, args.seed))
+    try:
+        configs = [attack_config(forged, args.seed) for forged in (0, args.forge_bids)]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    baseline, attacked = map(run_scenario, configs)
 
     tampered = _count(attacked.transcript, "bid_rejected_TamperedPayload")
     badsig = _count(attacked.transcript, "bid_rejected_BadSignature")
@@ -340,12 +344,11 @@ def registryd_main(argv: list[str] | None = None) -> int:
     ledger = Ledger()
     for entry in args.genesis:
         wallet, _, amount = entry.partition("=")
-        if not wallet or not amount.isdigit():
-            print(f"bad --genesis entry: {entry!r}", file=sys.stderr)
-            return 2
         try:
+            if not wallet or not (amount.isascii() and amount.isdigit()):
+                raise ValueError("want WALLET=UFET, UFET in the digits 0-9")
             ledger.mint(wallet, int(amount))
-        except (LedgerError, WireError) as exc:
+        except (ValueError, LedgerError, WireError) as exc:
             print(f"bad --genesis entry: {entry!r}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
     registry = Registry(ttl=args.ttl, fee=args.fee_ufet)

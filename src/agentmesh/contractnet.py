@@ -309,13 +309,12 @@ def select_winner(
     """Argmax of the documented formula over deadline-feasible bids.
 
     Returns (winner address, loser addresses sorted). All arithmetic is
-    exact rational, so ties are real ties and break by address order.
+    exact rational, so ties are real ties and break by address order. A bid
+    is feasible when its whole-minute ETA fits the whole minutes from the
+    announcement to the deadline, so no arrival past the calendar is formed.
     """
-    feasible = [
-        bid
-        for bid in bids
-        if announced_at + timedelta(minutes=bid.eta_minutes) <= deadline
-    ]
+    budget = (deadline - announced_at) // timedelta(minutes=1)
+    feasible = [bid for bid in bids if bid.eta_minutes <= budget]
     if not feasible:
         raise NoFeasibleBid(f"all {len(bids)} bids arrive after {deadline.isoformat()}")
     min_price = min(b.price_fet for b in feasible)

@@ -521,7 +521,7 @@ class World:
                     self.height, env, "retrieved", self.schema_name_of(env.schema_digest)
                 )
             )
-            self._deliver(env)
+            self._arrive(env, "open")
         if batch:  # delivered: the mailbox may let it go
             self.mailbox.acknowledge(address)
 
@@ -543,49 +543,38 @@ class World:
         heapq.heappush(self._in_flight, (deliver_at, self._send_seq, env, dropped))
         if (
             len(self._in_flight) >= POOL_MIN_BATCH
-            and self._opens(env, dropped)
+            and self._fate(env, dropped) == "open"
             and verifies_overlap()
         ):
             verify_pool().submit(env)
 
-    def _opens(self, env: Envelope, dropped: bool) -> bool:
-        """Whether delivering env now opens it: not dropped, and its target
-        is in the world and online. One diverted to a mailbox is left to the
-        store's own check."""
-        return not dropped and env.target in self.agents and self.online[env.target]
-
-    def _stores(self, env: Envelope) -> bool:
-        """Whether delivering env now deposits it in this process's mailbox,
-        which checks env first when it holds the target's account."""
-        held = isinstance(self.mailbox, MailboxStore) and self.mailbox.has_account(env.target)
-        return held and not self.online.get(env.target, True)
-
-    def _deliver(self, env: Envelope) -> None:
-        """Hand one envelope to its target agent right now."""
-        agent = self.agents.get(env.target)
-        if agent is None:
-            self.transcript.append(
-                transcript_line(
-                    self.height, env, "no_such_agent", self.schema_name_of(env.schema_digest)
-                )
-            )
-            return
-        for out in agent.dispatch(env, self.height):
-            self.send(out)
-
-    def _deliver_or_divert(self, env: Envelope, dropped: bool) -> None:
+    def _fate(self, env: Envelope, dropped: bool) -> str:
+        """What delivering env now does. `open`: its target is in the world
+        and online, and it was not dropped. `store`: its target is offline
+        and this process's MailboxStore, which checks env first, holds the
+        target's account (a mailbox client is never asked). `deposit`: any
+        other offline target with a mailbox attached. Otherwise `dropped`,
+        `offline_lost` or `no_such_agent`, which only log a line."""
         if self.online.get(env.target, True):
-            if not dropped:
-                self._deliver(env)
-                return
-            outcome = "dropped"
-        elif self.mailbox is not None:
+            if dropped:
+                return "dropped"
+            return "open" if env.target in self.agents else "no_such_agent"
+        if self.mailbox is None:
+            return "offline_lost"
+        held = isinstance(self.mailbox, MailboxStore) and self.mailbox.has_account(env.target)
+        return "store" if held else "deposit"
+
+    def _arrive(self, env: Envelope, fate: str) -> None:
+        """Deliver env as its fate says: dispatch it, deposit it, or log it."""
+        if fate == "open":
+            for out in self.agents[env.target].dispatch(env, self.height):
+                self.send(out)
+            return
+        if fate in ("store", "deposit"):
             result = self.mailbox.deposit(env, self.height)
-            outcome = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
-        else:
-            outcome = "offline_lost"
+            fate = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
         self.transcript.append(
-            transcript_line(self.height, env, outcome, self.schema_name_of(env.schema_digest))
+            transcript_line(self.height, env, fate, self.schema_name_of(env.schema_digest))
         )
 
     # -- clock ---------------------------------------------------------------
@@ -601,10 +590,11 @@ class World:
                 self.set_online(address, online)
             while self._in_flight and self._in_flight[0][0] <= h:
                 _, _, env, dropped = self._in_flight[0]
-                if self._opens(env, dropped) or self._stores(env):
+                fate = self._fate(env, dropped)
+                if fate in ("open", "store"):
                     env.signed()  # a check that raises leaves env in flight
                 heapq.heappop(self._in_flight)
-                self._deliver_or_divert(env, dropped)
+                self._arrive(env, fate)
             while self._timers and self._timers[0][0] <= h:
                 entry = heapq.heappop(self._timers)
                 agent, handler, period, session_id = entry[3:]

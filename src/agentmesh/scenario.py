@@ -290,17 +290,18 @@ def build_user_agent(identity: AgentIdentity) -> Agent:
 def build_packaging_agent(identity: AgentIdentity, quote_fet: int) -> Agent:
     agent = Agent(PACKAGING_NAME, identity)
     agent.include_protocol(CHAT_PROTOCOL)
-    # dialogue position is tracked per customer, not per session; a quote
-    # ends the dialogue, so the customer's next message opens a new one
-    asked: set[str] = set()
+    # (session, customer) pairs asked the clarifying question; the quote ends
+    # the dialogue, and a stranger who guesses a session gets one of its own
+    asked: set[tuple[bytes, str]] = set()
 
     @agent.on_message(CHAT_MESSAGE)
     def on_chat(ctx, sender: str, msg: Record):
-        if sender not in asked:
-            asked.add(sender)
+        dialogue = (ctx.session_id, sender)
+        if dialogue not in asked:
+            asked.add(dialogue)
             ctx.reply(_chat(ctx, _CLARIFYING_QUESTION))
         else:
-            asked.discard(sender)
+            asked.discard(dialogue)
             ctx.reply(
                 _chat(ctx, f"We can professionally package your fragile item for {quote_fet} FET.")
             )
@@ -790,7 +791,6 @@ class Orchestrator:
         self._initial_user_balance = self.world.ledger.balance(user_wallet)
         # report fields the order has settled so far, by name
         self._settled: dict[str, object] = {}
-        self._order_session: bytes | None = None  # the request's; the decision continues it
 
     # -- conversation ------------------------------------------------------
 
@@ -826,14 +826,16 @@ class Orchestrator:
     # -- the plan ----------------------------------------------------------
 
     def run(self) -> ScenarioReport:
-        """Drive the plan: each wait it yields goes out through World.query,
+        """Drive the plan: each wait it yields goes out through World.query
+        in the order's one session, minted as the first request goes out,
         and the reply goes back in; a typed failure ends the order."""
-        plan, reply = self._run_plan(), None
+        plan, reply, session = self._run_plan(), None, None
         try:
             while True:
-                target, record, ticks, session_id = plan.send(reply)
+                target, record, ticks = plan.send(reply)
+                session = session or self.user_agent.fresh_session_id()
                 self.contacted.add(target)
-                reply = self.world.query(self.user_agent, target, record, ticks, session_id)
+                reply = self.world.query(self.user_agent, target, record, ticks, session)
         except StopIteration as end:
             return end.value
         except _ORDER_FAILURES as exc:
@@ -841,8 +843,8 @@ class Orchestrator:
 
     def _run_plan(self):
         """The order, step by step. Each wait is yielded as (target, record,
-        ticks, session id), and the reply is sent back in; the plan never
-        catches around a yield, so a failed wait ends it."""
+        ticks), and the reply is sent back in; the plan never catches around
+        a yield, so a failed wait ends it."""
         config = self.config
         ledger = self.world.ledger
         user_wallet = self.user_agent.identity.wallet_address
@@ -887,9 +889,8 @@ class Orchestrator:
                 "payer_wallet": user_wallet,
             },
         )
-        self._order_session = self.user_agent.fresh_session_id()
         wait = _bid_window(config) + 4 * config.latency_max  # request, traffic, proposal
-        proposal = yield logistics.address, request, wait, self._order_session
+        proposal = yield logistics.address, request, wait
 
         if proposal["status"] != "proposal":
             return self._report(
@@ -949,7 +950,7 @@ class Orchestrator:
             )
             if config.approval_mode == "interactive":
                 raw = self._read("stars [1-5, empty to skip] ")
-                stars = int(raw) if raw.isdigit() and 1 <= int(raw) <= 5 else 0
+                stars = int(raw) if raw in ("1", "2", "3", "4", "5") else 0
             else:
                 stars = config.feedback_stars
             if stars:
@@ -969,8 +970,7 @@ class Orchestrator:
         return self._report("ok", "")
 
     def _negotiate_packaging(self, business, business_name: str, task: DeliveryTask):
-        """Multi-turn quote negotiation over the chat protocol; each line
-        goes in a session of its own, minted after the line's message id."""
+        """Multi-turn quote negotiation over the chat protocol."""
         world, user = self.world, self.user_agent
         wait = max(20, 2 * self.config.latency_max)  # there and back
         lines = (
@@ -981,7 +981,7 @@ class Orchestrator:
         for text in lines:
             message = make_chat_message(f"tick-{world.height}", user.fresh_session_id(), [text])
             self._hear("user", text)
-            reply = yield business.address, message, wait, user.fresh_session_id()
+            reply = yield business.address, message, wait
             self._hear(business_name, reply["content"][0])
         match = re.search(r"for (\d+) FET", reply["content"][0])
         if match is None:
@@ -989,10 +989,10 @@ class Orchestrator:
         return int(match.group(1))
 
     def _decide(self, logistics_address: str, approved: bool, reason: str) -> tuple:
-        """The decision's wait, in the order's session, for the plan to yield."""
+        """The decision's wait, for the plan to yield."""
         decision = Record(DELIVERY_DECISION, {"approved": approved, "reason": reason})
         timeout = self.config.delivery_ticks + self.config.latency_max * 6 + 20
-        return logistics_address, decision, timeout, self._order_session
+        return logistics_address, decision, timeout
 
     # -- assembly ----------------------------------------------------------
 

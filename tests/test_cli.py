@@ -120,6 +120,21 @@ def test_run_with_the_largest_accepted_balance_completes(tmp_path, capsys):
     assert report.read_text() and journal.read_text()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"traffic_delay_minutes": 2**40},
+        {"wall_clock_start": "9999-12-31T23:59:00"},
+    ],
+    ids=["traffic_delay", "wall_clock"],
+)
+def test_run_with_no_arrival_inside_the_calendar_reports_it(tmp_path, capsys, overrides):
+    path = tmp_path / "far.cfg"
+    path.write_text(render_config(with_overrides(default_config(), **overrides)))
+    assert run_cli("run", "--config", str(path)) == 1
+    assert "status: failed (NoFeasibleBid)" in capsys.readouterr().out
+
+
 def test_run_bad_clock_exits_two(tmp_path, capsys):
     path = tmp_path / "clock.cfg"
     path.write_text("wall_clock_start = x\n")
@@ -169,6 +184,12 @@ def test_attack_rejects_every_forged_bid(capsys):
     assert "forged bids rejected: 10/10" in out
     assert "filter sound: yes" in out
     assert "winner under attack: SpeedyVanCouriers" in out
+
+
+def test_attack_with_a_negative_count_exits_two(capsys):
+    assert run_cli("attack", "--forge-bids", "-3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "forged_bids" in err
 
 
 def test_orders_under_attack_share_one_verify_pool():
@@ -294,8 +315,8 @@ def test_mailboxd_refuses_a_capacity_below_one(monkeypatch, capsys, capacity):
 
 @pytest.mark.parametrize(
     "amount, message",
-    [("0", "ZeroAmount"), (str(2**63), "SchemaMismatch")],
-    ids=["zero", "beyond_i64"],
+    [("0", "ZeroAmount"), (str(2**63), "SchemaMismatch"), ("²", "ValueError")],
+    ids=["zero", "beyond_i64", "superscript_digit"],
 )
 def test_registryd_refuses_a_genesis_amount_the_ledger_cannot_mint(
     monkeypatch, capsys, amount, message

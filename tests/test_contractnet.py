@@ -179,6 +179,30 @@ class TestSelectWinner:
         with pytest.raises(NoFeasibleBid):
             select_winner(bids, neutral(VAN), SelectionWeights.default(), DEADLINE, ANNOUNCED)
 
+    @pytest.mark.parametrize("eta", [2**40, 2**62], ids=["2**40", "2**62"])
+    def test_an_eta_beyond_the_calendar_is_infeasible(self, eta):
+        # ANNOUNCED + eta minutes is past year 9999, which datetime cannot hold
+        slow = VerifiedBid(VAN.address, "Glacial", fet(1), eta)
+        with pytest.raises(NoFeasibleBid):
+            select_winner([slow], neutral(VAN), SelectionWeights.default(), DEADLINE, ANNOUNCED)
+        bike = VerifiedBid(BIKE.address, "Steady", fet(12), 60)
+        winner, losers = select_winner(
+            [slow, bike], neutral(VAN, BIKE), SelectionWeights.default(), DEADLINE, ANNOUNCED
+        )
+        assert (winner, losers) == (BIKE.address, [VAN.address])
+
+    def test_an_auction_at_the_end_of_the_calendar_still_selects(self):
+        announced = datetime.fromisoformat("9999-12-31T22:00:00")
+        deadline = datetime.fromisoformat("9999-12-31T23:59:00")
+        bids = [
+            VerifiedBid(VAN.address, "OnTime", fet(30), 119),
+            VerifiedBid(BIKE.address, "NextYear", fet(1), 120),
+        ]
+        winner, _ = select_winner(
+            bids, neutral(VAN, BIKE), SelectionWeights.default(), deadline, announced
+        )
+        assert winner == VAN.address
+
     def test_tie_breaks_by_address(self):
         a, b = sorted([VAN.address, BIKE.address])
         bids = [

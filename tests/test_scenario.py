@@ -19,7 +19,13 @@ from agentmesh.config import (
 from agentmesh import scenario as scenario_module
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET, replay
-from agentmesh.contractnet import ACCEPT_BID, CALL_FOR_BIDS, NEUTRAL_SCORE, assess_reputation
+from agentmesh.contractnet import (
+    ACCEPT_BID,
+    CALL_FOR_BIDS,
+    NEUTRAL_SCORE,
+    assess_reputation,
+    make_bid_record,
+)
 from agentmesh.registry import NotFound
 from agentmesh.runtime import Agent, Context, Timeout, World
 from agentmesh.scenario import (
@@ -44,7 +50,13 @@ from agentmesh.scenario import (
     run_scenario,
     simulate_network,
 )
-from agentmesh.wire import CHAT_MESSAGE, Record, canonical_decode, make_chat_message
+from agentmesh.wire import (
+    CHAT_MESSAGE,
+    CHAT_PROTOCOL,
+    Record,
+    canonical_decode,
+    make_chat_message,
+)
 
 DEMO_REQUEST = default_config().request
 
@@ -361,6 +373,45 @@ def test_no_feasible_bid_when_every_eta_misses():
     assert report.status == "failed"
     assert report.failure_cause == "NoFeasibleBid"
     assert report.total_user_spend_fet == 7
+
+
+def _with_van_eta(config, eta: int):
+    couriers = tuple(
+        replace(c, eta_minutes=eta) if c.name == "SpeedyVanCouriers" else c
+        for c in config.couriers
+    )
+    return with_overrides(config, couriers=couriers)
+
+
+@pytest.mark.parametrize(
+    "make_config, outcome",
+    [
+        (lambda c: _with_van_eta(c, 2**40), ("ok", "")),
+        (lambda c: with_overrides(c, traffic_delay_minutes=2**40), ("failed", "NoFeasibleBid")),
+        (lambda c: with_overrides(c, wall_clock_start="9999-12-31T23:59:00"),
+         ("failed", "NoFeasibleBid")),
+    ],
+    ids=["courier_eta", "traffic_delay", "wall_clock"],
+)
+def test_an_arrival_beyond_the_calendar_is_infeasible(make_config, outcome):
+    report = build_scenario(make_config(default_config())).place_order()
+    assert (report.status, report.failure_cause) == outcome
+    assert report.winner != "SpeedyVanCouriers"
+    assert report.conserved
+
+
+def test_a_signed_bid_beyond_the_calendar_loses(monkeypatch):
+    scenario = build_scenario(default_config())
+    van = scenario.courier_agents["SpeedyVanCouriers"]
+
+    def glacial_bid(ctx, sender, msg):
+        ctx.reply(make_bid_record(van.identity, "SpeedyVanCouriers", 1, 2**62))
+
+    monkeypatch.setitem(van.message_handlers, CALL_FOR_BIDS.digest(), glacial_bid)
+    report = scenario.place_order()
+    assert (report.status, report.failure_cause) == ("ok", "")
+    assert report.winner not in ("", "SpeedyVanCouriers")
+    assert report.conserved
 
 
 def test_out_of_area_couriers_decline():
@@ -684,18 +735,20 @@ def test_two_orders_in_one_world(monkeypatch):
 
 
 # (status, sha256 of the report's canonical bytes, sha256 of its transcript)
-# for five orders in one world; only the first order has a golden pin
+# for five orders in one world; only the first order has a golden pin. An
+# order mints three session ids (two chat message ids and its one session),
+# so the user's chat lines in later orders carry the ids that follow.
 LATER_ORDERS = (
     ("ok", "1815d1cbfd221f8783cda9d32fdacb045cc8fac9af97d274b371ccccaf03392d",
      "18d4cf2b72f7a86e4d31c8fb7ee32a8d26fc8e7cb2e1545985f0bbf36eef696d"),
-    ("ok", "b8dd3462d484054be106cc531b219f1093b056944fa2688808641acbe37174c4",
-     "bed2ba8ac8d781b328db87b51f9695185228e8db927f28761c9f1f8cd67f30c5"),
-    ("ok", "a9b2690ed45f1315d08e9fd8d0477dab3378569aef76e50f2f62133968314c9b",
-     "c514a9e90e77223ff1c7b67a8bb98505366d03415fad80cdd43eb51cbd29e311"),
-    ("ok", "d88d714713f8ea3a4d5379d52ca485d49e14917a6d0b652bce0cb74b9c1d0a5e",
-     "4794566c3a2a6a8023dff3c1e09904618e02cb051013687a4bed37e6c02f854d"),
-    ("ok", "6811dc58c862130d244bac20e9bbe12fa663200ea758b1b4d9afbf44b895d08d",
-     "a25ca1d552a1082dff8c06ca8f9ff57dd35c6df15e8f2b94251590346f9bf603"),
+    ("ok", "b150715658d64b16af64d3fa93d6a9eb6cb0ecb5ffd664d613a2bb8d36c194bc",
+     "45b8d527bbb5326eec216de02a68d03a93ab3ffeae2dd5e84f15858a3fbf8646"),
+    ("ok", "815d48ccd6c32c86ed07e7dfd6b728d5fac0636007d760edaea82a61eb6a5791",
+     "08c9f61849a232955de244a448564106988ad430864295cbcf79cc08d521c8c3"),
+    ("ok", "ba48c84f11e999ed09bd17dac00f2f0861275aaaae7bcbb1e586afa1e58ab52a",
+     "20abaa6a45c7882286d121009f53d50c4fcfdd9b0048fe2100d23fadee07d011"),
+    ("ok", "26cdf2675a157ecb586d0656d7a0f4f2a696cbdf3f5a23c76272cb8453b0c484",
+     "f29457d1cc77fc255db366cfa9a11ba2912fab71910e4eb4d2bfc60955693a9b"),
 )
 
 
@@ -721,6 +774,80 @@ def test_two_orders_in_one_world_hold_the_same_packaging_chat():
 
     assert len(packaging_lines(first)) == 2
     assert packaging_lines(second) == packaging_lines(first)
+
+
+def _packaging_address(scenario) -> str:
+    world = scenario.world
+    return world.registry.search(world.height, metadata={"service_type": "packaging"})[0].address
+
+
+def _chat_line(world, user: Agent, text: str) -> Record:
+    return make_chat_message(f"tick-{world.height}", user.fresh_session_id(), [text])
+
+
+def test_two_chat_sessions_from_one_user_hold_their_own_dialogue():
+    scenario = build_scenario(default_config())
+    world, user = scenario.world, scenario.user_agent
+    packaging = _packaging_address(scenario)
+    sessions = {"A": user.fresh_session_id(), "B": user.fresh_session_id()}
+    heard = []
+    for name, turn in (("A", 1), ("B", 1), ("A", 2), ("B", 2)):
+        line = _chat_line(world, user, f"{name}{turn}")
+        reply = world.query(user, packaging, line, 20, sessions[name])
+        heard.append((name, turn, reply["content"][0].startswith("We can")))
+    # each session hears the clarifying question, then the quote
+    assert heard == [("A", 1, False), ("B", 1, False), ("A", 2, True), ("B", 2, True)]
+
+
+def test_a_stranger_in_the_session_does_not_move_the_user_s_dialogue():
+    scenario = build_scenario(default_config())
+    world, user = scenario.world, scenario.user_agent
+    stranger = Agent("Chatterbox", derive_identity("chat stranger seed"))
+    stranger.include_protocol(CHAT_PROTOCOL)
+    world.add_agent(stranger)
+    packaging = _packaging_address(scenario)
+    session = user.fresh_session_id()
+    heard = []
+    for speaker in (user, stranger, user):
+        reply = world.query(speaker, packaging, _chat_line(world, speaker, "hi"), 20, session)
+        heard.append(reply["content"][0].startswith("We can"))
+    assert heard == [False, False, True]
+
+
+def test_an_order_after_an_unanswered_chat_line_ends_ok(monkeypatch):
+    scenario = build_scenario(default_config())
+    world = scenario.world
+    packaging = _packaging_address(scenario)
+    send, lost = world.send, []
+
+    def lose_the_first_reply(env):
+        if env.sender == packaging and not lost:
+            lost.append(env)
+            return
+        send(env)
+
+    monkeypatch.setattr(world, "send", lose_the_first_reply)
+    first, second = scenario.place_order(), scenario.place_order()
+    assert first.failure_cause == f"Timeout: no reply from {packaging} within 20 ticks"
+    assert (second.status, second.failure_cause) == ("ok", "")
+    assert second.total_user_spend_fet == 32
+
+
+def test_an_order_sends_every_request_in_one_session(monkeypatch):
+    scenario = build_scenario(default_config())
+    world, user = scenario.world, scenario.user_agent.identity.address
+    send, sessions = world.send, []
+
+    def recording(env):
+        if env.sender == user:
+            sessions.append(env.session_id)
+        send(env)
+
+    monkeypatch.setattr(world, "send", recording)
+    assert scenario.place_order().status == "ok"
+    assert len(sessions) == 4 and len(set(sessions)) == 1
+    assert scenario.place_order().status == "ok"
+    assert len(set(sessions)) == 2
 
 
 def test_a_second_request_in_a_live_order_session_is_refused(monkeypatch):
@@ -1078,13 +1205,15 @@ def test_interactive_gate_at_end_of_input_answers_no():
 
 
 def test_interactive_rating_at_end_of_input_is_skipped():
-    def answer(prompt):
-        return _end_of_input(prompt) if prompt.startswith("stars") else "y"
+    # so is any answer but 1-5: "²" is a digit to str.isdigit, not to int
+    for stars_answer in (_end_of_input, lambda prompt: "²"):
+        def answer(prompt):
+            return stars_answer(prompt) if prompt.startswith("stars") else "y"
 
-    config = with_overrides(default_config(), approval_mode="interactive")
-    report = build_scenario(config).place_order(answer)
-    assert report.status == "ok"
-    assert report.feedback_stars == 0
+        config = with_overrides(default_config(), approval_mode="interactive")
+        report = build_scenario(config).place_order(answer)
+        assert report.status == "ok"
+        assert report.feedback_stars == 0
 
 
 def test_interactive_skip_feedback():
