@@ -201,7 +201,8 @@ def cmd_wiretool(args) -> int:
             print(f"not an envelope: {exc}", file=sys.stderr)
             return 1
         print(f"sender:          {env.sender}")
-        print(f"target:          {env.target}")
+        for recipient in env.recipients:
+            print(f"target:          {recipient}")
         print(f"protocol digest: {env.protocol_digest.hex()}")
         print(f"schema digest:   {env.schema_digest.hex()}")
         print(f"session id:      {env.session_id.hex()}")

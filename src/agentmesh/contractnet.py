@@ -1,12 +1,14 @@
 """Courier auction: call-for-bids, signed bids, reputation, winner selection.
 
 The task-allocation pattern is announce/collect/award: the logistics agent
-discovers couriers by protocol digest, sends each a CallForBids, verifies
-every CourierBid's content digest and signature, filters out bids that miss
-the delivery deadline, scores the rest on price, speed, and reputation, and
-awards exactly one AcceptBid (everyone else gets RejectBid). Rejected or
-tampered bids never reach scoring. This module decides whom to call and
-whom to award; the handler's Context seals and sends the messages.
+discovers couriers by protocol digest, sends them a CallForBids that names
+them all (a limited broadcast, one signature per MAX_RECIPIENTS couriers),
+verifies every CourierBid's content digest and signature, filters out bids
+that miss the delivery deadline, scores the rest on price, speed, and
+reputation, and awards exactly one AcceptBid (every other bidder gets a
+RejectBid sent the same way). Rejected or tampered bids never reach
+scoring. This module decides whom to call and whom to award; the
+handler's Context seals and sends the messages.
 
 Winner scoring uses exact rational arithmetic:
 
@@ -32,7 +34,15 @@ from .identity import AgentIdentity, BadDigestLength, Signature, signed_by, veri
 from .ledger import InsufficientFunds, Ledger
 from .registry import Registry
 from .runtime import Context
-from .wire import ModelSchema, ProtocolSpec, Record, SemanticType, canonical_encode
+from .wire import (
+    MAX_RECIPIENTS,
+    RECIPIENT_SEP,
+    ModelSchema,
+    ProtocolSpec,
+    Record,
+    SemanticType,
+    canonical_encode,
+)
 
 # Message models. AcceptBid and RejectBid carry no fields: the session id
 # already correlates them with the bid they answer.
@@ -335,12 +345,21 @@ def select_winner(
     return best_address, losers
 
 
+def _send_to_each(ctx: Context, addresses: list[str], record: Record, **send) -> None:
+    """Send record to every address, in order: one envelope for each run of
+    up to MAX_RECIPIENTS of them, in the context's session."""
+    for start in range(0, len(addresses), MAX_RECIPIENTS):
+        ctx.send(RECIPIENT_SEP.join(addresses[start:start + MAX_RECIPIENTS]), record, **send)
+
+
 def announce(
     ctx: Context, task: DeliveryTask, registry: Registry, bid_deadline: int
 ) -> list[str]:
-    """Send one CallForBids, valid until the bid deadline and in the
-    context's session, to each live courier found by protocol-digest
-    search; returns their addresses.
+    """Send a CallForBids, valid until the bid deadline and in the context's
+    session, to every live courier found by protocol-digest search, in
+    search order; returns their addresses. One envelope names up to
+    MAX_RECIPIENTS of them, so each courier sees the others its envelope
+    names, all of whom the same registry search shows anyone.
 
     Couriers are discovered exclusively through the registry; a hardcoded
     address can never enter the auction.
@@ -360,17 +379,22 @@ def announce(
             "bid_deadline": bid_deadline,
         },
     )
-    for address in invited:
-        ctx.send(address, call, expires_at=bid_deadline)
+    _send_to_each(ctx, invited, call, expires_at=bid_deadline)
     return invited
 
 
 def reject_bidders(ctx: Context, bidders: Iterable[str]) -> None:
-    """Send one RejectBid per bidder, in address order and in the context's
-    session: to the losers of a settled auction, or to every bidder of one
-    that closes without an escrow."""
-    for address in sorted(bidders):
-        ctx.send(address, Record(REJECT_BID, {}))
+    """Send a RejectBid to every bidder, in address order and in the
+    context's session, one envelope naming up to MAX_RECIPIENTS of them,
+    and nothing when there is none: to the losers of a settled auction, or
+    to every bidder of one that closes without an escrow.
+
+    The signed target shows each bidder the others it names, so a
+    rejection tells who else bid and lost. Bids stay private: each goes to
+    the logistics agent alone, and no courier is sent another's price or
+    ETA. The names are invited couriers, whom anyone can list from the
+    registry by protocol digest."""
+    _send_to_each(ctx, sorted(bidders), Record(REJECT_BID, {}))
 
 
 def settle(

@@ -43,7 +43,7 @@ class NoPendingRetrieve(MailboxError):
 @dataclass(frozen=True)
 class DepositResult:
     accepted: bool
-    reason: str | None = None  # NoAccount | Full | SignatureInvalid | Expired
+    reason: str | None = None  # NoAccount | Full | SignatureInvalid | Misaddressed | Expired
 
 
 def retrieval_auth_digest(address: str, nonce: int) -> bytes:
@@ -84,15 +84,16 @@ class MailboxStore:
         """Smallest nonce a retrieve for this owner would accept."""
         return self.last_nonce.get(address, -1) + 1
 
-    def deposit(self, env: Envelope, current_height: int) -> DepositResult:
-        """Store one envelope for later retrieval by env.target."""
-        queue = self.queues.get(env.target)
+    def deposit(self, env: Envelope, current_height: int, recipient: str) -> DepositResult:
+        """Store env's copy for later retrieval by recipient, which its
+        target must name."""
+        queue = self.queues.get(recipient)
         if queue is None:
             self.dropped_total += 1
             return DepositResult(False, "NoAccount")
         try:
-            wire.check_envelope(env, current_height)
-        except (wire.SignatureInvalid, wire.Expired) as exc:
+            wire.check_envelope(env, current_height, recipient)
+        except (wire.SignatureInvalid, wire.Misaddressed, wire.Expired) as exc:
             self.dropped_total += 1
             return DepositResult(False, type(exc).__name__)
         held = sum(queued.size for queued in queue)

@@ -4,9 +4,10 @@ Agent code runs in two cases only: a message is delivered, or a timer
 falls due. Agents register message handlers and exchange signed envelopes
 through a World that owns the clock. Time is a logical tick
 counter equal to the ledger block height: one tick is one block. The world
-delivers envelopes with seeded random latency and drop behavior, redirects
-traffic for offline agents to the mailbox when one is attached, and
-appends one transcript line per delivery outcome: the pipe-joined string
+delivers a copy of each envelope to every recipient its target names, each
+with its own seeded random latency and drop draw, redirects copies for
+offline agents to the mailbox when one is attached, and appends one
+transcript line per delivery outcome: the pipe-joined string
 of docs/wire.md, rendered once when the event happens and kept as it is.
 Identical (config, seed) runs produce byte-identical transcripts. Nothing
 polls: `ctx.at(height, fn)` sets a timer on one world heap, and
@@ -14,8 +15,9 @@ polls: `ctx.at(height, fn)` sets a timer on one world heap, and
 envelopes are in flight, a send hands each one the world will open to a
 small pool of threads, which checks its signature while the calling thread
 runs the handlers of earlier deliveries; dispatch keeps the order and the
-outcomes. Every envelope reaches its
-target through Agent.dispatch, which gives an awaited reply to its waiter.
+outcomes. Every copy reaches its recipient through Agent.dispatch, which
+refuses one that does not name its agent and gives an awaited reply to its
+waiter.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -41,6 +43,7 @@ from .registry import Registry
 from .wire import (
     Envelope,
     Expired,
+    Misaddressed,
     ModelSchema,
     ProtocolSpec,
     Record,
@@ -112,14 +115,17 @@ def _payload_prefix(env: Envelope) -> str:
     return hashlib.sha256(env.payload).hexdigest()[:8]
 
 
-def transcript_line(height: int, env: Envelope, outcome: str, schema_name: str) -> str:
-    """The transcript line for one envelope, keyed by its payload digest."""
-    return _line(height, env.sender, env.target, schema_name, _payload_prefix(env), outcome)
+def transcript_line(height: int, env: Envelope, recipient: str, outcome: str,
+                    schema_name: str) -> str:
+    """The transcript line for one envelope's copy to `recipient`, keyed by
+    its payload digest."""
+    return _line(height, env.sender, recipient, schema_name, _payload_prefix(env), outcome)
 
 
 # what an envelope that fails to open is logged as
 _REJECT_OUTCOMES: dict[type[WireError], str] = {
     SignatureInvalid: "signature_invalid",
+    Misaddressed: "misaddressed",
     Expired: "expired",
     UnknownSchema: "unknown_schema",
     InvalidRecord: "invalid_record",
@@ -157,7 +163,8 @@ class Context:
         session_id: bytes | None = None,
         expires_at: int | None = None,
     ) -> Envelope:
-        """Seal and queue one envelope; the transport picks it up after
+        """Seal and queue one envelope, to one address or to several joined
+        by RECIPIENT_SEP under one signature; the transport picks it up after
         the handler returns. Every envelope an agent emits is sealed here, by
         default in this context's session, or a fresh one outside any."""
         protocol = self.agent.protocol_for(record.schema)
@@ -307,23 +314,29 @@ class Agent:
             raise AgentNotStarted(f"{self.name} has not joined a world")
         key = (env.session_id, env.sender)
         awaited = key in self.waiters and self.waiters[key] is None
+        address = self.identity.address
         try:
-            record, sender = open_envelope(env, self._schemas, current_height)
+            record, sender = open_envelope(env, self._schemas, current_height, address)
         except tuple(_REJECT_OUTCOMES) as exc:
             self.record_diag(self._reject_line(current_height, env, exc))
-            # a bad signature says nothing of the peer, so its wait goes on
-            if awaited and not isinstance(exc, SignatureInvalid):
+            # neither a bad signature nor a copy the peer sent another agent
+            # says anything of the peer's reply, so its wait goes on
+            if awaited and not isinstance(exc, (SignatureInvalid, Misaddressed)):
                 failed = type(exc)
                 self.waiters[key] = failed(f"query reply failed validation: {failed.__name__}")
             return []
         schema_name = record.schema.name
         if awaited:
             self.waiters[key] = record
-            self.record_diag(transcript_line(current_height, env, "reply_received", schema_name))
+            self.record_diag(
+                transcript_line(current_height, env, address, "reply_received", schema_name)
+            )
             return []
         handler = self.message_handlers.get(env.schema_digest)
         if handler is None:
-            self.record_diag(transcript_line(current_height, env, "no_handler", schema_name))
+            self.record_diag(
+                transcript_line(current_height, env, address, "no_handler", schema_name)
+            )
             return []
         # the handler's diagnostics share the handled line's digest prefix
         prefix = _payload_prefix(env)
@@ -343,15 +356,14 @@ class Agent:
         if isinstance(result, Record):
             ctx.reply(result)
         self.record_diag(
-            _line(current_height, env.sender, env.target, schema_name, prefix, "handled")
+            _line(current_height, env.sender, address, schema_name, prefix, "handled")
         )
         return ctx.outbound
 
     def _reject_line(self, height: int, env: Envelope, exc: WireError) -> str:
         """The line for an envelope to this agent that failed to open."""
-        return transcript_line(
-            height, env, _REJECT_OUTCOMES[type(exc)], self._schema_name_of(env.schema_digest)
-        )
+        outcome, schema_name = _REJECT_OUTCOMES[type(exc)], self._schema_name_of(env.schema_digest)
+        return transcript_line(height, env, self.identity.address, outcome, schema_name)
 
     def _schema_name_of(self, digest: bytes) -> str:
         schema = self._schemas.get(digest)
@@ -445,7 +457,8 @@ class World:
         self.agents: dict[str, Agent] = {}
         self.online: dict[str, bool] = {}
         self.transcript: list[str] = []
-        self._in_flight: list[tuple[int, int, Envelope, bool]] = []
+        # heap of (due, send order, envelope, recipient, dropped)
+        self._in_flight: list[tuple[int, int, Envelope, str, bool]] = []
         self._send_seq = 0
         self._last_delivery: dict[tuple[str, str], int] = {}
         self._status_changes: list[tuple[int, str, bool]] = []  # a heap
@@ -518,64 +531,71 @@ class World:
         for env in batch:
             self.transcript.append(
                 transcript_line(
-                    self.height, env, "retrieved", self.schema_name_of(env.schema_digest)
+                    self.height, env, address, "retrieved", self.schema_name_of(env.schema_digest)
                 )
             )
-            self._arrive(env, "open")
+            self._arrive(env, address, "open")
         if batch:  # delivered: the mailbox may let it go
             self.mailbox.acknowledge(address)
 
     # -- transport ---------------------------------------------------------
 
     def send(self, env: Envelope) -> None:
-        """Schedule one envelope; per (sender, target) pair FIFO holds."""
-        latency = self.rng.randint(self.network.latency_min, self.network.latency_max)
-        dropped = (
-            self.network.drop_probability > 0.0
-            and self.rng.random() < self.network.drop_probability
-        )
-        deliver_at = self.height + latency
-        pair = (env.sender, env.target)
-        deliver_at = max(deliver_at, self._last_delivery.get(pair, 0))
-        self._last_delivery[pair] = deliver_at
-        self._send_seq += 1
-        # the drop decision rides along; offline redirection outranks it
-        heapq.heappush(self._in_flight, (deliver_at, self._send_seq, env, dropped))
-        if (
-            len(self._in_flight) >= POOL_MIN_BATCH
-            and self._fate(env, dropped) == "open"
-            and verifies_overlap()
-        ):
-            verify_pool().submit(env)
+        """Schedule one delivery per recipient the envelope names, in its
+        order, each with its own latency and drop draw; per (sender,
+        recipient) pair FIFO holds. The envelope goes to the verify pool at
+        most once, with its first copy that will open."""
+        pooled = False
+        for recipient in env.recipients:
+            latency = self.rng.randint(self.network.latency_min, self.network.latency_max)
+            dropped = (
+                self.network.drop_probability > 0.0
+                and self.rng.random() < self.network.drop_probability
+            )
+            pair = (env.sender, recipient)
+            deliver_at = max(self.height + latency, self._last_delivery.get(pair, 0))
+            self._last_delivery[pair] = deliver_at
+            self._send_seq += 1
+            # the drop decision rides along; offline redirection outranks it
+            heapq.heappush(self._in_flight, (deliver_at, self._send_seq, env, recipient, dropped))
+            if (
+                not pooled
+                and len(self._in_flight) >= POOL_MIN_BATCH
+                and self._fate(recipient, dropped) == "open"
+                and verifies_overlap()
+            ):
+                verify_pool().submit(env)
+                pooled = True
 
-    def _fate(self, env: Envelope, dropped: bool) -> str:
-        """What delivering env now does. `open`: its target is in the world
-        and online, and it was not dropped. `store`: its target is offline
-        and this process's MailboxStore, which checks env first, holds the
-        target's account (a mailbox client is never asked). `deposit`: any
-        other offline target with a mailbox attached. Otherwise `dropped`,
-        `offline_lost` or `no_such_agent`, which only log a line."""
-        if self.online.get(env.target, True):
+    def _fate(self, recipient: str, dropped: bool) -> str:
+        """What delivering a copy to recipient now does. `open`: the
+        recipient is in the world and online, and the copy was not dropped.
+        `store`: the recipient is offline and this process's MailboxStore,
+        which checks the copy first, holds its account (a mailbox client is
+        never asked). `deposit`: any other offline recipient with a mailbox
+        attached. Otherwise `dropped`, `offline_lost` or `no_such_agent`,
+        which only log a line."""
+        if self.online.get(recipient, True):
             if dropped:
                 return "dropped"
-            return "open" if env.target in self.agents else "no_such_agent"
+            return "open" if recipient in self.agents else "no_such_agent"
         if self.mailbox is None:
             return "offline_lost"
-        held = isinstance(self.mailbox, MailboxStore) and self.mailbox.has_account(env.target)
+        held = isinstance(self.mailbox, MailboxStore) and self.mailbox.has_account(recipient)
         return "store" if held else "deposit"
 
-    def _arrive(self, env: Envelope, fate: str) -> None:
-        """Deliver env as its fate says: dispatch it, deposit it, or log it."""
+    def _arrive(self, env: Envelope, recipient: str, fate: str) -> None:
+        """Deliver env's copy to recipient as its fate says: dispatch it,
+        deposit it, or log it."""
         if fate == "open":
-            for out in self.agents[env.target].dispatch(env, self.height):
+            for out in self.agents[recipient].dispatch(env, self.height):
                 self.send(out)
             return
         if fate in ("store", "deposit"):
-            result = self.mailbox.deposit(env, self.height)
+            result = self.mailbox.deposit(env, self.height, recipient)
             fate = "mailboxed" if result.accepted else f"mailbox_{result.reason}"
-        self.transcript.append(
-            transcript_line(self.height, env, fate, self.schema_name_of(env.schema_digest))
-        )
+        schema_name = self.schema_name_of(env.schema_digest)
+        self.transcript.append(transcript_line(self.height, env, recipient, fate, schema_name))
 
     # -- clock ---------------------------------------------------------------
 
@@ -589,12 +609,12 @@ class World:
                 _, address, online = heapq.heappop(self._status_changes)
                 self.set_online(address, online)
             while self._in_flight and self._in_flight[0][0] <= h:
-                _, _, env, dropped = self._in_flight[0]
-                fate = self._fate(env, dropped)
+                _, _, env, recipient, dropped = self._in_flight[0]
+                fate = self._fate(recipient, dropped)
                 if fate in ("open", "store"):
                     env.signed()  # a check that raises leaves env in flight
                 heapq.heappop(self._in_flight)
-                self._arrive(env, fate)
+                self._arrive(env, recipient, fate)
             while self._timers and self._timers[0][0] <= h:
                 entry = heapq.heappop(self._timers)
                 agent, handler, period, session_id = entry[3:]

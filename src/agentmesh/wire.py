@@ -6,7 +6,8 @@ prefixes, fixed-width numerics) so that digests are reproducible on any
 platform. Schemas hash to a 32-byte digest; protocols hash their name,
 version, and member schema digests. An Envelope wraps one encoded record
 with sender, target, session id, and block-height expiry, all signed by
-the sender's key.
+the sender's key. The target names one recipient or several, so one
+signature covers a message sent to a named set of agents.
 
 Byte layouts are documented bit-exactly in docs/wire.md.
 """
@@ -26,6 +27,12 @@ from .identity import AgentIdentity, Signature, signed_by, verify_digest
 
 SESSION_ID_LEN = 16
 DIGEST_LEN = 32
+RECIPIENT_SEP = ","  # joins the addresses of an envelope sent to several agents
+# Most addresses one envelope names. Every copy carries the whole target
+# (59 bytes an address), and a mailbox charges each queue the full size, so
+# this keeps an auction message near 3 KB: a queue's 1,024-envelope cap
+# binds before its 4 MiB byte cap, as for an envelope to one agent.
+MAX_RECIPIENTS = 50
 
 
 class WireError(Exception):
@@ -58,6 +65,10 @@ class UnknownSchema(WireError):
 
 class Expired(WireError):
     """Envelope expiry height has passed."""
+
+
+class Misaddressed(WireError):
+    """Envelope does not name the agent it was handed to."""
 
 
 class SemanticType(IntEnum):
@@ -584,6 +595,26 @@ class Envelope:
         """len(self.to_bytes()), worked out once."""
         return len(self.to_bytes())
 
+    @property
+    def recipients(self) -> tuple[str, ...]:
+        """The distinct addresses the target names, in the sender's order."""
+        if RECIPIENT_SEP in self.target:
+            return tuple(self._named)
+        return (self.target,)
+
+    def names(self, address: str) -> bool:
+        """Whether the target names address; one lookup however many it names."""
+        if RECIPIENT_SEP in self.target:
+            return address in self._named
+        return address == self.target
+
+    @cached_property
+    def _named(self) -> dict[str, None]:
+        """The named addresses in order, kept on the envelope only when
+        there are several: one more key in each envelope's __dict__ makes
+        every envelope's table larger."""
+        return dict.fromkeys(self.target.split(RECIPIENT_SEP))
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
         reader = _Reader(data)
@@ -646,13 +677,20 @@ def seal_envelope(
     session_id: bytes,
     expires_at: int,
 ) -> Envelope:
-    """Encode, address, and sign one record for transport."""
+    """Encode, address, and sign one record for transport. `target` is one
+    address or up to MAX_RECIPIENTS distinct ones joined by RECIPIENT_SEP;
+    each named agent may receive it under this one signature."""
     if not protocol.has_schema(record.schema):
         raise SchemaNotInProtocol(
             f"schema {record.schema.name!r} not in protocol {protocol.name!r}"
         )
     if len(session_id) != SESSION_ID_LEN:
         raise WireError(f"session_id must be {SESSION_ID_LEN} bytes")
+    recipients = target.split(RECIPIENT_SEP)
+    if "" in recipients or len(set(recipients)) != len(recipients):
+        raise WireError(f"target must name distinct, non-empty addresses: {target!r}")
+    if len(recipients) > MAX_RECIPIENTS:
+        raise WireError(f"target names {len(recipients)} addresses, over {MAX_RECIPIENTS}")
     payload = canonical_encode(record)
     proto = protocol.digest()
     schema = record.schema.digest()
@@ -671,12 +709,16 @@ def seal_envelope(
     )
 
 
-def check_envelope(env: Envelope, current_height: int) -> None:
-    """Accept an envelope from outside or raise: SignatureInvalid unless
-    its sender signed it, then Expired if its expiry height has passed.
-    Every reader and every mailbox deposit makes these two checks here."""
+def check_envelope(env: Envelope, current_height: int, recipient: str) -> None:
+    """Accept an envelope from outside for `recipient` or raise:
+    SignatureInvalid unless its sender signed it, then Misaddressed unless
+    its signed target names the recipient, then Expired if its expiry
+    height has passed. Every reader and every mailbox deposit makes these
+    three checks here, so a copy reaches only an agent its signer named."""
     if not env.signed():
         raise SignatureInvalid(f"envelope from {env.sender} fails verification")
+    if not env.names(recipient):
+        raise Misaddressed(f"envelope for {env.target} handed to {recipient}")
     if env.expires_at < current_height:
         raise Expired(f"expired at height {env.expires_at}, now {current_height}")
 
@@ -685,15 +727,16 @@ def open_envelope(
     env: Envelope,
     known_schemas: Mapping[bytes, ModelSchema],
     current_height: int,
+    recipient: str,
 ) -> tuple[Record, str]:
-    """Validate and decode one envelope.
+    """Validate and decode one envelope handed to `recipient`.
 
     `known_schemas` maps a schema digest to its schema. Check order is
-    fixed: signature, then expiry, then schema lookup, then payload decode.
-    Each failure is a distinct typed error so transports can report precise
-    diagnostics.
+    fixed: signature, then recipient, then expiry, then schema lookup, then
+    payload decode. Each failure is a distinct typed error so transports can
+    report precise diagnostics.
     """
-    check_envelope(env, current_height)
+    check_envelope(env, current_height, recipient)
     schema = known_schemas.get(env.schema_digest)
     if schema is None:
         raise UnknownSchema(f"no schema with digest {env.schema_digest.hex()[:16]}")

@@ -241,6 +241,17 @@ def test_wiretool_envelope_from_file(tmp_path, capsys):
     assert "content = ['hi there']" in out
 
 
+def test_wiretool_envelope_prints_one_recipient_per_line(capsys):
+    alice = derive_identity("wiretool alice")
+    record = make_chat_message("2026-03-02T09:00:00", bytes(16), ["hi all"])
+    env = seal_envelope(alice, "agent1one,agent1two", CHAT_PROTOCOL, record, bytes(16), 42)
+    assert run_cli("wiretool", "envelope", env.to_bytes().hex()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("target:")] == [
+        "target:          agent1one", "target:          agent1two"
+    ]
+
+
 def test_wiretool_envelope_rejects_garbage(capsys):
     assert run_cli("wiretool", "envelope", "deadbeef") == 1
     assert "not an envelope" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from agentmesh import contractnet
 from agentmesh.contractnet import (
     ACCEPT_BID,
     CALL_FOR_BIDS,
@@ -28,6 +29,7 @@ from agentmesh.contractnet import (
     assess_reputation,
     bid_body_digest,
     make_bid_record,
+    reject_bidders,
     select_winner,
     settle,
     verify_bid,
@@ -35,7 +37,7 @@ from agentmesh.contractnet import (
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import InsufficientFunds, Ledger, fet
 from agentmesh.registry import Registry, registration_signing_digest
-from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context
+from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context, World
 from agentmesh.wire import Record
 
 GOLDEN_BID_BODY = "155a70134b6d99478c04b1bd9f806f1ce37ee7e910d9ac8fc79869020bf59351"
@@ -329,24 +331,53 @@ class TestAnnounceAndSettle:
             ("fragile", "careful handling"),
         )
 
+    @staticmethod
+    def deliveries(ledger, registry, couriers, *envelopes) -> list[tuple[str, bytes, str]]:
+        """Send the envelopes through a world of the couriers; (address,
+        session, schema name) for each copy a courier's handler took, in
+        the order they took them."""
+        world = World(ledger, registry)
+        taken = []
+        for i, identity in enumerate(couriers):
+            courier = Agent(f"courier {i}", identity)
+            courier.include_protocol(COURIER_AUCTION)
+            for schema in (CALL_FOR_BIDS, ACCEPT_BID, REJECT_BID):
+                courier.on_message(schema)(
+                    lambda ctx, sender, record: taken.append(
+                        (ctx.address, ctx.session_id, record.schema.name)
+                    )
+                )
+            world.add_agent(courier)
+        for env in envelopes:
+            world.send(env)
+        world.drain()
+        return taken
+
     def test_announce_reaches_every_live_courier(self):
         ledger, registry, logistics, couriers = self.registered_world(5)
         ctx = Context(logistics, ledger.height)
         invited = announce(ctx, self.task(), registry, bid_deadline=20)
-        envs = ctx.outbound
-        assert len(envs) == 5
-        assert {e.target for e in envs} == {c.address for c in couriers}
-        assert [e.target for e in envs] == invited
-        assert all(e.schema_digest == CALL_FOR_BIDS.digest() for e in envs)
-        assert all(e.expires_at == 20 for e in envs)
-        assert len({e.session_id for e in envs}) == 5
+        [env] = ctx.outbound  # one envelope, one signature
+        assert set(env.recipients) == {c.address for c in couriers}
+        assert list(env.recipients) == invited
+        assert len(set(env.recipients)) == 5
+        assert env.schema_digest == CALL_FOR_BIDS.digest()
+        assert env.expires_at == 20
+        assert logistics._session_counter == 1  # one fresh session, for the one envelope
+        assert env.signed()
+        # each courier takes its copy once, in the order the search found it
+        taken = self.deliveries(ledger, registry, couriers, env)
+        assert taken == [(address, env.session_id, "CallForBids") for address in invited]
 
     def test_announce_sends_in_the_context_session(self):
-        ledger, registry, logistics, _ = self.registered_world(5)
+        ledger, registry, logistics, couriers = self.registered_world(5)
         session = b"\x07" * 16
         ctx = Context(logistics, ledger.height, session_id=session)
-        announce(ctx, self.task(), registry, bid_deadline=20)
-        assert [e.session_id for e in ctx.outbound] == [session] * 5
+        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        assert [e.session_id for e in ctx.outbound] == [session]
+        assert len(ctx.outbound[0].recipients) == 5
+        taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
+        assert taken == [(address, session, "CallForBids") for address in invited]
 
     def test_announce_without_couriers(self):
         ledger, registry, logistics, _ = self.registered_world(0)
@@ -369,38 +400,77 @@ class TestAnnounceAndSettle:
         ledger.mint(user_wallet, fet(100))
         winner = couriers[0].address
         losers = [c.address for c in couriers[1:]]
-        ctx = Context(logistics, ledger.height)
+        session = b"\x08" * 16
+        ctx = Context(logistics, ledger.height, session_id=session)
         escrow_id = settle(
             ctx, winner, losers, ledger, fet(25), user_wallet, couriers[0].wallet_address
         )
-        *rejects, accept = ctx.outbound  # the rejects go out first
-        assert accept.target == winner
+        reject, accept = ctx.outbound  # the reject goes out first
+        assert accept.recipients == (winner,)
         assert accept.schema_digest == ACCEPT_BID.digest()
-        assert len(rejects) == 2
-        assert {e.target for e in rejects} == set(losers)
-        assert all(e.schema_digest == REJECT_BID.digest() for e in rejects)
+        assert reject.recipients == tuple(sorted(losers))
+        assert reject.schema_digest == REJECT_BID.digest()
         assert all(e.expires_at == ledger.height + DEFAULT_REPLY_TTL for e in ctx.outbound)
         contract = ledger.escrows[escrow_id]
         assert contract.amount == fet(25)
         assert contract.arbiter == logistics.identity.address
         assert ledger.balance(user_wallet) == fet(75)
+        # each loser takes the reject once, and the winner only its accept
+        taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
+        assert sorted(taken) == sorted(
+            [(loser, session, "RejectBid") for loser in losers] + [(winner, session, "AcceptBid")]
+        )
+
+    def test_settle_without_losers_sends_only_the_accept(self):
+        ledger, registry, logistics, couriers = self.registered_world(1)
+        user_wallet = "wallet1" + "u" * 52
+        ledger.mint(user_wallet, fet(100))
+        ctx = Context(logistics, ledger.height)
+        settle(ctx, couriers[0].address, [], ledger, fet(25), user_wallet,
+               couriers[0].wallet_address)
+        assert [(e.recipients, e.schema_digest) for e in ctx.outbound] == [
+            ((couriers[0].address,), ACCEPT_BID.digest())
+        ]
 
     def test_settle_abort_when_unfunded(self):
         ledger, registry, logistics, couriers = self.registered_world(3)
         user_wallet = "wallet1" + "u" * 52
         ledger.mint(user_wallet, fet(10))  # cannot cover 25
-        ctx = Context(logistics, ledger.height)
+        session = b"\x09" * 16
+        ctx = Context(logistics, ledger.height, session_id=session)
         with pytest.raises(InsufficientFunds):
             settle(
                 ctx, couriers[0].address, [c.address for c in couriers[1:]],
                 ledger, fet(25), user_wallet, couriers[0].wallet_address,
             )
         assert ledger.escrows == {}
-        # everyone, including the would-be winner
-        assert sorted(e.target for e in ctx.outbound) == sorted(c.address for c in couriers)
-        assert all(e.schema_digest == REJECT_BID.digest() for e in ctx.outbound)
+        # one reject names everyone, including the would-be winner
+        [reject] = ctx.outbound
+        assert reject.recipients == tuple(sorted(c.address for c in couriers))
+        assert reject.schema_digest == REJECT_BID.digest()
         assert ledger.balance(user_wallet) == fet(10)
         assert ledger.locked_total() == 0
+        taken = self.deliveries(ledger, registry, couriers, reject)
+        assert sorted(taken) == sorted((c.address, session, "RejectBid") for c in couriers)
+
+    def test_more_couriers_than_one_envelope_names_take_several(self, monkeypatch):
+        monkeypatch.setattr(contractnet, "MAX_RECIPIENTS", 2)
+        ledger, registry, logistics, couriers = self.registered_world(5)
+        session = b"\x0a" * 16
+        ctx = Context(logistics, ledger.height, session_id=session)
+        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        reject_bidders(ctx, reversed(invited))
+        calls, rejects = ctx.outbound[:3], ctx.outbound[3:]
+        # runs of at most two, in search order for the call, address order for the rejects
+        assert [e.recipients for e in calls] == [tuple(invited[i:i + 2]) for i in (0, 2, 4)]
+        assert [e.recipients for e in rejects] == [
+            tuple(sorted(invited)[i:i + 2]) for i in (0, 2, 4)
+        ]
+        assert {e.session_id for e in ctx.outbound} == {session}
+        taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
+        assert sorted(taken) == sorted(
+            (address, session, name) for address in invited for name in ("CallForBids", "RejectBid")
+        )
 
 
 class TestDeliveryTask:

@@ -17,7 +17,7 @@ import pytest
 
 from agentmesh import identity
 from agentmesh.cli import attack_config
-from agentmesh.config import PresenceWindow, default_config, with_overrides
+from agentmesh.config import CourierSpec, PresenceWindow, default_config, with_overrides
 from agentmesh.ledger import journal_lines
 from agentmesh.scenario import build_scenario
 
@@ -105,13 +105,14 @@ def test_golden_demo_on_the_cryptography_backend():
 # sign_digest_with_wallet calls) over build and run. A speed-up that skips a
 # signature check, or signs less, moves these.
 SIGNATURE_CALLS = {
-    "attack_50": (117, 24, 143, 0),
-    "demo": (29, 0, 29, 0),
+    "attack_50": (108, 24, 134, 0),
+    "demo": (26, 0, 26, 0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIGNATURE_CALLS))
-def test_signature_checks_are_pinned(name, monkeypatch):
+def count_signatures(monkeypatch, config) -> tuple[int, int, int, int]:
+    """SIGNATURE_CALLS' four counts over building `config`'s world and
+    running its first order, which must end ok."""
     counts = {"verify": 0, "verify_false": 0, "sign": 0, "sign_wallet": 0}
     verify = identity.verify_digest
     lock = threading.Lock()  # a tick's verifies may run on the verify pool
@@ -138,7 +139,35 @@ def test_signature_checks_are_pinned(name, monkeypatch):
     for attr, key in (("sign_digest", "sign"), ("sign_digest_with_wallet", "sign_wallet")):
         method = getattr(identity.AgentIdentity, attr)
         monkeypatch.setattr(identity.AgentIdentity, attr, counting(method, key))
-    scenario = build_scenario(CONFIGS[name]())
-    assert scenario.place_order().status == "ok"
-    got = (counts["verify"], counts["verify_false"], counts["sign"], counts["sign_wallet"])
-    assert got == SIGNATURE_CALLS[name]
+    try:
+        scenario = build_scenario(config)
+        assert scenario.place_order().status == "ok"
+    finally:
+        monkeypatch.undo()
+    return counts["verify"], counts["verify_false"], counts["sign"], counts["sign_wallet"]
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURE_CALLS))
+def test_signature_checks_are_pinned(name, monkeypatch):
+    assert count_signatures(monkeypatch, CONFIGS[name]()) == SIGNATURE_CALLS[name]
+
+
+def fleet_style(size: int):
+    """The demo order put to `size` online couriers that all serve the
+    pickup, each quoting a feasible price and ETA."""
+    couriers = tuple(
+        CourierSpec(f"Courier{i:03d}", f"growth courier {i}", 10 + i % 40, 60 + 7 * i % 120,
+                    "cambridge")
+        for i in range(size)
+    )
+    return with_overrides(default_config(), couriers=couriers, reviews=())
+
+
+def test_each_added_courier_costs_three_signatures_and_three_checks(monkeypatch):
+    """Its registration, its bid body and its bid envelope: the call for
+    bids and the rejection are each one envelope however many couriers
+    they name, signed once and checked once."""
+    small = count_signatures(monkeypatch, fleet_style(20))
+    large = count_signatures(monkeypatch, fleet_style(40))
+    verifies, rejected, signs, wallet_signs = (b - a for a, b in zip(small, large))
+    assert (signs, verifies, rejected, wallet_signs) == (3 * 20, 3 * 20, 0, 0)

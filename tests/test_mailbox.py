@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import oracles
+from agentmesh.contractnet import CALL_FOR_BIDS, COURIER_AUCTION
 from agentmesh.identity import Signature, derive_identity
 from agentmesh.mailbox import (
     BadAuth,
@@ -22,6 +23,7 @@ from agentmesh.mailbox import (
     retrieval_auth_digest,
 )
 from agentmesh.wire import (
+    MAX_RECIPIENTS,
     Expired,
     ModelSchema,
     ProtocolSpec,
@@ -37,6 +39,7 @@ NOTES = ProtocolSpec("Notes", "1.0", (NOTE,))
 
 SENDER = derive_identity("mailbox sender")
 OWNER = derive_identity("mailbox owner")
+OTHER = derive_identity("mailbox other owner")
 
 
 def note_env(text: str, expires_at: int = 1000, sender=SENDER, target=OWNER):
@@ -54,12 +57,12 @@ class TestDeposit:
     def test_accept(self):
         store = MailboxStore()
         store.create_account(OWNER.address)
-        result = store.deposit(note_env("hello"), current_height=5)
+        result = store.deposit(note_env("hello"), current_height=5, recipient=OWNER.address)
         assert result.accepted
         assert store.stats()[OWNER.address] == 1
 
     def test_no_account(self):
-        result = MailboxStore().deposit(note_env("hello"), 5)
+        result = MailboxStore().deposit(note_env("hello"), 5, OWNER.address)
         assert not result.accepted
         assert result.reason == "NoAccount"
 
@@ -71,19 +74,38 @@ class TestDeposit:
             env.sender, env.target, env.protocol_digest, env.schema_digest,
             env.payload + b"x", env.session_id, env.expires_at, env.signature,
         )
-        result = store.deposit(bad, 5)
+        result = store.deposit(bad, 5, OWNER.address)
         assert result.reason == "SignatureInvalid"
 
     def test_expired_rejected(self):
         store = MailboxStore()
         store.create_account(OWNER.address)
-        result = store.deposit(note_env("old", expires_at=4), current_height=5)
+        result = store.deposit(
+            note_env("old", expires_at=4), current_height=5, recipient=OWNER.address
+        )
         assert result.reason == "Expired"
+
+    def test_a_recipient_the_envelope_does_not_name_is_refused(self):
+        store = MailboxStore()
+        for owner in (OWNER, OTHER):
+            store.create_account(owner.address)
+        named = note_env("for the owner only")
+        result = store.deposit(named, 5, OTHER.address)
+        assert (result.accepted, result.reason) == (False, "Misaddressed")
+        assert store.stats() == {OWNER.address: 0, OTHER.address: 0}
+        assert store.dropped_total == 1
+        both = seal_envelope(
+            SENDER, f"{OWNER.address},{OTHER.address}", NOTES, Record(NOTE, {"text": "both"}),
+            bytes(16), 1000,
+        )
+        assert all(store.deposit(both, 5, owner.address).accepted for owner in (OWNER, OTHER))
+        assert store.stats() == {OWNER.address: 1, OTHER.address: 1}
 
     def test_boundary_expiry_accepted(self):
         store = MailboxStore()
         store.create_account(OWNER.address)
-        assert store.deposit(note_env("edge", expires_at=5), current_height=5).accepted
+        edge = note_env("edge", expires_at=5)
+        assert store.deposit(edge, current_height=5, recipient=OWNER.address).accepted
 
     @given(
         part=st.sampled_from(["none", "sender", "payload", "signature"]),
@@ -108,21 +130,21 @@ class TestDeposit:
         elif part == "signature":
             env = dataclasses.replace(env, signature=Signature(flipped(env.signature.data)))
         try:
-            open_envelope(env, {m.digest(): m for m in NOTES.models}, height)
+            open_envelope(env, {m.digest(): m for m in NOTES.models}, height, OWNER.address)
             refusal = None
         except (SignatureInvalid, Expired) as exc:
             refusal = type(exc).__name__
         store = MailboxStore()
         store.create_account(OWNER.address)
-        result = store.deposit(env, height)
+        result = store.deposit(env, height, OWNER.address)
         assert (result.accepted, result.reason) == (refusal is None, refusal)
 
     def test_full_keeps_oldest(self):
         store = MailboxStore(capacity=2)
         store.create_account(OWNER.address)
-        assert store.deposit(note_env("first"), 1).accepted
-        assert store.deposit(note_env("second"), 1).accepted
-        result = store.deposit(note_env("third"), 1)
+        assert store.deposit(note_env("first"), 1, OWNER.address).accepted
+        assert store.deposit(note_env("second"), 1, OWNER.address).accepted
+        result = store.deposit(note_env("third"), 1, OWNER.address)
         assert result.reason == "Full"
         batch = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
         texts = [env.payload for env in batch]
@@ -133,15 +155,34 @@ class TestDeposit:
         store.create_account(OWNER.address)
         big, more, small = note_env("a" * 3_000_000), note_env("b" * 2_000_000), note_env("c")
         assert len(big.to_bytes()) + len(more.to_bytes()) > QUEUE_MAX_BYTES
-        assert store.deposit(big, 1).accepted
-        assert store.deposit(more, 1).reason == "Full"
-        assert store.deposit(small, 1).accepted  # a newcomer that still fits
+        assert store.deposit(big, 1, OWNER.address).accepted
+        assert store.deposit(more, 1, OWNER.address).reason == "Full"
+        assert store.deposit(small, 1, OWNER.address).accepted  # a newcomer that still fits
         assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == [big, small]
         assert store.acknowledge(OWNER.address) == 2
-        assert store.deposit(more, 2).accepted  # room again once acknowledged
+        assert store.deposit(more, 2, OWNER.address).accepted  # room again once acknowledged
 
     def test_default_capacity(self):
         assert MailboxStore().capacity == DEFAULT_CAPACITY
+
+    def test_a_queue_of_auction_calls_fills_by_count_before_bytes(self):
+        """Every copy of a multicast carries its whole target, and a queue
+        is charged the full size; a CallForBids naming as many couriers as
+        one envelope may still leaves the envelope cap the binding one."""
+        couriers = ",".join(
+            derive_identity(f"queued courier {i}").address for i in range(MAX_RECIPIENTS)
+        )
+        call = Record(CALL_FOR_BIDS, {
+            "source": "Cambridge office", "destination": "Liverpool Street London",
+            "deadline": "2026-03-02T17:00:00", "bid_deadline": 1000,
+        })
+        env = seal_envelope(SENDER, couriers, COURIER_AUCTION, call, bytes(16), 1000)
+        assert env.size * DEFAULT_CAPACITY <= QUEUE_MAX_BYTES
+        owner = env.recipients[0]
+        store = MailboxStore()
+        store.create_account(owner)
+        assert all(store.deposit(env, 1, owner).accepted for _ in range(DEFAULT_CAPACITY))
+        assert store.deposit(env, 1, owner).reason == "Full"
 
 
 class TestRetrieve:
@@ -150,7 +191,7 @@ class TestRetrieve:
         store.create_account(OWNER.address)
         envs = [note_env(f"msg {i}") for i in range(3)]
         for i, env in enumerate(envs):
-            store.deposit(env, i)
+            store.deposit(env, i, OWNER.address)
         batch = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
         assert batch == envs
         assert store.acknowledge(OWNER.address) == 3
@@ -159,7 +200,7 @@ class TestRetrieve:
     def test_wrong_key(self):
         store = MailboxStore()
         store.create_account(OWNER.address)
-        store.deposit(note_env("keep"), 1)
+        store.deposit(note_env("keep"), 1, OWNER.address)
         thief = derive_identity("thief")
         with pytest.raises(BadAuth):
             store.retrieve(OWNER.address, 0, auth_for(thief, 0))
@@ -212,7 +253,7 @@ class TestAckMode:
         store.create_account(OWNER.address)
         envs = [note_env(f"m{i}") for i in range(2)]
         for env in envs:
-            store.deposit(env, 1)
+            store.deposit(env, 1, OWNER.address)
         first = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
         assert first == envs
         # crash here: no ack; a later retrieve sees the same batch
@@ -224,9 +265,9 @@ class TestAckMode:
     def test_deposits_during_pending_survive_ack(self):
         store = MailboxStore()
         store.create_account(OWNER.address)
-        store.deposit(note_env("early"), 1)
+        store.deposit(note_env("early"), 1, OWNER.address)
         store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
-        store.deposit(note_env("late"), 2)
+        store.deposit(note_env("late"), 2, OWNER.address)
         store.acknowledge(OWNER.address)
         assert store.stats()[OWNER.address] == 1
 
@@ -235,7 +276,7 @@ class TestAckMode:
         store.create_account(OWNER.address)
         assert store.retrieve(OWNER.address, 0, auth_for(OWNER, 0)) == []
         later = note_env("later")
-        store.deposit(later, 2)
+        store.deposit(later, 2, OWNER.address)
         assert store.retrieve(OWNER.address, 1, auth_for(OWNER, 1)) == [later]
 
     def test_ack_without_retrieve(self):
@@ -244,7 +285,6 @@ class TestAckMode:
             store.acknowledge(OWNER.address)
 
 
-OTHER = derive_identity("mailbox other owner")
 
 
 class MailboxMachine(RuleBasedStateMachine):
@@ -272,7 +312,7 @@ class MailboxMachine(RuleBasedStateMachine):
         self.sent += 1
         env = note_env(f"m{self.sent}", target=owner)
         queued = len(self.accepted[owner.address]) - len(self.acked[owner.address])
-        assert self.store.deposit(env, 1).accepted == (queued < self.CAPACITY)
+        assert self.store.deposit(env, 1, owner.address).accepted == (queued < self.CAPACITY)
         if queued < self.CAPACITY:
             self.accepted[owner.address].append(env)
 

@@ -238,6 +238,24 @@ class TestDispatch:
         assert outcomes == ["looked", "invalid_record"]
         assert oracles.line_fields(world.transcript[-1]).schema_name == "Ping"
 
+    def test_a_misaddressed_envelope_runs_no_handler(self):
+        calls = []
+        agent = make_agent("misaddressed receiver")
+        agent.on_message(PING)(lambda ctx, sender, record: calls.append(record))
+        world = fresh_world()
+        world.add_agent(agent)
+        sender = make_agent("misaddressed sender")
+        named = [make_agent(f"named agent {i}") for i in range(2)]
+        for env in (self.ping_env(sender, named[0]),
+                    Context(sender, 1).send(",".join(a.identity.address for a in named),
+                                            Record(PING, {"text": "not you"}))):
+            assert agent.dispatch(env, 1) == []
+        assert calls == []
+        lines = [oracles.line_fields(line) for line in world.transcript]
+        assert [(f.sender, f.target, f.outcome) for f in lines] == [
+            (sender.identity.address, agent.identity.address, "misaddressed")
+        ] * 2
+
     def test_handler_overlap_detected(self):
         agent = make_agent("overlap")
         inner_error = []
@@ -764,6 +782,23 @@ class TestQuery:
         assert client.waiters[session, target]["text"] == "x"
         assert oracles.line_fields(world.transcript[-1]).outcome == "reply_received"
 
+    def test_a_copy_the_peer_sent_another_agent_does_not_end_the_wait(self):
+        world = fresh_world(network=NetworkModel(latency_min=1, latency_max=1))
+        server, client = echo_agent("aside server"), make_agent("aside client")
+        bystander = make_agent("aside bystander")
+        for agent in (server, client, bystander):
+            world.add_agent(agent)
+        target = server.identity.address
+        session = self.ask(world, client, target, Record(PING, {"text": "x"}))
+        aside = Context(server, world.height).send(
+            bystander.identity.address, Record(PONG, {"text": "not yours"}), session
+        )
+        assert client.dispatch(aside, world.height) == []
+        assert oracles.line_fields(world.transcript[-1]).outcome == "misaddressed"
+        assert client.waiters[session, target] is None
+        world.tick(2)
+        assert client.waiters[session, target]["text"] == "x"
+
     @pytest.mark.parametrize(
         "fault, outcome", [("Expired", "expired"), ("UnknownSchema", "unknown_schema")]
     )
@@ -1088,7 +1123,8 @@ def test_envelopes_the_world_never_opens_are_never_checked(monkeypatch):
                   for fields in map(oracles.line_fields, world.transcript)}
     seen = set()
     for env in envelopes:
-        outcome = outcome_of[oracles.line_fields(transcript_line(0, env, "-", "-")).digest_prefix]
+        line = transcript_line(0, env, env.target, "-", "-")
+        outcome = outcome_of[oracles.line_fields(line).digest_prefix]
         seen.add(outcome)
         checked = outcome in ("handled", "mailboxed")
         assert counts.get(env.signing_digest(), 0) == checked, outcome
@@ -1116,3 +1152,103 @@ def test_a_check_that_raises_on_the_way_to_a_mailbox_loses_nothing(monkeypatch):
     world.tick(3)
     assert [oracles.line_fields(line).outcome for line in world.transcript] == ["mailboxed"]
     assert mailbox.stats()[away.identity.address] == 1
+
+
+class TestMulticast:
+    """One envelope that names several recipients: one signature, and one
+    copy for each, with its own latency and drop draw."""
+
+    @staticmethod
+    def cast(count: int, **world_kw) -> tuple[World, Agent, list[str], list[tuple[str, str]]]:
+        """A world with a sender and `count` receivers; the receivers'
+        addresses, and a list of (receiver, text) each Ping it handles adds."""
+        world = fresh_world(**world_kw)
+        sender = make_agent("multicast sender")
+        world.add_agent(sender)
+        receivers, handled = [], []
+        for i in range(count):
+            receiver = make_agent(f"multicast receiver {i}")
+            receiver.on_message(PING)(
+                lambda ctx, _, record: handled.append((ctx.address, record["text"]))
+            )
+            world.add_agent(receiver)
+            receivers.append(receiver.identity.address)
+        return world, sender, receivers, handled
+
+    def test_one_sign_and_one_verify_reach_every_recipient(self, monkeypatch):
+        world, sender, receivers, handled = self.cast(6)
+        verifies = count_verifies(monkeypatch)
+        signs = []
+        sign = identity.AgentIdentity.sign_digest
+
+        def counted_sign(self, digest):
+            signs.append(digest)
+            return sign(self, digest)
+
+        monkeypatch.setattr(identity.AgentIdentity, "sign_digest", counted_sign)
+        env = world.send_message(sender, ",".join(receivers), Record(PING, {"text": "all"}))
+        world.drain()
+        assert env.recipients == tuple(receivers)
+        assert signs == [env.signing_digest()]
+        assert verifies == {env.signing_digest(): 1}
+        assert handled == [(address, "all") for address in receivers]
+        lines = [oracles.line_fields(line) for line in world.transcript]
+        assert [(f.target, f.outcome) for f in lines] == [(a, "handled") for a in receivers]
+
+    def test_offline_recipients_each_find_their_copy_in_the_mailbox(self, monkeypatch):
+        mailbox = MailboxStore()
+        world, sender, receivers, handled = self.cast(4, mailbox=mailbox)
+        away = receivers[1::2]
+        for address in away:
+            mailbox.create_account(address)
+            world.set_online(address, False)
+        verifies = count_verifies(monkeypatch)
+        env = world.send_message(sender, ",".join(receivers), Record(PING, {"text": "later"}))
+        world.drain()
+        assert mailbox.stats() == {address: 1 for address in away}
+        for address in away:
+            world.set_online(address, True)
+        assert sorted(handled) == sorted((address, "later") for address in receivers)
+        assert verifies[env.signing_digest()] == 1  # the others check retrieval auths
+        assert len(verifies) == 1 + len(away)
+
+    def test_a_lossy_multicast_drops_copies_independently(self):
+        network = NetworkModel(latency_min=1, latency_max=4, drop_probability=0.5)
+        record = Record(PING, {"text": "lossy"})
+        world, sender, receivers, handled = self.cast(24, network=network, seed=11)
+        world.send_message(sender, ",".join(receivers), record)
+        world.drain()
+        # one envelope per recipient, sent in the same order, draws the same fates
+        alone, sender, receivers, _ = self.cast(24, network=network, seed=11)
+        for address in receivers:
+            alone.send_message(sender, address, record)
+        alone.drain()
+        assert world.transcript == alone.transcript
+        lines = [oracles.line_fields(line) for line in world.transcript]
+        assert sorted(f.target for f in lines) == sorted(receivers)
+        assert {f.outcome for f in lines} == {"handled", "dropped"}
+        assert len({f.tick for f in lines if f.outcome == "handled"}) > 1
+        assert sorted(address for address, _ in handled) == sorted(
+            f.target for f in lines if f.outcome == "handled"
+        )
+
+    def test_copies_keep_fifo_per_sender_and_recipient(self):
+        network = NetworkModel(latency_min=1, latency_max=4)
+        for seed in range(10):
+            world, sender, receivers, handled = self.cast(5, network=network, seed=seed)
+            world.send_message(sender, ",".join(receivers), Record(PING, {"text": "first"}))
+            for address in receivers:
+                world.send_message(sender, address, Record(PING, {"text": "second"}))
+            world.drain()
+            for address in receivers:
+                texts = [text for receiver, text in handled if receiver == address]
+                assert texts == ["first", "second"]
+
+    def test_a_multicast_goes_to_the_verify_pool_once(self, monkeypatch):
+        submitted = TestSignaturePool.spy_on_pool(monkeypatch)
+        monkeypatch.setattr(runtime, "verifies_overlap", lambda: True)
+        world, sender, receivers, handled = self.cast(3 * POOL_MIN_BATCH)
+        env = world.send_message(sender, ",".join(receivers), Record(PING, {"text": "pooled"}))
+        world.drain()
+        assert submitted == [env]
+        assert handled == [(address, "pooled") for address in receivers]

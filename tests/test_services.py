@@ -325,7 +325,7 @@ def test_mailbox_roundtrip_is_byte_identical(mailbox_service):
     assert store.has_account(BOB.address) is True
 
     env = sealed_chat(ALICE, BOB.address, "hello over http")
-    result = client.deposit(env, current_height=1)
+    result = client.deposit(env, current_height=1, recipient=BOB.address)
     assert result.accepted is True and result.reason is None
     assert client.stats() == store.stats() == {BOB.address: 1}
 
@@ -341,11 +341,22 @@ def test_mailbox_roundtrip_is_byte_identical(mailbox_service):
 def test_deposit_rejection_reasons_cross_the_wire(mailbox_service):
     client, _ = mailbox_service
     env = sealed_chat(ALICE, BOB.address, "nobody home")
-    assert client.deposit(env, current_height=1).reason == "NoAccount"
+    assert client.deposit(env, current_height=1, recipient=BOB.address).reason == "NoAccount"
 
     client.create_account(BOB.address)
     stale = sealed_chat(ALICE, BOB.address, "too late", expires_at=3)
-    assert client.deposit(stale, current_height=9).reason == "Expired"
+    assert client.deposit(stale, current_height=9, recipient=BOB.address).reason == "Expired"
+
+
+def test_a_deposit_for_a_recipient_the_envelope_does_not_name_is_refused(mailbox_service):
+    client, store = mailbox_service
+    for owner in (ALICE, BOB):
+        client.create_account(owner.address)
+    env = sealed_chat(ALICE, BOB.address, "for bob only")
+    result = client.deposit(env, current_height=1, recipient=ALICE.address)
+    assert (result.accepted, result.reason) == (False, "Misaddressed")
+    assert client.stats() == store.stats() == {ALICE.address: 0, BOB.address: 0}
+    assert store.dropped_total == 1
 
 
 def test_mailbox_auth_errors_cross_the_wire(mailbox_service):
@@ -366,7 +377,7 @@ def test_mailbox_auth_errors_cross_the_wire(mailbox_service):
 def test_redelivery_over_http(mailbox_service):
     client, _ = mailbox_service
     client.create_account(BOB.address)
-    client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1)
+    client.deposit(sealed_chat(ALICE, BOB.address, "once"), current_height=1, recipient=BOB.address)
 
     auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
     first = client.retrieve(BOB.address, 0, auth)
@@ -806,7 +817,7 @@ MAILBOX_CALLS = st.one_of(
     st.tuples(st.just("create_account"), _address),
     st.tuples(st.just("has_account"), _address),
     st.tuples(st.just("next_nonce"), _address),
-    st.tuples(st.just("deposit"), st.sampled_from(_ENVELOPES), st.sampled_from([0, 9])),
+    st.tuples(st.just("deposit"), st.sampled_from(_ENVELOPES), st.sampled_from([0, 9]), _address),
     st.builds(_retrieve_call, _who, _small, _forged),
     st.tuples(st.just("acknowledge"), _address),
     st.tuples(st.just("stats")),
@@ -939,8 +950,8 @@ def test_registry_batch_matches_an_in_process_loop(batch_pair, calls):
 @settings(max_examples=60, deadline=None)
 @given(calls=st.lists(MAILBOX_CALLS, max_size=12))
 @example(
-    calls=[("create_account", BOB.address), ("deposit", _ENVELOPES[0], 0),
-           ("deposit", _ENVELOPES[3], 0), ("stats",), _retrieve_call("bob", 0, False),
+    calls=[("create_account", BOB.address), ("deposit", _ENVELOPES[0], 0, BOB.address),
+           ("deposit", _ENVELOPES[3], 0, BOB.address), ("stats",), _retrieve_call("bob", 0, False),
            ("acknowledge", BOB.address), _retrieve_call("bob", 0, False)],
 )
 @example(calls=[_retrieve_call("alice", 0, False), _retrieve_call("alice", 1, True)])
@@ -1027,7 +1038,7 @@ def test_a_retrieve_reply_fits_the_cap_and_no_mail_is_lost(mailbox_service):
     client, store = mailbox_service
     client.create_account(BOB.address)
     sent = [sealed_chat(ALICE, BOB.address, str(n) * 3_000_000) for n in range(3)]
-    assert [client.deposit(env, 0).reason for env in sent] == [None, "Full", "Full"]
+    assert [client.deposit(env, 0, BOB.address).reason for env in sent] == [None, "Full", "Full"]
     auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
     assert [env.to_bytes() for env in client.retrieve(BOB.address, 0, auth)] == [
         sent[0].to_bytes()
@@ -1046,7 +1057,7 @@ def test_a_refused_batch_of_retrieves_loses_no_mail(mailbox_service):
     for n, owner in enumerate(owners):
         client.create_account(owner.address)
         sent[owner.address] = sealed_chat(ALICE, owner.address, str(n) * 3_000_000)
-        assert client.deposit(sent[owner.address], 0).accepted
+        assert client.deposit(sent[owner.address], 0, owner.address).accepted
     calls = [
         ("retrieve", owner.address, 0,
          owner.sign_digest(retrieval_auth_digest(owner.address, 0)))

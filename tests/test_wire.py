@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -14,11 +15,13 @@ from agentmesh.wire import (
     CHAT_MESSAGE,
     I64_MAX,
     I64_MIN,
+    MAX_RECIPIENTS,
     CHAT_PROTOCOL,
     DuplicateField,
     EmptyProtocol,
     Envelope,
     Expired,
+    Misaddressed,
     ModelSchema,
     ProtocolSpec,
     Record,
@@ -27,8 +30,10 @@ from agentmesh.wire import (
     SemanticType,
     SignatureInvalid,
     UnknownSchema,
+    WireError,
     canonical_decode,
     canonical_encode,
+    check_envelope,
     make_chat_message,
     open_envelope,
     seal_envelope,
@@ -298,7 +303,9 @@ class TestEnvelope:
 
     def test_seal_open_roundtrip(self):
         env, proto, record = self.make_envelope()
-        out, sender_addr = open_envelope(env, by_digest(proto.models), current_height=5)
+        out, sender_addr = open_envelope(
+            env, by_digest(proto.models), current_height=5, recipient=env.target
+        )
         assert out.values == record.values
         assert sender_addr == env.sender
 
@@ -329,7 +336,7 @@ class TestEnvelope:
             env.signature,
         )
         with pytest.raises(SignatureInvalid):
-            open_envelope(bad, by_digest(proto.models), 5)
+            open_envelope(bad, by_digest(proto.models), 5, bad.target)
 
     def test_sender_swap_fails(self):
         env, proto, _ = self.make_envelope()
@@ -345,20 +352,21 @@ class TestEnvelope:
             env.signature,
         )
         with pytest.raises(SignatureInvalid):
-            open_envelope(bad, by_digest(proto.models), 5)
+            open_envelope(bad, by_digest(proto.models), 5, bad.target)
 
     def test_expired(self):
         env, proto, _ = self.make_envelope(expires_at=10)
-        out, _ = open_envelope(env, by_digest(proto.models), 10)  # boundary: still valid
+        # boundary: still valid
+        out, _ = open_envelope(env, by_digest(proto.models), 10, env.target)
         assert out["text"] == "hello"
         with pytest.raises(Expired):
-            open_envelope(env, by_digest(proto.models), 11)
+            open_envelope(env, by_digest(proto.models), 11, env.target)
 
     def test_unknown_schema(self):
         env, _, _ = self.make_envelope()
         stranger = ModelSchema.build("Stranger", z=SemanticType.INT)
         with pytest.raises(UnknownSchema):
-            open_envelope(env, by_digest([stranger]), 5)
+            open_envelope(env, by_digest([stranger]), 5, env.target)
 
     def test_schema_not_in_protocol(self):
         sender = derive_identity("env sender")
@@ -384,7 +392,7 @@ class TestEnvelope:
             except Exception:
                 continue  # refusing to parse is also a pass
             with pytest.raises((SignatureInvalid, UnknownSchema, Expired, SchemaMismatch)):
-                out, _ = open_envelope(candidate, by_digest(proto.models), 5)
+                out, _ = open_envelope(candidate, by_digest(proto.models), 5, env.target)
                 # opening may only succeed if the flip left the envelope identical
                 assert candidate == env
 
@@ -398,6 +406,74 @@ class TestChat:
     def test_empty_content_rejected(self):
         with pytest.raises(SchemaMismatch):
             make_chat_message("2026-01-01T12:00:00", b"\x01" * 16, [])
+
+
+# any text but the separator, so a list of them joins and splits back
+ADDRESSES = st.text(
+    st.characters(blacklist_characters=",", blacklist_categories=("Cs",)), min_size=1, max_size=12
+)
+
+
+class TestRecipients:
+    """A target that names several recipients under one signature."""
+
+    SENDER = derive_identity("multicast env sender")
+
+    def seal_to(self, target) -> Envelope:
+        proto = sample_protocol()
+        record = Record(proto.models[0], {"text": "hi"})
+        return seal_envelope(self.SENDER, target, proto, record, b"\x07" * 16, 100)
+
+    @pytest.mark.parametrize(
+        "target", ["", ",", ",agent1a", "agent1a,,agent1b", "agent1a,",
+                   "agent1a,agent1a", "agent1a,agent1b,agent1a"]
+    )
+    def test_seal_refuses_an_empty_or_repeated_recipient(self, target):
+        with pytest.raises(WireError, match="distinct, non-empty"):
+            self.seal_to(target)
+
+    def test_seal_refuses_more_recipients_than_one_envelope_names(self):
+        addresses = [f"agent1{i}" for i in range(MAX_RECIPIENTS + 1)]
+        assert self.seal_to(",".join(addresses[:-1])).recipients == tuple(addresses[:-1])
+        with pytest.raises(WireError, match=f"over {MAX_RECIPIENTS}"):
+            self.seal_to(",".join(addresses))
+
+    def test_one_address_names_only_itself(self):
+        address = "agent1" + "a" * 52
+        env = self.seal_to(address)
+        assert (env.target, env.recipients) == (address, (address,))
+        assert env.names(address)
+        assert not env.names(address[:-1]) and not env.names(address + ",")
+
+    def test_check_order_is_signature_then_recipient_then_expiry(self):
+        env = self.seal_to("agent1a,agent1b")  # valid to height 100
+        forged = dataclasses.replace(env, payload=env.payload + b"x")
+        with pytest.raises(SignatureInvalid):
+            check_envelope(forged, 200, "agent1a")
+        with pytest.raises(Misaddressed):
+            check_envelope(env, 200, "agent1c")
+        with pytest.raises(Expired):
+            check_envelope(env, 200, "agent1b")
+        for recipient in ("agent1a", "agent1b"):
+            check_envelope(env, 100, recipient)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ADDRESSES, min_size=1, max_size=6, unique=True), ADDRESSES)
+    def test_a_multi_recipient_envelope_round_trips_and_opens_only_for_its_recipients(
+        self, recipients, stranger
+    ):
+        env = self.seal_to(",".join(recipients))
+        again = Envelope.from_bytes(env.to_bytes())
+        assert again == env
+        assert again.target == ",".join(recipients)
+        assert again.recipients == tuple(recipients)
+        schemas = by_digest(sample_protocol().models)
+        for recipient in recipients:
+            record, sender = open_envelope(again, schemas, 5, recipient)
+            assert (record["text"], sender) == ("hi", self.SENDER.address)
+        if stranger not in recipients:
+            with pytest.raises(Misaddressed):
+                open_envelope(again, schemas, 5, stranger)
 
 
 class TestTamperEvidence:
