@@ -28,6 +28,7 @@ from .scenario import (
     LOGISTICS_PROTOCOL,
     MAPS_PROTOCOL,
     REPORT_SCHEMA,
+    build_scenario,
     run_scenario,
 )
 from .services import serve_mailbox, serve_registry
@@ -82,8 +83,6 @@ def cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    from .scenario import build_scenario
 
     try:
         scenario = build_scenario(config)

@@ -7,8 +7,10 @@ verifies every CourierBid's content digest and signature, filters out bids
 that miss the delivery deadline, scores the rest on price, speed, and
 reputation, and awards exactly one AcceptBid (every other bidder gets a
 RejectBid sent the same way). Rejected or tampered bids never reach
-scoring. This module decides whom to call and whom to award; the
-handler's Context seals and sends the messages.
+scoring. This module decides whom to call and whom to award; it moves no
+money. The handler's Context seals and sends the messages, and the
+logistics agent (scenario.build_logistics_agent) opens the escrow and ends
+every order through one `end`, which rejects whoever still waits.
 
 Winner scoring uses exact rational arithmetic:
 
@@ -31,7 +33,6 @@ from typing import Iterable, Mapping, Protocol as TypingProtocol, Sequence
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
 from .identity import AgentIdentity, BadDigestLength, Signature, signed_by, verify_digest
-from .ledger import InsufficientFunds, Ledger
 from .registry import Registry
 from .runtime import Context
 from .wire import (
@@ -252,14 +253,21 @@ class DeterministicScorer:
     neg = negative keyword hits + ratings of 1 or 2 stars,
     score = pos / (pos + neg), or 1/2 when there is no evidence.
     Adding a 4-or-5-star rating never lowers a score (pos/(pos+neg) is
-    monotone in pos).
+    monotone in pos). A review's keywords are counted once, when it is
+    added; ratings are read from `stars` on each assess, so a dict shared
+    with whoever publishes them reaches the next score.
     """
 
-    reviews: dict[str, list[str]] = field(default_factory=dict)
+    review_hits: dict[str, list[int]] = field(default_factory=dict)  # [pos, neg]
     stars: dict[str, list[int]] = field(default_factory=dict)
 
     def add_review(self, address: str, text: str) -> None:
-        self.reviews.setdefault(address, []).append(text)
+        hits = self.review_hits.setdefault(address, [0, 0])
+        for token in _tokenize(text):
+            if token in POSITIVE_WORDS:
+                hits[0] += 1
+            elif token in NEGATIVE_WORDS:
+                hits[1] += 1
 
     def add_stars(self, address: str, stars: int) -> None:
         if not (1 <= stars <= 5):
@@ -269,13 +277,7 @@ class DeterministicScorer:
     def assess(self, addresses: Sequence[str]) -> dict[str, ReputationScore]:
         out: dict[str, ReputationScore] = {}
         for address in addresses:
-            pos = neg = 0
-            for text in self.reviews.get(address, []):
-                for token in _tokenize(text):
-                    if token in POSITIVE_WORDS:
-                        pos += 1
-                    elif token in NEGATIVE_WORDS:
-                        neg += 1
+            pos, neg = self.review_hits.get(address, (0, 0))
             for rating in self.stars.get(address, []):
                 if rating >= 4:
                     pos += 1
@@ -386,8 +388,8 @@ def announce(
 def reject_bidders(ctx: Context, bidders: Iterable[str]) -> None:
     """Send a RejectBid to every bidder, in address order and in the
     context's session, one envelope naming up to MAX_RECIPIENTS of them,
-    and nothing when there is none: to the losers of a settled auction, or
-    to every bidder of one that closes without an escrow.
+    and nothing when there is none: to the losers once the escrow opens, or
+    to every bidder of an auction that ends without one.
 
     The signed target shows each bidder the others it names, so a
     rejection tells who else bid and lost. Bids stay private: each goes to
@@ -395,30 +397,3 @@ def reject_bidders(ctx: Context, bidders: Iterable[str]) -> None:
     ETA. The names are invited couriers, whom anyone can list from the
     registry by protocol digest."""
     _send_to_each(ctx, sorted(bidders), Record(REJECT_BID, {}))
-
-
-def settle(
-    ctx: Context,
-    winner: str,
-    losers: Iterable[str],
-    ledger: Ledger,
-    escrow_amount: int,
-    payer_wallet: str,
-    payee_wallet: str,
-) -> bytes:
-    """Open the escrow and close the auction loop; returns the escrow id.
-
-    Success: escrow holds the winning price with the logistics agent as
-    arbiter, every loser gets a RejectBid, then the winner its AcceptBid.
-    If the payer cannot fund the escrow the auction aborts: no escrow, every
-    bidder including the would-be winner gets a RejectBid, and
-    InsufficientFunds propagates.
-    """
-    try:
-        escrow_id = ledger.open_escrow(payer_wallet, payee_wallet, escrow_amount, ctx.address)
-    except InsufficientFunds:
-        reject_bidders(ctx, [winner, *losers])
-        raise
-    reject_bidders(ctx, losers)
-    ctx.send(winner, Record(ACCEPT_BID, {}))
-    return escrow_id

@@ -34,7 +34,6 @@ from .contractnet import (
     make_bid_record,
     reject_bidders,
     select_winner,
-    settle,
     verify_bid,
 )
 from .identity import AgentIdentity, derive_identity
@@ -432,11 +431,13 @@ def build_logistics_agent(
     scorer: DeterministicScorer,
 ) -> Agent:
     """The auctioneer: traffic lookup, call for bids, verification,
-    reputation-weighted selection, escrow settlement.
+    reputation-weighted selection, and the escrow it opens and releases.
 
     One auction per request session, kept until the order ends; only its
     requester may decide on it, and only the maps agent it queried may set
-    the traffic delay.
+    the traffic delay. Every ending goes through `end`, which tells the
+    bidders still waiting, sends the requester its last record and forgets
+    the auction.
     """
     agent = Agent(LOGISTICS_NAME, identity)
     agent.include_protocol(COURIER_AUCTION)
@@ -446,12 +447,10 @@ def build_logistics_agent(
     announced_at = config.wall_clock()
     auctions: dict[bytes, _Auction] = {}  # request session -> its live order
 
-    def propose(ctx, auction: _Auction, status: str, **values) -> None:
-        ctx.send(auction.requester, _filled(LOGISTICS_PROPOSAL, status=status, **values))
-        if status == "proposal":
-            auction.phase = "awaiting_decision"
-        else:
-            del auctions[ctx.session_id]
+    def end(ctx, auction: _Auction, schema: ModelSchema, bidders=(), **values) -> None:
+        reject_bidders(ctx, bidders)
+        ctx.send(auction.requester, _filled(schema, **values))
+        del auctions[ctx.session_id]
 
     def open_auction(ctx, auction: _Auction) -> None:
         bid_deadline = ctx.height + _bid_window(config)
@@ -459,7 +458,7 @@ def build_logistics_agent(
         try:
             invited = announce(ctx, auction.task, registry, bid_deadline)
         except NoCouriers as exc:
-            propose(ctx, auction, "no_couriers", detail=str(exc))
+            end(ctx, auction, LOGISTICS_PROPOSAL, status="no_couriers", detail=str(exc))
             return
         auction.invited = frozenset(invited)
         auction.bid_deadline = bid_deadline
@@ -490,7 +489,8 @@ def build_logistics_agent(
                         fet(config.maps_fee_fet),
                     )
                 except InsufficientFunds as exc:
-                    propose(ctx, auction, "insufficient_funds", detail=f"InsufficientFunds: {exc}")
+                    detail = f"InsufficientFunds: {exc}"
+                    end(ctx, auction, LOGISTICS_PROPOSAL, status="insufficient_funds", detail=detail)
                     return
                 ctx.diag("maps_fee_paid")
             auction.maps_address = maps_record.address
@@ -537,7 +537,8 @@ def build_logistics_agent(
             return
         bids = auction.bids
         if not bids:
-            propose(ctx, auction, "no_feasible_bid", detail="no bids arrived before the deadline")
+            detail = "no bids arrived before the deadline"
+            end(ctx, auction, LOGISTICS_PROPOSAL, status="no_feasible_bid", detail=detail)
             return
         scores = assess_reputation(scorer, sorted(bids))
         delay = auction.traffic_delay
@@ -548,7 +549,7 @@ def build_logistics_agent(
         try:
             winner, losers = select_winner(adjusted, scores, weights, deadline_dt, announced_at)
         except ContractNetError as exc:
-            propose(ctx, auction, "no_feasible_bid", detail=str(exc))
+            end(ctx, auction, LOGISTICS_PROPOSAL, bids, status="no_feasible_bid", detail=str(exc))
             return
         chosen = bids[winner]
         eta = chosen.eta_minutes + delay
@@ -557,10 +558,9 @@ def build_logistics_agent(
         domain = registry.domain_of(winner) or ""
         auction.winner, auction.losers, auction.price_fet = winner, losers, chosen.price_fet
         ctx.diag("winner_selected")
-        propose(
-            ctx,
-            auction,
-            "proposal",
+        proposal = _filled(
+            LOGISTICS_PROPOSAL,
+            status="proposal",
             courier_id=chosen.courier_id,
             courier_address=winner,
             price_fet=chosen.price_fet,
@@ -569,8 +569,9 @@ def build_logistics_agent(
             domain=domain,
             domain_verified=bool(domain),
         )
+        ctx.send(auction.requester, proposal)
+        auction.phase = "awaiting_decision"
 
-    # every outcome but the delivery's is the reply to a decision
     @agent.on_message(DELIVERY_DECISION)
     def on_decision(ctx, sender: str, msg: Record):
         auction = auctions.get(ctx.session_id)
@@ -578,35 +579,28 @@ def build_logistics_agent(
             return _filled(DELIVERY_OUTCOME, status="no_open_proposal")
         bidders = [auction.winner, *auction.losers]
         if not msg["approved"]:
-            reject_bidders(ctx, bidders)
-            del auctions[ctx.session_id]
             ctx.diag("auction_closed_unapproved")
-            return _filled(DELIVERY_OUTCOME, status=msg["reason"] or "declined_by_user")
+            end(ctx, auction, DELIVERY_OUTCOME, bidders, status=msg["reason"] or "declined_by_user")
+            return
         world = ctx.agent.world
         try:
             payee_wallet = world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
         except (RegistryError, KeyError) as exc:
-            reject_bidders(ctx, bidders)
-            del auctions[ctx.session_id]
             lapsed = isinstance(exc, RegistrationExpired)
-            return _filled(
-                DELIVERY_OUTCOME, status="payee_registration_expired" if lapsed else "no_payee_wallet"
-            )
+            status = "payee_registration_expired" if lapsed else "no_payee_wallet"
+            end(ctx, auction, DELIVERY_OUTCOME, bidders, status=status)
+            return
         try:
-            auction.escrow_id = settle(
-                ctx,
-                auction.winner,
-                auction.losers,
-                world.ledger,
-                fet(auction.price_fet),
-                auction.payer_wallet,
-                payee_wallet,
+            auction.escrow_id = world.ledger.open_escrow(
+                auction.payer_wallet, payee_wallet, fet(auction.price_fet), ctx.address
             )
         except InsufficientFunds as exc:
-            del auctions[ctx.session_id]
             ctx.diag("escrow_underfunded")
             detail = f"InsufficientFunds: {exc}"
-            return _filled(DELIVERY_OUTCOME, status="insufficient_funds", detail=detail)
+            end(ctx, auction, DELIVERY_OUTCOME, bidders, status="insufficient_funds", detail=detail)
+            return
+        reject_bidders(ctx, auction.losers)
+        ctx.send(auction.winner, Record(ACCEPT_BID, {}))
         auction.phase = "awaiting_delivery"
         ctx.diag("escrow_opened")
 
@@ -619,17 +613,15 @@ def build_logistics_agent(
         ctx.agent.world.ledger.settle_escrow(
             auction.escrow_id, identity.address, EscrowOutcome.RELEASED
         )
-        del auctions[ctx.session_id]
         ctx.diag("escrow_released")
-        ctx.send(
-            auction.requester,
-            _filled(
-                DELIVERY_OUTCOME,
-                status="delivered",
-                escrow_id=auction.escrow_id.hex(),
-                courier_id=msg["courier_id"],
-                paid_fet=auction.price_fet,
-            ),
+        end(
+            ctx,
+            auction,
+            DELIVERY_OUTCOME,
+            status="delivered",
+            escrow_id=auction.escrow_id.hex(),
+            courier_id=msg["courier_id"],
+            paid_fet=auction.price_fet,
         )
 
     return agent

@@ -1,4 +1,4 @@
-"""Bid signing/verification, reputation scoring, winner selection, settlement."""
+"""Bid signing/verification, reputation scoring, winner selection, announce and reject."""
 
 from __future__ import annotations
 
@@ -31,13 +31,12 @@ from agentmesh.contractnet import (
     make_bid_record,
     reject_bidders,
     select_winner,
-    settle,
     verify_bid,
 )
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import InsufficientFunds, Ledger, fet
+from agentmesh.ledger import Ledger, fet
 from agentmesh.registry import Registry, registration_signing_digest
-from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context, World
+from agentmesh.runtime import Agent, Context, World
 from agentmesh.wire import Record
 
 GOLDEN_BID_BODY = "155a70134b6d99478c04b1bd9f806f1ce37ee7e910d9ac8fc79869020bf59351"
@@ -131,6 +130,23 @@ class TestReputation:
         scorer.add_stars(VAN.address, 5)
         after = scorer.assess([VAN.address])[VAN.address].score
         assert after >= before
+
+    def test_each_review_is_read_once(self, monkeypatch):
+        tokenize, read = contractnet._tokenize, []
+        monkeypatch.setattr(contractnet, "_tokenize", lambda text: read.append(text) or tokenize(text))
+        scorer = DeterministicScorer()
+        reviews = {VAN: "good fast service", BIKE: "late, slow and rude", DRONE: "on time"}
+        for identity, text in reviews.items():
+            scorer.add_review(identity.address, text)
+        addresses = [identity.address for identity in reviews]
+        scores = scorer.assess(addresses)
+        assert scorer.assess(addresses) == scores
+        assert read == list(reviews.values())  # two assessments, one read of each review
+        assert [(s.score, s.summary) for s in scores.values()] == [
+            (1, "2 positive / 0 negative signals"),
+            (0, "0 positive / 3 negative signals"),
+            (Fraction(1, 2), "no evidence, neutral prior"),
+        ]
 
     def test_scorer_unavailable_degrades_to_neutral(self):
         class DeadScorer:
@@ -393,65 +409,6 @@ class TestAnnounceAndSettle:
         with pytest.raises(NoCouriers):
             announce(ctx, self.task(), registry, bid_deadline=600)
         assert ctx.outbound == []
-
-    def test_settle_exactly_one_accept(self):
-        ledger, registry, logistics, couriers = self.registered_world(3)
-        user_wallet = "wallet1" + "u" * 52
-        ledger.mint(user_wallet, fet(100))
-        winner = couriers[0].address
-        losers = [c.address for c in couriers[1:]]
-        session = b"\x08" * 16
-        ctx = Context(logistics, ledger.height, session_id=session)
-        escrow_id = settle(
-            ctx, winner, losers, ledger, fet(25), user_wallet, couriers[0].wallet_address
-        )
-        reject, accept = ctx.outbound  # the reject goes out first
-        assert accept.recipients == (winner,)
-        assert accept.schema_digest == ACCEPT_BID.digest()
-        assert reject.recipients == tuple(sorted(losers))
-        assert reject.schema_digest == REJECT_BID.digest()
-        assert all(e.expires_at == ledger.height + DEFAULT_REPLY_TTL for e in ctx.outbound)
-        contract = ledger.escrows[escrow_id]
-        assert contract.amount == fet(25)
-        assert contract.arbiter == logistics.identity.address
-        assert ledger.balance(user_wallet) == fet(75)
-        # each loser takes the reject once, and the winner only its accept
-        taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
-        assert sorted(taken) == sorted(
-            [(loser, session, "RejectBid") for loser in losers] + [(winner, session, "AcceptBid")]
-        )
-
-    def test_settle_without_losers_sends_only_the_accept(self):
-        ledger, registry, logistics, couriers = self.registered_world(1)
-        user_wallet = "wallet1" + "u" * 52
-        ledger.mint(user_wallet, fet(100))
-        ctx = Context(logistics, ledger.height)
-        settle(ctx, couriers[0].address, [], ledger, fet(25), user_wallet,
-               couriers[0].wallet_address)
-        assert [(e.recipients, e.schema_digest) for e in ctx.outbound] == [
-            ((couriers[0].address,), ACCEPT_BID.digest())
-        ]
-
-    def test_settle_abort_when_unfunded(self):
-        ledger, registry, logistics, couriers = self.registered_world(3)
-        user_wallet = "wallet1" + "u" * 52
-        ledger.mint(user_wallet, fet(10))  # cannot cover 25
-        session = b"\x09" * 16
-        ctx = Context(logistics, ledger.height, session_id=session)
-        with pytest.raises(InsufficientFunds):
-            settle(
-                ctx, couriers[0].address, [c.address for c in couriers[1:]],
-                ledger, fet(25), user_wallet, couriers[0].wallet_address,
-            )
-        assert ledger.escrows == {}
-        # one reject names everyone, including the would-be winner
-        [reject] = ctx.outbound
-        assert reject.recipients == tuple(sorted(c.address for c in couriers))
-        assert reject.schema_digest == REJECT_BID.digest()
-        assert ledger.balance(user_wallet) == fet(10)
-        assert ledger.locked_total() == 0
-        taken = self.deliveries(ledger, registry, couriers, reject)
-        assert sorted(taken) == sorted((c.address, session, "RejectBid") for c in couriers)
 
     def test_more_couriers_than_one_envelope_names_take_several(self, monkeypatch):
         monkeypatch.setattr(contractnet, "MAX_RECIPIENTS", 2)

@@ -18,16 +18,18 @@ from agentmesh.config import (
 )
 from agentmesh import scenario as scenario_module
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import UFET_PER_FET, replay
+from agentmesh.ledger import UFET_PER_FET, fet, replay
 from agentmesh.contractnet import (
     ACCEPT_BID,
     CALL_FOR_BIDS,
+    COURIER_AUCTION,
     NEUTRAL_SCORE,
+    REJECT_BID,
     assess_reputation,
     make_bid_record,
 )
 from agentmesh.registry import NotFound
-from agentmesh.runtime import Agent, Context, Timeout, World
+from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context, Timeout, World
 from agentmesh.scenario import (
     DELIVERY_DECISION,
     DELIVERY_OUTCOME,
@@ -373,6 +375,10 @@ def test_no_feasible_bid_when_every_eta_misses():
     assert report.status == "failed"
     assert report.failure_cause == "NoFeasibleBid"
     assert report.total_user_spend_fet == 7
+    # every bidder is told the auction closed
+    verified, answered = _bidders_and_answers(report.transcript)
+    assert len(verified) == 3
+    assert answered == {address: ["bid_lost"] for address in verified}
 
 
 def _with_van_eta(config, eta: int):
@@ -916,6 +922,197 @@ def test_a_payee_without_a_wallet_is_no_payee_wallet(monkeypatch, resolved):
     assert (report.status, report.failure_cause) == ("failed", "NoPayeeWallet")
     assert report.escrows == ()
     assert report.total_user_spend_fet == 7
+
+
+# ---------------------------------------------------------------------------
+# how the logistics agent ends an order
+
+def _bidders_and_answers(transcript) -> tuple[set[str], dict[str, list[str]]]:
+    """The couriers whose bid was verified, and what each courier logged
+    of the answers to its bid."""
+    lines = list(map(oracles.line_fields, transcript))
+    verified = {line.sender for line in lines if line.outcome == "bid_verified"}
+    answered: dict[str, list[str]] = {}
+    for line in lines:
+        if line.outcome in ("bid_lost", "bid_accepted"):
+            answered.setdefault(line.target, []).append(line.outcome)
+    return verified, answered
+
+
+def _proposed(scenario) -> bytes:
+    """The user asks the logistics agent for the demo delivery, paid from
+    its own wallet, and waits for the proposal; returns the order session."""
+    world, user, config = scenario.world, scenario.user_agent, scenario.config
+    request = _logistics_request(user.identity.wallet_address)
+    session = user.fresh_session_id()
+    wait = scenario_module._bid_window(config) + 4 * config.latency_max
+    proposal = world.query(user, scenario.logistics_agent.identity.address, request, wait, session)
+    assert proposal["status"] == "proposal"
+    return session
+
+
+def _approved(monkeypatch, scenario, session: bytes) -> tuple[int, list]:
+    """The user approves in the order session; ticks until the logistics
+    agent has handled the decision. Returns the height it was handled at
+    and the envelopes the handler sent."""
+    world, logistics = scenario.world, scenario.logistics_agent
+    dispatch, handled = logistics.dispatch, []
+
+    def recording(env, height):
+        sent = dispatch(env, height)
+        if env.schema_digest == DELIVERY_DECISION.digest():
+            handled.append((height, sent))
+        return sent
+
+    monkeypatch.setattr(logistics, "dispatch", recording)
+    approval = Record(DELIVERY_DECISION, {"approved": True, "reason": ""})
+    world.send_message(scenario.user_agent, logistics.identity.address, approval, session)
+    deadline = world.height + 2 * scenario.config.latency_max
+    while not handled and world.height < deadline:
+        world.tick()
+    [(height, sent)] = handled
+    return height, sent
+
+
+def _courier_addresses(scenario) -> list[str]:
+    return sorted(agent.identity.address for agent in scenario.courier_agents.values())
+
+
+def test_an_approval_opens_the_escrow_and_awards_one_bidder(monkeypatch):
+    scenario = _fast_world()
+    world, ledger = scenario.world, scenario.world.ledger
+    session = _proposed(scenario)
+    payer = scenario.user_agent.identity.wallet_address
+    before = ledger.balance(payer)
+    height, sent = _approved(monkeypatch, scenario, session)
+    winner = scenario.courier_agents["SpeedyVanCouriers"].identity.address
+    losers = [address for address in _courier_addresses(scenario) if address != winner]
+    reject, accept = sent  # the reject goes out first
+    assert (reject.schema_digest, reject.recipients) == (REJECT_BID.digest(), tuple(losers))
+    assert (accept.schema_digest, accept.recipients) == (ACCEPT_BID.digest(), (winner,))
+    assert all(env.session_id == session for env in sent)
+    assert all(env.expires_at == height + DEFAULT_REPLY_TTL for env in sent)
+    [escrow] = ledger.escrows.values()
+    assert escrow.amount == fet(25)
+    assert escrow.arbiter == scenario.logistics_agent.identity.address
+    assert ledger.balance(payer) == before - fet(25)
+    # each loser takes the reject once, and the winner only its accept
+    world.drain()
+    _, answered = _bidders_and_answers(world.transcript)
+    assert answered == {winner: ["bid_accepted"], **{loser: ["bid_lost"] for loser in losers}}
+
+
+def test_an_approval_with_one_bidder_sends_only_the_accept(monkeypatch):
+    couriers = default_config().couriers[:1]
+    scenario = _fast_world(couriers=couriers, reviews=())
+    session = _proposed(scenario)
+    _, sent = _approved(monkeypatch, scenario, session)
+    assert [(env.recipients, env.schema_digest) for env in sent] == [
+        (tuple(_courier_addresses(scenario)), ACCEPT_BID.digest())
+    ]
+
+
+def test_an_approval_the_payer_cannot_fund_rejects_every_bidder(monkeypatch):
+    scenario = _fast_world()
+    world, ledger = scenario.world, scenario.world.ledger
+    session = _proposed(scenario)
+    payer = scenario.user_agent.identity.wallet_address
+    ledger.transfer(payer, "wallet1" + "z" * 52, ledger.balance(payer) - fet(10))  # under 25
+    balances = dict(ledger.balances)
+    _, sent = _approved(monkeypatch, scenario, session)
+    assert ledger.escrows == {}
+    assert ledger.locked_total() == 0
+    assert ledger.balances == balances
+    # one reject names everyone, including the would-be winner, then the outcome
+    reject, outcome = sent
+    assert (reject.schema_digest, reject.recipients) == (
+        REJECT_BID.digest(), tuple(_courier_addresses(scenario))
+    )
+    assert outcome.recipients == (scenario.user_agent.identity.address,)
+    assert canonical_decode(DELIVERY_OUTCOME, outcome.payload)["status"] == "insufficient_funds"
+    world.drain()
+    _, answered = _bidders_and_answers(world.transcript)
+    assert answered == {address: ["bid_lost"] for address in _courier_addresses(scenario)}
+
+
+def _no_couriers_found(monkeypatch, scenario):
+    registry = scenario.world.registry
+    search = registry.search
+
+    def without_couriers(height, **query):
+        if query.get("protocol_digest") == COURIER_AUCTION.digest():
+            return []
+        return search(height, **query)
+
+    monkeypatch.setattr(registry, "search", without_couriers)
+
+
+def _wallet_emptied_before_approval(monkeypatch, scenario):
+    ledger, decide = scenario.world.ledger, Orchestrator._decide
+
+    def drain_then_decide(self, target, approved, reason):
+        wallet = self.user_agent.identity.wallet_address
+        ledger.transfer(wallet, "wallet1" + "z" * 52, ledger.balance(wallet) - 1)
+        return decide(self, target, approved, reason)
+
+    monkeypatch.setattr(Orchestrator, "_decide", drain_then_decide)
+
+
+def _remote_couriers(config):
+    return tuple(replace(c, service_area="oxford") for c in config.couriers)
+
+
+def _slow_couriers(config):
+    return tuple(replace(c, eta_minutes=2000) for c in config.couriers)
+
+
+@pytest.mark.parametrize(
+    "overrides, meddle, cause",
+    [
+        ({}, _no_couriers_found, "NoCouriers"),
+        ({"maps_fee_fet": 100}, None, "InsufficientFunds"),
+        ({"couriers": _remote_couriers}, None, "NoFeasibleBid"),
+        ({"couriers": _slow_couriers}, None, "NoFeasibleBid"),
+        ({"approve_delivery": False}, None, "DeliveryDeclined"),
+        ({"latency_min": 60, "latency_max": 60}, None, "PayeeRegistrationExpired"),
+        ({}, _wallet_emptied_before_approval, "InsufficientFunds"),
+        ({}, None, ""),
+    ],
+    ids=[
+        "no_couriers", "maps_fee_unpaid", "no_bids", "no_feasible_bid", "declined",
+        "payee_lapsed", "underfunded", "delivered",
+    ],
+)
+def test_every_ending_answers_the_requester_once_and_each_bidder_once(
+    monkeypatch, overrides, meddle, cause
+):
+    config = default_config()
+    values = {key: value(config) if callable(value) else value for key, value in overrides.items()}
+    scenario = build_scenario(with_overrides(config, **values))
+    if meddle is not None:
+        meddle(monkeypatch, scenario)
+    world = scenario.world
+    user, logistics = scenario.user_agent.identity.address, scenario.logistics_agent.identity.address
+    answers = {schema.digest(): schema for schema in (LOGISTICS_PROPOSAL, DELIVERY_OUTCOME)}
+    send, requests, closing = world.send, [], []
+
+    def recording(env):
+        if env.sender == user and env.schema_digest == LOGISTICS_REQUEST.digest():
+            requests.append(env.session_id)
+        if env.sender == logistics and user in env.recipients:
+            answer = canonical_decode(answers[env.schema_digest], env.payload)
+            if answer["status"] != "proposal":
+                closing.append(env.session_id)
+        send(env)
+
+    monkeypatch.setattr(world, "send", recording)
+    report = scenario.place_order()
+    assert (report.status, report.failure_cause) == ("ok" if not cause else "failed", cause)
+    assert len(requests) == 1
+    assert closing == requests
+    verified, answered = _bidders_and_answers(report.transcript)
+    assert set(answered) == verified
+    assert all(len(outcomes) == 1 for outcomes in answered.values())
 
 
 # ---------------------------------------------------------------------------
