@@ -26,6 +26,7 @@ address.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from fractions import Fraction
@@ -199,7 +200,9 @@ def verify_bid(bid: Record, sender_address: str) -> BidVerification:
     envelope sender. Hostile input must never raise."""
     if bid.schema.digest() != COURIER_BID.digest():
         return BidVerification(False, "TamperedPayload")
-    recomputed = bid_body_digest(bid["price_fet"], bid["eta_minutes"], bid["courier_id"])
+    # a CourierBid's values were validated when it was built or decoded, and
+    # hold the body's three fields, so they are hashed without a new Record
+    recomputed = hashlib.sha256(_BID_BODY._codec.encode(bid.values)).digest()
     if recomputed.hex() != bid["digest"]:
         return BidVerification(False, "TamperedPayload")
     try:
@@ -231,18 +234,13 @@ NEGATIVE_WORDS = frozenset(
 )
 
 
+# a run of characters for which str.isalnum() holds: in `re`, \w is exactly
+# those and "_"
+_WORD = re.compile(r"[^\W_]+")
+
+
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            out.append("".join(word))
-            word = []
-    if word:
-        out.append("".join(word))
-    return out
+    return _WORD.findall(text.lower())
 
 
 @dataclass

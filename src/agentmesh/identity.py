@@ -17,10 +17,10 @@ signatures, so every address and signed byte is the same either way.
 
 from __future__ import annotations
 
-import base64
 import ctypes
 import functools
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,8 +35,9 @@ DIGEST_LEN = 32
 SIGNATURE_LEN = 64
 
 # Verify keys kept by _public_key. Bounded so a long run meeting many
-# addresses holds a fixed amount of memory.
-PUBLIC_KEY_CACHE_SIZE = 512
+# addresses holds a fixed amount of memory, and sized so a 1,600-courier
+# order's checks find their keys (a few hundred bytes an entry).
+PUBLIC_KEY_CACHE_SIZE = 4096
 
 # Names the libsodium shared library goes by: 1.0.18, later releases, macOS.
 _SODIUM_NAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib")
@@ -70,27 +71,40 @@ class MalformedAddress(IdentityError):
     """Address string does not decode to a verify key."""
 
 
+# RFC 4648 base32 in lowercase. A key is encoded as one 260-bit int (the
+# 256 key bits, then 4 zero pad bits), ten bits at a time from a table of
+# every pair of letters, and decoded with int(), whose base-32 digits are
+# 0-9a-v: the translate table maps each letter to the digit of its value.
+_BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
+_PAIRS = [high + low for high in _BASE32 for low in _BASE32]
+_PAIR_SHIFTS = range(250, -1, -10)
+_TO_INT_DIGITS = str.maketrans(_BASE32, "0123456789abcdefghijklmnopqrstuv")
+_BODY = re.compile(r"[a-z2-7]{52}")
+
+
 def _encode_key(prefix: str, raw: bytes) -> str:
-    return prefix + base64.b32encode(raw).decode("ascii").rstrip("=").lower()
+    value = int.from_bytes(raw, "big") << 4
+    return prefix + "".join([_PAIRS[value >> shift & 1023] for shift in _PAIR_SHIFTS])
 
 
 def decode_address(address: str) -> bytes:
-    """Return the 32-byte verify key behind an agent1/wallet1 address."""
+    """Return the 32-byte verify key behind an agent1/wallet1 address.
+
+    Only the text _encode_key makes is accepted: 52 lowercase base32
+    characters whose 4 pad bits are zero. Any other spelling of a key raises
+    MalformedAddress, so one key answers to one address."""
     if address.startswith(AGENT_PREFIX):
         body = address[len(AGENT_PREFIX):]
     elif address.startswith(WALLET_PREFIX):
         body = address[len(WALLET_PREFIX):]
     else:
         raise MalformedAddress(f"unknown address prefix: {address[:12]!r}")
-    if len(body) != 52:
-        raise MalformedAddress(f"address body must be 52 base32 chars, got {len(body)}")
-    try:
-        raw = base64.b32decode(body.upper() + "====")
-    except Exception as exc:
-        raise MalformedAddress(f"address is not valid base32: {exc}") from exc
-    if len(raw) != 32:
-        raise MalformedAddress("decoded key is not 32 bytes")
-    return raw
+    if _BODY.fullmatch(body) is None:
+        raise MalformedAddress(f"address body must be 52 lowercase base32 chars: {body[:12]!r}")
+    value = int(body.translate(_TO_INT_DIGITS), 32)
+    if value & 0xF:
+        raise MalformedAddress("address pad bits are not zero")
+    return (value >> 4).to_bytes(32, "big")
 
 
 class _Sodium:
@@ -105,6 +119,9 @@ class _Sodium:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+        # the output buffer types, made once: create_string_buffer asks
+        # ctypes for its array type on every call
+        self._buf32, self._buf64 = ctypes.c_char * 32, ctypes.c_char * 64
         self._keypair = lib.crypto_sign_ed25519_seed_keypair
         self._keypair.argtypes = [buf, buf, buf]
         self._sign = lib.crypto_sign_ed25519_detached
@@ -115,7 +132,7 @@ class _Sodium:
             fn.restype = ctypes.c_int
 
     def keypair(self, seed: bytes) -> tuple[bytes, bytes]:
-        public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+        public, secret = self._buf32(), self._buf64()
         self._keypair(public, secret, seed)
         return public.raw, secret.raw
 
@@ -123,7 +140,7 @@ class _Sodium:
         return raw
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        signature = ctypes.create_string_buffer(SIGNATURE_LEN)
+        signature = self._buf64()
         self._sign(signature, None, bytes(message), len(message), secret)
         return signature.raw
 

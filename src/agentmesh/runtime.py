@@ -110,16 +110,11 @@ def _line(tick: int, sender: str, target: str, schema_name: str, digest_prefix: 
     return f"{tick}|{sender}|{target}|{schema_name}|{digest_prefix}|{outcome}"
 
 
-def _payload_prefix(env: Envelope) -> str:
-    """What keys an envelope's lines: the first 8 hex chars of its payload digest."""
-    return hashlib.sha256(env.payload).hexdigest()[:8]
-
-
 def transcript_line(height: int, env: Envelope, recipient: str, outcome: str,
                     schema_name: str) -> str:
     """The transcript line for one envelope's copy to `recipient`, keyed by
     its payload digest."""
-    return _line(height, env.sender, recipient, schema_name, _payload_prefix(env), outcome)
+    return _line(height, env.sender, recipient, schema_name, env.payload_prefix, outcome)
 
 
 # what an envelope that fails to open is logged as
@@ -339,7 +334,7 @@ class Agent:
             )
             return []
         # the handler's diagnostics share the handled line's digest prefix
-        prefix = _payload_prefix(env)
+        prefix = env.payload_prefix
         ctx = Context(
             self,
             current_height,

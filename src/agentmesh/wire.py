@@ -280,6 +280,11 @@ class _Codec:
         heads = [_enc_str(fname) + bytes([tag]) for fname, tag in fields]
         heads[:1] = [_U32.pack(len(fields)) + b"".join(heads[:1])]
         self._fields, self._heads, self._name = fields, heads, schema.name
+        # fields whose values are mutable (a list or a dict)
+        self.compound = tuple(
+            fname for fname, tag in fields
+            if tag in (SemanticType.LIST_OF_STRING, SemanticType.MAP_STRING_TO_FLOAT)
+        )
         self._namespace = {
             **{f"HEAD{i}": head for i, head in enumerate(heads)},
             "schema": schema,
@@ -547,7 +552,13 @@ class Envelope:
         )
 
     def signing_digest(self) -> bytes:
-        return hashlib.sha256(self._unsigned_bytes()).digest()
+        """SHA-256 of the unsigned bytes. seal_envelope keeps the digest it
+        signed on the envelope it makes; any other envelope (from_bytes,
+        dataclasses.replace) hashes its own bytes."""
+        digest = self.__dict__.get("_signing_digest")
+        if digest is None:
+            digest = hashlib.sha256(self._unsigned_bytes()).digest()
+        return digest
 
     def signed(self) -> bool:
         """Whether the sender's key signed this envelope (identity.signed_by).
@@ -589,6 +600,12 @@ class Envelope:
 
     def to_bytes(self) -> bytes:
         return self._unsigned_bytes() + self.signature.data
+
+    @cached_property
+    def payload_prefix(self) -> str:
+        """The first 8 hex chars of the payload's SHA-256, which key the
+        envelope's transcript lines; worked out once, not once a copy."""
+        return hashlib.sha256(self.payload).hexdigest()[:8]
 
     @cached_property
     def size(self) -> int:
@@ -697,7 +714,7 @@ def seal_envelope(
     digest = envelope_signing_digest(
         identity.address, target, proto, schema, payload, session_id, expires_at
     )
-    return Envelope(
+    env = Envelope(
         sender=identity.address,
         target=target,
         protocol_digest=proto,
@@ -707,6 +724,8 @@ def seal_envelope(
         expires_at=expires_at,
         signature=identity.sign_digest(digest),
     )
+    env.__dict__["_signing_digest"] = digest  # what signed() checks; see signing_digest
+    return env
 
 
 def check_envelope(env: Envelope, current_height: int, recipient: str) -> None:
@@ -735,18 +754,30 @@ def open_envelope(
     fixed: signature, then recipient, then expiry, then schema lookup, then
     payload decode. Each failure is a distinct typed error so transports can
     report precise diagnostics.
+
+    The payload is decoded once per envelope and schema, and the values are
+    kept on the envelope: every copy of a multicast opens to the same
+    values. Each call returns a record of its own, whose list and map values
+    are copies too, so a handler that changes its record changes no other
+    recipient's.
     """
     check_envelope(env, current_height, recipient)
     schema = known_schemas.get(env.schema_digest)
     if schema is None:
         raise UnknownSchema(f"no schema with digest {env.schema_digest.hex()[:16]}")
-    try:
-        record = canonical_decode(schema, env.payload)
-    except SchemaMismatch as exc:
-        # Signed, unexpired, digest matches a schema we know, yet the payload
-        # does not parse as it: the bytes belong to no known schema.
-        raise UnknownSchema(f"payload does not decode as {schema.name}: {exc}") from exc
-    return record, env.sender
+    decoded = env.__dict__.get("_decoded")
+    if decoded is None or decoded[0] is not schema:
+        try:
+            values = canonical_decode(schema, env.payload).values
+        except SchemaMismatch as exc:
+            # Signed, unexpired, digest matches a schema we know, yet the
+            # payload does not parse as it: the bytes belong to no known schema.
+            raise UnknownSchema(f"payload does not decode as {schema.name}: {exc}") from exc
+        decoded = env.__dict__["_decoded"] = (schema, values)
+    values = dict(decoded[1])
+    for fname in schema._codec.compound:
+        values[fname] = values[fname].copy()
+    return _trusted_record(schema, values), env.sender
 
 
 # The built-in chat protocol: free-form negotiation text between agents.

@@ -37,7 +37,7 @@ from agentmesh.identity import derive_identity
 from agentmesh.ledger import Ledger, fet
 from agentmesh.registry import Registry, registration_signing_digest
 from agentmesh.runtime import Agent, Context, World
-from agentmesh.wire import Record
+from agentmesh.wire import I64_MAX, I64_MIN, Record, SchemaMismatch
 
 GOLDEN_BID_BODY = "155a70134b6d99478c04b1bd9f806f1ce37ee7e910d9ac8fc79869020bf59351"
 
@@ -98,6 +98,15 @@ class TestBidIntegrity:
         bid = make_bid_record(VAN, "SpeedyVanCouriers", fet(25), 210)
         assert bid["digest"] == bid_body_digest(fet(25), 210, "SpeedyVanCouriers").hex()
 
+    @pytest.mark.parametrize("price", [True, False, I64_MAX + 1, I64_MIN - 1])
+    def test_the_signer_still_refuses_a_price_no_bid_can_carry(self, price):
+        """verify_bid hashes values its decoder validated; the signer's
+        digest validates what it is given."""
+        with pytest.raises(SchemaMismatch):
+            make_bid_record(VAN, "SpeedyVanCouriers", price, 210)
+        with pytest.raises(SchemaMismatch):
+            bid_body_digest(fet(25), price, "SpeedyVanCouriers")
+
 
 class TestReputation:
     def test_no_evidence_is_neutral(self):
@@ -147,6 +156,21 @@ class TestReputation:
             (0, "0 positive / 3 negative signals"),
             (Fraction(1, 2), "no evidence, neutral prior"),
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text("aZ _-'!.,\u0130\u00df\u0663\u2163\u00b2\u0301\u4e00"))
+    def test_tokens_are_the_runs_of_alphanumeric_characters(self, text):
+        """The regex reads the same tokens as a loop over str.isalnum()."""
+        out, word = [], []
+        for ch in text.lower():
+            if ch.isalnum():
+                word.append(ch)
+            elif word:
+                out.append("".join(word))
+                word = []
+        if word:
+            out.append("".join(word))
+        assert contractnet._tokenize(text) == out
 
     def test_scorer_unavailable_degrades_to_neutral(self):
         class DeadScorer:

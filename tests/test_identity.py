@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import hashlib
 import os
@@ -218,10 +219,58 @@ class TestKeyCache:
         assert cache_info().maxsize == PUBLIC_KEY_CACHE_SIZE
         digest = digest_of(b"many signers")
         for i in range(PUBLIC_KEY_CACHE_SIZE + 40):
-            signer = derive_identity(f"cache bound {i}")
-            assert verify_digest(signer.address, digest, signer.sign_digest(digest))
+            address = identity_module._encode_key(AGENT_PREFIX, digest_of(b"cache bound %d" % i))
+            assert not verify_digest(address, digest, bytes(64))
             assert cache_info().currsize <= PUBLIC_KEY_CACHE_SIZE
         assert cache_info().currsize == PUBLIC_KEY_CACHE_SIZE
+
+
+BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
+
+
+def spellings(body: str, index: int, pad: int) -> list[str]:
+    """Other texts for the key behind a canonical address body: upper case,
+    in full or one letter, a last character with non-zero pad bits
+    (1..15), and the padding base32 would add."""
+    upper_one = body[:index] + body[index].upper() + body[index + 1:]
+    last = BASE32[BASE32.index(body[-1]) ^ pad]
+    return [body.upper(), upper_one, body[:-1] + last, body + "====", body[:-1]]
+
+
+class TestAddressText:
+    """An address is the one canonical text of its key."""
+
+    def test_one_key_answers_to_one_address(self):
+        """Upper case and a flipped pad bit once decoded to the signer's key,
+        so the other spellings verified its signatures."""
+        signer = derive_identity("one spelling")
+        digest = digest_of(b"x")
+        sig = signer.sign_digest(digest)
+        body = signer.address[len(AGENT_PREFIX):]
+        flipped = body[:-1] + BASE32[BASE32.index(body[-1]) ^ 1]
+        for other in (AGENT_PREFIX + body.upper(), AGENT_PREFIX + flipped):
+            with pytest.raises(MalformedAddress):
+                decode_address(other)
+            assert not signed_by(other, digest, sig)
+        assert verify_digest(signer.address, digest, sig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.sampled_from([AGENT_PREFIX, WALLET_PREFIX]),
+        st.integers(0, 51),
+        st.integers(1, 15),
+    )
+    def test_the_codec_is_base32_and_refuses_every_other_spelling(self, raw, prefix, index, pad):
+        address = identity_module._encode_key(prefix, raw)
+        assert address == prefix + base64.b32encode(raw).decode("ascii").rstrip("=").lower()
+        assert decode_address(address) == raw
+        body = address[len(prefix):]
+        for other in spellings(body, index, pad):
+            if other == body:  # upper-casing a digit changes nothing
+                continue
+            with pytest.raises(MalformedAddress):
+                decode_address(prefix + other)
 
 
 # ---------------------------------------------------------------------------

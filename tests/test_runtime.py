@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import hashlib
 import os
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 import oracles
-from agentmesh import identity, runtime
+from agentmesh import contractnet, identity, runtime, wire
 from agentmesh.identity import AGENT_PREFIX, Signature, derive_identity
 from agentmesh.ledger import Ledger
 from agentmesh.mailbox import MailboxStore
@@ -31,6 +34,8 @@ from agentmesh.runtime import (
     transcript_line,
 )
 from agentmesh.wire import (
+    MAX_RECIPIENTS,
+    RECIPIENT_SEP,
     Envelope,
     Expired,
     ModelSchema,
@@ -1252,3 +1257,69 @@ class TestMulticast:
         world.drain()
         assert submitted == [env]
         assert handled == [(address, "pooled") for address in receivers]
+
+    def test_a_call_for_bids_to_50_decodes_once_and_hashes_its_prefix_once(self, monkeypatch):
+        world = fresh_world()
+        sender = Agent("auctioneer", derive_identity("auctioneer"))
+        sender.include_protocol(contractnet.COURIER_AUCTION)
+        world.add_agent(sender)
+        handled = []
+        for i in range(MAX_RECIPIENTS):
+            courier = Agent(f"courier {i}", derive_identity(f"courier {i}"))
+            courier.include_protocol(contractnet.COURIER_AUCTION)
+            courier.on_message(contractnet.CALL_FOR_BIDS)(
+                lambda ctx, _, record: handled.append(dict(record.values))
+            )
+            world.add_agent(courier)
+        call = Record(contractnet.CALL_FOR_BIDS, {
+            "source": "here", "destination": "there",
+            "deadline": "2026-03-02T17:00:00", "bid_deadline": 20,
+        })
+        couriers = [a for a in world.agents if a != sender.identity.address]
+        env = world.send_message(sender, RECIPIENT_SEP.join(couriers), call)
+        decodes, hashed = [], []
+        decode = wire.canonical_decode
+        monkeypatch.setattr(
+            wire, "canonical_decode", lambda schema, data: decodes.append(data) or decode(schema, data)
+        )
+        spy = types.SimpleNamespace(sha256=lambda data: hashed.append(data) or hashlib.sha256(data))
+        monkeypatch.setattr(wire, "hashlib", spy)  # all wire uses of hashlib
+        world.drain()
+        assert handled == [call.values] * MAX_RECIPIENTS
+        assert decodes == [env.payload]
+        assert hashed.count(env.payload) == 1
+        outcomes = [oracles.line_fields(line).outcome for line in world.transcript]
+        assert outcomes == ["handled"] * MAX_RECIPIENTS
+
+    def test_a_handler_that_changes_its_record_changes_no_other_copy(self):
+        tally = ModelSchema.build(
+            "Tally",
+            label=SemanticType.STRING,
+            names=SemanticType.LIST_OF_STRING,
+            weights=SemanticType.MAP_STRING_TO_FLOAT,
+        )
+        tallies = ProtocolSpec("Tallies", "1.0", (tally,))
+        world = fresh_world()
+        sender = Agent("tally sender", derive_identity("tally sender"))
+        sender.include_protocol(tallies)
+        world.add_agent(sender)
+        seen = []
+
+        def change(ctx, _, record):
+            seen.append(copy.deepcopy(record.values))
+            record.values["label"] = ctx.address
+            record.values["names"].append(ctx.address)
+            record.values["weights"][ctx.address] = 1.0
+            del record.values["names"][0]
+
+        for i in range(4):
+            receiver = Agent(f"tally receiver {i}", derive_identity(f"tally receiver {i}"))
+            receiver.include_protocol(tallies)
+            receiver.on_message(tally)(change)
+            world.add_agent(receiver)
+        values = {"label": "sent", "names": ["a", "b"], "weights": {"a": 0.5}}
+        sent = copy.deepcopy(values)
+        receivers = [a for a in world.agents if a != sender.identity.address]
+        world.send_message(sender, RECIPIENT_SEP.join(receivers), Record(tally, values))
+        world.drain()
+        assert seen == [sent] * len(receivers)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from agentmesh import wire
 from agentmesh.identity import Signature, derive_identity
 from agentmesh.wire import (
     CHAT_MESSAGE,
@@ -322,6 +323,32 @@ class TestEnvelope:
         )
         assert env.signing_digest() == expected
         assert hashlib.sha256(env.to_bytes()[:-64]).digest() == expected
+
+    @staticmethod
+    def count_unsigned_bytes(monkeypatch) -> list:
+        built, unsigned = [], wire._unsigned_envelope
+        monkeypatch.setattr(wire, "_unsigned_envelope", lambda *f: built.append(f) or unsigned(*f))
+        return built
+
+    def test_a_sealed_envelope_checks_the_digest_it_signed(self, monkeypatch):
+        env, proto, _ = self.make_envelope()
+        built = self.count_unsigned_bytes(monkeypatch)
+        assert env.signed()
+        open_envelope(env, by_digest(proto.models), 5, env.target)
+        assert built == []
+        assert env.signing_digest() == hashlib.sha256(env.to_bytes()[:-64]).digest()
+
+    def test_a_replaced_envelope_hashes_its_own_bytes(self, monkeypatch):
+        env, proto, _ = self.make_envelope()
+        built = self.count_unsigned_bytes(monkeypatch)
+        again = dataclasses.replace(env)
+        assert again.signed()
+        assert len(built) == 1
+        other = canonical_encode(Record(proto.models[0], {"text": "goodbye"}))
+        forged = dataclasses.replace(env, payload=other)
+        assert forged.signing_digest() != env.signing_digest()
+        with pytest.raises(SignatureInvalid):
+            open_envelope(forged, by_digest(proto.models), 5, forged.target)
 
     def test_payload_tamper_fails(self):
         env, proto, _ = self.make_envelope()
