@@ -329,17 +329,22 @@ def select_winner(
         raise NoFeasibleBid(f"all {len(bids)} bids arrive after {deadline.isoformat()}")
     min_price = min(b.price_fet for b in feasible)
     min_eta = min(b.eta_minutes for b in feasible)
+    # Each total times the weights' common denominator, kept as an integer
+    # fraction n/d: price_k/price + speed_k/eta + rep_k*rep over
+    # d = price*eta*rep.denominator. Totals compare by cross-multiplying.
+    wp, ws, wr = weights.w_price, weights.w_speed, weights.w_reputation
+    price_k = wp.numerator * ws.denominator * wr.denominator * min_price
+    speed_k = ws.numerator * wp.denominator * wr.denominator * min_eta
+    rep_k = wr.numerator * wp.denominator * ws.denominator
     best_address: str | None = None
-    best_total: Fraction | None = None
+    best_n, best_d = 0, 1
     for bid in sorted(feasible, key=lambda b: b.address):
         rep = scores[bid.address].score if bid.address in scores else NEUTRAL_SCORE
-        total = (
-            weights.w_price * Fraction(min_price, bid.price_fet)
-            + weights.w_speed * Fraction(min_eta, bid.eta_minutes)
-            + weights.w_reputation * rep
-        )
-        if best_total is None or total > best_total:
-            best_address, best_total = bid.address, total
+        price, eta, rep_d = bid.price_fet, bid.eta_minutes, rep.denominator
+        n = (price_k * eta + speed_k * price) * rep_d + rep_k * rep.numerator * price * eta
+        d = price * eta * rep_d
+        if best_address is None or n * best_d > best_n * d:
+            best_address, best_n, best_d = bid.address, n, d
     assert best_address is not None
     losers = sorted(b.address for b in bids if b.address != best_address)
     return best_address, losers

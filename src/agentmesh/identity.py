@@ -13,6 +13,12 @@ Address text format (see docs/wire.md):
 Ed25519 runs on libsodium, called through ctypes, when the system library
 loads; otherwise on `cryptography`. Both give the same RFC 8032 keys and
 signatures, so every address and signed byte is the same either way.
+
+Ed25519 work that a thread will need later can be handed ahead as a claim-
+once Job to the process's VerifyPool, whose threads run it while the caller
+does other work: envelope checks, key pairs and registration checks. Where
+the backend holds the GIL, or the process has one CPU, every job runs on the
+thread that asks for its result.
 """
 
 from __future__ import annotations
@@ -20,9 +26,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import os
+import queue
 import re
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -202,6 +211,112 @@ def _load_backend() -> _Sodium | _Cryptography:
 _backend = _load_backend()
 
 
+# With fewer jobs at hand, the calling thread runs them itself: for a
+# handful, handing them to a pool thread costs more than it saves.
+POOL_MIN_BATCH = 8
+
+
+class Job:
+    """One call made once, on whichever thread claims it first: a pool
+    thread ahead of time, or the thread that asks for its result. A thread
+    that asks while another holds the claim waits for it. A call that raises
+    keeps no result and lets go of the claim, so the next thread to ask
+    makes the call again and raises in its own right. A job holds one C-
+    bound call: Python work on a pool thread would only take the GIL from
+    the caller."""
+
+    __slots__ = ("_call", "_args", "_claim", "_done", "_result")
+
+    def __init__(self, call: Callable[..., Any], *args: Any) -> None:
+        self._call, self._args = call, args
+        self._claim = threading.Lock()
+        self._done = False
+        self._result: Any = None
+
+    def result(self) -> Any:
+        """The call's result: made here unless it is made already, after
+        waiting for a thread that holds the claim."""
+        if not self._done:
+            with self._claim:
+                if not self._done:
+                    self._result = self._call(*self._args)
+                    self._done = True
+        return self._result
+
+    def run_ahead(self) -> None:
+        """Make the call here unless it is made or claimed; never waits and
+        never raises."""
+        if self._done or not self._claim.acquire(blocking=False):
+            return
+        try:
+            if not self._done:
+                self._result = self._call(*self._args)
+                self._done = True
+        except Exception:
+            pass  # the claim is let go; the thread that asks makes the call and raises
+        finally:
+            self._claim.release()
+
+
+class VerifyPool:
+    """Daemon threads that run jobs ahead of the thread that needs their
+    results: anything with a run_ahead() method, such as a Job or an
+    envelope, whose run_ahead works out its signature check. Their Ed25519
+    calls overlap the caller's work only where the backend lets go of the
+    GIL."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._jobs: queue.SimpleQueue[Any] = queue.SimpleQueue()
+        for _ in range(workers):
+            threading.Thread(target=self._serve, name="agentmesh-verify", daemon=True).start()
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            job.run_ahead()
+
+    def submit(self, job: Any) -> None:
+        """Queue one job for a pool thread; with none, queue nothing."""
+        if self.workers:
+            self._jobs.put(job)
+
+    def close(self) -> None:
+        """Let every pool thread end once it has taken what is queued."""
+        for _ in range(self.workers):
+            self._jobs.put(None)
+
+
+# Threads belong to the process, not to one world: every world shares this
+# pool, made the first time a job is handed ahead.
+_pool: VerifyPool | None = None
+_pool_lock = threading.Lock()
+
+
+def verify_pool() -> VerifyPool:
+    """The process's VerifyPool: one thread fewer than the CPUs this process
+    may run on, as the calling thread works too."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            _pool = VerifyPool(cpus - 1)
+        return _pool
+
+
+def work_ahead(jobs: Sequence[Job]) -> None:
+    """Hand a batch of jobs, whose results the caller will ask for first to
+    last, to the verify pool last first, so that the pool and the caller
+    work from opposite ends and meet once. A batch under POOL_MIN_BATCH, or
+    one on a backend whose calls do not overlap, stays with the caller."""
+    if len(jobs) >= POOL_MIN_BATCH and verifies_overlap():
+        pool = verify_pool()
+        for job in reversed(jobs):
+            pool.submit(job)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A 64-byte Ed25519 signature over a 32-byte digest."""
@@ -249,18 +364,27 @@ class AgentIdentity:
         return Signature(_backend.sign(self._wallet_key, digest))
 
 
-def derive_identity(phrase: str) -> AgentIdentity:
+def _keypair_jobs(phrase: str) -> tuple[Job, Job]:
+    """The jobs that make a phrase's agent and wallet key pairs."""
+    if not phrase:
+        raise EmptySeed("seed phrase must be non-empty")
+    data = phrase.encode("utf-8")
+    signing_seed = hashlib.sha256(data).digest()
+    wallet_seed = hashlib.sha256(data + WALLET_SUFFIX).digest()
+    return Job(_backend.keypair, signing_seed), Job(_backend.keypair, wallet_seed)
+
+
+def derive_identity(phrase: str, *, keypairs: Sequence[Job] | None = None) -> AgentIdentity:
     """Derive the full identity for a seed phrase.
 
     Deterministic: the phrase is the only input. Distinct phrases yield
     distinct addresses (collision would require a SHA-256 collision).
+    `keypairs` are the phrase's two key-pair jobs when derive_identities
+    has already handed them to the verify pool.
     """
-    if not phrase:
-        raise EmptySeed("seed phrase must be non-empty")
-    signing_seed = hashlib.sha256(phrase.encode("utf-8")).digest()
-    wallet_seed = hashlib.sha256(phrase.encode("utf-8") + WALLET_SUFFIX).digest()
-    verify_key, signing_key = _backend.keypair(signing_seed)
-    wallet_verify, wallet_key = _backend.keypair(wallet_seed)
+    signing, wallet = keypairs or _keypair_jobs(phrase)
+    verify_key, signing_key = signing.result()
+    wallet_verify, wallet_key = wallet.result()
     return AgentIdentity(
         address=_encode_key(AGENT_PREFIX, verify_key),
         wallet_address=_encode_key(WALLET_PREFIX, wallet_verify),
@@ -268,6 +392,14 @@ def derive_identity(phrase: str) -> AgentIdentity:
         _signing_key=signing_key,
         _wallet_key=wallet_key,
     )
+
+
+def derive_identities(phrases: Sequence[str]) -> list[AgentIdentity]:
+    """derive_identity for each phrase, in order, with every key pair handed
+    to the verify pool first (work_ahead)."""
+    jobs = [_keypair_jobs(phrase) for phrase in phrases]
+    work_ahead([job for pair in jobs for job in pair])
+    return [derive_identity(phrase, keypairs=pair) for phrase, pair in zip(phrases, jobs)]
 
 
 @functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import wire
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
@@ -73,6 +74,12 @@ class MailboxStore:
     pending: dict[str, int] = field(default_factory=dict)
     deposited_total: int = 0
     dropped_total: int = 0
+
+    def call_many(self, calls: Iterable[tuple]) -> list:
+        """Make (method name, *positional arguments) calls in order and return
+        their results, as a MailboxClient does in one `/batch`: the first
+        call that raises ends the list."""
+        return [getattr(self, name)(*args) for name, *args in calls]
 
     def create_account(self, address: str) -> None:
         self.queues.setdefault(address, [])

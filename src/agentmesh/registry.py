@@ -19,7 +19,15 @@ from enum import Enum
 from typing import Iterable, Mapping, Protocol as TypingProtocol
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
-from .identity import Signature, signed_by, verify_digest
+from .identity import (
+    POOL_MIN_BATCH,
+    Job,
+    Signature,
+    signed_by,
+    verifies_overlap,
+    verify_digest,
+    verify_pool,
+)
 from .ledger import REGISTER_OP, Ledger, fet
 from .wire import Record, _enc_str
 
@@ -157,6 +165,11 @@ class Registry:
     last_sequence: dict[str, int] = field(default_factory=dict)
     anames: dict[str, AnameRecord] = field(default_factory=dict)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # (address, digest) -> (signature, its check) for each register call
+    # call_many has taken and not yet applied
+    _ahead: dict[tuple[str, bytes], tuple[Signature, Job]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def register(
         self,
@@ -179,7 +192,7 @@ class Registry:
             digest = registration_signing_digest(address, sequence, digests, endpoint, metadata)
         except (AttributeError, ValueError, struct.error):
             digest = None  # a field not str, or no i64 sequence: nothing signed it
-        if digest is None or not signed_by(address, digest, signature):
+        if digest is None or not self._signed(address, digest, signature):
             raise BadSignature(f"registration for {address} fails signature check")
         expected = self.last_sequence.get(address, -1) + 1
         if sequence != expected:
@@ -210,6 +223,54 @@ class Registry:
             )
         )
         return record.expires_at
+
+    def call_many(self, calls: Iterable[tuple]) -> list:
+        """Make (method name, *positional arguments) calls in order and return
+        their results, as a RegistryClient does in one `/batch`: every call
+        is taken before any runs, the first call that raises ends the list,
+        and the calls before it stay applied. As each `register` call is
+        taken, its signature check is made a job, and from the
+        POOL_MIN_BATCH-th on queued on the verify pool, which works through
+        them first to last; this thread then works through them from the
+        last, and `register` takes each check's verdict."""
+        taken = []
+        ahead = verifies_overlap() and verify_pool().workers > 0
+        try:
+            for name, *args in calls:
+                if name == "register":
+                    args, job = self._check_ahead(args)
+                    if job is not None and ahead and len(self._ahead) >= POOL_MIN_BATCH:
+                        verify_pool().submit(job)
+                taken.append((name, args))
+            if ahead and len(self._ahead) >= POOL_MIN_BATCH:
+                for _, job in reversed(self._ahead.values()):
+                    job.run_ahead()
+            return [getattr(self, name)(*args) for name, args in taken]
+        finally:
+            self._ahead.clear()
+
+    def _check_ahead(self, args: list) -> tuple[list, Job | None]:
+        """Make a register call's signature check, for register to take, and
+        return it with the call's arguments, whose protocol digests are now
+        a tuple, so an iterator of them is read once."""
+        try:
+            ledger, address, endpoint, digests, metadata, sequence, signature, wallet = args
+            args = [ledger, address, endpoint, tuple(digests), metadata, sequence, signature, wallet]
+            digest = registration_signing_digest(
+                address, sequence, frozenset(args[3]), endpoint, metadata
+            )
+        except (AttributeError, TypeError, ValueError, struct.error):
+            return args, None  # register refuses the call itself, in its turn
+        job = Job(signed_by, address, digest, signature)
+        self._ahead[address, digest] = (signature, job)
+        return args, job
+
+    def _signed(self, address: str, digest: bytes, signature: Signature) -> bool:
+        """signed_by, or the verdict of the same check call_many queued."""
+        ahead = self._ahead.pop((address, digest), None) if self._ahead else None
+        if ahead is not None and ahead[0] == signature:
+            return ahead[1].result()
+        return signed_by(address, digest, signature)
 
     def search(
         self,

@@ -12,12 +12,14 @@ of docs/wire.md, rendered once when the event happens and kept as it is.
 Identical (config, seed) runs produce byte-identical transcripts. Nothing
 polls: `ctx.at(height, fn)` sets a timer on one world heap, and
 `on_interval(p)` is a timer that fires at each multiple of p. Once enough
-envelopes are in flight, a send hands each one the world will open to a
-small pool of threads, which checks its signature while the calling thread
-runs the handlers of earlier deliveries; dispatch keeps the order and the
-outcomes. Every copy reaches its recipient through Agent.dispatch, which
-refuses one that does not name its agent and gives an awaited reply to its
-waiter.
+envelopes are in flight, a send hands each one the world will open to the
+process's verify pool (identity.VerifyPool), whose threads run claim-once
+jobs: here the envelope's signature check, while the calling thread runs the
+handlers of earlier deliveries; dispatch keeps the order and the outcomes.
+The same pool derives a world's key pairs and checks its registrations
+ahead while it is built. Every copy reaches its recipient through
+Agent.dispatch, which refuses one that does not name its agent and gives an
+awaited reply to its waiter.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -28,15 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
-import queue
 import random
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .identity import AgentIdentity, verifies_overlap
+from .identity import POOL_MIN_BATCH, AgentIdentity, verifies_overlap, verify_pool
 from .ledger import Ledger
 from .mailbox import MailboxStore, retrieval_auth_digest
 from .registry import Registry
@@ -56,10 +55,6 @@ from .wire import (
 )
 
 DEFAULT_REPLY_TTL = 100  # blocks an emitted envelope stays valid
-
-# With fewer envelopes in flight, a send leaves the signature to dispatch:
-# for a handful, handing them to a pool thread costs more than it saves.
-POOL_MIN_BATCH = 8
 
 
 class RuntimeError_(Exception):
@@ -363,55 +358,6 @@ class Agent:
     def _schema_name_of(self, digest: bytes) -> str:
         schema = self._schemas.get(digest)
         return digest.hex()[:8] if schema is None else schema.name
-
-
-class VerifyPool:
-    """Daemon threads that work out Envelope.signed() for envelopes in
-    flight while the calling thread dispatches earlier ones; their verifies
-    overlap the caller's work only where the backend lets go of the GIL."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._envelopes: queue.SimpleQueue[Envelope | None] = queue.SimpleQueue()
-        for _ in range(workers):
-            threading.Thread(target=self._serve, name="agentmesh-verify", daemon=True).start()
-
-    def _serve(self) -> None:
-        while (env := self._envelopes.get()) is not None:
-            try:
-                env.try_signed()
-            except Exception:
-                pass  # the claim is let go; the thread that opens env checks it and raises
-
-    def submit(self, env: Envelope) -> None:
-        """Queue env's check for a pool thread; with none, queue nothing."""
-        if self.workers:
-            self._envelopes.put(env)
-
-    def close(self) -> None:
-        """Let every pool thread end once it has taken what is queued."""
-        for _ in range(self.workers):
-            self._envelopes.put(None)
-
-
-# Threads belong to the process, not to one world: every world shares this
-# pool, made on the first send that needs it.
-_pool: VerifyPool | None = None
-_pool_lock = threading.Lock()
-
-
-def verify_pool() -> VerifyPool:
-    """The process's VerifyPool: one thread fewer than the CPUs this process
-    may run on, as the calling thread works too."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            _pool = VerifyPool(cpus - 1)
-        return _pool
 
 
 @dataclass

@@ -14,7 +14,6 @@ import hashlib
 import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta
-from typing import Iterable
 
 from .config import CourierSpec, ScenarioConfig
 from .contractnet import (
@@ -36,7 +35,7 @@ from .contractnet import (
     select_winner,
     verify_bid,
 )
-from .identity import AgentIdentity, derive_identity
+from .identity import AgentIdentity, derive_identities, derive_identity
 from .ledger import EscrowOutcome, InsufficientFunds, Ledger, LedgerError, UFET_PER_FET, fet
 from .mailbox import MailboxStore
 from .registry import (
@@ -1037,16 +1036,6 @@ def simulate_network(config: ScenarioConfig) -> NetworkModel:
     )
 
 
-def _call_all(target, calls: Iterable[tuple]) -> list:
-    """Make (method name, *positional arguments) calls in order and return
-    their results: in one round trip on a service client, one by one on an
-    in-process object. The first call that raises ends the list."""
-    call_many = getattr(target, "call_many", None)
-    if call_many is not None:
-        return call_many(calls)
-    return [getattr(target, name)(*args) for name, *args in calls]
-
-
 def _registration(ledger: Ledger, agent: Agent, endpoint: str, metadata: dict[str, str]) -> tuple:
     """The signed `register` call for an agent's first registration."""
     digests = frozenset(p.digest() for p in agent.protocols)
@@ -1065,7 +1054,7 @@ def _verify_domains(registry, challenges: list[tuple[str, bytes]], height: int) 
         calls = []
         for domain, challenge in challenges:
             calls += [("dns_publish", domain, challenge.hex()), ("aname_verify", domain, None, height)]
-        _call_all(registry, calls)
+        registry.call_many(calls)
     else:
         dns = FixtureDnsResolver()
         for domain, challenge in challenges:
@@ -1106,27 +1095,23 @@ def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=N
         mailbox = MailboxStore()
     register = FeedbackRegister()
 
-    user_identity = derive_identity(USER_SEED)
-    logistics_identity = derive_identity(LOGISTICS_SEED)
-    packaging_identity = derive_identity(PACKAGING_SEED)
-    maps_identity = derive_identity(MAPS_SEED)
-    courier_identities = {spec.name: derive_identity(spec.seed_phrase) for spec in config.couriers}
+    halves = ((config.forged_bids + 1) // 2, config.forged_bids // 2)
+    quotas = [(i, quota) for i, quota in enumerate(halves) if quota]
+    # the whole cast in one batch, so the verify pool derives a share of it
+    phrases = [USER_SEED, LOGISTICS_SEED, PACKAGING_SEED, MAPS_SEED]
+    phrases += [spec.seed_phrase for spec in config.couriers]
+    phrases += [f"bid forging saboteur seed {i}" for i, _ in quotas]
+    identities = derive_identities(phrases)
+    user_identity, logistics_identity, packaging_identity, maps_identity = identities[:4]
+    courier_identities = dict(zip((spec.name for spec in config.couriers), identities[4:]))
+    saboteurs = [
+        build_saboteur_agent(f"ForgeWorks{i}", identity, quota)
+        for (i, quota), identity in zip(quotas, identities[4 + len(config.couriers):])
+    ]
 
     # genesis balances
     ledger.mint(user_identity.wallet_address, fet(config.user_balance_fet))
-    service_identities = [logistics_identity, packaging_identity, maps_identity]
-    service_identities += list(courier_identities.values())
-    saboteurs: list[Agent] = []
-    if config.forged_bids > 0:
-        quotas = [(config.forged_bids + 1) // 2, config.forged_bids // 2]
-        for i, quota in enumerate(quotas):
-            if quota == 0:
-                continue
-            name = f"ForgeWorks{i}"
-            identity = derive_identity(f"bid forging saboteur seed {i}")
-            saboteurs.append(build_saboteur_agent(name, identity, quota))
-            service_identities.append(identity)
-    for identity in service_identities:
+    for identity in identities[1:]:  # every agent but the user's
         ledger.mint(identity.wallet_address, fet(config.agent_float_fet))
 
     # reputation evidence: configured reviews, and the ratings as published
@@ -1149,7 +1134,7 @@ def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=N
     cast += list(courier_agents.values()) + saboteurs
     for agent in cast:
         world.add_agent(agent)
-    _call_all(mailbox, [("create_account", agent.identity.address) for agent in cast])
+    mailbox.call_many([("create_account", agent.identity.address) for agent in cast])
 
     # the business geo mirrors the pickup city so discovery-by-area works
     try:
@@ -1188,7 +1173,7 @@ def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=N
             if domain:
                 yield ("aname_claim", domain, agent.identity.address)
 
-    results = iter(_call_all(registry, registrations()))
+    results = iter(registry.call_many(registrations()))
     challenges = []
     for _, _, _, domain in listings:
         next(results)  # the registration's expiry height

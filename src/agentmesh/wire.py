@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
-from .identity import AgentIdentity, Signature, signed_by, verify_digest
+from .identity import AgentIdentity, Job, Signature, signed_by, verify_digest
 
 SESSION_ID_LEN = 16
 DIGEST_LEN = 32
@@ -560,43 +559,27 @@ class Envelope:
             digest = hashlib.sha256(self._unsigned_bytes()).digest()
         return digest
 
-    def signed(self) -> bool:
-        """Whether the sender's key signed this envelope (identity.signed_by).
-        Worked out once and kept on the envelope, which is immutable. Any
-        thread may ask: the first to ask claims the check and does it, and
-        one that asks while another holds the claim waits for it, then tries
-        again if that check raised. Kept by hand, as ModelSchema.digest is,
-        because a cached_property takes one lock across all envelopes and
-        would serialise checks on a pool."""
-        while (verdict := self.__dict__.get("_signed")) is None:
-            held = self._claim_signed()
-            if held is not None:
-                with held:  # released once the holder is done, or has raised
-                    pass
-        return verdict
-
-    def try_signed(self) -> None:
-        """Work out signed() here unless it is known or another thread holds
-        the claim; never waits."""
-        if "_signed" not in self.__dict__:
-            self._claim_signed()
-
-    def _claim_signed(self) -> threading.Lock | None:
-        """Claim the check and do it, or return the held claim of the thread
-        doing it. The claim is let go whether the check returns or raises."""
+    def check(self) -> Job:
+        """The job that works out whether the sender's key signed this
+        envelope (identity.signed_by): made once and kept on the envelope,
+        which is immutable, so every thread that asks shares one check. Kept
+        by hand, as ModelSchema.digest is, because a cached_property takes
+        one lock across all envelopes and would serialise a pool's checks."""
         state = self.__dict__
-        mine = threading.Lock()
-        mine.acquire()
-        held = state.setdefault("_claim", mine)  # atomic: one thread wins
-        if held is not mine:
-            return held
-        try:
-            if "_signed" not in state:  # the last holder may have just finished
-                state["_signed"] = signed_by(self.sender, self.signing_digest(), self.signature)
-        finally:
-            del state["_claim"]
-            mine.release()
-        return None
+        job = state.get("_check")
+        if job is None:
+            job = Job(signed_by, self.sender, self.signing_digest(), self.signature)
+            job = state.setdefault("_check", job)  # atomic: every thread gets one job
+        return job
+
+    def signed(self) -> bool:
+        """Whether the sender's key signed this envelope; see check()."""
+        return self.check().result()
+
+    def run_ahead(self) -> None:
+        """Work out signed() here unless it is known or claimed (for the
+        verify pool); never waits."""
+        self.check().run_ahead()
 
     def to_bytes(self) -> bytes:
         return self._unsigned_bytes() + self.signature.data
@@ -755,11 +738,12 @@ def open_envelope(
     payload decode. Each failure is a distinct typed error so transports can
     report precise diagnostics.
 
-    The payload is decoded once per envelope and schema, and the values are
-    kept on the envelope: every copy of a multicast opens to the same
-    values. Each call returns a record of its own, whose list and map values
-    are copies too, so a handler that changes its record changes no other
-    recipient's.
+    A copy for one of several recipients opens to values decoded once per
+    envelope and schema and kept on the envelope; each call returns a record
+    of its own, whose list and map values are copies too, so a handler that
+    changes its record changes no other recipient's. An envelope for one
+    recipient keeps nothing: each open decodes afresh and hands that record
+    over as it is.
     """
     check_envelope(env, current_height, recipient)
     schema = known_schemas.get(env.schema_digest)
@@ -768,12 +752,14 @@ def open_envelope(
     decoded = env.__dict__.get("_decoded")
     if decoded is None or decoded[0] is not schema:
         try:
-            values = canonical_decode(schema, env.payload).values
+            record = canonical_decode(schema, env.payload)
         except SchemaMismatch as exc:
             # Signed, unexpired, digest matches a schema we know, yet the
             # payload does not parse as it: the bytes belong to no known schema.
             raise UnknownSchema(f"payload does not decode as {schema.name}: {exc}") from exc
-        decoded = env.__dict__["_decoded"] = (schema, values)
+        if RECIPIENT_SEP not in env.target:
+            return record, env.sender
+        decoded = env.__dict__["_decoded"] = (schema, record.values)
     values = dict(decoded[1])
     for fname in schema._codec.compound:
         values[fname] = values[fname].copy()

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 import agentmesh
-from agentmesh import cli, runtime
+from agentmesh import cli, identity
 from agentmesh.cli import attack_config, mailboxd_main, main, registryd_main
 from agentmesh.config import default_config, render_config, with_overrides
 from agentmesh.identity import derive_identity
@@ -201,7 +201,7 @@ def test_orders_under_attack_share_one_verify_pool():
     for _ in range(5):
         assert scenario.place_order().status == "ok"
     rise = threading.active_count() - before
-    assert rise <= runtime.verify_pool().workers
+    assert rise <= identity.verify_pool().workers
 
 
 def test_attack_process_exits_by_itself():

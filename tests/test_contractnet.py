@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from agentmesh.contractnet import (
     CALL_FOR_BIDS,
     COURIER_AUCTION,
     COURIER_BID,
+    NEUTRAL_SCORE,
     REJECT_BID,
     DeliveryTask,
     DeterministicScorer,
@@ -309,6 +310,64 @@ class TestSelectWinner:
         else:
             winner, _ = select_winner(bids, scores, weights, DEADLINE, ANNOUNCED)
             assert winner == expected
+
+
+def fraction_select_winner(bids, scores, weights, deadline, announced_at):
+    """select_winner as it read when it summed each total in Fractions."""
+    budget = (deadline - announced_at) // timedelta(minutes=1)
+    feasible = [bid for bid in bids if bid.eta_minutes <= budget]
+    if not feasible:
+        raise NoFeasibleBid("none")
+    min_price = min(b.price_fet for b in feasible)
+    min_eta = min(b.eta_minutes for b in feasible)
+    best_address, best_total = None, None
+    for bid in sorted(feasible, key=lambda b: b.address):
+        rep = scores[bid.address].score if bid.address in scores else NEUTRAL_SCORE
+        total = (
+            weights.w_price * Fraction(min_price, bid.price_fet)
+            + weights.w_speed * Fraction(min_eta, bid.eta_minutes)
+            + weights.w_reputation * rep
+        )
+        if best_total is None or total > best_total:
+            best_address, best_total = bid.address, total
+    return best_address, sorted(b.address for b in bids if b.address != best_address)
+
+
+@st.composite
+def weight_triples(draw):
+    """Non-negative Fractions that sum to exactly 1."""
+    denominator = draw(st.integers(1, 12))
+    first = draw(st.integers(0, denominator))
+    second = draw(st.integers(0, denominator - first))
+    parts = (first, second, denominator - first - second)
+    return SelectionWeights(*(Fraction(part, denominator) for part in parts))
+
+
+@given(
+    st.lists(
+        # few distinct prices, ETAs and scores, so that totals often tie
+        st.tuples(st.sampled_from([2, 3, 4, 6]), st.sampled_from([30, 45, 60, 90, 300]),
+                  st.one_of(st.none(), st.sampled_from([0, 1, 2, 3]))),
+        min_size=1, max_size=12,
+    ),
+    weight_triples(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_select_winner_picks_what_the_fraction_formula_picks(rows, weights, rnd):
+    bids, scores = [], {}
+    for i, (price, eta, rep) in enumerate(rows):
+        address = f"agent1bidder{rnd.randrange(10**6):06d}{i:02d}"
+        bids.append(VerifiedBid(address, f"C{i}", price, eta))
+        if rep is not None:  # an unscored bidder takes the neutral prior
+            scores[address] = ReputationScore(address, Fraction(rep, 3), "drawn")
+    try:
+        expected = fraction_select_winner(bids, scores, weights, DEADLINE, ANNOUNCED)
+    except NoFeasibleBid:
+        with pytest.raises(NoFeasibleBid):
+            select_winner(bids, scores, weights, DEADLINE, ANNOUNCED)
+        return
+    assert select_winner(bids, scores, weights, DEADLINE, ANNOUNCED) == expected
 
 
 class TestFilterSoundness:

@@ -152,6 +152,38 @@ def test_signature_checks_are_pinned(name, monkeypatch):
     assert count_signatures(monkeypatch, CONFIGS[name]()) == SIGNATURE_CALLS[name]
 
 
+# name -> (Ed25519 key pairs derived, of them in a batch handed to
+# identity.work_ahead) over build and run. Each agent's two key pairs are
+# derived once, in the cast's one batch; only the saboteurs' decoy keys come
+# one by one. A change that derives an identity twice, or drops the batch,
+# moves these.
+KEYPAIRS = {
+    "attack_50": (26, 22),
+    "demo": (14, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYPAIRS))
+def test_key_pairs_are_pinned(name, monkeypatch):
+    counts, lock = {"keypair": 0, "batched": 0}, threading.Lock()
+    keypair, work_ahead = identity._backend.keypair, identity.work_ahead
+
+    def counted_keypair(seed):
+        with lock:  # a batch's key pairs may run on the verify pool
+            counts["keypair"] += 1
+        return keypair(seed)
+
+    def counted_work_ahead(jobs):
+        counts["batched"] += len(jobs)
+        return work_ahead(jobs)
+
+    monkeypatch.setattr(identity._backend, "keypair", counted_keypair)
+    monkeypatch.setattr(identity, "work_ahead", counted_work_ahead)
+    scenario = build_scenario(CONFIGS[name]())
+    assert scenario.place_order().status == "ok"
+    assert (counts["keypair"], counts["batched"]) == KEYPAIRS[name]
+
+
 def fleet_style(size: int):
     """The demo order put to `size` online couriers that all serve the
     pickup, each quoting a feasible price and ETA."""
@@ -171,3 +203,28 @@ def test_each_added_courier_costs_three_signatures_and_three_checks(monkeypatch)
     large = count_signatures(monkeypatch, fleet_style(40))
     verifies, rejected, signs, wallet_signs = (b - a for a, b in zip(small, large))
     assert (signs, verifies, rejected, wallet_signs) == (3 * 20, 3 * 20, 0, 0)
+
+
+def test_a_world_makes_the_same_bytes_and_checks_with_any_number_of_pool_threads(monkeypatch):
+    """Key pairs, registration checks and envelope checks go to the verify
+    pool; how many threads it has moves no byte and no signature count."""
+    config = fleet_style(40)
+    runs = []
+    for workers in (0, 1, 4):
+        pool = identity.VerifyPool(workers)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(identity, "_pool", pool)
+                scenario = build_scenario(config)
+                report = scenario.place_order()
+                runs.append((
+                    report.status,
+                    report.encoded_hex(),
+                    report.transcript,
+                    journal_lines(scenario.world.ledger.journal),
+                    count_signatures(monkeypatch, config),
+                ))
+        finally:
+            pool.close()
+    assert runs[0][0] == "ok"
+    assert runs[0] == runs[1] == runs[2]

@@ -8,6 +8,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -370,3 +372,96 @@ class TestSigningOnCryptography(TestSigning):
 @pytest.mark.usefixtures("cryptography_backend")
 class TestKeyCacheOnCryptography(TestKeyCache):
     pass
+
+
+class TestJobs:
+    """Claim-once jobs and the verify pool that runs them ahead."""
+
+    def test_each_job_runs_once_however_many_threads_take_it(self):
+        counts, lock = {}, threading.Lock()
+
+        def keypair(seed):
+            time.sleep(0.0002)  # so that every thread takes a share
+            with lock:
+                counts[seed] = counts.get(seed, 0) + 1
+            return identity_module._backend.keypair(seed)
+
+        pool = identity_module.VerifyPool(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(50):
+                seeds = [hashlib.sha256(b"%d %d" % (round_, i)).digest() for i in range(40)]
+                jobs = [identity_module.Job(keypair, seed) for seed in seeds]
+                for job in jobs * 2:
+                    pool.submit(job)
+                pairs = [job.result() for job in jobs]
+                assert [public for public, _ in pairs] == [
+                    identity_module._backend.keypair(seed)[0] for seed in seeds
+                ]
+                assert counts == dict.fromkeys(seeds, 1)
+                counts.clear()
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+
+    def test_a_raise_on_a_pool_thread_lets_go_of_the_claim_and_the_caller_raises(self):
+        claimed = threading.Event()
+        threads = []
+
+        def broken():
+            threads.append(threading.current_thread().name)
+            if threading.current_thread().name == "agentmesh-verify":
+                claimed.set()
+                time.sleep(0.05)  # the caller asks while this thread holds the claim
+            raise RuntimeError("job broke")
+
+        job = identity_module.Job(broken)
+        pool = identity_module.VerifyPool(1)
+        raised = []
+
+        def ask():
+            try:
+                job.result()
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        try:
+            pool.submit(job)
+            assert claimed.wait(timeout=30)
+            thread = threading.Thread(target=ask, name="caller")
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        finally:
+            pool.close()
+        assert [str(exc) for exc in raised] == ["job broke"]
+        assert threads == ["agentmesh-verify", "caller"]
+
+    def test_a_batch_goes_to_the_pool_last_first(self, monkeypatch):
+        submitted = []
+        monkeypatch.setattr(identity_module, "verifies_overlap", lambda: True)
+        monkeypatch.setattr(identity_module, "_pool", identity_module.VerifyPool(0))
+        monkeypatch.setattr(identity_module.VerifyPool, "submit", lambda pool, job: submitted.append(job))
+        jobs = [identity_module.Job(int, i) for i in range(identity_module.POOL_MIN_BATCH)]
+        identity_module.work_ahead(jobs)
+        assert submitted == jobs[::-1]
+        submitted.clear()
+        identity_module.work_ahead(jobs[1:])  # too few to be worth a hand-off
+        monkeypatch.setattr(identity_module, "verifies_overlap", lambda: False)
+        identity_module.work_ahead(jobs)  # the backend holds the GIL
+        assert submitted == []
+        assert [job.result() for job in jobs] == list(range(len(jobs)))
+
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_derive_identities_derives_what_derive_identity_does(self, monkeypatch, workers):
+        monkeypatch.setattr(identity_module, "_pool", identity_module.VerifyPool(workers))
+        phrases = [f"batch phrase {i}" for i in range(20)]
+        try:
+            assert identity_module.derive_identities(phrases) == [
+                derive_identity(phrase) for phrase in phrases
+            ]
+            with pytest.raises(EmptySeed):
+                identity_module.derive_identities(phrases + [""])
+        finally:
+            identity_module._pool.close()

@@ -284,6 +284,31 @@ class TestAckMode:
         with pytest.raises(NoPendingRetrieve):
             store.acknowledge(OWNER.address)
 
+    def test_a_record_changed_by_its_handler_leaves_the_redelivered_copy_as_sent(self):
+        """One envelope retrieved twice before its acknowledge opens to a
+        record of its own each time."""
+        tally = ModelSchema.build(
+            "Tally", label=SemanticType.STRING, names=SemanticType.LIST_OF_STRING
+        )
+        sent = {"label": "sent", "names": ["a", "b"]}
+        env = seal_envelope(
+            SENDER, OWNER.address, ProtocolSpec("Tallies", "1.0", (tally,)),
+            Record(tally, {"label": "sent", "names": ["a", "b"]}), b"\x05" * 16, 1000,
+        )
+        store = MailboxStore()
+        store.create_account(OWNER.address)
+        store.deposit(env, 1, OWNER.address)
+        schemas = {tally.digest(): tally}
+        first = store.retrieve(OWNER.address, 0, auth_for(OWNER, 0))
+        record, _ = open_envelope(first[0], schemas, 2, OWNER.address)
+        assert record.values == sent
+        record.values["label"] = "changed"
+        record.values["names"].append("c")
+        second = store.retrieve(OWNER.address, 1, auth_for(OWNER, 1))
+        assert second[0] is env
+        again, _ = open_envelope(second[0], schemas, 2, OWNER.address)
+        assert again.values == sent
+
 
 
 

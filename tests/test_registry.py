@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from agentmesh import identity as identity_module
 from agentmesh.contractnet import COURIER_AUCTION
 from agentmesh.identity import Signature, derive_identity
-from agentmesh.ledger import InsufficientFunds, Ledger, fet
+from agentmesh.ledger import InsufficientFunds, Ledger, fet, journal_lines
 from agentmesh.registry import (
     AlreadyVerified,
     AnameState,
@@ -337,3 +341,104 @@ class TestAname:
         b = Registry(rng=random.Random(42))
         addr = derive_identity("det").address
         assert a.aname_claim("det.example", addr) == b.aname_claim("det.example", addr)
+
+
+CASTING = [derive_identity(f"batch registrant {i}") for i in range(3)]
+UNFUNDED = derive_identity("batch registrant without funds")
+
+
+@st.composite
+def register_batches(draw):
+    """(who, sequence, signer, fee payer, domain) per call: in-order
+    registrations of three agents, with one drawn fault at a drawn
+    position, and aname claims among them."""
+    whos = draw(st.lists(st.integers(0, 2), min_size=1, max_size=20))
+    fault = draw(st.sampled_from(["none", "signature", "sequence", "fee"]))
+    at = draw(st.integers(0, len(whos) - 1))
+    claims = draw(st.lists(st.booleans(), min_size=len(whos), max_size=len(whos)))
+    rows, counts = [], [0, 0, 0]
+    for position, who in enumerate(whos):
+        sequence, signer, payer = counts[who], CASTING[who], CASTING[who]
+        if position == at and fault == "signature":
+            signer = CASTING[(who + 1) % 3]
+        elif position == at and fault == "sequence":
+            sequence += 1
+        elif position == at and fault == "fee":
+            payer = UNFUNDED
+        rows.append((who, sequence, signer, payer, f"d{position}.example" if claims[position] else ""))
+        counts[who] += 1
+    return rows
+
+
+def batch_calls(ledger: Ledger, rows) -> list[tuple]:
+    calls = []
+    for who, sequence, signer, payer, domain in rows:
+        address, metadata = CASTING[who].address, {"seq": str(sequence), "who": str(who)}
+        digest = registration_signing_digest(address, sequence, [AUCTION_DIGEST], "sim://b", metadata)
+        calls.append(("register", ledger, address, "sim://b", iter([AUCTION_DIGEST]), metadata,
+                      sequence, signer.sign_digest(digest), payer.wallet_address))
+        if domain:
+            calls.append(("aname_claim", domain, address))
+    return calls
+
+
+def batch_state(registry: Registry, ledger: Ledger, outcome) -> tuple:
+    return (
+        outcome,
+        registry.records,
+        registry.last_sequence,
+        registry.anames,
+        ledger.balances,
+        ledger.fee_sink,
+        journal_lines(ledger.journal),
+    )
+
+
+@given(register_batches())
+@settings(max_examples=60, deadline=None)
+def test_call_many_is_a_loop_of_register(rows):
+    """The same results, the same first exception, and the same records,
+    balances and journal as register called once a call, with the
+    signature checks of a batch of 8 or more worked out on the pool."""
+    states = []
+    for batched in (True, False):
+        registry, ledger = Registry(), Ledger()
+        for identity in CASTING:
+            funded(ledger, identity)
+        calls = batch_calls(ledger, rows)
+        results = []
+        try:
+            if batched:
+                results = registry.call_many(calls)
+            else:
+                for name, *args in calls:
+                    results.append(getattr(registry, name)(*args))
+            outcome = ("ok", results)
+        except (BadSequence, BadSignature, InsufficientFunds) as exc:
+            # a batch hands back no results, only its first error
+            outcome = (type(exc), str(exc))
+        states.append(batch_state(registry, ledger, outcome))
+        assert not registry._ahead  # no check outlives its batch
+    assert states[0] == states[1]
+
+
+def test_call_many_checks_each_registration_once(monkeypatch):
+    """Each register call's signature is checked once, on whichever thread
+    takes the check first."""
+    counts, lock = {}, threading.Lock()
+    verify = identity_module.verify_digest
+
+    def counted(address, digest, signature):
+        with lock:
+            counts[digest] = counts.get(digest, 0) + 1
+        return verify(address, digest, signature)
+
+    monkeypatch.setattr(identity_module, "verify_digest", counted)
+    rows = [(who, sequence, CASTING[who], CASTING[who], "")
+            for sequence in range(6) for who in range(3)]
+    registry, ledger = Registry(), Ledger()
+    for identity in CASTING:
+        funded(ledger, identity)
+    assert len(registry.call_many(batch_calls(ledger, rows))) == 18
+    assert sorted(counts.values()) == [1] * 18
+    assert registry.last_sequence == {identity.address: 5 for identity in CASTING}

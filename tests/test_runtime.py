@@ -905,13 +905,13 @@ class TestSignaturePool:
     @staticmethod
     def spy_on_pool(monkeypatch) -> list[Envelope]:
         submitted = []
-        submit = runtime.VerifyPool.submit
+        submit = identity.VerifyPool.submit
 
         def spy(pool, env):
             submitted.append(env)
             return submit(pool, env)
 
-        monkeypatch.setattr(runtime.VerifyPool, "submit", spy)
+        monkeypatch.setattr(identity.VerifyPool, "submit", spy)
         return submitted
 
     @staticmethod
@@ -1007,14 +1007,14 @@ class TestSignaturePool:
 
     def test_a_pool_without_threads_queues_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(runtime, "_pool", None)
+        monkeypatch.setattr(identity, "_pool", None)
         world, envelopes, expected = self.big_tick()
         for env in envelopes:
             world.send(env)
         world.tick(1)
         assert self.outcomes(world) == expected
-        assert runtime.verify_pool().workers == 0
-        assert runtime.verify_pool()._envelopes.empty()
+        assert identity.verify_pool().workers == 0
+        assert identity.verify_pool()._jobs.empty()
 
 
 def test_the_pool_has_a_thread_for_each_cpu_this_process_may_use_but_one(monkeypatch):
@@ -1025,8 +1025,8 @@ def test_the_pool_has_a_thread_for_each_cpu_this_process_may_use_but_one(monkeyp
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(runtime, "_pool", None)
-        pool = runtime.verify_pool()
+        monkeypatch.setattr(identity, "_pool", None)
+        pool = identity.verify_pool()
         pool.close()
         assert pool.workers == workers
 
@@ -1050,7 +1050,7 @@ def count_verifies(monkeypatch, pause: float = 0.0) -> dict[bytes, int]:
 def test_more_pool_threads_than_cores_check_each_envelope_once(monkeypatch):
     counts = count_verifies(monkeypatch, pause=0.0002)
     sender, receiver = make_agent("once sender"), make_agent("once receiver")
-    pool = runtime.VerifyPool(4)
+    pool = identity.VerifyPool(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1082,7 +1082,7 @@ def test_a_raise_on_a_pool_thread_lets_go_of_the_claim_and_the_caller_raises(mon
 
     monkeypatch.setattr(identity, "verify_digest", broken_verify)
     env = TestDispatch.ping_env(make_agent("claim sender"), make_agent("claim receiver"))
-    pool = runtime.VerifyPool(1)
+    pool = identity.VerifyPool(1)
     raised = []
 
     def ask():
