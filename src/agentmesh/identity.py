@@ -31,7 +31,7 @@ import queue
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -306,15 +306,22 @@ def verify_pool() -> VerifyPool:
         return _pool
 
 
-def work_ahead(jobs: Sequence[Job]) -> None:
-    """Hand a batch of jobs, whose results the caller will ask for first to
-    last, to the verify pool last first, so that the pool and the caller
-    work from opposite ends and meet once. A batch under POOL_MIN_BATCH, or
-    one on a backend whose calls do not overlap, stays with the caller."""
-    if len(jobs) >= POOL_MIN_BATCH and verifies_overlap():
-        pool = verify_pool()
-        for job in reversed(jobs):
+def work_ahead(jobs: Iterable[Job]) -> None:
+    """Hand jobs, whose results the caller will ask for first to last, to
+    the verify pool as they are taken, from the POOL_MIN_BATCH-th on; once
+    all are taken, run those not yet made here from the last, so that the
+    pool and the caller meet once. Fewer than POOL_MIN_BATCH jobs, or a
+    backend whose calls do not overlap, leave each job to the thread that
+    asks for its result."""
+    pool = verify_pool() if verifies_overlap() else None
+    taken = []
+    for job in jobs:
+        taken.append(job)
+        if pool is not None and len(taken) >= POOL_MIN_BATCH:
             pool.submit(job)
+    if pool is not None and len(taken) >= POOL_MIN_BATCH:
+        for job in reversed(taken):
+            job.run_ahead()
 
 
 @dataclass(frozen=True)
@@ -398,7 +405,7 @@ def derive_identities(phrases: Sequence[str]) -> list[AgentIdentity]:
     """derive_identity for each phrase, in order, with every key pair handed
     to the verify pool first (work_ahead)."""
     jobs = [_keypair_jobs(phrase) for phrase in phrases]
-    work_ahead([job for pair in jobs for job in pair])
+    work_ahead(job for pair in jobs for job in pair)
     return [derive_identity(phrase, keypairs=pair) for phrase, pair in zip(phrases, jobs)]
 
 

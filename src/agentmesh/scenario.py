@@ -1037,7 +1037,9 @@ def simulate_network(config: ScenarioConfig) -> NetworkModel:
 
 
 def _registration(ledger: Ledger, agent: Agent, endpoint: str, metadata: dict[str, str]) -> tuple:
-    """The signed `register` call for an agent's first registration."""
+    """The signed `register` call for an agent's first registration, whose
+    metadata also names the agent's wallet and display name."""
+    metadata = {**metadata, "wallet": agent.identity.wallet_address, "display_name": agent.name}
     digests = frozenset(p.digest() for p in agent.protocols)
     address = agent.identity.address
     digest = registration_signing_digest(address, 0, digests, endpoint, metadata)
@@ -1142,29 +1144,19 @@ def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=N
     except UnparsableRequest:
         geo_hint = "cambridge"
 
-    # (agent, endpoint, metadata, domain to claim) in cast order
+    # (agent, endpoint, metadata, domain to claim) in cast order; _registration
+    # adds the agent's wallet and display name to the metadata
     listings = [
-        (logistics_agent, "sim://logistics",
-         {"service_type": "logistics", "wallet": logistics_identity.wallet_address,
-          "display_name": LOGISTICS_NAME}, ""),
-        (packaging_agent, "sim://packaging",
-         {"service_type": "packaging", "geo": geo_hint,
-          "wallet": packaging_identity.wallet_address, "display_name": PACKAGING_NAME}, ""),
-        (maps_agent, "sim://maps",
-         {"service_type": "maps", "wallet": maps_identity.wallet_address,
-          "display_name": MAPS_NAME}, ""),
+        (logistics_agent, "sim://logistics", {"service_type": "logistics"}, ""),
+        (packaging_agent, "sim://packaging", {"service_type": "packaging", "geo": geo_hint}, ""),
+        (maps_agent, "sim://maps", {"service_type": "maps"}, ""),
     ]
     for spec in config.couriers:
-        agent = courier_agents[spec.name]
-        listings.append((agent, f"sim://courier/{spec.name}",
-                         {"service_type": "courier", "geo": spec.service_area,
-                          "wallet": agent.identity.wallet_address, "display_name": spec.name},
-                         spec.domain))
+        listings.append((courier_agents[spec.name], f"sim://courier/{spec.name}",
+                         {"service_type": "courier", "geo": spec.service_area}, spec.domain))
     for saboteur in saboteurs:
         listings.append((saboteur, f"sim://courier/{saboteur.name}",
-                         {"service_type": "courier", "geo": geo_hint,
-                          "wallet": saboteur.identity.wallet_address,
-                          "display_name": saboteur.name}, ""))
+                         {"service_type": "courier", "geo": geo_hint}, ""))
 
     def registrations():
         # each signed as it is taken, so an in-process loop never holds them all

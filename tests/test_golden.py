@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from agentmesh import identity
+from agentmesh import identity, registry
+from agentmesh import scenario as scenario_module
 from agentmesh.cli import attack_config
 from agentmesh.config import CourierSpec, PresenceWindow, default_config, with_overrides
 from agentmesh.ledger import journal_lines
@@ -174,14 +175,42 @@ def test_key_pairs_are_pinned(name, monkeypatch):
         return keypair(seed)
 
     def counted_work_ahead(jobs):
-        counts["batched"] += len(jobs)
-        return work_ahead(jobs)
+        def counted():  # the hand-off takes any iterable, so count as taken
+            for job in jobs:
+                counts["batched"] += job._call is counted_keypair
+                yield job
+
+        return work_ahead(counted())
 
     monkeypatch.setattr(identity._backend, "keypair", counted_keypair)
     monkeypatch.setattr(identity, "work_ahead", counted_work_ahead)
     scenario = build_scenario(CONFIGS[name]())
     assert scenario.place_order().status == "ok"
     assert (counts["keypair"], counts["batched"]) == KEYPAIRS[name]
+
+
+# name -> registration_signing_digest calls over build and run: one where
+# each agent signs its registration, one where the registry checks it.
+REGISTRATION_DIGESTS = {
+    "attack_50": 20,
+    "demo": 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRATION_DIGESTS))
+def test_registration_digests_are_pinned(name, monkeypatch):
+    calls = [0]
+    digest = registry.registration_signing_digest
+
+    def counted_digest(*args):
+        calls[0] += 1
+        return digest(*args)
+
+    for module in (registry, scenario_module):
+        monkeypatch.setattr(module, "registration_signing_digest", counted_digest)
+    scenario = build_scenario(CONFIGS[name]())
+    assert scenario.place_order().status == "ok"
+    assert calls[0] == REGISTRATION_DIGESTS[name]
 
 
 def fleet_style(size: int):

@@ -439,19 +439,34 @@ class TestJobs:
         assert threads == ["agentmesh-verify", "caller"]
 
     def test_a_batch_goes_to_the_pool_last_first(self, monkeypatch):
-        submitted = []
+        """From the POOL_MIN_BATCH-th job on, each goes to the pool as it is
+        taken; once all are taken, the caller runs the rest from the last."""
+        submitted, ran, seen = [], [], []
         monkeypatch.setattr(identity_module, "verifies_overlap", lambda: True)
         monkeypatch.setattr(identity_module, "_pool", identity_module.VerifyPool(0))
         monkeypatch.setattr(identity_module.VerifyPool, "submit", lambda pool, job: submitted.append(job))
-        jobs = [identity_module.Job(int, i) for i in range(identity_module.POOL_MIN_BATCH)]
-        identity_module.work_ahead(jobs)
-        assert submitted == jobs[::-1]
+        size = identity_module.POOL_MIN_BATCH + 3
+        jobs = [identity_module.Job(lambda i: ran.append(i) or i, i) for i in range(size)]
+
+        def taken(batch):
+            for job in batch:
+                seen.append(len(submitted))  # jobs handed over before this one is taken
+                yield job
+
+        identity_module.work_ahead(taken(jobs))
+        assert submitted == jobs[identity_module.POOL_MIN_BATCH - 1:]
+        assert seen == [max(0, i - identity_module.POOL_MIN_BATCH + 1) for i in range(size)]
+        assert ran == list(range(size))[::-1]
         submitted.clear()
-        identity_module.work_ahead(jobs[1:])  # too few to be worth a hand-off
+        ran.clear()
+        fresh = [identity_module.Job(lambda i: ran.append(i) or i, i)
+                 for i in range(identity_module.POOL_MIN_BATCH)]
+        identity_module.work_ahead(iter(fresh[1:]))  # too few to be worth a hand-off
         monkeypatch.setattr(identity_module, "verifies_overlap", lambda: False)
-        identity_module.work_ahead(jobs)  # the backend holds the GIL
-        assert submitted == []
-        assert [job.result() for job in jobs] == list(range(len(jobs)))
+        identity_module.work_ahead(iter(fresh))  # the backend holds the GIL
+        assert submitted == [] and ran == []
+        assert [job.result() for job in fresh] == list(range(len(fresh)))
+        assert ran == list(range(len(fresh)))
 
     @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_derive_identities_derives_what_derive_identity_does(self, monkeypatch, workers):
