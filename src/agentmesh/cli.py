@@ -50,13 +50,12 @@ KNOWN_PROTOCOLS: tuple[ProtocolSpec, ...] = (
 
 EXTRA_SCHEMAS: tuple[ModelSchema, ...] = (REPORT_SCHEMA,)
 
-
-def _known_schemas() -> list[ModelSchema]:
-    schemas: list[ModelSchema] = []
-    for proto in KNOWN_PROTOCOLS:
-        schemas.extend(proto.models)
-    schemas.extend(EXTRA_SCHEMAS)
-    return schemas
+# every schema wiretool knows, by digest, with the protocol that carries it
+# (None for the extra schemas, which travel in no protocol)
+KNOWN_SCHEMAS: dict[bytes, tuple[ModelSchema, ProtocolSpec | None]] = {
+    schema.digest(): (schema, proto) for proto in KNOWN_PROTOCOLS for schema in proto.models
+}
+KNOWN_SCHEMAS.update((schema.digest(), (schema, None)) for schema in EXTRA_SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +176,22 @@ def _read_hex_source(source: str) -> bytes:
     raise ValueError("no hex content found")
 
 
+def _print_fields(label: str, schema: ModelSchema, payload: bytes) -> None:
+    """Print payload decoded as schema, or raise WireError printing nothing."""
+    record = canonical_decode(schema, payload)
+    print(f"{label}{schema.name}")
+    for fname, _ in schema.sorted_fields():
+        print(f"  {fname} = {record[fname]!r}")
+
+
 def cmd_wiretool(args) -> int:
     if args.what == "digests":
-        for proto in KNOWN_PROTOCOLS:
-            print(f"protocol {proto.name}/{proto.version}: {proto.digest().hex()}")
-            for schema in proto.models:
-                print(f"  schema {schema.name}: {schema.digest().hex()}")
-        for schema in EXTRA_SCHEMAS:
-            print(f"schema {schema.name}: {schema.digest().hex()}")
+        shown = None
+        for digest, (schema, proto) in KNOWN_SCHEMAS.items():
+            if proto not in (None, shown):
+                print(f"protocol {proto.name}/{proto.version}: {proto.digest().hex()}")
+            shown = proto
+            print(f"{'  ' if proto else ''}schema {schema.name}: {digest.hex()}")
         return 0
 
     try:
@@ -208,26 +215,23 @@ def cmd_wiretool(args) -> int:
         print(f"expires at:      {env.expires_at}")
         print(f"payload bytes:   {len(env.payload)}")
         print(f"signature:       {env.signature.hex()}")
-        for schema in _known_schemas():
-            if schema.digest() == env.schema_digest:
-                record = canonical_decode(schema, env.payload)
-                print(f"schema:          {schema.name}")
-                for fname, _ in schema.sorted_fields():
-                    print(f"  {fname} = {record[fname]!r}")
-                break
-        else:
+        if env.schema_digest not in KNOWN_SCHEMAS:
             print("schema:          (not one of the known schemas)")
+            return 0
+        schema, _ = KNOWN_SCHEMAS[env.schema_digest]
+        try:
+            _print_fields("schema:          ", schema, env.payload)
+        except WireError as exc:
+            print(f"schema:          {schema.name}, but the payload does not decode: {exc}")
+            return 1
         return 0
 
     # record: try every known schema until one decodes cleanly
-    for schema in _known_schemas():
+    for schema, _ in KNOWN_SCHEMAS.values():
         try:
-            record = canonical_decode(schema, data)
+            _print_fields("schema: ", schema, data)
         except WireError:
             continue
-        print(f"schema: {schema.name}")
-        for fname, _ in schema.sorted_fields():
-            print(f"  {fname} = {record[fname]!r}")
         return 0
     print("no known schema decodes this record", file=sys.stderr)
     return 1
@@ -237,9 +241,6 @@ def cmd_wiretool(args) -> int:
 # ledger
 
 def cmd_ledger(args) -> int:
-    if args.ledger_action != "replay":
-        print("usage: agentmesh ledger replay <journal>", file=sys.stderr)
-        return 2
     try:
         records = read_journal(args.journal)
         state = replay(records)

@@ -8,9 +8,10 @@ reference; parse_config(render_config(cfg)) round-trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime
 from fractions import Fraction
+from typing import Any, Callable
 
 from .contractnet import ContractNetError, SelectionWeights, local_time
 from .ledger import UFET_PER_FET
@@ -194,12 +195,6 @@ class ScenarioConfig:
         return local_time(self.wall_clock_start)
 
 
-_SECTIONS = ("couriers", "reviews", "offline")
-
-# every other field is a scalar key, parsed as the type of its default
-_SCALAR_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name not in _SECTIONS}
-
-
 def _parse_bool(key: str, value: str) -> bool:
     lowered = value.lower()
     if lowered in ("yes", "true", "on", "1"):
@@ -221,7 +216,8 @@ def _parse_scalar(key: str, value: str) -> object:
         raise ConfigError(f"{key}: bad value {value!r} ({exc})") from exc
 
 
-def _courier_row(cells: list[str], line_no: int) -> CourierSpec:
+def _courier_row(line: str, line_no: int) -> CourierSpec:
+    cells = [c.strip() for c in line.split("|")]
     if len(cells) not in (5, 6):
         raise ConfigError(
             f"line {line_no}: courier rows need 5 or 6 cells "
@@ -235,13 +231,37 @@ def _courier_row(cells: list[str], line_no: int) -> CourierSpec:
     return CourierSpec(cells[0], cells[1], price, eta, cells[4], domain)
 
 
-def _offline_row(cells: list[str], line_no: int) -> PresenceWindow:
+def _review_row(line: str, line_no: int) -> tuple[str, str]:
+    cells = [c.strip() for c in line.split("|", 1)]  # the text keeps its pipes
+    if len(cells) != 2 or not cells[1]:
+        raise ConfigError(f"line {line_no}: review rows are agent | text")
+    return cells[0], cells[1]
+
+
+def _offline_row(line: str, line_no: int) -> PresenceWindow:
+    cells = [c.strip() for c in line.split("|")]
     if len(cells) != 3:
         raise ConfigError(f"line {line_no}: offline rows are agent | offline_tick | online_tick")
     try:
         return PresenceWindow(cells[0], int(cells[1]), int(cells[2]))
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: {exc}") from exc
+
+
+# Each table section, in field order: the parser of one row, the cells
+# render_config writes for one row, and the comment it puts under the header.
+_SECTIONS: dict[str, tuple[Callable[[str, int], object], Callable[[Any], tuple], str]] = {
+    "couriers": (
+        _courier_row,
+        lambda c: astuple(c)[: 6 if c.domain else 5],
+        "# name | seed_phrase | price_fet | eta_minutes | service_area | domain",
+    ),
+    "reviews": (_review_row, tuple, ""),
+    "offline": (_offline_row, astuple, ""),
+}
+
+# every other field is a scalar key, parsed as the type of its default
+_SCALAR_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name not in _SECTIONS}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -266,18 +286,7 @@ def parse_config(text: str) -> ScenarioConfig:
             key, value = key.strip(), value.strip()
             scalars[key] = _parse_scalar(key, value)
             continue
-        # inside a table: reviews keep pipes in the text cell, others split fully
-        if section == "reviews":
-            cells = [c.strip() for c in line.split("|", 1)]
-            if len(cells) != 2 or not cells[1]:
-                raise ConfigError(f"line {line_no}: review rows are agent | text")
-            tables["reviews"].append((cells[0], cells[1]))
-        elif section == "couriers":
-            cells = [c.strip() for c in line.split("|")]
-            tables["couriers"].append(_courier_row(cells, line_no))
-        else:
-            cells = [c.strip() for c in line.split("|")]
-            tables["offline"].append(_offline_row(cells, line_no))
+        tables[section].append(_SECTIONS[section][0](line, line_no))
     # a declared section replaces the default table even when left empty
     scalars.update((name, tuple(rows)) for name, rows in tables.items())
     try:
@@ -298,25 +307,12 @@ def load_config(path: str) -> ScenarioConfig:
 def render_config(config: ScenarioConfig) -> str:
     """Emit config text that parses back to an equal ScenarioConfig."""
     out = ["# agentmesh scenario config"]
-    for f in fields(ScenarioConfig):
-        if f.name in ("couriers", "reviews", "offline"):
-            continue
-        value = getattr(config, f.name)
-        out.append(f"{f.name} = {'yes' if value is True else 'no' if value is False else value}")
-    out.append("")
-    out.append("[couriers]")
-    out.append("# name | seed_phrase | price_fet | eta_minutes | service_area | domain")
-    for c in config.couriers:
-        row = f"{c.name} | {c.seed_phrase} | {c.price_fet} | {c.eta_minutes} | {c.service_area}"
-        out.append(row + (f" | {c.domain}" if c.domain else ""))
-    out.append("")
-    out.append("[reviews]")
-    for agent, text in config.reviews:
-        out.append(f"{agent} | {text}")
-    out.append("")
-    out.append("[offline]")
-    for w in config.offline:
-        out.append(f"{w.agent} | {w.offline_tick} | {w.online_tick}")
+    for key in _SCALAR_TYPES:
+        value = getattr(config, key)
+        out.append(f"{key} = {'yes' if value is True else 'no' if value is False else value}")
+    for name, (_, cells, comment) in _SECTIONS.items():
+        out += ["", f"[{name}]"] + ([comment] if comment else [])
+        out.extend(" | ".join(map(str, cells(row))) for row in getattr(config, name))
     return "\n".join(out) + "\n"
 
 

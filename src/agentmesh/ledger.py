@@ -18,7 +18,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .wire import (
     ModelSchema,
@@ -124,15 +124,29 @@ REGISTER_OP = ModelSchema.build(
     metadata=SemanticType.LIST_OF_STRING,
 )
 
-JOURNAL_SCHEMAS: tuple[ModelSchema, ...] = (
-    MINT_OP,
-    ADVANCE_OP,
-    TRANSFER_OP,
-    FEE_OP,
-    ESCROW_OPEN_OP,
-    ESCROW_SETTLE_OP,
-    REGISTER_OP,
-)
+def _replay_escrow_open(ledger: "Ledger", op: Record) -> None:
+    escrow_id = ledger.open_escrow(op["payer"], op["payee"], op["amount"], op["arbiter"])
+    if escrow_id.hex() != op["escrow_id"]:
+        raise LedgerError(f"EscrowOpen {op['escrow_id']} is not the id minted")
+
+
+# Each journal op's schema and the step `replay` takes for it: the reader,
+# `replay` and JOURNAL_SCHEMAS all walk this one table. Registry ops carry no
+# balance change beyond the fee, which is journaled apart, so `replay` only
+# keeps them, and one journal holds the whole world.
+JOURNAL_OPS: dict[ModelSchema, Callable[["Ledger", Record], object]] = {
+    MINT_OP: lambda ledger, op: ledger.mint(op["wallet"], op["amount"]),
+    ADVANCE_OP: lambda ledger, op: ledger.advance_block(op["blocks"]),
+    TRANSFER_OP: lambda ledger, op: ledger.transfer(op["sender"], op["recipient"], op["amount"]),
+    FEE_OP: lambda ledger, op: ledger.charge_fee(op["wallet"], op["amount"]),
+    ESCROW_OPEN_OP: _replay_escrow_open,
+    ESCROW_SETTLE_OP: lambda ledger, op: ledger.settle_escrow(
+        bytes.fromhex(op["escrow_id"]), op["caller"], EscrowOutcome(op["outcome"])
+    ),
+    REGISTER_OP: lambda ledger, op: ledger.journal_op(REGISTER_OP, **op.values),
+}
+JOURNAL_SCHEMAS: tuple[ModelSchema, ...] = tuple(JOURNAL_OPS)
+_OPS_BY_DIGEST = {schema.digest(): (schema, step) for schema, step in JOURNAL_OPS.items()}
 
 
 @dataclass
@@ -147,9 +161,10 @@ class Ledger:
     journal: list[Record] = field(default_factory=list)
     _escrow_counter: int = 0
 
-    # -- journal helpers ---------------------------------------------------
+    # -- journal ---------------------------------------------------------
 
-    def _journal(self, schema: ModelSchema, **values: object) -> None:
+    def journal_op(self, schema: ModelSchema, **values: object) -> None:
+        """Append one op to the journal; the registry writes its ops here too."""
         self.journal.append(Record(schema, values))
 
     # -- queries ---------------------------------------------------------
@@ -171,14 +186,14 @@ class Ledger:
             raise ZeroAmount("mint amount must be positive")
         self.balances[wallet] = self.balance(wallet) + amount
         self.total_supply += amount
-        self._journal(MINT_OP, wallet=wallet, amount=amount)
+        self.journal_op(MINT_OP, wallet=wallet, amount=amount)
 
     def advance_block(self, n: int) -> int:
         if n < 0:
             raise LedgerError("cannot rewind the block clock")
         self.height += n
         if n:
-            self._journal(ADVANCE_OP, blocks=n)
+            self.journal_op(ADVANCE_OP, blocks=n)
         return self.height
 
     def _debit(self, wallet: str, amount: int, what: str) -> None:
@@ -194,12 +209,12 @@ class Ledger:
     def transfer(self, sender: str, recipient: str, amount: int) -> None:
         self._debit(sender, amount, "transfer amount")
         self.balances[recipient] = self.balance(recipient) + amount
-        self._journal(TRANSFER_OP, sender=sender, recipient=recipient, amount=amount)
+        self.journal_op(TRANSFER_OP, sender=sender, recipient=recipient, amount=amount)
 
     def charge_fee(self, wallet: str, amount: int) -> None:
         self._debit(wallet, amount, "fee")
         self.fee_sink += amount
-        self._journal(FEE_OP, wallet=wallet, amount=amount)
+        self.journal_op(FEE_OP, wallet=wallet, amount=amount)
 
     def open_escrow(self, payer: str, payee: str, amount: int, arbiter: str) -> bytes:
         """Lock amount from payer; returns the escrow id, minted from a
@@ -209,7 +224,7 @@ class Ledger:
         counter = struct.pack(">Q", self._escrow_counter)
         escrow_id = hashlib.sha256(b"escrow" + counter).digest()[:16]
         self.escrows[escrow_id] = EscrowContract(escrow_id, payer, payee, amount, arbiter)
-        self._journal(
+        self.journal_op(
             ESCROW_OPEN_OP,
             escrow_id=escrow_id.hex(),
             payer=payer,
@@ -233,7 +248,7 @@ class Ledger:
         else:
             contract.state = EscrowState.REFUNDED
             self.balances[contract.payer] = self.balance(contract.payer) + contract.amount
-        self._journal(
+        self.journal_op(
             ESCROW_SETTLE_OP,
             escrow_id=escrow_id.hex(),
             caller=caller,
@@ -257,7 +272,6 @@ def write_journal(path: str, records: Iterable[Record]) -> int:
 
 
 def read_journal(path: str) -> list[Record]:
-    schemas = {s.digest(): s for s in JOURNAL_SCHEMAS}
     records: list[Record] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -266,47 +280,25 @@ def read_journal(path: str) -> list[Record]:
                 continue
             raw = bytes.fromhex(line)
             digest, payload = raw[:32], raw[32:]
-            schema = schemas.get(digest)
-            if schema is None:
+            if digest not in _OPS_BY_DIGEST:
                 raise LedgerError(f"line {lineno}: unknown journal schema {digest.hex()[:16]}")
-            records.append(canonical_decode(schema, payload))
+            records.append(canonical_decode(_OPS_BY_DIGEST[digest][0], payload))
     return records
 
 
 def replay(records: Iterable[Record]) -> Ledger:
-    """Rebuild a ledger by applying journal records in order.
-
-    Registry records are tolerated (they carry no balance changes beyond the
-    fee, which is journaled separately) so one journal can hold the whole
-    world. Conservation is verified after every applied record.
+    """Rebuild a ledger by applying journal records in order, each by the
+    step JOURNAL_OPS gives its schema; a record of any other schema, even
+    one that shares an op's name, is refused. Conservation is verified
+    after every applied record.
     """
     ledger = Ledger()
     for record in records:
-        name = record.schema.name
-        if name == "LedgerMint":
-            ledger.mint(record["wallet"], record["amount"])
-        elif name == "LedgerAdvance":
-            ledger.advance_block(record["blocks"])
-        elif name == "LedgerTransfer":
-            ledger.transfer(record["sender"], record["recipient"], record["amount"])
-        elif name == "LedgerFee":
-            ledger.charge_fee(record["wallet"], record["amount"])
-        elif name == "EscrowOpen":
-            escrow_id = ledger.open_escrow(
-                record["payer"], record["payee"], record["amount"], record["arbiter"]
-            )
-            if escrow_id.hex() != record["escrow_id"]:
-                raise LedgerError(f"EscrowOpen {record['escrow_id']} is not the id minted")
-        elif name == "EscrowSettle":
-            ledger.settle_escrow(
-                bytes.fromhex(record["escrow_id"]),
-                record["caller"],
-                EscrowOutcome(record["outcome"]),
-            )
-        elif name == "RegistryRegister":
-            ledger.journal.append(record)
-        else:
-            raise LedgerError(f"unknown journal record {name!r}")
+        schema = record.schema
+        op = _OPS_BY_DIGEST.get(schema.digest())
+        if op is None:
+            raise LedgerError(f"{schema.name} {schema.digest().hex()[:16]} is not a journal op")
+        op[1](ledger, record)
         if not ledger.conservation_ok():
-            raise LedgerError(f"conservation violated after {name}")
+            raise LedgerError(f"conservation violated after {schema.name}")
     return ledger

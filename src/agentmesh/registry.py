@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Protocol as TypingProtocol
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
 from .identity import Job, Signature, signed_by, verify_digest, work_ahead
 from .ledger import REGISTER_OP, Ledger, fet
-from .wire import Record, _enc_str
+from .wire import _enc_str
 
 DEFAULT_TTL = 500
 DEFAULT_FEE = fet(1)
@@ -211,17 +211,13 @@ class Registry:
         )
         self.records[address] = record
         self.last_sequence[address] = sequence
-        ledger.journal.append(
-            Record(
-                REGISTER_OP,
-                {
-                    "address": address,
-                    "sequence": sequence,
-                    "endpoint": endpoint,
-                    "protocols": sorted(d.hex() for d in digests),
-                    "metadata": sorted(f"{k}={v}" for k, v in metadata.items()),
-                },
-            )
+        ledger.journal_op(
+            REGISTER_OP,
+            address=address,
+            sequence=sequence,
+            endpoint=endpoint,
+            protocols=sorted(d.hex() for d in digests),
+            metadata=sorted(f"{k}={v}" for k, v in metadata.items()),
         )
         return record.expires_at
 

@@ -410,7 +410,6 @@ class ServiceHandle:
 
 
 def _start(server: _ServiceServer) -> ServiceHandle:
-    # a short poll lets close() return promptly instead of after up to 0.5 s
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )

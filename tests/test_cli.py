@@ -3,6 +3,7 @@ replay, and the daemon argument parsing that can fail before serving."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import socket
@@ -250,6 +251,18 @@ def test_wiretool_envelope_prints_one_recipient_per_line(capsys):
     assert [line for line in out if line.startswith("target:")] == [
         "target:          agent1one", "target:          agent1two"
     ]
+
+
+def test_wiretool_envelope_whose_payload_does_not_decode_exits_one(capsys):
+    alice = derive_identity("wiretool alice")
+    record = make_chat_message("2026-03-02T09:00:00", bytes(16), ["hi there"])
+    env = seal_envelope(alice, "agent1target", CHAT_PROTOCOL, record, bytes(16), 42)
+    garbled = dataclasses.replace(env, payload=bytes.fromhex("00000009") + b"junk!")
+    assert run_cli("wiretool", "envelope", garbled.to_bytes().hex()) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "payload bytes:   9" in out
+    assert out[-1].startswith("schema:          ChatMessage")
+    assert "does not decode" in out[-1]
 
 
 def test_wiretool_envelope_rejects_garbage(capsys):

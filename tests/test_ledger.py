@@ -26,7 +26,7 @@ from agentmesh.ledger import (
     replay,
     write_journal,
 )
-from agentmesh.wire import Record
+from agentmesh.wire import ModelSchema, Record, SemanticType
 
 USER = "wallet1" + "u" * 52
 COURIER = "wallet1" + "c" * 52
@@ -281,6 +281,21 @@ class TestJournal:
             records.append(record)
         with pytest.raises(LedgerError, match=forged):
             replay(records)
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            ModelSchema.build("LedgerMint", wallet=SemanticType.STRING, coins=SemanticType.INT),
+            ModelSchema.build("Unrelated", wallet=SemanticType.STRING, amount=SemanticType.INT),
+        ],
+        ids=["op_name_other_fields", "other_schema"],
+    )
+    def test_replay_refuses_a_record_of_no_op_schema(self, schema):
+        """An op is matched by its schema, not its name."""
+        record = Record(schema, {fname: USER if tag is SemanticType.STRING else 5
+                                 for fname, tag in schema.fields})
+        with pytest.raises(LedgerError, match="is not a journal op"):
+            replay([*funded_ledger().journal, record])
 
     def test_file_roundtrip(self, tmp_path):
         original = self.scripted_ledger()

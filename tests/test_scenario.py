@@ -556,6 +556,70 @@ def test_spoofed_traffic_estimate_is_ignored(monkeypatch):
     assert sum(line.endswith("|unexpected_traffic_reply") for line in report.transcript) == 1
 
 
+def _bid_outcomes(report, sender: str) -> list[str]:
+    return [
+        fields.outcome
+        for fields in map(oracles.line_fields, report.transcript)
+        if fields.sender == sender and fields.outcome.startswith("bid_")
+    ]
+
+
+def test_a_bid_from_an_agent_the_call_did_not_name_is_refused(monkeypatch):
+    scenario = _fast_world()
+    world = scenario.world
+    logistics = scenario.logistics_agent.identity.address
+    gatecrasher = Agent("Gatecrasher", derive_identity("gatecrasher seed"))
+    gatecrasher.include_protocol(COURIER_AUCTION)
+    world.add_agent(gatecrasher)
+    send, calls = world.send, []
+
+    def bid_in_the_order_session(env):
+        send(env)
+        if env.schema_digest == CALL_FOR_BIDS.digest() and not calls:
+            calls.append(env.session_id)
+            bid = make_bid_record(gatecrasher.identity, "Gatecrasher", 1, 30)
+            world.send_message(gatecrasher, logistics, bid, session_id=env.session_id)
+
+    monkeypatch.setattr(world, "send", bid_in_the_order_session)
+    report = scenario.place_order()
+    assert calls  # the bid went out in the order's session
+    assert _bid_outcomes(report, gatecrasher.identity.address) == ["bid_rejected_uninvited"]
+    assert sum(line.endswith("|bid_rejected_uninvited") for line in report.transcript) == 1
+    assert sum(line.endswith("|bid_verified") for line in report.transcript) == 3
+    assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
+
+
+def test_an_invited_courier_s_signed_bid_at_price_zero_is_refused(monkeypatch):
+    scenario = _fast_world()
+    drone = scenario.courier_agents["DroneDashLtd"]
+
+    def bid_zero(ctx, sender, msg):
+        ctx.reply(make_bid_record(drone.identity, "DroneDashLtd", 0, 90))
+
+    monkeypatch.setitem(drone.message_handlers, CALL_FOR_BIDS.digest(), bid_zero)
+    report = scenario.place_order()
+    assert _bid_outcomes(report, drone.identity.address) == ["bid_rejected_invalid"]
+    assert sum(line.endswith("|bid_rejected_invalid") for line in report.transcript) == 1
+    assert sum(line.endswith("|bid_verified") for line in report.transcript) == 2
+    assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
+
+
+def test_without_a_maps_service_the_auction_opens_at_once():
+    def maps_lines(report) -> tuple[int, int]:
+        queries = sum("|TrafficQuery|" in line for line in report.transcript)
+        return queries, sum(line.endswith("|maps_fee_paid") for line in report.transcript)
+
+    queries, fees = maps_lines(run_scenario(default_config()))
+    assert queries and fees == 1  # the demo asks its maps service, and pays it
+    scenario = build_scenario(default_config())
+    registry = scenario.world.registry
+    (maps,) = registry.search(scenario.world.height, metadata={"service_type": "maps"})
+    del registry.records[maps.address]
+    report = scenario.place_order()
+    assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
+    assert maps_lines(report) == (0, 0)
+
+
 def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monkeypatch):
     # every invited courier sees the order's session in its CallForBids
     scenario = _fast_world()
