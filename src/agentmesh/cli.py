@@ -37,6 +37,7 @@ from .wire import (
     Envelope,
     ModelSchema,
     ProtocolSpec,
+    Record,
     WireError,
     canonical_decode,
 )
@@ -176,11 +177,10 @@ def _read_hex_source(source: str) -> bytes:
     raise ValueError("no hex content found")
 
 
-def _print_fields(label: str, schema: ModelSchema, payload: bytes) -> None:
-    """Print payload decoded as schema, or raise WireError printing nothing."""
-    record = canonical_decode(schema, payload)
-    print(f"{label}{schema.name}")
-    for fname, _ in schema.sorted_fields():
+def _print_fields(heading: str, record: Record) -> None:
+    """Print the heading line, then the record's fields one a line."""
+    print(heading)
+    for fname, _ in record.schema.sorted_fields():
         print(f"  {fname} = {record[fname]!r}")
 
 
@@ -220,21 +220,26 @@ def cmd_wiretool(args) -> int:
             return 0
         schema, _ = KNOWN_SCHEMAS[env.schema_digest]
         try:
-            _print_fields("schema:          ", schema, env.payload)
+            record = canonical_decode(schema, env.payload)
         except WireError as exc:
             print(f"schema:          {schema.name}, but the payload does not decode: {exc}")
             return 1
+        _print_fields(f"schema:          {schema.name}", record)
         return 0
 
-    # record: try every known schema until one decodes cleanly
+    # record: a bare record names no schema, so name every known one that
+    # decodes it; only schemas that share a layout can, so the fields agree
+    decoded = []
     for schema, _ in KNOWN_SCHEMAS.values():
         try:
-            _print_fields("schema: ", schema, data)
+            decoded.append(canonical_decode(schema, data))
         except WireError:
             continue
-        return 0
-    print("no known schema decodes this record", file=sys.stderr)
-    return 1
+    if not decoded:
+        print("no known schema decodes this record", file=sys.stderr)
+        return 1
+    _print_fields("schema: " + " or ".join(r.schema.name for r in decoded), decoded[0])
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ class MailboxStore:
     pending: dict[str, int] = field(default_factory=dict)
     deposited_total: int = 0
     dropped_total: int = 0
+    # owner -> envelope bytes its queue holds, kept as deposits and
+    # acknowledgements change the queue, so a deposit never sums it
+    held_bytes: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.held_bytes = {owner: sum(env.size for env in queue)
+                           for owner, queue in self.queues.items()}
 
     def call_many(self, calls: Iterable[tuple]) -> list:
         """Make (method name, *positional arguments) calls in order and return
@@ -83,6 +90,7 @@ class MailboxStore:
 
     def create_account(self, address: str) -> None:
         self.queues.setdefault(address, [])
+        self.held_bytes.setdefault(address, 0)
 
     def has_account(self, address: str) -> bool:
         return address in self.queues
@@ -103,11 +111,12 @@ class MailboxStore:
         except (wire.SignatureInvalid, wire.Misaddressed, wire.Expired) as exc:
             self.dropped_total += 1
             return DepositResult(False, type(exc).__name__)
-        held = sum(queued.size for queued in queue)
-        if len(queue) >= self.capacity or held + env.size > QUEUE_MAX_BYTES:
+        held = self.held_bytes[recipient] + env.size
+        if len(queue) >= self.capacity or held > QUEUE_MAX_BYTES:
             self.dropped_total += 1
             return DepositResult(False, "Full")
         queue.append(env)
+        self.held_bytes[recipient] = held
         self.deposited_total += 1
         return DepositResult(True)
 
@@ -139,7 +148,9 @@ class MailboxStore:
         if address not in self.pending:
             raise NoPendingRetrieve(f"no outstanding retrieve for {address}")
         count = self.pending.pop(address)
-        del self.queues[address][:count]
+        queue = self.queues[address]
+        self.held_bytes[address] -= sum(env.size for env in queue[:count])
+        del queue[:count]
         return count
 
     def stats(self) -> dict[str, int]:

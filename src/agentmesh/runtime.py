@@ -24,6 +24,12 @@ awaited reply to its waiter.
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
 flag, asserted in tests).
+
+The world owns its agents; an agent does not keep its world alive.
+Agent.world is a weak link that reads None before the agent joins a world
+and after that world is gone, so a dropped world is freed at once, by
+reference counting. Callers hold the World (or the ScenarioWorld around
+it) while they use its agents.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import hashlib
 import heapq
 import random
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -206,12 +213,18 @@ class Agent:
         # digest -> schema over every included protocol, first declared wins;
         # include_protocol raises after start, so it never goes stale
         self._schemas: dict[bytes, ModelSchema] = {}
-        self.world: "World | None" = None
+        self._world: "weakref.ref[World] | None" = None  # set by World.add_agent
         self._in_handler = False
         self._session_counter = 0
         # (session, peer) asked -> None until dispatch takes the peer's first
         # signed reply: then its record, or the error of a check it failed
         self.waiters: dict[tuple[bytes, str], Record | WireError | None] = {}
+
+    @property
+    def world(self) -> "World | None":
+        """The world this agent joined, or None before it joins one and
+        after that world is gone."""
+        return None if self._world is None else self._world()
 
     # -- setup (before start) ---------------------------------------------
 
@@ -272,8 +285,9 @@ class Agent:
         ).digest()[:16]
 
     def record_diag(self, line: str) -> None:
-        if self.world is not None:
-            self.world.transcript.append(line)
+        world = self.world
+        if world is not None:
+            world.transcript.append(line)
 
     def _run_handler(self, handler: Callable, *args: Any) -> Any:
         if self._in_handler:
@@ -421,7 +435,7 @@ class World:
     def add_agent(self, agent: Agent) -> None:
         if agent.identity.address in self.agents:
             raise RuntimeError_(f"agent {agent.name} already in world")
-        agent.world = self
+        agent._world = weakref.ref(self)
         agent.start()
         self.agents[agent.identity.address] = agent
         self._rank[agent.identity.address] = len(self._rank)

@@ -7,8 +7,10 @@ golden hashes committed in the test modules were produced by these functions.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import struct
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -217,3 +219,21 @@ def line_fields(line: str) -> TranscriptFields:
     tick|sender|target|schema_name|payload_digest_prefix|outcome."""
     tick, *rest = line.split("|", 5)
     return TranscriptFields(int(tick), *rest)
+
+
+def assert_freed(make) -> None:
+    """Check that the object make() returns is freed by reference counting
+    alone, the moment its last reference goes.
+
+    The cyclic collector is off while make() runs and while the check is
+    made, so an object that only the collector could free (one caught in a
+    reference cycle, or held by one) fails the check."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(make())
+        kept = ref()
+        assert kept is None, f"a dropped {type(kept).__name__} outlived its last reference"
+    finally:
+        if enabled:
+            gc.enable()

@@ -17,10 +17,12 @@ import agentmesh
 from agentmesh import cli, identity
 from agentmesh.cli import attack_config, mailboxd_main, main, registryd_main
 from agentmesh.config import default_config, render_config, with_overrides
+from agentmesh.contractnet import ACCEPT_BID, REJECT_BID
 from agentmesh.identity import derive_identity
 from agentmesh.scenario import build_scenario
 from agentmesh.wire import (
     CHAT_PROTOCOL,
+    Record,
     canonical_encode,
     make_chat_message,
     seal_envelope,
@@ -281,6 +283,15 @@ def test_wiretool_record_names_the_schema(capsys):
     out = capsys.readouterr().out
     assert "schema: ChatMessage" in out
     assert "msg_id" in out
+
+
+def test_wiretool_record_names_every_schema_that_decodes_it(capsys):
+    # AcceptBid and RejectBid share one layout, so their bare records are
+    # the same four bytes
+    encoded = canonical_encode(Record(REJECT_BID, {}))
+    assert encoded == canonical_encode(Record(ACCEPT_BID, {}))
+    assert run_cli("wiretool", "record", encoded.hex()) == 0
+    assert capsys.readouterr().out == "schema: AcceptBid or RejectBid\n"
 
 
 def test_wiretool_record_unknown_bytes_exit_one(capsys):

@@ -6,16 +6,18 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import oracles
+from agentmesh import wire
 from agentmesh.contractnet import CALL_FOR_BIDS, COURIER_AUCTION
 from agentmesh.identity import Signature, derive_identity
 from agentmesh.mailbox import (
     BadAuth,
     DEFAULT_CAPACITY,
+    DepositResult,
     QUEUE_MAX_BYTES,
     MailboxStore,
     NoPendingRetrieve,
@@ -371,3 +373,80 @@ class MailboxMachine(RuleBasedStateMachine):
 
 TestMailboxMachine = MailboxMachine.TestCase
 TestMailboxMachine.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
+
+
+class SummingStore(MailboxStore):
+    """The reference byte rule: each deposit sums the sizes of the whole
+    queue it would join."""
+
+    def deposit(self, env, current_height, recipient):
+        queue = self.queues.get(recipient)
+        if queue is None:
+            self.dropped_total += 1
+            return DepositResult(False, "NoAccount")
+        try:
+            wire.check_envelope(env, current_height, recipient)
+        except (wire.SignatureInvalid, wire.Misaddressed, wire.Expired) as exc:
+            self.dropped_total += 1
+            return DepositResult(False, type(exc).__name__)
+        held = sum(queued.size for queued in queue)
+        if len(queue) >= self.capacity or held + env.size > QUEUE_MAX_BYTES:
+            self.dropped_total += 1
+            return DepositResult(False, "Full")
+        queue.append(env)
+        self.deposited_total += 1
+        return DepositResult(True)
+
+
+# the third owner never gets an account
+OWNERS = (OWNER, OTHER, derive_identity("mailbox owner with no account"))
+# a note, and two that each fill most of a queue's byte cap
+NOTE_TEXT_LENGTHS = (10, 1_500_000, 2_500_000)
+
+
+@pytest.fixture(scope="module")
+def sized_notes():
+    """target index -> one note envelope of each size, addressed to it."""
+    return [[note_env("n" * length, target=owner) for length in NOTE_TEXT_LENGTHS]
+            for owner in OWNERS]
+
+
+def _step(store, op, sized_notes):
+    kind, owner, *size = op
+    address = OWNERS[owner].address
+    if kind == "deposit":
+        return store.deposit(sized_notes[owner][size[0]], 1, address)
+    if kind == "misaddressed":  # a note to the next owner
+        return store.deposit(sized_notes[(owner + 1) % len(OWNERS)][0], 1, address)
+    try:
+        if kind == "retrieve":
+            nonce = store.next_nonce(address)
+            return store.retrieve(address, nonce, auth_for(OWNERS[owner], nonce))
+        return store.acknowledge(address)
+    except NoPendingRetrieve:
+        return "NoPendingRetrieve"
+
+
+OWNER_INDEX = st.integers(0, len(OWNERS) - 1)
+MAILBOX_OPS = st.lists(st.one_of(
+    st.tuples(st.just("deposit"), OWNER_INDEX, st.integers(0, len(NOTE_TEXT_LENGTHS) - 1)),
+    st.tuples(st.sampled_from(["misaddressed", "retrieve", "acknowledge"]), OWNER_INDEX),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 4), ops=MAILBOX_OPS)
+@example(capacity=4, ops=[("deposit", 0, 2), ("retrieve", 0), ("acknowledge", 0), ("deposit", 0, 2)])
+def test_the_running_byte_total_decides_as_summing_the_queue_does(sized_notes, capacity, ops):
+    store, reference = MailboxStore(capacity=capacity), SummingStore(capacity=capacity)
+    for each in (store, reference):
+        for owner in OWNERS[:2]:
+            each.create_account(owner.address)
+    for op in ops:
+        assert _step(store, op, sized_notes) == _step(reference, op, sized_notes)
+        assert store.stats() == reference.stats()
+        assert (store.deposited_total, store.dropped_total) == (
+            reference.deposited_total, reference.dropped_total)
+    held = {owner: sum(env.size for env in queue) for owner, queue in store.queues.items()}
+    assert store.held_bytes == held
+    assert MailboxStore(queues=store.queues).held_bytes == held  # a store built with queues

@@ -102,6 +102,19 @@ class TestRegistration:
         with pytest.raises(Exception):
             make_agent("zero period").on_interval(0)(lambda ctx: None)
 
+    def test_an_agent_does_not_keep_its_world_alive(self):
+        agent = echo_agent("outlives its world")
+        assert agent.world is None
+
+        def joined():
+            world = fresh_world()
+            world.add_agent(agent)
+            assert agent.world is world
+            return world
+
+        oracles.assert_freed(joined)
+        assert agent.world is None
+
 
 class TestSchemaIndex:
     """Agents index schemas by digest as protocols are included; the world

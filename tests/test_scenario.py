@@ -10,6 +10,8 @@ from datetime import date
 import pytest
 
 import oracles
+from test_golden import fleet_style
+from agentmesh.cli import attack_config
 from agentmesh.config import (
     CourierSpec,
     PresenceWindow,
@@ -18,7 +20,8 @@ from agentmesh.config import (
 )
 from agentmesh import scenario as scenario_module
 from agentmesh.identity import derive_identity
-from agentmesh.ledger import UFET_PER_FET, fet, replay
+from agentmesh.ledger import UFET_PER_FET, Ledger, fet, replay
+from agentmesh.mailbox import MailboxStore
 from agentmesh.contractnet import (
     ACCEPT_BID,
     CALL_FOR_BIDS,
@@ -28,7 +31,7 @@ from agentmesh.contractnet import (
     assess_reputation,
     make_bid_record,
 )
-from agentmesh.registry import NotFound
+from agentmesh.registry import FixtureDnsResolver, NotFound, Registry
 from agentmesh.runtime import DEFAULT_REPLY_TTL, Agent, Context, Timeout, World
 from agentmesh.scenario import (
     DELIVERY_DECISION,
@@ -52,6 +55,7 @@ from agentmesh.scenario import (
     run_scenario,
     simulate_network,
 )
+from agentmesh.services import MailboxClient, RegistryClient, serve_mailbox, serve_registry
 from agentmesh.wire import (
     CHAT_MESSAGE,
     CHAT_PROTOCOL,
@@ -1483,3 +1487,43 @@ def test_interactive_skip_feedback():
     report = build_scenario(config).place_order(lambda prompt: next(answers))
     assert report.status == "ok"
     assert report.feedback_stars == 0
+
+
+# ---------------------------------------------------------------------------
+# world lifetime: the world owns its agents and no agent keeps it alive, so a
+# dropped world is freed by reference counting, not left to the collector
+
+def _ordered_once(config, **services):
+    """Build a world, place one order, and hand back only the World."""
+    def make():
+        scenario = build_scenario(config, **services)
+        assert scenario.place_order().status == "ok"
+        return scenario.world
+    return make
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(default_config, id="demo"),
+    pytest.param(lambda: attack_config(50), id="attack_50"),
+    pytest.param(lambda: fleet_style(40), id="fleet_40"),
+])
+def test_a_dropped_world_is_freed_at_once(config):
+    oracles.assert_freed(_ordered_once(config()))
+
+
+def test_a_dropped_world_behind_the_services_is_freed_at_once():
+    config = default_config()
+    ledger = Ledger()
+    registry = Registry(ttl=config.registry_ttl, fee=fet(config.registration_fee_fet))
+    registry_handle = serve_registry(registry, ledger, FixtureDnsResolver())
+    mailbox_handle = serve_mailbox(MailboxStore())
+    try:
+        with RegistryClient(registry_handle.base_url) as registry_client, MailboxClient(
+            mailbox_handle.base_url
+        ) as mailbox_client:
+            oracles.assert_freed(_ordered_once(
+                config, registry=registry_client, mailbox=mailbox_client, ledger=ledger
+            ))
+    finally:
+        registry_handle.close()
+        mailbox_handle.close()
