@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 from .contractnet import ContractNetError, SelectionWeights, local_time
 from .ledger import UFET_PER_FET
+from .runtime import NetworkModel, RuntimeError_
 from .wire import I64_MAX
 
 # the largest whole-FET amount whose micro-FET value fits the wire's i64
@@ -133,10 +134,6 @@ class ScenarioConfig:
     offline: tuple[PresenceWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0 <= self.drop_probability < 1):
-            raise ConfigError(f"drop_probability {self.drop_probability} outside [0, 1)")
-        if not (1 <= self.latency_min <= self.latency_max):
-            raise ConfigError("latency range must satisfy 1 <= min <= max")
         if self.approval_mode not in ("scripted", "interactive"):
             raise ConfigError(f"approval_mode must be scripted or interactive, got {self.approval_mode!r}")
         if not (0 <= self.feedback_stars <= 5):
@@ -185,11 +182,15 @@ class ScenarioConfig:
                 raise ConfigError(f"offline window references unknown courier {window.agent!r}")
         try:
             self.weights()
-        except ContractNetError as exc:
+            self.network()
+        except (ContractNetError, RuntimeError_) as exc:
             raise ConfigError(str(exc)) from exc
 
     def weights(self) -> SelectionWeights:
         return SelectionWeights(self.weight_price, self.weight_speed, self.weight_reputation)
+
+    def network(self) -> NetworkModel:
+        return NetworkModel(self.latency_min, self.latency_max, self.drop_probability)
 
     def wall_clock(self) -> datetime:
         return local_time(self.wall_clock_start)

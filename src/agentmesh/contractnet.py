@@ -267,11 +267,6 @@ class DeterministicScorer:
             elif token in NEGATIVE_WORDS:
                 hits[1] += 1
 
-    def add_stars(self, address: str, stars: int) -> None:
-        if not (1 <= stars <= 5):
-            raise ContractNetError(f"stars must be 1..5, got {stars}")
-        self.stars.setdefault(address, []).append(stars)
-
     def assess(self, addresses: Sequence[str]) -> dict[str, ReputationScore]:
         out: dict[str, ReputationScore] = {}
         for address in addresses:

@@ -130,8 +130,8 @@ def _replay_escrow_open(ledger: "Ledger", op: Record) -> None:
         raise LedgerError(f"EscrowOpen {op['escrow_id']} is not the id minted")
 
 
-# Each journal op's schema and the step `replay` takes for it: the reader,
-# `replay` and JOURNAL_SCHEMAS all walk this one table. Registry ops carry no
+# Each journal op's schema and the step `replay` takes for it: the reader
+# and `replay` both walk this one table. Registry ops carry no
 # balance change beyond the fee, which is journaled apart, so `replay` only
 # keeps them, and one journal holds the whole world.
 JOURNAL_OPS: dict[ModelSchema, Callable[["Ledger", Record], object]] = {
@@ -145,7 +145,6 @@ JOURNAL_OPS: dict[ModelSchema, Callable[["Ledger", Record], object]] = {
     ),
     REGISTER_OP: lambda ledger, op: ledger.journal_op(REGISTER_OP, **op.values),
 }
-JOURNAL_SCHEMAS: tuple[ModelSchema, ...] = tuple(JOURNAL_OPS)
 _OPS_BY_DIGEST = {schema.digest(): (schema, step) for schema, step in JOURNAL_OPS.items()}
 
 

@@ -29,7 +29,9 @@ The world owns its agents; an agent does not keep its world alive.
 Agent.world is a weak link that reads None before the agent joins a world
 and after that world is gone, so a dropped world is freed at once, by
 reference counting. Callers hold the World (or the ScenarioWorld around
-it) while they use its agents.
+it) while they use its agents. World.add_agent setting that link is the
+one record that an agent joined: from then on it takes no new protocol or
+handler, and only then does it dispatch.
 """
 
 from __future__ import annotations
@@ -209,9 +211,8 @@ class Agent:
         self.protocols: list[ProtocolSpec] = []
         self.message_handlers: dict[bytes, Callable] = {}
         self.interval_handlers: list[tuple[int, Callable]] = []
-        self.started = False
         # digest -> schema over every included protocol, first declared wins;
-        # include_protocol raises after start, so it never goes stale
+        # include_protocol raises after joining a world, so it never goes stale
         self._schemas: dict[bytes, ModelSchema] = {}
         self._world: "weakref.ref[World] | None" = None  # set by World.add_agent
         self._in_handler = False
@@ -226,11 +227,11 @@ class Agent:
         after that world is gone."""
         return None if self._world is None else self._world()
 
-    # -- setup (before start) ---------------------------------------------
+    # -- setup (before joining a world) -----------------------------------
 
     def _refuse_if_started(self) -> None:
-        if self.started:
-            raise AgentAlreadyStarted(f"{self.name} already started")
+        if self._world is not None:
+            raise AgentAlreadyStarted(f"{self.name} already joined a world")
 
     def include_protocol(self, spec: ProtocolSpec) -> None:
         self._refuse_if_started()
@@ -264,9 +265,6 @@ class Agent:
         return wrap
 
     # -- runtime ------------------------------------------------------------
-
-    def start(self) -> None:
-        self.started = True
 
     def known_schemas(self) -> list[ModelSchema]:
         return list(self._schemas.values())
@@ -314,7 +312,7 @@ class Agent:
         to its waiter, not to a handler. Returns the envelopes the handler
         emitted, sealed and ready for transport.
         """
-        if not self.started:
+        if self._world is None:
             raise AgentNotStarted(f"{self.name} has not joined a world")
         key = (env.session_id, env.sender)
         awaited = key in self.waiters and self.waiters[key] is None
@@ -389,8 +387,11 @@ class NetworkModel:
     def __post_init__(self) -> None:
         if self.latency_min < 1 or self.latency_max < self.latency_min:
             raise RuntimeError_("latency range must satisfy 1 <= min <= max")
-        if not (0.0 <= self.drop_probability < 1.0):
-            raise RuntimeError_("drop probability must be in [0, 1)")
+        # both the value given (a config's is an exact fraction) and the float
+        # kept for the draws to compare with lie in [0, 1)
+        if not (0 <= self.drop_probability < 1 and float(self.drop_probability) < 1.0):
+            raise RuntimeError_(f"drop probability {self.drop_probability} outside [0, 1)")
+        self.drop_probability = float(self.drop_probability)
 
 
 class World:
@@ -436,7 +437,6 @@ class World:
         if agent.identity.address in self.agents:
             raise RuntimeError_(f"agent {agent.name} already in world")
         agent._world = weakref.ref(self)
-        agent.start()
         self.agents[agent.identity.address] = agent
         self._rank[agent.identity.address] = len(self._rank)
         self.online[agent.identity.address] = True

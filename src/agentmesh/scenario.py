@@ -45,7 +45,7 @@ from .registry import (
     RegistryError,
     registration_signing_digest,
 )
-from .runtime import Agent, DrainIncomplete, InvalidRecord, NetworkModel, Timeout, World
+from .runtime import Agent, DrainIncomplete, InvalidRecord, Timeout, World
 from .services import ServiceError
 from .wire import (
     CHAT_MESSAGE,
@@ -225,9 +225,6 @@ class FeedbackRegister:
     def mark_delivered(self, rater_wallet: str, escrow_hex: str, rated_address: str) -> str:
         self._completed[(rater_wallet, escrow_hex)] = rated_address
         return escrow_hex
-
-    def stars_for(self, address: str) -> list[int]:
-        return list(self.stars.get(address, ()))
 
 
 def record_feedback(
@@ -419,7 +416,6 @@ class _Auction:
     bid_deadline: int = -1
     bids: dict[str, VerifiedBid] = field(default_factory=dict)
     winner: str = ""
-    losers: list[str] = field(default_factory=list)
     price_fet: int = 0
     escrow_id: bytes = b""
 
@@ -546,7 +542,7 @@ def build_logistics_agent(
         ]
         deadline_dt = auction.task.deadline_dt()
         try:
-            winner, losers = select_winner(adjusted, scores, weights, deadline_dt, announced_at)
+            winner, _ = select_winner(adjusted, scores, weights, deadline_dt, announced_at)
         except ContractNetError as exc:
             end(ctx, auction, LOGISTICS_PROPOSAL, bids, status="no_feasible_bid", detail=str(exc))
             return
@@ -555,7 +551,7 @@ def build_logistics_agent(
         arrival = (announced_at + timedelta(minutes=eta)).isoformat()
         registry = ctx.agent.world.registry
         domain = registry.domain_of(winner) or ""
-        auction.winner, auction.losers, auction.price_fet = winner, losers, chosen.price_fet
+        auction.winner, auction.price_fet = winner, chosen.price_fet
         ctx.diag("winner_selected")
         proposal = _filled(
             LOGISTICS_PROPOSAL,
@@ -576,7 +572,7 @@ def build_logistics_agent(
         auction = auctions.get(ctx.session_id)
         if auction is None or sender != auction.requester or auction.phase != "awaiting_decision":
             return _filled(DELIVERY_OUTCOME, status="no_open_proposal")
-        bidders = [auction.winner, *auction.losers]
+        bidders = auction.bids
         if not msg["approved"]:
             ctx.diag("auction_closed_unapproved")
             end(ctx, auction, DELIVERY_OUTCOME, bidders, status=msg["reason"] or "declined_by_user")
@@ -598,7 +594,7 @@ def build_logistics_agent(
             detail = f"InsufficientFunds: {exc}"
             end(ctx, auction, DELIVERY_OUTCOME, bidders, status="insufficient_funds", detail=detail)
             return
-        reject_bidders(ctx, auction.losers)
+        reject_bidders(ctx, [bidder for bidder in bidders if bidder != auction.winner])
         ctx.send(auction.winner, Record(ACCEPT_BID, {}))
         auction.phase = "awaiting_delivery"
         ctx.diag("escrow_opened")
@@ -1027,15 +1023,6 @@ class Orchestrator:
 # ---------------------------------------------------------------------------
 # world assembly
 
-def simulate_network(config: ScenarioConfig) -> NetworkModel:
-    """Transport policy from config: latency range plus drop probability."""
-    return NetworkModel(
-        latency_min=config.latency_min,
-        latency_max=config.latency_max,
-        drop_probability=float(config.drop_probability),
-    )
-
-
 def _registration(ledger: Ledger, agent: Agent, endpoint: str, metadata: dict[str, str]) -> tuple:
     """The signed `register` call for an agent's first registration, whose
     metadata also names the agent's wallet and display name."""
@@ -1131,7 +1118,7 @@ def build_scenario(config: ScenarioConfig, registry=None, mailbox=None, ledger=N
         for spec in config.couriers
     }
 
-    world = World(ledger, registry, mailbox, simulate_network(config), seed=config.random_seed)
+    world = World(ledger, registry, mailbox, config.network(), seed=config.random_seed)
     cast = [user_agent, logistics_agent, packaging_agent, maps_agent]
     cast += list(courier_agents.values()) + saboteurs
     for agent in cast:

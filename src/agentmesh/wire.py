@@ -655,20 +655,6 @@ def _unsigned_envelope(
     )
 
 
-def envelope_signing_digest(
-    sender: str,
-    target: str,
-    proto_digest: bytes,
-    sch_digest: bytes,
-    payload: bytes,
-    session_id: bytes,
-    expires_at: int,
-) -> bytes:
-    """The digest the sender signs: SHA-256 of the unsigned bytes."""
-    fields = (sender, target, proto_digest, sch_digest, payload, session_id, expires_at)
-    return hashlib.sha256(_unsigned_envelope(*fields)).digest()
-
-
 def seal_envelope(
     identity: AgentIdentity,
     target: str,
@@ -694,9 +680,10 @@ def seal_envelope(
     payload = canonical_encode(record)
     proto = protocol.digest()
     schema = record.schema.digest()
-    digest = envelope_signing_digest(
+    unsigned = _unsigned_envelope(
         identity.address, target, proto, schema, payload, session_id, expires_at
     )
+    digest = hashlib.sha256(unsigned).digest()
     env = Envelope(
         sender=identity.address,
         target=target,

@@ -138,6 +138,13 @@ def test_run_with_no_arrival_inside_the_calendar_reports_it(tmp_path, capsys, ov
     assert "status: failed (NoFeasibleBid)" in capsys.readouterr().out
 
 
+def test_run_drop_probability_whose_float_is_one_exits_two(tmp_path, capsys):
+    path = tmp_path / "drop.cfg"
+    path.write_text("drop_probability = 0.99999999999999999999\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert "config error: drop probability" in capsys.readouterr().err
+
+
 def test_run_bad_clock_exits_two(tmp_path, capsys):
     path = tmp_path / "clock.cfg"
     path.write_text("wall_clock_start = x\n")

@@ -239,3 +239,35 @@ def test_weights_helper_matches_fields():
     assert weights.w_price == config.weight_price
     assert weights.w_speed == config.weight_speed
     assert weights.w_reputation == config.weight_reputation
+
+
+# 1 - 10**-20 is below 1, but the float each drop draw is compared with is 1.0;
+# -10**-400 is below 0, but its float is -0.0
+NEAR_ONE = Fraction(10**20 - 1, 10**20)
+BELOW_ZERO = Fraction(-1, 10**400)
+
+
+@pytest.mark.parametrize("drop", [NEAR_ONE, BELOW_ZERO], ids=["near_one", "below_zero"])
+def test_a_drop_probability_whose_float_leaves_the_range_is_refused(drop):
+    with pytest.raises(ConfigError, match=r"outside \[0, 1\)"):
+        parse_config(f"drop_probability = {drop}\n")
+    with pytest.raises(ConfigError, match=r"outside \[0, 1\)"):
+        with_overrides(default_config(), drop_probability=drop)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"bid_window_ticks": 1}, "bid_window_ticks"),
+        ({"delivery_ticks": 0}, "delivery_ticks"),
+        ({"packaging_quote_fet": -1}, "fees and quotes"),
+        ({"maps_fee_fet": -1}, "fees and quotes"),
+        ({"registration_fee_fet": -1}, "fees and quotes"),
+        ({"registry_ttl": 0}, "registry_ttl"),
+        ({"traffic_delay_minutes": -1}, "traffic_delay_minutes"),
+        ({"couriers": ()}, "at least one courier"),
+    ],
+)
+def test_each_scenario_invariant_is_refused(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        with_overrides(default_config(), **overrides)

@@ -95,6 +95,9 @@ class TestBidIntegrity:
         broken = Record(COURIER_BID, dict(bid.values, signature="zz not hex"))
         assert verify_bid(broken, VAN.address).reason == "BadSignature"
 
+    def test_a_record_that_is_not_a_bid_is_tampered(self):
+        assert verify_bid(Record(ACCEPT_BID, {}), VAN.address).reason == "TamperedPayload"
+
     def test_receiver_recomputes_digest(self):
         bid = make_bid_record(VAN, "SpeedyVanCouriers", fet(25), 210)
         assert bid["digest"] == bid_body_digest(fet(25), 210, "SpeedyVanCouriers").hex()
@@ -129,15 +132,14 @@ class TestReputation:
 
     def test_stars_fold_in(self):
         scorer = DeterministicScorer()
-        scorer.add_stars(VAN.address, 5)
-        scorer.add_stars(VAN.address, 1)
+        scorer.stars[VAN.address] = [5, 1]
         assert scorer.assess([VAN.address])[VAN.address].score == Fraction(1, 2)
 
     def test_high_stars_never_lower_score(self):
         scorer = DeterministicScorer()
         scorer.add_review(VAN.address, "good fast service")
         before = scorer.assess([VAN.address])[VAN.address].score
-        scorer.add_stars(VAN.address, 5)
+        scorer.stars[VAN.address] = [5]
         after = scorer.assess([VAN.address])[VAN.address].score
         assert after >= before
 
@@ -180,6 +182,17 @@ class TestReputation:
 
         scores = assess_reputation(DeadScorer(), [VAN.address, BIKE.address])
         assert all(s.score == Fraction(1, 2) for s in scores.values())
+
+    def test_an_address_the_scorer_leaves_out_gets_the_neutral_prior(self):
+        class PartialScorer:
+            def assess(self, addresses):
+                return {VAN.address: ReputationScore(VAN.address, Fraction(1), "praised")}
+
+        scores = assess_reputation(PartialScorer(), [VAN.address, BIKE.address])
+        assert scores[VAN.address].score == 1
+        assert scores[BIKE.address] == ReputationScore(
+            BIKE.address, NEUTRAL_SCORE, "unscored, neutral prior"
+        )
 
     def test_score_range_enforced(self):
         with pytest.raises(Exception):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 
@@ -296,6 +297,18 @@ class TestAname:
         assert record.state is AnameState.VERIFIED
         assert record.verified_at == 9
         assert registry.resolve_domain("speedyvan.example.agent") == agent.address
+
+    def test_verifying_a_verified_domain_returns_its_record_unchanged(self):
+        registry = Registry()
+        challenge = registry.aname_claim("again.example", derive_identity("again").address)
+        record = registry.aname_verify(
+            "again.example", FixtureDnsResolver({"again.example": [challenge.hex()]}), 9
+        )
+        before = dataclasses.replace(record)
+        # the TXT entry is gone, and the height has moved on
+        again = registry.aname_verify("again.example", FixtureDnsResolver(), 20)
+        assert again is record
+        assert again == before
 
     def test_reclaim_replaces_nonce(self):
         registry = Registry()

@@ -93,6 +93,13 @@ class TestRegistration:
         with pytest.raises(AgentAlreadyStarted):
             agent.include_protocol(ECHO)
 
+    def test_an_agent_joins_a_world_once(self):
+        agent = make_agent("joins twice")
+        world = fresh_world()
+        world.add_agent(agent)
+        with pytest.raises(runtime.RuntimeError_, match="already in world"):
+            world.add_agent(agent)
+
     def test_include_idempotent(self):
         agent = make_agent("idem")
         agent.include_protocol(ECHO)
@@ -148,7 +155,7 @@ class TestSchemaIndex:
 
     def test_unstarted_agent_knows_its_schemas(self):
         agent = make_agent("unstarted agent")
-        assert not agent.started
+        assert agent.world is None
         assert agent.known_schemas() == [PING, PONG]
         assert agent._schema_name_of(PONG.digest()) == "Pong"
 
@@ -173,7 +180,8 @@ class TestDispatch:
         def handle(ctx, sender, record):
             calls.append((sender, record["text"]))
 
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("sender")
         out = agent.dispatch(self.ping_env(sender, agent), 1)
         assert calls == [(sender.identity.address, "hi")]
@@ -181,7 +189,8 @@ class TestDispatch:
 
     def test_reply_reuses_session(self):
         agent = echo_agent("echoer")
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("asker")
         session = b"\x09" * 16
         out = agent.dispatch(self.ping_env(sender, agent, session=session), 1)
@@ -239,6 +248,31 @@ class TestDispatch:
         assert agent.dispatch(env, 1) == []
         assert [oracles.line_fields(d).outcome for d in world.transcript] == ["unknown_schema"]
 
+    def test_a_signed_payload_that_does_not_decode_is_one_unknown_schema_line(self):
+        calls = []
+        agent = make_agent("garbled target")
+        agent.on_message(PING)(lambda ctx, s, r: calls.append(r))
+        world = fresh_world()
+        world.add_agent(agent)
+        sender = make_agent("garbled sender")
+        unsigned = dataclasses.replace(self.ping_env(sender, agent), payload=b"\xff")
+        signature = sender.identity.sign_digest(unsigned.signing_digest())
+        assert agent.dispatch(dataclasses.replace(unsigned, signature=signature), 1) == []
+        assert calls == []
+        (line,) = world.transcript
+        assert oracles.line_fields(line)[3:] == ("Ping", unsigned.payload_prefix, "unknown_schema")
+
+    def test_reply_outside_a_message_handler_raises(self):
+        agent = make_agent("timer replier")
+        with pytest.raises(runtime.RuntimeError_, match="outside a message handler"):
+            agent.invoke(lambda ctx: ctx.reply(Record(PONG, {"text": "to whom?"})), 1)
+
+    def test_send_of_a_schema_in_none_of_its_protocols_raises(self):
+        agent = make_agent("narrow sender")
+        stranger = Record(ModelSchema.build("Stranger", n=SemanticType.INT), {"n": 1})
+        with pytest.raises(SchemaNotInProtocol):
+            Context(agent, 1).send(agent.identity.address, stranger)
+
     def test_invalid_record_reject_is_one_line_and_sends_nothing(self):
         agent = make_agent("picky")
         sender = make_agent("picky sender")
@@ -289,7 +323,8 @@ class TestDispatch:
             except HandlerOverlap as exc:
                 inner_error.append(exc)
 
-        agent.start()
+        world = fresh_world()
+        world.add_agent(agent)
         sender = make_agent("overlap sender")
         agent.dispatch(self.ping_env(sender, agent), 1)
         assert len(inner_error) == 1

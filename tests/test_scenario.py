@@ -48,12 +48,12 @@ from agentmesh.scenario import (
     Orchestrator,
     REPORT_SCHEMA,
     ScenarioError,
+    ScenarioReport,
     UnparsableRequest,
     build_scenario,
     parse_request,
     record_feedback,
     run_scenario,
-    simulate_network,
 )
 from agentmesh.services import MailboxClient, RegistryClient, serve_mailbox, serve_registry
 from agentmesh.wire import (
@@ -139,7 +139,7 @@ def test_feedback_happy_path():
     auction = register.mark_delivered("wallet1x", "e1", "agent1abc")
     record = record_feedback(register, "wallet1x", "agent1abc", 5, auction, 10)
     assert record.stars == 5
-    assert register.stars_for("agent1abc") == [5]
+    assert register.stars["agent1abc"] == [5]
 
 
 def test_feedback_duplicate_rejected():
@@ -178,7 +178,7 @@ def test_feedback_one_record_per_auction_but_many_auctions():
     second = register.mark_delivered("wallet1x", "e2", "agent1abc")
     record_feedback(register, "wallet1x", "agent1abc", 5, first, 10)
     record_feedback(register, "wallet1x", "agent1abc", 1, second, 20)
-    assert register.stars_for("agent1abc") == [5, 1]
+    assert register.stars["agent1abc"] == [5, 1]
 
 
 def test_feedback_auction_id_is_the_escrow_id():
@@ -190,7 +190,7 @@ def test_feedback_auction_id_is_the_escrow_id():
     record_feedback(register, "wallet1x", "agent1abc", 5, auction, 10)
     with pytest.raises(DuplicateFeedback):
         record_feedback(register, "wallet1x", "agent1abc", 4, auction, 20)
-    assert register.stars_for("agent1abc") == [5]
+    assert register.stars["agent1abc"] == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +622,22 @@ def test_without_a_maps_service_the_auction_opens_at_once():
     report = scenario.place_order()
     assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
     assert maps_lines(report) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "service_type, cause, spend_fet",
+    [("packaging", "NoPackagingService", 0), ("logistics", "NoLogisticsService", 7)],
+)
+def test_an_order_without_a_service_it_needs_fails_typed(service_type, cause, spend_fet):
+    scenario = build_scenario(default_config())
+    registry = scenario.world.registry
+    (service,) = registry.search(scenario.world.height, metadata={"service_type": service_type})
+    del registry.records[service.address]
+    report = scenario.place_order()
+    assert (report.status, report.failure_cause) == ("failed", cause)
+    assert report.total_user_spend_fet == spend_fet
+    assert report.escrows == ()
+    assert report.conserved
 
 
 def test_a_reply_in_the_order_session_from_a_third_party_is_not_the_answer(monkeypatch):
@@ -1203,7 +1219,7 @@ def test_feedback_register_accumulates_across_runs():
     # each delivery is its own auction, so the duplicate rule does not trip
     # and both ratings land
     assert len(register.records) == 2
-    assert register.stars_for(first.winner_address) == [5, 5]
+    assert register.stars[first.winner_address] == [5, 5]
 
 
 def test_published_stars_feed_the_next_selection():
@@ -1377,7 +1393,7 @@ def test_a_bad_deadline_is_refused_and_the_open_auction_kept(deadline):
 
 
 def test_simulate_network_reflects_config():
-    model = simulate_network(with_overrides(default_config(), latency_min=2, latency_max=5))
+    model = with_overrides(default_config(), latency_min=2, latency_max=5).network()
     assert model.latency_min == 2
     assert model.latency_max == 5
     assert model.drop_probability == 0.0
@@ -1527,3 +1543,9 @@ def test_a_dropped_world_behind_the_services_is_freed_at_once():
     finally:
         registry_handle.close()
         mailbox_handle.close()
+
+
+def test_an_amount_that_is_not_a_whole_fet_prints_in_micro_fet():
+    text = ScenarioReport("ok", "", packaging_ufet=7_500_000, delivery_ufet=fet(25)).render_text()
+    assert "packaging: 7500000 uFET\n" in text
+    assert "delivery: 25 FET\n" in text

@@ -294,6 +294,9 @@ def test_aname_flow_over_http(registry_service):
     assert registry.anames["speedyvan.example"].state is AnameState.VERIFIED
     assert record == registry.anames["speedyvan.example"]  # challenge included
 
+    # verifying again changes nothing, though the height has moved on
+    assert client.aname_verify("speedyvan.example", None, current_height=9) == record
+
     assert client.resolve_domain("speedyvan.example") == ALICE.address
     assert client.domain_of(ALICE.address) == "speedyvan.example"
     assert client.domain_of(BOB.address) is None

@@ -395,6 +395,15 @@ class TestEnvelope:
         with pytest.raises(UnknownSchema):
             open_envelope(env, by_digest([stranger]), 5, env.target)
 
+    def test_a_signed_payload_that_does_not_decode_is_an_unknown_schema(self):
+        env, proto, _ = self.make_envelope()
+        unsigned = dataclasses.replace(env, payload=b"\xff")
+        signature = derive_identity("env sender").sign_digest(unsigned.signing_digest())
+        garbled = dataclasses.replace(unsigned, signature=signature)
+        assert garbled.signed()
+        with pytest.raises(UnknownSchema, match="does not decode as Ping"):
+            open_envelope(garbled, by_digest(proto.models), 5, garbled.target)
+
     def test_schema_not_in_protocol(self):
         sender = derive_identity("env sender")
         proto = sample_protocol()
@@ -406,6 +415,11 @@ class TestEnvelope:
         env, _, _ = self.make_envelope()
         again = Envelope.from_bytes(env.to_bytes())
         assert again == env
+
+    def test_trailing_bytes_are_refused(self):
+        env, _, _ = self.make_envelope()
+        with pytest.raises(SchemaMismatch, match="trailing bytes"):
+            Envelope.from_bytes(env.to_bytes() + b"\x00")
 
     def test_bit_flip_anywhere_fails_open(self):
         env, proto, _ = self.make_envelope()
