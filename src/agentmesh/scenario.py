@@ -29,7 +29,6 @@ from .contractnet import (
     VerifiedBid,
     announce,
     assess_reputation,
-    bid_body_digest,
     make_bid_record,
     reject_bidders,
     select_winner,
@@ -359,29 +358,16 @@ def build_saboteur_agent(name: str, identity: AgentIdentity, bid_quota: int) -> 
 
     @agent.on_message(CALL_FOR_BIDS)
     def on_call(ctx, sender: str, msg: Record):
+        # each forgery claims price 1 and ETA 10, dominant if any filter slips
         for i in range(bid_quota):
-            price, eta = 1, 10  # dominant if any filter slips
             courier_id = f"{name}-{i}"
             if i % 2 == 0:
                 # digest/signature over different numbers than the body claims
-                forged_digest = bid_body_digest(price + 1, eta, courier_id)
-                signature = identity.sign_digest(forged_digest)
+                signed = make_bid_record(identity, courier_id, 2, 10)
+                ctx.reply(Record(COURIER_BID, {**signed.values, "price_fet": 1}))
             else:
                 # consistent body, but signed by a key that is not ours
-                forged_digest = bid_body_digest(price, eta, courier_id)
-                signature = decoy.sign_digest(forged_digest)
-            ctx.reply(
-                Record(
-                    COURIER_BID,
-                    {
-                        "price_fet": price,
-                        "eta_minutes": eta,
-                        "courier_id": courier_id,
-                        "digest": forged_digest.hex(),
-                        "signature": signature.hex(),
-                    },
-                )
-            )
+                ctx.reply(make_bid_record(decoy, courier_id, 1, 10))
         ctx.diag(f"forged_{bid_quota}_bids")
 
     return agent
@@ -859,7 +845,8 @@ class Orchestrator:
         if not approved:
             return self._report("failed", "NoPackaging")
 
-        ledger.transfer(user_wallet, business.metadata["wallet"], fet(quote))
+        if quote > 0:  # a free quote moves no money
+            ledger.transfer(user_wallet, business.metadata["wallet"], fet(quote))
         self._settled["packaging_ufet"] = fet(quote)
 
         logistics_hits = self._search(metadata={"service_type": "logistics"})

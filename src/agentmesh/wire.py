@@ -219,7 +219,7 @@ pos += 1""",
 }
 
 
-# the two compound readers; like the inline ones they leave a short read to
+# the list and map readers; like the inline ones they leave a short read to
 # struct.error, caught by the generated decoder
 def _dec_list(data: bytes, pos: int, end: int) -> tuple[list[str], int]:
     items = []
@@ -279,11 +279,6 @@ class _Codec:
         heads = [_enc_str(fname) + bytes([tag]) for fname, tag in fields]
         heads[:1] = [_U32.pack(len(fields)) + b"".join(heads[:1])]
         self._fields, self._heads, self._name = fields, heads, schema.name
-        # fields whose values are mutable (a list or a dict)
-        self.compound = tuple(
-            fname for fname, tag in fields
-            if tag in (SemanticType.LIST_OF_STRING, SemanticType.MAP_STRING_TO_FLOAT)
-        )
         self._namespace = {
             **{f"HEAD{i}": head for i, head in enumerate(heads)},
             "schema": schema,
@@ -519,9 +514,6 @@ class ProtocolSpec:
             self.__dict__["_by_digest"] = cached
         return cached
 
-    def schema_by_digest(self, digest: bytes) -> ModelSchema | None:
-        return self._models_by_digest().get(digest)
-
     def has_schema(self, schema: ModelSchema) -> bool:
         return schema.digest() in self._models_by_digest()
 
@@ -598,21 +590,14 @@ class Envelope:
     @property
     def recipients(self) -> tuple[str, ...]:
         """The distinct addresses the target names, in the sender's order."""
-        if RECIPIENT_SEP in self.target:
-            return tuple(self._named)
-        return (self.target,)
+        return tuple(self._named)
 
     def names(self, address: str) -> bool:
         """Whether the target names address; one lookup however many it names."""
-        if RECIPIENT_SEP in self.target:
-            return address in self._named
-        return address == self.target
+        return address in self._named
 
     @cached_property
     def _named(self) -> dict[str, None]:
-        """The named addresses in order, kept on the envelope only when
-        there are several: one more key in each envelope's __dict__ makes
-        every envelope's table larger."""
         return dict.fromkeys(self.target.split(RECIPIENT_SEP))
 
     @classmethod
@@ -725,32 +710,19 @@ def open_envelope(
     payload decode. Each failure is a distinct typed error so transports can
     report precise diagnostics.
 
-    A copy for one of several recipients opens to values decoded once per
-    envelope and schema and kept on the envelope; each call returns a record
-    of its own, whose list and map values are copies too, so a handler that
-    changes its record changes no other recipient's. An envelope for one
-    recipient keeps nothing: each open decodes afresh and hands that record
-    over as it is.
+    Each open decodes the payload afresh, so every copy of a multicast
+    envelope hands its recipient a record of its own.
     """
     check_envelope(env, current_height, recipient)
     schema = known_schemas.get(env.schema_digest)
     if schema is None:
         raise UnknownSchema(f"no schema with digest {env.schema_digest.hex()[:16]}")
-    decoded = env.__dict__.get("_decoded")
-    if decoded is None or decoded[0] is not schema:
-        try:
-            record = canonical_decode(schema, env.payload)
-        except SchemaMismatch as exc:
-            # Signed, unexpired, digest matches a schema we know, yet the
-            # payload does not parse as it: the bytes belong to no known schema.
-            raise UnknownSchema(f"payload does not decode as {schema.name}: {exc}") from exc
-        if RECIPIENT_SEP not in env.target:
-            return record, env.sender
-        decoded = env.__dict__["_decoded"] = (schema, record.values)
-    values = dict(decoded[1])
-    for fname in schema._codec.compound:
-        values[fname] = values[fname].copy()
-    return _trusted_record(schema, values), env.sender
+    try:
+        return canonical_decode(schema, env.payload), env.sender
+    except SchemaMismatch as exc:
+        # Signed, unexpired, digest matches a schema we know, yet the
+        # payload does not parse as it: the bytes belong to no known schema.
+        raise UnknownSchema(f"payload does not decode as {schema.name}: {exc}") from exc
 
 
 # The built-in chat protocol: free-form negotiation text between agents.

@@ -145,6 +145,13 @@ def test_run_drop_probability_whose_float_is_one_exits_two(tmp_path, capsys):
     assert "config error: drop probability" in capsys.readouterr().err
 
 
+def test_run_whose_registration_fee_the_agents_cannot_pay_exits_two(tmp_path, capsys):
+    path = tmp_path / "fee.cfg"
+    path.write_text("registration_fee_fet = 11\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert "setup error: InsufficientFunds: " in capsys.readouterr().err
+
+
 def test_run_bad_clock_exits_two(tmp_path, capsys):
     path = tmp_path / "clock.cfg"
     path.write_text("wall_clock_start = x\n")
@@ -272,6 +279,16 @@ def test_wiretool_envelope_whose_payload_does_not_decode_exits_one(capsys):
     assert "payload bytes:   9" in out
     assert out[-1].startswith("schema:          ChatMessage")
     assert "does not decode" in out[-1]
+
+
+def test_wiretool_envelope_of_an_unknown_schema_says_so(capsys):
+    alice = derive_identity("wiretool alice")
+    record = make_chat_message("2026-03-02T09:00:00", bytes(16), ["hi there"])
+    env = seal_envelope(alice, "agent1target", CHAT_PROTOCOL, record, bytes(16), 42)
+    unknown = dataclasses.replace(env, schema_digest=bytes(32))
+    assert run_cli("wiretool", "envelope", unknown.to_bytes().hex()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "schema:          (not one of the known schemas)"
 
 
 def test_wiretool_envelope_rejects_garbage(capsys):

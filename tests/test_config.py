@@ -128,6 +128,21 @@ def test_bad_wall_clock_is_a_config_error(clock):
         parse_config(f"wall_clock_start = {clock}\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[couriers]\nA | seed | ten | 60 | cambridge\n", "[offline]\nDroneDashLtd | five | 9\n"],
+    ids=["courier", "offline"],
+)
+def test_a_row_cell_that_is_not_an_integer_names_its_line(text):
+    with pytest.raises(ConfigError, match="line 2: invalid literal for int"):
+        parse_config(text)
+
+
+def test_an_override_of_no_field_is_refused():
+    with pytest.raises(ConfigError, match="no_such_key"):
+        with_overrides(default_config(), no_such_key=1)
+
+
 def test_error_messages_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("random_seed = 1\n???\n")

@@ -18,6 +18,7 @@ from agentmesh.contractnet import (
     COURIER_BID,
     NEUTRAL_SCORE,
     REJECT_BID,
+    ContractNetError,
     DeliveryTask,
     DeterministicScorer,
     NoCouriers,
@@ -142,6 +143,10 @@ class TestReputation:
         scorer.stars[VAN.address] = [5]
         after = scorer.assess([VAN.address])[VAN.address].score
         assert after >= before
+
+    def test_assessing_no_address_is_refused(self):
+        with pytest.raises(ContractNetError, match="at least one address"):
+            assess_reputation(DeterministicScorer(), [])
 
     def test_each_review_is_read_once(self, monkeypatch):
         tokenize, read = contractnet._tokenize, []
@@ -490,6 +495,13 @@ class TestAnnounceAndSettle:
         assert len(ctx.outbound[0].recipients) == 5
         taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
         assert taken == [(address, session, "CallForBids") for address in invited]
+
+    def test_announce_refuses_a_bid_deadline_not_after_now(self):
+        ledger, registry, logistics, _ = self.registered_world(1)
+        ctx = Context(logistics, ledger.height)
+        with pytest.raises(ContractNetError, match="bid_deadline"):
+            announce(ctx, self.task(), registry, bid_deadline=ledger.height)
+        assert ctx.outbound == []
 
     def test_announce_without_couriers(self):
         ledger, registry, logistics, _ = self.registered_world(0)

@@ -40,6 +40,13 @@ CONFIGS = {
     # both end with the logistics agent sending RejectBid to every bidder
     "delivery_declined": lambda: with_overrides(default_config(), approve_delivery=False),
     "underfunded_user": lambda: with_overrides(default_config(), user_balance_fet=30),
+    # the CallForBids and the RejectBid each take two envelopes, and 15
+    # couriers get their copy of the first through the mailbox
+    "fleet_60_mailboxed": lambda: with_overrides(
+        fleet_style(60),
+        offline=tuple(PresenceWindow(f"Courier{i:03d}", 7, 17) for i in range(0, 60, 4)),
+        bid_window_ticks=14,
+    ),
 }
 
 # name -> (report status, transcript sha256, report sha256, journal sha256)
@@ -61,6 +68,12 @@ GOLDEN = {
         '18d4cf2b72f7a86e4d31c8fb7ee32a8d26fc8e7cb2e1545985f0bbf36eef696d',
         '565d62c804db8496938eb36a0f619a991d477da1382ae7cd814702b0e49bf1b4',
         '742d09b02284db06bc452c66d0dc858530242c2dd08d47f9d5150280d26d8eb0',
+    ),
+    'fleet_60_mailboxed': (
+        'ok',
+        '76e42bb9f821cc9639fa116a4b5794fdb873e01068221e9df45779096191b037',
+        '5d77a9d61183e54c29282cb2c7cf5e17c821eb93549a45ccfc356e62d04d5484',
+        '54deb0c17c087f2e359385ff3eaaef1dcad2ec4014d69579fbdf0994039957d0',
     ),
     'lossy_network': (
         'ok',

@@ -307,6 +307,19 @@ class TestJournal:
         assert rebuilt.balances == original.balances
         assert journal_lines(rebuilt.journal) == journal_lines(original.journal)
 
+    def test_read_journal_skips_blank_lines(self, tmp_path):
+        lines = journal_lines(self.scripted_ledger().journal)
+        path = tmp_path / "ops.journal"
+        path.write_text("\n" + "\n\n".join(lines) + "\n  \n")
+        assert journal_lines(read_journal(str(path))) == lines
+
+    def test_read_journal_refuses_a_line_of_no_op_schema(self, tmp_path):
+        first = journal_lines(self.scripted_ledger().journal)[0]
+        path = tmp_path / "ops.journal"
+        path.write_text(first + "\n" + "00" * 32 + first[64:] + "\n")
+        with pytest.raises(LedgerError, match="line 2: unknown journal schema 0000"):
+            read_journal(str(path))
+
     def test_journal_lines_are_hex(self):
         for line in journal_lines(self.scripted_ledger().journal):
             bytes.fromhex(line)  # raises on a malformed line

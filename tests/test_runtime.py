@@ -1306,7 +1306,7 @@ class TestMulticast:
         assert submitted == [env]
         assert handled == [(address, "pooled") for address in receivers]
 
-    def test_a_call_for_bids_to_50_decodes_once_and_hashes_its_prefix_once(self, monkeypatch):
+    def test_a_call_for_bids_to_50_decodes_each_copy_and_hashes_once(self, monkeypatch):
         world = fresh_world()
         sender = Agent("auctioneer", derive_identity("auctioneer"))
         sender.include_protocol(contractnet.COURIER_AUCTION)
@@ -1334,7 +1334,7 @@ class TestMulticast:
         monkeypatch.setattr(wire, "hashlib", spy)  # all wire uses of hashlib
         world.drain()
         assert handled == [call.values] * MAX_RECIPIENTS
-        assert decodes == [env.payload]
+        assert decodes == [env.payload] * MAX_RECIPIENTS
         assert hashed.count(env.payload) == 1
         outcomes = [oracles.line_fields(line).outcome for line in world.transcript]
         assert outcomes == ["handled"] * MAX_RECIPIENTS

@@ -114,6 +114,13 @@ def test_parse_missing_deadline():
     assert exc.value.missing == ("deadline",)
 
 
+@pytest.mark.parametrize("clause", ["by 13 PM today", "by 9:75 today"])
+def test_parse_a_deadline_past_the_clock_is_missing(clause):
+    with pytest.raises(UnparsableRequest) as exc:
+        parse_request(f"Send this from A to B. I need it {clause}.")
+    assert exc.value.missing == ("deadline",)
+
+
 def test_parse_missing_route():
     with pytest.raises(UnparsableRequest) as exc:
         parse_request("Deliver the thing by 5 PM today.")
@@ -207,6 +214,14 @@ def test_demo_run_reproduces_the_numbers():
     assert report.feedback_stars == 5
     assert report.winner_domain == "speedyvan.example.agent"
     assert len(report.escrows) == 1 and report.escrows[0].endswith("=Released")
+
+
+def test_a_free_packaging_quote_moves_no_money_for_packaging():
+    report = run_scenario(with_overrides(default_config(), packaging_quote_fet=0))
+    assert report.status == "ok"
+    assert report.packaging_ufet == 0
+    assert report.total_user_spend_fet == 25
+    assert report.conserved
 
 
 def test_demo_arrival_beats_the_deadline():
@@ -593,17 +608,30 @@ def test_a_bid_from_an_agent_the_call_did_not_name_is_refused(monkeypatch):
     assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
 
 
-def test_an_invited_courier_s_signed_bid_at_price_zero_is_refused(monkeypatch):
+def _place_with_drone_bid(monkeypatch, price_fet: int, eta_minutes: int):
+    """The demo order with DroneDashLtd's bid replaced by a signed one of
+    the given price and ETA."""
     scenario = _fast_world()
     drone = scenario.courier_agents["DroneDashLtd"]
 
-    def bid_zero(ctx, sender, msg):
-        ctx.reply(make_bid_record(drone.identity, "DroneDashLtd", 0, 90))
+    def bid(ctx, sender, msg):
+        ctx.reply(make_bid_record(drone.identity, "DroneDashLtd", price_fet, eta_minutes))
 
-    monkeypatch.setitem(drone.message_handlers, CALL_FOR_BIDS.digest(), bid_zero)
-    report = scenario.place_order()
+    monkeypatch.setitem(drone.message_handlers, CALL_FOR_BIDS.digest(), bid)
+    return scenario.place_order(), drone
+
+
+def test_an_invited_courier_s_signed_bid_at_price_zero_is_refused(monkeypatch):
+    report, drone = _place_with_drone_bid(monkeypatch, 0, 90)
     assert _bid_outcomes(report, drone.identity.address) == ["bid_rejected_invalid"]
     assert sum(line.endswith("|bid_rejected_invalid") for line in report.transcript) == 1
+    assert sum(line.endswith("|bid_verified") for line in report.transcript) == 2
+    assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
+
+
+def test_an_invited_courier_s_signed_bid_at_eta_zero_is_refused(monkeypatch):
+    report, drone = _place_with_drone_bid(monkeypatch, 5, 0)
+    assert _bid_outcomes(report, drone.identity.address) == ["bid_rejected_invalid"]
     assert sum(line.endswith("|bid_verified") for line in report.transcript) == 2
     assert (report.status, report.winner) == ("ok", "SpeedyVanCouriers")
 

@@ -123,6 +123,13 @@ def test_health_endpoints(registry_service, mailbox_service):
     assert body == {"ok": True, "service": "mailbox"}
 
 
+def test_health_of_a_port_nothing_serves_is_false():
+    handle = serve_mailbox(MailboxStore())
+    handle.close()
+    with MailboxClient(handle.base_url, timeout=5) as client:
+        assert client.health() is False
+
+
 def test_unknown_route_is_a_service_error(registry_service):
     client, _, _, _ = registry_service
     with pytest.raises(ServiceError):
@@ -614,6 +621,13 @@ def test_unframeable_request_is_refused_and_closed(mailbox_service, request_byte
     assert response.getheader("Connection") == "close"
     assert closed
     assert client.stats() == {}
+
+
+def test_a_body_that_is_not_json_is_a_bad_request(mailbox_service):
+    client, _ = mailbox_service
+    response, body, _ = raw_request(client, POST_STATS + b"Content-Length: 5\r\n\r\nnot{}")
+    assert response.status == 400
+    assert json.loads(body)["error"] == "BadRequest"
 
 
 def test_a_hundred_headers_are_accepted(mailbox_service):

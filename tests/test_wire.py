@@ -253,8 +253,6 @@ class TestDigestCache:
 
     def test_schema_lookup_by_digest(self):
         spec = ProtocolSpec("P", "1.0", (EXAMPLE, CHAT_MESSAGE))
-        assert spec.schema_by_digest(EXAMPLE.digest()) is EXAMPLE
-        assert spec.schema_by_digest(b"\x00" * 32) is None
         assert spec.has_schema(ModelSchema(EXAMPLE.name, EXAMPLE.fields))
         assert not spec.has_schema(ModelSchema.build("Example", other=SemanticType.INT))
 
@@ -447,6 +445,38 @@ class TestChat:
     def test_empty_content_rejected(self):
         with pytest.raises(SchemaMismatch):
             make_chat_message("2026-01-01T12:00:00", b"\x01" * 16, [])
+
+
+def sender_not_utf8() -> bytes:
+    """An envelope's bytes whose sender, the first string, is not UTF-8."""
+    env = TestEnvelope().make_envelope()[0]
+    raw = bytearray(env.to_bytes())
+    raw[4] = 0xFF  # the sender's first byte, after its u32 length
+    return bytes(raw)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ModelSchema("Odd", (("x", 9),))._codec, SchemaMismatch, "Odd: 9 is not a valid"),
+        (lambda: Envelope.from_bytes(sender_not_utf8()), SchemaMismatch, "invalid UTF-8"),
+        (
+            lambda: seal_envelope(
+                derive_identity("env sender"), "agent1a", sample_protocol(),
+                Record(sample_protocol().models[0], {"text": "hi"}), b"\x07" * 15, 100,
+            ),
+            WireError, "session_id must be 16 bytes",
+        ),
+        (
+            lambda: make_chat_message("2026-01-01T12:00:00", b"\x01" * 15, ["hi"]),
+            WireError, "msg_id must be 16 bytes",
+        ),
+    ],
+    ids=["tag_outside_semantic_type", "sender_not_utf8", "short_session_id", "short_msg_id"],
+)
+def test_a_malformed_input_is_refused_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # any text but the separator, so a list of them joins and splits back
