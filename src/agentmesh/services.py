@@ -30,6 +30,18 @@ any of the body is read; a reply that does is a `ServiceError` in the
 client, which drops the connection unread. The server sends a 400
 `BadRequest` in place of a reply over 16 MiB, whose calls have run; a
 mailbox queue holds at most 4 MiB, so a retrieve always fits.
+
+A reply the client cannot use is a `ServiceError` naming the path: a body
+that is not a JSON object, a 200 without a `result`, a `/batch` result that
+is not a list of one result per call, or a result its entry's codec cannot
+decode. So a service that answers badly fails an order the way one that
+has gone away does.
+
+Each service runs one accept loop and one thread per connection. The loop
+waits, with no timeout, on its listening socket and a wake-up socket, never
+on a timer, so an idle daemon does no work at all. `ServiceHandle.close()`
+sends the wake-up and returns at once, having ended every connection and
+joined every thread the service had.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import inspect
 import json
+import selectors
 import socket
 import socketserver
 import threading
@@ -365,7 +378,31 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
         # set before binding, as a failed bind calls server_close()
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._connections_lock = threading.Lock()
+        # shutdown() closes the writing end, which makes the reading end
+        # readable (at end of stream) and so wakes the accept loop
+        self._wake, self._waker = socket.socketpair()
+        self._stopped = threading.Event()
         super().__init__(address, _JsonHandler)
+
+    def serve_forever(self) -> None:
+        """Accept connections until shutdown(). Each pass waits, with no
+        timeout, for a connection or the wake-up, so an idle server makes
+        no pass at all."""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake, selectors.EVENT_READ)
+                while not any(key.fileobj is self._wake for key, _ in selector.select()):
+                    self._handle_request_noblock()
+                    self.service_actions()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Wake the accept loop and wait for it to end; a second call, or
+        one after the loop has ended, returns at once."""
+        self._waker.close()
+        self._stopped.wait()
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(
@@ -382,6 +419,8 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
 
     def server_close(self) -> None:
         super().server_close()
+        self._waker.close()
+        self._wake.close()
         # a keep-alive handler blocks reading its client's next request;
         # shutting its socket down ends that read and with it the thread
         with self._connections_lock:
@@ -403,16 +442,16 @@ class ServiceHandle:
 
     def close(self) -> None:
         """Stop accepting, end every open connection and join the server's
-        threads, handler threads included."""
+        threads, handler threads included. It returns at once: the accept
+        loop waits on its listening socket and a wake-up, never on a timer,
+        and close() sends the wake-up. A second call does nothing."""
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5)
 
 
 def _start(server: _ServiceServer) -> ServiceHandle:
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     return ServiceHandle(server, thread, f"http://{host}:{port}")
@@ -510,18 +549,40 @@ def _exchange(
     return code, data
 
 
-def _post(connection: _Connection, path: str, payload: dict) -> dict:
-    status, data = _exchange(connection, "POST", path, json.dumps(payload).encode("utf-8"))
+def _reply_object(path: str, status: int, data: bytes) -> dict:
+    """A reply body as the JSON object every route answers with."""
     try:
         reply = json.loads(data)
     except ValueError:
-        raise ServiceError(f"{path}: HTTP {status}") from None
+        reply = None
+    if not isinstance(reply, dict):
+        raise ServiceError(f"{path}: HTTP {status}: reply is not a JSON object")
+    return reply
+
+
+def _post(connection: _Connection, path: str, payload: dict) -> dict:
+    """The reply to one POST: an object with a `result` on a 200, and on
+    any other status the error it names, raised."""
+    status, data = _exchange(connection, "POST", path, json.dumps(payload).encode("utf-8"))
+    reply = _reply_object(path, status, data)
     if status == 200:
+        if "result" not in reply:
+            raise ServiceError(f"{path}: HTTP 200: reply has no result")
         return reply
-    cls = _ERROR_CLASSES.get(reply.get("error", ""))
-    if cls is not None:
-        raise _rebuild_error(cls, reply.get("detail", ""), reply.get("attrs", {}))
-    raise ServiceError(f"{path}: {reply.get('error')}: {reply.get('detail')}")
+    error, attrs = reply.get("error"), reply.get("attrs", {})
+    cls = _ERROR_CLASSES.get(error) if isinstance(error, str) else None
+    if cls is not None and isinstance(attrs, dict):
+        raise _rebuild_error(cls, reply.get("detail", ""), attrs)
+    raise ServiceError(f"{path}: {error}: {reply.get('detail')}")
+
+
+def _decoded(path: str, from_json: Callable[[Any], Any], result: Any) -> Any:
+    """A call's result through its codec; one the codec cannot read is a
+    ServiceError naming the path."""
+    try:
+        return from_json(result)
+    except (KeyError, TypeError, ValueError, WireError) as exc:
+        raise ServiceError(f"{path}: result not decodable: {type(exc).__name__}: {exc}") from exc
 
 
 def _rebuild_error(cls: type[Exception], detail: str, attrs: dict) -> Exception:
@@ -564,14 +625,20 @@ class _ServiceClient:
         if not requests:
             return []
         results = self._post("/batch", {"calls": requests})["result"]
-        return [decode(result) for decode, result in zip(decoders, results)]
+        if not isinstance(results, list) or len(results) != len(requests):
+            raise ServiceError(f"/batch: {len(requests)} calls, but the reply is not "
+                               f"a list of {len(requests)} results")
+        return [
+            _decoded(f"/batch {path}", decode, result)
+            for (path, _), decode, result in zip(requests, decoders, results)
+        ]
 
     def health(self) -> bool:
         with self._lock:
             try:
                 status, data = _exchange(self._connection, "GET", "/health")
-                return status == 200 and json.loads(data).get("ok", False)
-            except (ServiceError, ValueError):
+                return status == 200 and _reply_object("/health", status, data).get("ok") is True
+            except ServiceError:
                 return False
 
     def close(self) -> None:
@@ -621,13 +688,12 @@ def _client_functions(rpc: _Rpc) -> tuple[Callable[..., dict], Callable]:
         else:
             namespace[f"to_json_{name}"] = codec[0]
             items.append(f"{name!r}: to_json_{name}({name})")
-    result = f"self._post(PATH, encode({', '.join(names)}))['result']"
-    if rpc.result_codec is not _AS_IS:
-        namespace["from_json"] = rpc.result_codec[1]
-        result = f"from_json({result})"
+    namespace.update(decoded=_decoded, from_json=rpc.result_codec[1])
+    request = f"encode({', '.join(names)})"
     source = (
         f"def encode({', '.join(parameters)}):\n    return {{{', '.join(items)}}}\n"
-        f"def {rpc.name}({', '.join(['self', *parameters])}):\n    return {result}\n"
+        f"def {rpc.name}({', '.join(['self', *parameters])}):\n"
+        f"    return decoded(PATH, from_json, self._post(PATH, {request})['result'])\n"
     )
     exec(compile(source, f"<client {rpc.path}>", "exec"), namespace)
     method = namespace[rpc.name]

@@ -6,10 +6,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -403,6 +405,28 @@ def test_a_daemon_that_cannot_listen_exits_two(monkeypatch, capsys, held_port, d
     monkeypatch.setattr(cli, "_serve_forever", lambda handle, label: handle.close() or 0)
     assert daemon(["--port", port]) == 2
     assert f"cannot listen on 127.0.0.1:{port}: " in capsys.readouterr().err
+
+
+def test_mailboxd_exits_zero_soon_after_sigint():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agentmesh.__file__)))
+    daemon = subprocess.Popen(
+        [sys.executable, "-u", "-c", "import sys; from agentmesh.cli import mailboxd_main; "
+         "sys.exit(mailboxd_main(['--port', '0']))"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert daemon.stdout.readline().startswith("mailboxd listening on http://127.0.0.1:")
+        started = time.perf_counter()
+        daemon.send_signal(signal.SIGINT)
+        assert daemon.wait(timeout=5) == 0, daemon.stderr.read()
+        assert time.perf_counter() - started < 1.0
+        assert daemon.stdout.read() == "shutting down\n"
+    finally:
+        daemon.kill()
+        daemon.wait()
+        daemon.stdout.close()
+        daemon.stderr.close()
 
 
 def _never_serve(*args):

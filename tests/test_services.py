@@ -101,8 +101,69 @@ def test_close_is_prompt():
     handle = serve_mailbox(MailboxStore())
     started = time.perf_counter()
     handle.close()
-    assert time.perf_counter() - started < 0.3
+    assert time.perf_counter() - started < 0.05
     assert not handle.thread.is_alive()
+
+
+def test_an_idle_service_makes_no_loop_pass():
+    handle = serve_mailbox(MailboxStore())
+    passes = []
+    # the accept loop calls service_actions() once per pass
+    handle.server.service_actions = lambda: passes.append(time.perf_counter())
+    try:
+        time.sleep(0.3)
+        assert passes == []
+        with MailboxClient(handle.base_url) as client:
+            assert client.has_account(BOB.address) is False
+    finally:
+        handle.close()
+    assert len(passes) == 1  # the pass that accepted the one connection
+
+
+def test_a_second_close_and_a_close_after_the_loop_ended_return_at_once():
+    handle = serve_mailbox(MailboxStore())
+    handlers = handler_threads(handle)
+    with MailboxClient(handle.base_url) as client:
+        client.create_account(BOB.address)
+        handle.server.shutdown()  # the loop ends; the connection is still open
+        handle.thread.join(timeout=5)
+        assert not handle.thread.is_alive()
+        assert handlers[0].is_alive()
+        for _ in range(2):
+            started = time.perf_counter()
+            handle.close()
+            assert time.perf_counter() - started < 0.05
+            assert not handlers[0].is_alive()
+
+
+def test_pairs_closed_on_side_threads_leave_no_thread_running():
+    # as a benchmark closes each order's pair, on a thread of its own
+    pairs, clients, threads = [], [], []
+    for _ in range(10):
+        pair = (serve_registry(Registry(), Ledger()), serve_mailbox(MailboxStore()))
+        for handle, client_class in zip(pair, (RegistryClient, MailboxClient)):
+            handlers = handler_threads(handle)
+            client = client_class(handle.base_url)
+            assert client.health() is True  # a live keep-alive connection
+            clients.append(client)
+            threads += [handle.thread, *handlers]
+        pairs.append(pair)
+
+    def close(pair):
+        for handle in pair:
+            handle.close()
+
+    closers = [threading.Thread(target=close, args=(pair,)) for pair in pairs]
+    for closer in closers:
+        closer.start()
+    time.sleep(0.05)
+    running = [thread for thread in threads if thread.is_alive()]
+    for closer in closers:
+        closer.join(timeout=5)
+    for client in clients:
+        client.close()
+    assert len(threads) == 40
+    assert running == []
 
 
 def test_a_port_a_live_server_holds_is_refused_with_the_bind_error():
@@ -503,7 +564,7 @@ def test_close_ends_live_keep_alive_connections():
         client.create_account(BOB.address)
         started = time.perf_counter()
         handle.close()
-        assert time.perf_counter() - started < 0.3
+        assert time.perf_counter() - started < 0.05
         assert len(handlers) == 1
         assert not any(thread.is_alive() for thread in handlers)
         assert not handle.thread.is_alive()
@@ -770,6 +831,110 @@ def test_unframed_reply_is_a_service_error(reply, fault):
         # with the listener gone that is refused
         with pytest.raises(ServiceError, match="ConnectionRefused"):
             client.domain_of(ALICE.address)
+
+
+def json_reply(body: bytes, status: str = "200 OK") -> bytes:
+    return b"HTTP/1.1 %s\r\nContent-Length: %d\r\n\r\n%s" % (status.encode(), len(body), body)
+
+
+@pytest.mark.parametrize(
+    ("reply", "fault"),
+    [
+        (json_reply(b"[]"), "not a JSON object"),
+        (json_reply(b'"x"'), "not a JSON object"),
+        (json_reply(b"[]", "400 Bad Request"), "not a JSON object"),
+        (json_reply(b"{}"), "no result"),
+        (json_reply(b'{"error": ["NotFound"]}', "400 Bad Request"), r"\['NotFound'\]"),
+        (json_reply(b'{"error": "NotFound", "attrs": [1]}', "400 Bad Request"), "NotFound"),
+    ],
+    ids=["list", "string", "list_error", "no_result", "unhashable_error", "list_attrs"],
+)
+def test_a_framed_reply_the_client_cannot_use_is_a_service_error(reply, fault):
+    base_url, thread = one_reply_server(reply)
+    with RegistryClient(base_url, timeout=5) as client:
+        with pytest.raises(ServiceError, match=f"^/domain_of: .*{fault}"):
+            client.domain_of(ALICE.address)
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("body", [b"[]", b'"x"', b"{}", b'{"ok": "yes"}'])
+def test_health_of_a_reply_that_is_not_ok_is_false(body):
+    base_url, thread = one_reply_server(json_reply(body))
+    with MailboxClient(base_url, timeout=5) as client:
+        assert client.health() is False
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    ("method", "args", "result"),
+    [
+        ("resolve", (ALICE.address, 0), b"5"),
+        ("resolve", (ALICE.address, 0), b'{"address": "x"}'),
+        ("search", (0,), b'["x"]'),
+        ("aname_claim", ("van.example", ALICE.address), b'"not hex"'),
+        ("aname_verify", ("van.example", None, 0), b'{"domain": "van.example"}'),
+    ],
+    ids=["resolve_int", "resolve_missing_fields", "search_string", "claim_not_hex", "verify_short"],
+)
+def test_a_registry_result_its_codec_cannot_decode_is_a_service_error(method, args, result):
+    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
+    with RegistryClient(base_url, timeout=5) as client:
+        path = dict((rpc.name, rpc.path) for rpc in services._REGISTRY_RPCS)[method]
+        with pytest.raises(ServiceError, match=f"^{path}: result not decodable"):
+            getattr(client, method)(*args)
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    ("result", "fault"),
+    [
+        (b'["zz"]', "result not decodable: ValueError"),
+        (b'["00"]', "result not decodable: "),
+        (b"7", "result not decodable: TypeError"),
+    ],
+    ids=["not_hex", "not_an_envelope", "not_a_list"],
+)
+def test_a_retrieve_result_that_is_no_envelope_list_is_a_service_error(result, fault):
+    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
+    auth = BOB.sign_digest(retrieval_auth_digest(BOB.address, 0))
+    with MailboxClient(base_url, timeout=5) as client:
+        with pytest.raises(ServiceError, match=f"^/retrieve: {fault}"):
+            client.retrieve(BOB.address, 0, auth)
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    ("result", "fault"),
+    [
+        (b"[]", "2 calls, but the reply is not a list of 2 results"),
+        (b"[null]", "2 calls, but the reply is not a list of 2 results"),
+        (b"[null, null, null]", "2 calls, but the reply is not a list of 2 results"),
+        (b'{"a": 1, "b": 2}', "2 calls, but the reply is not a list of 2 results"),
+        (b'[null, {"taken": true}]', "/deposit: result not decodable: TypeError"),
+    ],
+    ids=["empty", "short", "long", "object", "undecodable"],
+)
+def test_a_batch_reply_that_does_not_answer_each_call_is_a_service_error(result, fault):
+    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
+    env = sealed_chat(ALICE, BOB.address, "hi")
+    with MailboxClient(base_url, timeout=5) as client:
+        with pytest.raises(ServiceError, match=f"^/batch.*{fault}"):
+            client.call_many([("create_account", BOB.address), ("deposit", env, 0, BOB.address)])
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    "result", [b"[]", b"[null]", b"[%s]" % b", ".join([b"500"] * 60), b'"x"'],
+    ids=["empty", "short", "long", "string"],
+)
+def test_a_registry_batch_answered_wrongly_fails_the_order_typed(result):
+    # the registrations are the order's first registry call, one /batch
+    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
+    with RegistryClient(base_url, timeout=5) as client:
+        report = run_scenario(default_config(), registry=client)
+    thread.join(timeout=5)
+    assert report.status == "failed"
+    assert report.failure_cause.startswith("ServiceError: /batch: ")
 
 
 # ---------------------------------------------------------------------------
