@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Protocol as TypingProtocol, Sequence
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
 from .identity import AgentIdentity, BadDigestLength, Signature, signed_by, verify_digest
-from .registry import Registry
 from .runtime import Context
 from .wire import (
     MAX_RECIPIENTS,
@@ -352,21 +351,20 @@ def _send_to_each(ctx: Context, addresses: list[str], record: Record, **send) ->
         ctx.send(RECIPIENT_SEP.join(addresses[start:start + MAX_RECIPIENTS]), record, **send)
 
 
-def announce(
-    ctx: Context, task: DeliveryTask, registry: Registry, bid_deadline: int
-) -> list[str]:
+def announce(ctx: Context, task: DeliveryTask, bid_deadline: int) -> list[str]:
     """Send a CallForBids, valid until the bid deadline and in the context's
-    session, to every live courier found by protocol-digest search, in
-    search order; returns their addresses. One envelope names up to
-    MAX_RECIPIENTS of them, so each courier sees the others its envelope
-    names, all of whom the same registry search shows anyone.
+    session, to every live courier found by protocol-digest search of the
+    context's world registry, in search order; returns their addresses. One
+    envelope names up to MAX_RECIPIENTS of them, so each courier sees the
+    others its envelope names, all of whom the same registry search shows
+    anyone.
 
     Couriers are discovered exclusively through the registry; a hardcoded
     address can never enter the auction.
     """
     if bid_deadline <= ctx.height:
         raise ContractNetError("bid_deadline must be after the announcement height")
-    couriers = registry.search(ctx.height, protocol_digest=COURIER_AUCTION.digest())
+    couriers = ctx.world.registry.search(ctx.height, protocol_digest=COURIER_AUCTION.digest())
     invited = [r.address for r in couriers if r.address != ctx.address]
     if not invited:
         raise NoCouriers("no live courier advertises the auction protocol")

@@ -25,13 +25,13 @@ Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
 flag, asserted in tests).
 
-The world owns its agents; an agent does not keep its world alive.
-Agent.world is a weak link that reads None before the agent joins a world
-and after that world is gone, so a dropped world is freed at once, by
-reference counting. Callers hold the World (or the ScenarioWorld around
-it) while they use its agents. World.add_agent setting that link is the
-one record that an agent joined: from then on it takes no new protocol or
-handler, and only then does it dispatch.
+An agent holds no world. The world hands itself to each handler it runs,
+through dispatch or a timer, and the handler reaches it as `ctx.world`: its
+registry, ledger, clock and timers. So an agent delivered to in one world
+acts in that world only, and a dropped world is freed at once, by reference
+counting, while its agents live on. Once World.add_agent has taken an agent,
+it takes no new protocol or handler; it dispatches only in a world that
+holds it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import hashlib
 import heapq
 import random
 import struct
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -79,7 +78,7 @@ class AgentAlreadyStarted(RuntimeError_):
 
 
 class AgentNotStarted(RuntimeError_):
-    """Dispatch attempted before the agent joined a world."""
+    """Dispatch attempted into a world that does not hold the agent."""
 
 
 class Timeout(RuntimeError_):
@@ -132,19 +131,21 @@ _REJECT_OUTCOMES: dict[type[WireError], str] = {
 
 
 class Context:
-    """What a handler sees: its agent, the clock, and an outbox."""
+    """What the world hands each handler: itself as `ctx.world`, the agent,
+    the clock, and an outbox."""
 
     def __init__(
         self,
+        world: "World",
         agent: "Agent",
-        height: int,
         sender: str | None = None,
         session_id: bytes | None = None,
         schema_name: str | None = None,
         digest_prefix: str = "-",
     ) -> None:
+        self.world = world
         self.agent = agent
-        self.height = height
+        self.height = world.height
         self.sender = sender
         self.session_id = session_id
         self.outbound: list[Envelope] = []
@@ -180,7 +181,7 @@ class Context:
     def at(self, height: int, handler: Callable) -> None:
         """Run handler(ctx) once, in the first timer phase at or after tick
         `height`, in this context's session."""
-        self.agent.world.schedule_timer(self.agent, height, handler, session_id=self.session_id)
+        self.world.schedule_timer(self.agent, height, handler, session_id=self.session_id)
 
     def reply(self, record: Record, expires_at: int | None = None) -> Envelope:
         """Send back to the incoming sender, reusing its session id."""
@@ -190,7 +191,7 @@ class Context:
 
     def diag(self, outcome: str) -> None:
         """Record a handler-level diagnostic in the world transcript."""
-        self.agent.record_diag(
+        self.world.transcript.append(
             _line(
                 self.height,
                 self.sender or self.address,
@@ -214,23 +215,17 @@ class Agent:
         # digest -> schema over every included protocol, first declared wins;
         # include_protocol raises after joining a world, so it never goes stale
         self._schemas: dict[bytes, ModelSchema] = {}
-        self._world: "weakref.ref[World] | None" = None  # set by World.add_agent
+        self._joined = False  # set by World.add_agent
         self._in_handler = False
         self._session_counter = 0
         # (session, peer) asked -> None until dispatch takes the peer's first
         # signed reply: then its record, or the error of a check it failed
         self.waiters: dict[tuple[bytes, str], Record | WireError | None] = {}
 
-    @property
-    def world(self) -> "World | None":
-        """The world this agent joined, or None before it joins one and
-        after that world is gone."""
-        return None if self._world is None else self._world()
-
     # -- setup (before joining a world) -----------------------------------
 
     def _refuse_if_started(self) -> None:
-        if self._world is not None:
+        if self._joined:
             raise AgentAlreadyStarted(f"{self.name} already joined a world")
 
     def include_protocol(self, spec: ProtocolSpec) -> None:
@@ -282,11 +277,6 @@ class Agent:
             b"session" + self.identity.verify_key + struct.pack(">Q", self._session_counter)
         ).digest()[:16]
 
-    def record_diag(self, line: str) -> None:
-        world = self.world
-        if world is not None:
-            world.transcript.append(line)
-
     def _run_handler(self, handler: Callable, *args: Any) -> Any:
         if self._in_handler:
             raise HandlerOverlap(f"handler overlap inside {self.name}")
@@ -296,31 +286,32 @@ class Agent:
         finally:
             self._in_handler = False
 
-    def invoke(self, handler: Callable, height: int,
+    def invoke(self, handler: Callable, world: "World",
                session_id: bytes | None = None) -> list[Envelope]:
-        """Run a timer handler, which takes only a context, in the session
-        that set it; returns what it sent."""
-        ctx = Context(self, height, session_id=session_id)
+        """Run a timer handler, which takes only a context, in the world and
+        session that set it; returns what it sent."""
+        ctx = Context(world, self, session_id=session_id)
         self._run_handler(handler, ctx)
         return ctx.outbound
 
-    def dispatch(self, env: Envelope, current_height: int) -> list[Envelope]:
-        """Validate one envelope and run its handler.
+    def dispatch(self, env: Envelope, world: "World") -> list[Envelope]:
+        """Validate one envelope and run its handler, in `world` and at its height.
 
         Fire-and-forget: validation failures drop the envelope and record a
         diagnostic; nothing flows back to the sender. An awaited reply goes
         to its waiter, not to a handler. Returns the envelopes the handler
         emitted, sealed and ready for transport.
         """
-        if self._world is None:
-            raise AgentNotStarted(f"{self.name} has not joined a world")
+        address = self.identity.address
+        if world.agents.get(address) is not self:
+            raise AgentNotStarted(f"{self.name} is not in this world")
         key = (env.session_id, env.sender)
         awaited = key in self.waiters and self.waiters[key] is None
-        address = self.identity.address
+        height, transcript = world.height, world.transcript
         try:
-            record, sender = open_envelope(env, self._schemas, current_height, address)
+            record, sender = open_envelope(env, self._schemas, height, address)
         except tuple(_REJECT_OUTCOMES) as exc:
-            self.record_diag(self._reject_line(current_height, env, exc))
+            transcript.append(self._reject_line(height, env, exc))
             # neither a bad signature nor a copy the peer sent another agent
             # says anything of the peer's reply, so its wait goes on
             if awaited and not isinstance(exc, (SignatureInvalid, Misaddressed)):
@@ -330,21 +321,17 @@ class Agent:
         schema_name = record.schema.name
         if awaited:
             self.waiters[key] = record
-            self.record_diag(
-                transcript_line(current_height, env, address, "reply_received", schema_name)
-            )
+            transcript.append(transcript_line(height, env, address, "reply_received", schema_name))
             return []
         handler = self.message_handlers.get(env.schema_digest)
         if handler is None:
-            self.record_diag(
-                transcript_line(current_height, env, address, "no_handler", schema_name)
-            )
+            transcript.append(transcript_line(height, env, address, "no_handler", schema_name))
             return []
         # the handler's diagnostics share the handled line's digest prefix
         prefix = env.payload_prefix
         ctx = Context(
+            world,
             self,
-            current_height,
             sender=sender,
             session_id=env.session_id,
             schema_name=schema_name,
@@ -353,13 +340,11 @@ class Agent:
         try:
             result = self._run_handler(handler, ctx, sender, record)
         except InvalidRecord as exc:
-            self.record_diag(self._reject_line(current_height, env, exc))
+            transcript.append(self._reject_line(height, env, exc))
             return []
         if isinstance(result, Record):
             ctx.reply(result)
-        self.record_diag(
-            _line(current_height, env.sender, address, schema_name, prefix, "handled")
-        )
+        transcript.append(_line(height, env.sender, address, schema_name, prefix, "handled"))
         return ctx.outbound
 
     def _reject_line(self, height: int, env: Envelope, exc: WireError) -> str:
@@ -436,7 +421,7 @@ class World:
     def add_agent(self, agent: Agent) -> None:
         if agent.identity.address in self.agents:
             raise RuntimeError_(f"agent {agent.name} already in world")
-        agent._world = weakref.ref(self)
+        agent._joined = True
         self.agents[agent.identity.address] = agent
         self._rank[agent.identity.address] = len(self._rank)
         self.online[agent.identity.address] = True
@@ -543,7 +528,7 @@ class World:
         """Deliver env's copy to recipient as its fate says: dispatch it,
         deposit it, or log it."""
         if fate == "open":
-            for out in self.agents[recipient].dispatch(env, self.height):
+            for out in self.agents[recipient].dispatch(env, self):
                 self.send(out)
             return
         if fate in ("store", "deposit"):
@@ -581,7 +566,7 @@ class World:
                     heapq.heappush(self._timers, ((h // period + 1) * period, *entry[1:]))
                     if h % period:
                         continue  # back from offline between beats
-                for env in agent.invoke(handler, h, session_id):
+                for env in agent.invoke(handler, self, session_id):
                     self.send(env)
 
     def drain(self, max_ticks: int = 1000) -> int:
@@ -612,7 +597,7 @@ class World:
         session_id: bytes | None = None,
         expires_at: int | None = None,
     ) -> Envelope:
-        env = Context(sender, self.height).send(target, record, session_id, expires_at)
+        env = Context(self, sender).send(target, record, session_id, expires_at)
         self.send(env)
         return env
 

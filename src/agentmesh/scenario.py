@@ -435,9 +435,8 @@ def build_logistics_agent(
 
     def open_auction(ctx, auction: _Auction) -> None:
         bid_deadline = ctx.height + _bid_window(config)
-        registry = ctx.agent.world.registry
         try:
-            invited = announce(ctx, auction.task, registry, bid_deadline)
+            invited = announce(ctx, auction.task, bid_deadline)
         except NoCouriers as exc:
             end(ctx, auction, LOGISTICS_PROPOSAL, status="no_couriers", detail=str(exc))
             return
@@ -458,13 +457,12 @@ def build_logistics_agent(
         except ValueError as exc:
             raise InvalidRecord(f"deadline: {exc}") from exc
         auction = auctions[ctx.session_id] = _Auction(sender, msg["payer_wallet"], task)
-        world = ctx.agent.world
-        maps_hits = world.registry.search(ctx.height, metadata={"service_type": "maps"})
+        maps_hits = ctx.world.registry.search(ctx.height, metadata={"service_type": "maps"})
         if maps_hits:
             maps_record = maps_hits[0]
             if config.maps_fee_fet > 0 and "wallet" in maps_record.metadata:
                 try:
-                    world.ledger.transfer(
+                    ctx.world.ledger.transfer(
                         identity.wallet_address,
                         maps_record.metadata["wallet"],
                         fet(config.maps_fee_fet),
@@ -535,8 +533,7 @@ def build_logistics_agent(
         chosen = bids[winner]
         eta = chosen.eta_minutes + delay
         arrival = (announced_at + timedelta(minutes=eta)).isoformat()
-        registry = ctx.agent.world.registry
-        domain = registry.domain_of(winner) or ""
+        domain = ctx.world.registry.domain_of(winner) or ""
         auction.winner, auction.price_fet = winner, chosen.price_fet
         ctx.diag("winner_selected")
         proposal = _filled(
@@ -563,16 +560,15 @@ def build_logistics_agent(
             ctx.diag("auction_closed_unapproved")
             end(ctx, auction, DELIVERY_OUTCOME, bidders, status=msg["reason"] or "declined_by_user")
             return
-        world = ctx.agent.world
         try:
-            payee_wallet = world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
+            payee_wallet = ctx.world.registry.resolve(auction.winner, ctx.height).metadata["wallet"]
         except (RegistryError, KeyError) as exc:
             lapsed = isinstance(exc, RegistrationExpired)
             status = "payee_registration_expired" if lapsed else "no_payee_wallet"
             end(ctx, auction, DELIVERY_OUTCOME, bidders, status=status)
             return
         try:
-            auction.escrow_id = world.ledger.open_escrow(
+            auction.escrow_id = ctx.world.ledger.open_escrow(
                 auction.payer_wallet, payee_wallet, fet(auction.price_fet), ctx.address
             )
         except InsufficientFunds as exc:
@@ -591,7 +587,7 @@ def build_logistics_agent(
         if auction is None or auction.phase != "awaiting_delivery" or sender != auction.winner:
             ctx.diag("unexpected_delivery_confirmation")
             return
-        ctx.agent.world.ledger.settle_escrow(
+        ctx.world.ledger.settle_escrow(
             auction.escrow_id, identity.address, EscrowOutcome.RELEASED
         )
         ctx.diag("escrow_released")

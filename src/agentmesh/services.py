@@ -34,8 +34,9 @@ mailbox queue holds at most 4 MiB, so a retrieve always fits.
 A reply the client cannot use is a `ServiceError` naming the path: a body
 that is not a JSON object, a 200 without a `result`, a `/batch` result that
 is not a list of one result per call, or a result its entry's codec cannot
-decode. So a service that answers badly fails an order the way one that
-has gone away does.
+decode, such as a plain result of another JSON type than the in-process
+method returns. So a service that answers badly fails an order the way one
+that has gone away does.
 
 Each service runs one accept loop and one thread per connection. The loop
 waits, with no timeout, on its listening socket and a wake-up socket, never
@@ -130,6 +131,24 @@ _ANAME: _Codec = (
 _DEPOSIT: _Codec = (asdict, lambda data: DepositResult(**data))
 
 
+def _checked(data: Any, *types: type) -> Any:
+    """data, when its type is one of `types`; a bool is no int here."""
+    if type(data) not in types:
+        raise TypeError(f"{type(data).__name__} is not {' or '.join(t.__name__ for t in types)}")
+    return data
+
+
+def _plain(*types: type) -> _Codec:
+    """A result that is JSON as it is, of a type the in-process method returns."""
+    return (lambda value: value, lambda data: _checked(data, *types))
+
+
+_INT, _NONE = _plain(int), _plain(type(None))
+_COUNTS: _Codec = (  # queue sizes by address
+    dict, lambda data: {key: _checked(size, int) for key, size in _checked(data, dict).items()}
+)
+
+
 def _optional(codec: _Codec) -> _Codec:
     to_json, from_json = codec
     return (
@@ -182,24 +201,24 @@ class _Rpc:
 
 
 _REGISTRY_RPCS = (
-    _Rpc("/register", "registry", Registry.register, _AS_IS, held=("ledger",)),
+    _Rpc("/register", "registry", Registry.register, _INT, held=("ledger",)),
     _Rpc("/search", "registry", Registry.search, _list_of(_RECORD)),
     _Rpc("/resolve", "registry", Registry.resolve, _RECORD),
     _Rpc("/aname/claim", "registry", Registry.aname_claim, _HEX),
     _Rpc("/aname/verify", "registry", Registry.aname_verify, _ANAME, held=("resolver",)),
-    _Rpc("/dns/publish", "resolver", FixtureDnsResolver.publish, _AS_IS),
-    _Rpc("/resolve_domain", "registry", Registry.resolve_domain, _AS_IS),
-    _Rpc("/domain_of", "registry", Registry.domain_of, _AS_IS),
+    _Rpc("/dns/publish", "resolver", FixtureDnsResolver.publish, _NONE),
+    _Rpc("/resolve_domain", "registry", Registry.resolve_domain, _plain(str)),
+    _Rpc("/domain_of", "registry", Registry.domain_of, _plain(str, type(None))),
 )
 
 _MAILBOX_RPCS = (
-    _Rpc("/create_account", "store", MailboxStore.create_account, _AS_IS),
-    _Rpc("/has_account", "store", MailboxStore.has_account, _AS_IS),
-    _Rpc("/next_nonce", "store", MailboxStore.next_nonce, _AS_IS),
+    _Rpc("/create_account", "store", MailboxStore.create_account, _NONE),
+    _Rpc("/has_account", "store", MailboxStore.has_account, _plain(bool)),
+    _Rpc("/next_nonce", "store", MailboxStore.next_nonce, _INT),
     _Rpc("/deposit", "store", MailboxStore.deposit, _DEPOSIT),
     _Rpc("/retrieve", "store", MailboxStore.retrieve, _list_of(_ENVELOPE)),
-    _Rpc("/acknowledge", "store", MailboxStore.acknowledge, _AS_IS),
-    _Rpc("/stats", "store", MailboxStore.stats, _AS_IS),
+    _Rpc("/acknowledge", "store", MailboxStore.acknowledge, _INT),
+    _Rpc("/stats", "store", MailboxStore.stats, _COUNTS),
 )
 
 

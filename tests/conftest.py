@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from agentmesh import identity
+
+HERE = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Every test under this directory turns warnings into errors, so an
+    unclosed socket, an object left to the collector or a deprecation fails
+    the test that caused it."""
+    for item in items:
+        if HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture

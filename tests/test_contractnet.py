@@ -472,8 +472,8 @@ class TestAnnounceAndSettle:
 
     def test_announce_reaches_every_live_courier(self):
         ledger, registry, logistics, couriers = self.registered_world(5)
-        ctx = Context(logistics, ledger.height)
-        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        ctx = Context(World(ledger, registry), logistics)
+        invited = announce(ctx, self.task(), bid_deadline=20)
         [env] = ctx.outbound  # one envelope, one signature
         assert set(env.recipients) == {c.address for c in couriers}
         assert list(env.recipients) == invited
@@ -489,8 +489,8 @@ class TestAnnounceAndSettle:
     def test_announce_sends_in_the_context_session(self):
         ledger, registry, logistics, couriers = self.registered_world(5)
         session = b"\x07" * 16
-        ctx = Context(logistics, ledger.height, session_id=session)
-        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        ctx = Context(World(ledger, registry), logistics, session_id=session)
+        invited = announce(ctx, self.task(), bid_deadline=20)
         assert [e.session_id for e in ctx.outbound] == [session]
         assert len(ctx.outbound[0].recipients) == 5
         taken = self.deliveries(ledger, registry, couriers, *ctx.outbound)
@@ -498,32 +498,32 @@ class TestAnnounceAndSettle:
 
     def test_announce_refuses_a_bid_deadline_not_after_now(self):
         ledger, registry, logistics, _ = self.registered_world(1)
-        ctx = Context(logistics, ledger.height)
+        ctx = Context(World(ledger, registry), logistics)
         with pytest.raises(ContractNetError, match="bid_deadline"):
-            announce(ctx, self.task(), registry, bid_deadline=ledger.height)
+            announce(ctx, self.task(), bid_deadline=ledger.height)
         assert ctx.outbound == []
 
     def test_announce_without_couriers(self):
         ledger, registry, logistics, _ = self.registered_world(0)
-        ctx = Context(logistics, ledger.height)
+        ctx = Context(World(ledger, registry), logistics)
         with pytest.raises(NoCouriers):
-            announce(ctx, self.task(), registry, bid_deadline=20)
+            announce(ctx, self.task(), bid_deadline=20)
         assert ctx.outbound == []
 
     def test_targets_come_from_search_only(self):
         ledger, registry, logistics, couriers = self.registered_world(3)
         ledger.advance_block(501)  # all registrations lapse
-        ctx = Context(logistics, ledger.height)
+        ctx = Context(World(ledger, registry), logistics)
         with pytest.raises(NoCouriers):
-            announce(ctx, self.task(), registry, bid_deadline=600)
+            announce(ctx, self.task(), bid_deadline=600)
         assert ctx.outbound == []
 
     def test_more_couriers_than_one_envelope_names_take_several(self, monkeypatch):
         monkeypatch.setattr(contractnet, "MAX_RECIPIENTS", 2)
         ledger, registry, logistics, couriers = self.registered_world(5)
         session = b"\x0a" * 16
-        ctx = Context(logistics, ledger.height, session_id=session)
-        invited = announce(ctx, self.task(), registry, bid_deadline=20)
+        ctx = Context(World(ledger, registry), logistics, session_id=session)
+        invited = announce(ctx, self.task(), bid_deadline=20)
         reject_bidders(ctx, reversed(invited))
         calls, rejects = ctx.outbound[:3], ctx.outbound[3:]
         # runs of at most two, in search order for the call, address order for the rejects

@@ -109,18 +109,17 @@ class TestRegistration:
         with pytest.raises(Exception):
             make_agent("zero period").on_interval(0)(lambda ctx: None)
 
-    def test_an_agent_does_not_keep_its_world_alive(self):
-        agent = echo_agent("outlives its world")
-        assert agent.world is None
+    def test_a_world_is_freed_while_the_caller_holds_its_agents(self):
+        agent, sender = echo_agent("outlives its world"), make_agent("outlives its sender")
 
-        def joined():
+        def ran():
             world = fresh_world()
             world.add_agent(agent)
-            assert agent.world is world
+            world.add_agent(sender)
+            assert world.query(sender, agent.identity.address, Record(PING, {"text": "x"}), 5)
             return world
 
-        oracles.assert_freed(joined)
-        assert agent.world is None
+        oracles.assert_freed(ran)
 
 
 class TestSchemaIndex:
@@ -155,7 +154,6 @@ class TestSchemaIndex:
 
     def test_unstarted_agent_knows_its_schemas(self):
         agent = make_agent("unstarted agent")
-        assert agent.world is None
         assert agent.known_schemas() == [PING, PONG]
         assert agent._schema_name_of(PONG.digest()) == "Pong"
 
@@ -183,7 +181,7 @@ class TestDispatch:
         world = fresh_world()
         world.add_agent(agent)
         sender = make_agent("sender")
-        out = agent.dispatch(self.ping_env(sender, agent), 1)
+        out = agent.dispatch(self.ping_env(sender, agent), world)
         assert calls == [(sender.identity.address, "hi")]
         assert out == []
 
@@ -193,7 +191,7 @@ class TestDispatch:
         world.add_agent(agent)
         sender = make_agent("asker")
         session = b"\x09" * 16
-        out = agent.dispatch(self.ping_env(sender, agent, session=session), 1)
+        out = agent.dispatch(self.ping_env(sender, agent, session=session), world)
         assert len(out) == 1
         assert out[0].session_id == session
         assert out[0].target == sender.identity.address
@@ -202,7 +200,11 @@ class TestDispatch:
         agent = echo_agent("not started")
         sender = make_agent("s")
         with pytest.raises(AgentNotStarted):
-            agent.dispatch(self.ping_env(sender, agent), 1)
+            agent.dispatch(self.ping_env(sender, agent), fresh_world())
+        # nor into a world that does not hold it, once it joined another
+        fresh_world().add_agent(agent)
+        with pytest.raises(AgentNotStarted):
+            agent.dispatch(self.ping_env(sender, agent), fresh_world())
 
     def test_tampered_envelope_diagnostic(self):
         agent = echo_agent("tamper target")
@@ -214,7 +216,7 @@ class TestDispatch:
             env.sender, env.target, env.protocol_digest, env.schema_digest,
             env.payload[:-1] + b"!", env.session_id, env.expires_at, env.signature,
         )
-        assert agent.dispatch(bad, 1) == []
+        assert agent.dispatch(bad, world) == []
         assert [oracles.line_fields(d).outcome for d in world.transcript] == ["signature_invalid"]
 
     def test_no_handler_diagnostic(self):
@@ -222,7 +224,7 @@ class TestDispatch:
         world = fresh_world()
         world.add_agent(agent)
         sender = make_agent("nh sender")
-        assert agent.dispatch(self.ping_env(sender, agent), 1) == []
+        assert agent.dispatch(self.ping_env(sender, agent), world) == []
         assert [oracles.line_fields(d).outcome for d in world.transcript] == ["no_handler"]
 
     def test_expired_diagnostic(self):
@@ -230,7 +232,8 @@ class TestDispatch:
         world = fresh_world()
         world.add_agent(agent)
         sender = make_agent("expired sender")
-        assert agent.dispatch(self.ping_env(sender, agent, expires=3), 10) == []
+        world.tick(10)
+        assert agent.dispatch(self.ping_env(sender, agent, expires=3), world) == []
         assert [oracles.line_fields(d).outcome for d in world.transcript] == ["expired"]
 
     def test_unknown_schema_diagnostic(self):
@@ -245,7 +248,7 @@ class TestDispatch:
             sender.identity, agent.identity.address, stranger_proto,
             Record(stranger_schema, {"n": 1}), b"\x00" * 16, 100,
         )
-        assert agent.dispatch(env, 1) == []
+        assert agent.dispatch(env, world) == []
         assert [oracles.line_fields(d).outcome for d in world.transcript] == ["unknown_schema"]
 
     def test_a_signed_payload_that_does_not_decode_is_one_unknown_schema_line(self):
@@ -257,7 +260,7 @@ class TestDispatch:
         sender = make_agent("garbled sender")
         unsigned = dataclasses.replace(self.ping_env(sender, agent), payload=b"\xff")
         signature = sender.identity.sign_digest(unsigned.signing_digest())
-        assert agent.dispatch(dataclasses.replace(unsigned, signature=signature), 1) == []
+        assert agent.dispatch(dataclasses.replace(unsigned, signature=signature), world) == []
         assert calls == []
         (line,) = world.transcript
         assert oracles.line_fields(line)[3:] == ("Ping", unsigned.payload_prefix, "unknown_schema")
@@ -265,13 +268,13 @@ class TestDispatch:
     def test_reply_outside_a_message_handler_raises(self):
         agent = make_agent("timer replier")
         with pytest.raises(runtime.RuntimeError_, match="outside a message handler"):
-            agent.invoke(lambda ctx: ctx.reply(Record(PONG, {"text": "to whom?"})), 1)
+            agent.invoke(lambda ctx: ctx.reply(Record(PONG, {"text": "whom?"})), fresh_world())
 
     def test_send_of_a_schema_in_none_of_its_protocols_raises(self):
         agent = make_agent("narrow sender")
         stranger = Record(ModelSchema.build("Stranger", n=SemanticType.INT), {"n": 1})
         with pytest.raises(SchemaNotInProtocol):
-            Context(agent, 1).send(agent.identity.address, stranger)
+            Context(fresh_world(), agent).send(agent.identity.address, stranger)
 
     def test_invalid_record_reject_is_one_line_and_sends_nothing(self):
         agent = make_agent("picky")
@@ -285,7 +288,7 @@ class TestDispatch:
 
         world = fresh_world()
         world.add_agent(agent)
-        assert agent.dispatch(self.ping_env(sender, agent), 1) == []
+        assert agent.dispatch(self.ping_env(sender, agent), world) == []
         outcomes = [oracles.line_fields(d).outcome for d in world.transcript]
         assert outcomes == ["looked", "invalid_record"]
         assert oracles.line_fields(world.transcript[-1]).schema_name == "Ping"
@@ -299,9 +302,9 @@ class TestDispatch:
         sender = make_agent("misaddressed sender")
         named = [make_agent(f"named agent {i}") for i in range(2)]
         for env in (self.ping_env(sender, named[0]),
-                    Context(sender, 1).send(",".join(a.identity.address for a in named),
-                                            Record(PING, {"text": "not you"}))):
-            assert agent.dispatch(env, 1) == []
+                    Context(world, sender).send(",".join(a.identity.address for a in named),
+                                                Record(PING, {"text": "not you"}))):
+            assert agent.dispatch(env, world) == []
         assert calls == []
         lines = [oracles.line_fields(line) for line in world.transcript]
         assert [(f.sender, f.target, f.outcome) for f in lines] == [
@@ -319,18 +322,42 @@ class TestDispatch:
                 Record(PING, {"text": "again"}), b"\x01" * 16, 1000,
             )
             try:
-                agent.dispatch(env, ctx.height)  # reentrant call must fail
+                agent.dispatch(env, ctx.world)  # reentrant call must fail
             except HandlerOverlap as exc:
                 inner_error.append(exc)
 
         world = fresh_world()
         world.add_agent(agent)
         sender = make_agent("overlap sender")
-        agent.dispatch(self.ping_env(sender, agent), 1)
+        agent.dispatch(self.ping_env(sender, agent), world)
         assert len(inner_error) == 1
 
 
 class TestScheduling:
+    def test_an_agent_in_two_worlds_acts_in_the_world_that_runs_it(self):
+        agent = make_agent("in two worlds")
+
+        @agent.on_message(PING)
+        def handle(ctx, sender, record):
+            text = record["text"]
+            ctx.diag(f"pinged_{text}")
+            ctx.at(ctx.height + 2, lambda timer: timer.diag(f"timer_{text}"))
+
+        sender = make_agent("two worlds sender")
+        worlds = {"a": fresh_world(), "b": fresh_world()}
+        for world in worlds.values():
+            world.add_agent(agent)
+            world.add_agent(sender)
+        for text, world in worlds.items():
+            world.send_message(sender, agent.identity.address, Record(PING, {"text": text}))
+            world.drain()
+        # each world logs only its own delivery, and runs the timer it set
+        for text, world in worlds.items():
+            lines = [oracles.line_fields(line) for line in world.transcript]
+            assert [(f.tick, f.outcome) for f in lines] == [
+                (1, f"pinged_{text}"), (1, "handled"), (3, f"timer_{text}")
+            ]
+
     def test_tick_zero_no_effect(self):
         world = fresh_world()
         agent = echo_agent("idle")
@@ -824,7 +851,7 @@ class TestQuery:
             world.add_agent(agent)
         target = server.identity.address
         session = self.ask(world, client, target, Record(PING, {"text": "x"}))
-        forged = Context(forger, world.height).send(
+        forged = Context(world, forger).send(
             client.identity.address, Record(PONG, {"text": "forged"}), session
         )
         world.send(dataclasses.replace(forged, sender=target))
@@ -843,10 +870,10 @@ class TestQuery:
             world.add_agent(agent)
         target = server.identity.address
         session = self.ask(world, client, target, Record(PING, {"text": "x"}))
-        aside = Context(server, world.height).send(
+        aside = Context(world, server).send(
             bystander.identity.address, Record(PONG, {"text": "not yours"}), session
         )
-        assert client.dispatch(aside, world.height) == []
+        assert client.dispatch(aside, world) == []
         assert oracles.line_fields(world.transcript[-1]).outcome == "misaddressed"
         assert client.waiters[session, target] is None
         world.tick(2)

@@ -510,10 +510,10 @@ def _intruder_approves_first(monkeypatch, scenario):
             requests.append(env.session_id)
         send(env)
 
-    def reading_calls(env, height):
+    def reading_calls(env, in_world):
         if env.schema_digest == CALL_FOR_BIDS.digest():
             calls.append(env.session_id)
-        return dispatch(env, height)
+        return dispatch(env, in_world)
 
     def approve_first(self, target, approved, reason):
         assert calls == requests  # the call for bids came in the order's session
@@ -712,7 +712,7 @@ def test_a_reply_forged_in_the_logistics_agent_s_name_is_not_the_answer(monkeypa
     def forge_after(env):
         send(env)
         if env.sender == user and env.schema_digest == after.digest():
-            own = Context(courier, world.height).send(user, record, env.session_id)
+            own = Context(world, courier).send(user, record, env.session_id)
             send(replace(own, sender=logistics))
 
     monkeypatch.setattr(world, "send", forge_after)
@@ -1070,10 +1070,10 @@ def _approved(monkeypatch, scenario, session: bytes) -> tuple[int, list]:
     world, logistics = scenario.world, scenario.logistics_agent
     dispatch, handled = logistics.dispatch, []
 
-    def recording(env, height):
-        sent = dispatch(env, height)
+    def recording(env, in_world):
+        sent = dispatch(env, in_world)
         if env.schema_digest == DELIVERY_DECISION.digest():
-            handled.append((height, sent))
+            handled.append((in_world.height, sent))
         return sent
 
     monkeypatch.setattr(logistics, "dispatch", recording)

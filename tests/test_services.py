@@ -865,6 +865,17 @@ def test_health_of_a_reply_that_is_not_ok_is_false(body):
     thread.join(timeout=5)
 
 
+def assert_undecodable(client_class, rpcs, method, args, result):
+    """A one-reply listener answering `result` to `method` makes the client
+    raise a ServiceError that names the path and the decode."""
+    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
+    with client_class(base_url, timeout=5) as client:
+        path = dict((rpc.name, rpc.path) for rpc in rpcs)[method]
+        with pytest.raises(ServiceError, match=f"^{path}: result not decodable"):
+            getattr(client, method)(*args)
+    thread.join(timeout=5)
+
+
 @pytest.mark.parametrize(
     ("method", "args", "result"),
     [
@@ -873,16 +884,33 @@ def test_health_of_a_reply_that_is_not_ok_is_false(body):
         ("search", (0,), b'["x"]'),
         ("aname_claim", ("van.example", ALICE.address), b'"not hex"'),
         ("aname_verify", ("van.example", None, 0), b'{"domain": "van.example"}'),
+        ("register", (None, *signed_registration(ALICE).values()), b"true"),
+        ("dns_publish", ("van.example", "entry"), b"{}"),
+        ("resolve_domain", ("van.example",), b"null"),
+        ("domain_of", (ALICE.address,), b"5"),
     ],
-    ids=["resolve_int", "resolve_missing_fields", "search_string", "claim_not_hex", "verify_short"],
+    ids=[
+        "resolve_int", "resolve_missing_fields", "search_string", "claim_not_hex", "verify_short",
+        "register_bool", "publish_object", "resolve_domain_null", "domain_of_int",
+    ],
 )
 def test_a_registry_result_its_codec_cannot_decode_is_a_service_error(method, args, result):
-    base_url, thread = one_reply_server(json_reply(b'{"result": %s}' % result))
-    with RegistryClient(base_url, timeout=5) as client:
-        path = dict((rpc.name, rpc.path) for rpc in services._REGISTRY_RPCS)[method]
-        with pytest.raises(ServiceError, match=f"^{path}: result not decodable"):
-            getattr(client, method)(*args)
-    thread.join(timeout=5)
+    assert_undecodable(RegistryClient, services._REGISTRY_RPCS, method, args, result)
+
+
+@pytest.mark.parametrize(
+    ("method", "args", "result"),
+    [
+        ("create_account", (BOB.address,), b"true"),
+        ("has_account", (BOB.address,), b"1"),
+        ("next_nonce", (BOB.address,), b'"x"'),
+        ("acknowledge", (BOB.address,), b"1.5"),
+        ("stats", (), b'{"a": "1"}'),
+    ],
+    ids=["create_bool", "has_int", "nonce_string", "acknowledge_float", "stats_string_count"],
+)
+def test_a_mailbox_result_its_codec_cannot_decode_is_a_service_error(method, args, result):
+    assert_undecodable(MailboxClient, services._MAILBOX_RPCS, method, args, result)
 
 
 @pytest.mark.parametrize(
@@ -935,6 +963,23 @@ def test_a_registry_batch_answered_wrongly_fails_the_order_typed(result):
     thread.join(timeout=5)
     assert report.status == "failed"
     assert report.failure_cause.startswith("ServiceError: /batch: ")
+
+
+def test_a_mailbox_that_answers_next_nonce_with_a_string_fails_the_order_typed(monkeypatch):
+    # CamBikeExpress asks the mailbox for its retrieval nonce as it reconnects
+    config = with_overrides(
+        default_config(), offline=(PresenceWindow("CamBikeExpress", 7, 17),)
+    )
+    store = MailboxStore()
+    monkeypatch.setattr(store, "next_nonce", lambda address: "x")
+    handle = serve_mailbox(store)
+    try:
+        with MailboxClient(handle.base_url) as client:
+            report = run_scenario(config, mailbox=client)
+    finally:
+        handle.close()
+    assert report.status == "failed"
+    assert report.failure_cause.startswith("ServiceError: /next_nonce: ")
 
 
 # ---------------------------------------------------------------------------
