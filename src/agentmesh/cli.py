@@ -319,8 +319,9 @@ def _listen(serve, args, label: str) -> int:
 
 
 def _serve_forever(handle, label: str) -> int:
-    print(f"{label} listening on {handle.base_url}")
     try:
+        # inside the try: an interrupt may come as soon as the line is out
+        print(f"{label} listening on {handle.base_url}")
         handle.thread.join()
     except KeyboardInterrupt:
         print("shutting down")

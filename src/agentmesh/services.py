@@ -31,18 +31,22 @@ client, which drops the connection unread. The server sends a 400
 `BadRequest` in place of a reply over 16 MiB, whose calls have run; a
 mailbox queue holds at most 4 MiB, so a retrieve always fits.
 
-A reply the client cannot use is a `ServiceError` naming the path: a body
-that is not a JSON object, a 200 without a `result`, a `/batch` result that
+A request body nested deeper than the JSON decoder can read is a 400
+`BadRequest`, like any body that is not JSON. A reply the client cannot use
+is a `ServiceError` naming the path: a body that is not a JSON object or is
+nested too deep to decode, a 200 without a `result`, a `/batch` result that
 is not a list of one result per call, or a result its entry's codec cannot
 decode, such as a plain result of another JSON type than the in-process
 method returns. So a service that answers badly fails an order the way one
 that has gone away does.
 
-Each service runs one accept loop and one thread per connection. The loop
-waits, with no timeout, on its listening socket and a wake-up socket, never
-on a timer, so an idle daemon does no work at all. `ServiceHandle.close()`
-sends the wake-up and returns at once, having ended every connection and
-joined every thread the service had.
+A service is one `ServiceHandle` on plain sockets: a listening socket, an
+accept loop on its `thread`, and one thread per connection. The loop waits,
+with no timeout, on the listening socket and a wake-up socket, never on a
+timer, so an idle daemon does no work at all. An error no reply maps ends
+its own connection unanswered and reaches `threading.excepthook`.
+`ServiceHandle.close()` sends the wake-up and returns at once, having ended
+every connection and joined every thread the service had.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ import inspect
 import json
 import selectors
 import socket
-import socketserver
 import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
@@ -313,167 +316,147 @@ def _body_length(headers: dict[str, str], default: str | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# server plumbing
+# server: a listening socket, an accept loop, a thread per connection
 
-class _JsonHandler(socketserver.StreamRequestHandler):
-    """Serve one connection's requests in turn, dispatching POSTed JSON to
-    the route table installed on the server."""
-
-    def handle(self) -> None:
-        # the peer or ServiceHandle.close() may end the connection any time
-        with contextlib.suppress(OSError):
-            while self._serve_one():
-                pass
-
-    def _serve_one(self) -> bool:
-        """Answer one request; False once the connection is to close."""
-        try:
-            head = _read_head(self.rfile)
-            if head is None:
-                return False
-            start, headers = head
-            method, path, version = start.split(" ")
-            if not version.startswith("HTTP/1."):
-                raise ValueError(f"unsupported version {version!r}")
-            length = _body_length(headers, default="0")
-        except ValueError as exc:
-            # the request's end is unknown, so the connection cannot be reused
-            return self._reply(400, {"error": "BadRequest", "detail": str(exc)}, close=True)
-        if headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        # consume the body before any reply: on a keep-alive connection a
-        # body left unread would be parsed as the next request
-        body = self.rfile.read(length)
-        if len(body) < length:
+def _serve_one(service: ServiceHandle, rfile, connection: socket.socket) -> bool:
+    """Answer one request; False once the connection is to close."""
+    try:
+        head = _read_head(rfile)
+        if head is None:
             return False
-        close = version == "HTTP/1.0" or headers.get("connection", "").lower() == "close"
-        return self._reply(*self._answer(method, path, body), close=close)
+        start, headers = head
+        method, path, version = start.split(" ")
+        if not version.startswith("HTTP/1."):
+            raise ValueError(f"unsupported version {version!r}")
+        length = _body_length(headers, default="0")
+    except ValueError as exc:
+        # the request's end is unknown, so the connection cannot be reused
+        return _reply(connection, 400, {"error": "BadRequest", "detail": str(exc)}, close=True)
+    if headers.get("expect", "").lower() == "100-continue":
+        connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    # consume the body before any reply: on a keep-alive connection a
+    # body left unread would be parsed as the next request
+    body = rfile.read(length)
+    if len(body) < length:
+        return False
+    close = version == "HTTP/1.0" or headers.get("connection", "").lower() == "close"
+    return _reply(connection, *_answer(service, method, path, body), close=close)
 
-    def _answer(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        if method == "GET" and path == "/health":
-            return 200, {"ok": True, "service": self.server.service_name}
-        route = self.server.routes.get(path) if method == "POST" else None
-        if route is None:
-            # NoRoute, not NotFound: must not collide with the registry error
-            return 404, {"error": "NoRoute", "detail": f"no route {method} {path}"}
+
+def _answer(service: ServiceHandle, method: str, path: str, body: bytes) -> tuple[int, dict]:
+    if method == "GET" and path == "/health":
+        return 200, {"ok": True, "service": service.service_name}
+    route = service.routes.get(path) if method == "POST" else None
+    if route is None:
+        # NoRoute, not NotFound: must not collide with the registry error
+        return 404, {"error": "NoRoute", "detail": f"no route {method} {path}"}
+    try:
+        request = json.loads(body or b"{}")
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        return 400, {"error": "BadRequest", "detail": str(exc)}
+    try:
+        return 200, route(request)
+    except (RegistryError, MailboxError, LedgerError, IdentityError, WireError) as exc:
+        # structured fields (BadSequence.expected, InsufficientFunds.
+        # shortfall, ...) travel as attributes for the client to restore
+        return 400, {"error": type(exc).__name__, "detail": str(exc), "attrs": vars(exc)}
+    except (KeyError, TypeError, ValueError) as exc:
+        return 400, {"error": "BadRequest", "detail": f"{type(exc).__name__}: {exc}"}
+
+
+def _reply(connection: socket.socket, status: int, payload: dict, close: bool = False) -> bool:
+    """Send status line, headers and body in one write; returns whether
+    the connection stays open."""
+    body = json.dumps(payload).encode("utf-8")
+    if len(body) > _MAX_BODY:
+        # a client would drop such a reply unread; tell it why instead
+        detail = f"reply of {len(body)} bytes is over {_MAX_BODY}"
+        status, body = 400, json.dumps({"error": "BadRequest", "detail": detail}).encode()
+    close_field = "Connection: close\r\n" if close else ""
+    connection.sendall(
+        f"HTTP/1.1 {status} {_REASONS[status]}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n{close_field}\r\n".encode("latin-1") + body
+    )
+    return not close
+
+
+class ServiceHandle:
+    """A running service: its listening socket, the accept loop on `thread`,
+    one thread per connection, and the URL clients should use."""
+
+    def __init__(self, host: str, port: int, service_name: str, routes: dict) -> None:
+        self.service_name, self.routes = service_name, routes
+        self.listener = socket.socket()
         try:
-            request = json.loads(body or b"{}")
-        except ValueError as exc:
-            return 400, {"error": "BadRequest", "detail": str(exc)}
-        try:
-            return 200, route(request)
-        except (RegistryError, MailboxError, LedgerError, IdentityError, WireError) as exc:
-            # structured fields (BadSequence.expected, InsufficientFunds.
-            # shortfall, ...) travel as attributes for the client to restore
-            return 400, {"error": type(exc).__name__, "detail": str(exc), "attrs": vars(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": "BadRequest", "detail": f"{type(exc).__name__}: {exc}"}
-
-    def _reply(self, status: int, payload: dict, close: bool = False) -> bool:
-        """Send status line, headers and body in one write; returns whether
-        the connection stays open."""
-        body = json.dumps(payload).encode("utf-8")
-        if len(body) > _MAX_BODY:
-            # a client would drop such a reply unread; tell it why instead
-            detail = f"reply of {len(body)} bytes is over {_MAX_BODY}"
-            status, body = 400, json.dumps({"error": "BadRequest", "detail": detail}).encode()
-        close_field = "Connection: close\r\n" if close else ""
-        self.wfile.write(
-            f"HTTP/1.1 {status} {_REASONS[status]}\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n{close_field}\r\n".encode("latin-1") + body
-        )
-        return not close
-
-
-class _ServiceServer(socketserver.ThreadingTCPServer):
-    # a restarted daemon rebinds its port while old connections linger
-    allow_reuse_address = True
-
-    def __init__(self, address, service_name: str, routes: dict) -> None:
-        self.service_name = service_name
-        self.routes = routes
-        # each open connection and the thread serving it, so server_close()
-        # can end and join them (ThreadingMixIn tracks no daemon thread);
-        # set before binding, as a failed bind calls server_close()
+            # a restarted daemon rebinds its port while old connections linger
+            self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.listener.bind((host, port))
+            self.listener.listen()
+        except BaseException:
+            self.listener.close()
+            raise
+        host, port = self.listener.getsockname()
+        self.base_url = f"http://{host}:{port}"
+        # each open connection and the thread serving it, for close()
         self._connections: dict[socket.socket, threading.Thread] = {}
-        self._connections_lock = threading.Lock()
-        # shutdown() closes the writing end, which makes the reading end
+        self._lock = threading.Lock()
+        # close() closes the writing end, which makes the reading end
         # readable (at end of stream) and so wakes the accept loop
         self._wake, self._waker = socket.socketpair()
-        self._stopped = threading.Event()
-        super().__init__(address, _JsonHandler)
+        self.thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self.thread.start()
 
-    def serve_forever(self) -> None:
-        """Accept connections until shutdown(). Each pass waits, with no
-        timeout, for a connection or the wake-up, so an idle server makes
+    def _accept_loop(self) -> None:
+        """Accept connections until the wake-up. Each pass waits, with no
+        timeout, for a connection or the wake-up, so an idle service makes
         no pass at all."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.listener, selectors.EVENT_READ)
+            selector.register(self._wake, selectors.EVENT_READ)
+            while not any(key.fileobj is self._wake for key, _ in selector.select()):
+                try:
+                    connection, _ = self.listener.accept()
+                except OSError:  # the peer gave up before the accept
+                    continue
+                thread = threading.Thread(target=self._serve, args=(connection,), daemon=True)
+                with self._lock:
+                    self._connections[connection] = thread
+                thread.start()
+
+    def _serve(self, connection: socket.socket) -> None:
+        """Serve one connection's requests in turn. An error no reply maps
+        ends this connection alone, unanswered, and reaches
+        threading.excepthook."""
         try:
-            with selectors.DefaultSelector() as selector:
-                selector.register(self, selectors.EVENT_READ)
-                selector.register(self._wake, selectors.EVENT_READ)
-                while not any(key.fileobj is self._wake for key, _ in selector.select()):
-                    self._handle_request_noblock()
-                    self.service_actions()
+            # the peer or close() may end the connection any time
+            with contextlib.suppress(OSError), connection.makefile("rb") as rfile:
+                while _serve_one(self, rfile, connection):
+                    pass
         finally:
-            self._stopped.set()
+            with self._lock:
+                del self._connections[connection]
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_WR)
+            connection.close()
 
-    def shutdown(self) -> None:
-        """Wake the accept loop and wait for it to end; a second call, or
-        one after the loop has ended, returns at once."""
+    def close(self) -> None:
+        """Stop accepting, end every open connection and join every thread
+        the service had. It returns at once: the accept loop waits on its
+        listening socket and a wake-up, never on a timer, and close() sends
+        the wake-up. A second call does nothing."""
         self._waker.close()
-        self._stopped.wait()
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._connections_lock:
-            self._connections[request] = thread
-        thread.start()
-
-    def shutdown_request(self, request) -> None:
-        with self._connections_lock:
-            self._connections.pop(request, None)
-        super().shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        self._waker.close()
+        self.thread.join(timeout=5)
+        self.listener.close()
         self._wake.close()
-        # a keep-alive handler blocks reading its client's next request;
+        # a connection's thread blocks reading its client's next request;
         # shutting its socket down ends that read and with it the thread
-        with self._connections_lock:
+        with self._lock:
             threads = list(self._connections.values())
             for connection in self._connections:
                 with contextlib.suppress(OSError):
                     connection.shutdown(socket.SHUT_RDWR)
         for thread in threads:
             thread.join(timeout=5)
-
-
-@dataclass
-class ServiceHandle:
-    """A running service thread and the URL clients should use."""
-
-    server: _ServiceServer
-    thread: threading.Thread
-    base_url: str
-
-    def close(self) -> None:
-        """Stop accepting, end every open connection and join the server's
-        threads, handler threads included. It returns at once: the accept
-        loop waits on its listening socket and a wake-up, never on a timer,
-        and close() sends the wake-up. A second call does nothing."""
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-
-
-def _start(server: _ServiceServer) -> ServiceHandle:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    return ServiceHandle(server, thread, f"http://{host}:{port}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +477,7 @@ def serve_registry(
     """Expose a registry over HTTP; port 0 picks a free one."""
     if dns is None:
         dns = FixtureDnsResolver()
-    server = _ServiceServer((host, port), "registry", registry_routes(registry, ledger, dns))
-    return _start(server)
+    return ServiceHandle(host, port, "registry", registry_routes(registry, ledger, dns))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +489,7 @@ def mailbox_routes(store: MailboxStore) -> dict:
 
 
 def serve_mailbox(store: MailboxStore, host: str = "127.0.0.1", port: int = 0) -> ServiceHandle:
-    server = _ServiceServer((host, port), "mailbox", mailbox_routes(store))
-    return _start(server)
+    return ServiceHandle(host, port, "mailbox", mailbox_routes(store))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +553,7 @@ def _reply_object(path: str, status: int, data: bytes) -> dict:
     """A reply body as the JSON object every route answers with."""
     try:
         reply = json.loads(data)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         reply = None
     if not isinstance(reply, dict):
         raise ServiceError(f"{path}: HTTP {status}: reply is not a JSON object")

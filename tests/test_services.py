@@ -105,19 +105,27 @@ def test_close_is_prompt():
     assert not handle.thread.is_alive()
 
 
-def test_an_idle_service_makes_no_loop_pass():
-    handle = serve_mailbox(MailboxStore())
+def test_an_idle_service_makes_no_loop_pass(monkeypatch):
     passes = []
-    # the accept loop calls service_actions() once per pass
-    handle.server.service_actions = lambda: passes.append(time.perf_counter())
+
+    class CountingSelector(services.selectors.DefaultSelector):
+        # the accept loop makes one select() per pass
+        def select(self, timeout=None):
+            ready = super().select(timeout)
+            passes.append(time.perf_counter())
+            return ready
+
+    monkeypatch.setattr(services.selectors, "DefaultSelector", CountingSelector)
+    handle = serve_mailbox(MailboxStore())
     try:
         time.sleep(0.3)
         assert passes == []
         with MailboxClient(handle.base_url) as client:
             assert client.has_account(BOB.address) is False
+        # counted before close(), whose wake-up is a pass of its own
+        assert len(passes) == 1  # the pass that accepted the one connection
     finally:
         handle.close()
-    assert len(passes) == 1  # the pass that accepted the one connection
 
 
 def test_a_second_close_and_a_close_after_the_loop_ended_return_at_once():
@@ -125,7 +133,7 @@ def test_a_second_close_and_a_close_after_the_loop_ended_return_at_once():
     handlers = handler_threads(handle)
     with MailboxClient(handle.base_url) as client:
         client.create_account(BOB.address)
-        handle.server.shutdown()  # the loop ends; the connection is still open
+        handle._waker.close()  # the loop ends; the connection is still open
         handle.thread.join(timeout=5)
         assert not handle.thread.is_alive()
         assert handlers[0].is_alive()
@@ -166,11 +174,27 @@ def test_pairs_closed_on_side_threads_leave_no_thread_running():
     assert running == []
 
 
+def test_a_closed_services_port_is_served_again_at_once():
+    # as a daemon restarted on its port: the closed service ended the
+    # connection first, so its side of it waits out TIME_WAIT on that port
+    handle = serve_mailbox(MailboxStore())
+    port = int(handle.base_url.rsplit(":", 1)[1])
+    with MailboxClient(handle.base_url) as client:
+        client.create_account(BOB.address)
+        handle.close()
+    again = serve_mailbox(MailboxStore(), port=port)
+    try:
+        with MailboxClient(again.base_url) as client:
+            assert client.has_account(BOB.address) is False
+    finally:
+        again.close()
+
+
 def test_a_port_a_live_server_holds_is_refused_with_the_bind_error():
     handle = serve_mailbox(MailboxStore())
     try:
         with pytest.raises(OSError):
-            serve_mailbox(MailboxStore(), port=handle.server.server_address[1])
+            serve_mailbox(MailboxStore(), port=handle.listener.getsockname()[1])
     finally:
         handle.close()
 
@@ -469,13 +493,13 @@ def handler_threads(handle) -> list[threading.Thread]:
     """The server's handler threads, one per accepted connection, recorded
     as each starts."""
     threads = []
-    finish_request = handle.server.finish_request
+    serve = handle._serve
 
-    def recording(request, client_address):
+    def recording(connection):
         threads.append(threading.current_thread())
-        finish_request(request, client_address)
+        serve(connection)
 
-    handle.server.finish_request = recording
+    handle._serve = recording
     return threads
 
 
@@ -579,19 +603,18 @@ def test_lost_reply_is_not_resent_and_the_next_call_reconnects():
     store = MailboxStore()
     handle = serve_mailbox(store)
     handlers = handler_threads(handle)
-    server = handle.server
-    create_account = server.routes["/create_account"]
+    create_account = handle.routes["/create_account"]
     calls = []
 
     def create_then_drop(request):
         calls.append(request)
         result = create_account(request)
-        with server._connections_lock:
-            for connection in server._connections:
+        with handle._lock:
+            for connection in handle._connections:
                 connection.shutdown(socket.SHUT_RDWR)
         return result
 
-    server.routes["/create_account"] = create_then_drop
+    handle.routes["/create_account"] = create_then_drop
     try:
         with MailboxClient(handle.base_url) as client:
             with pytest.raises(ServiceError):
@@ -601,6 +624,31 @@ def test_lost_reply_is_not_resent_and_the_next_call_reconnects():
         assert len(handlers) == 2
     finally:
         handle.close()
+
+
+def test_a_route_that_raises_an_unmapped_error_ends_only_its_own_connection(monkeypatch):
+    hooked = []  # an uncaught thread exception would fail the test as a warning
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    handle = serve_mailbox(MailboxStore())
+    handlers = handler_threads(handle)
+
+    def broken(request):
+        raise RuntimeError("no reply maps this")
+
+    monkeypatch.setitem(handle.routes, "/stats", broken)
+    try:
+        with MailboxClient(handle.base_url) as client:
+            client.create_account(BOB.address)
+            with pytest.raises(ServiceError, match="^/stats: "):
+                client.stats()
+            assert client.has_account(BOB.address) is True  # on a new connection
+        assert len(handlers) == 2
+        handlers[0].join(timeout=5)
+        assert not handlers[0].is_alive()
+        assert handle.thread.is_alive()
+    finally:
+        handle.close()
+    assert all(args.exc_type is RuntimeError for args in hooked)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +737,19 @@ def test_a_body_that_is_not_json_is_a_bad_request(mailbox_service):
     response, body, _ = raw_request(client, POST_STATS + b"Content-Length: 5\r\n\r\nnot{}")
     assert response.status == 400
     assert json.loads(body)["error"] == "BadRequest"
+
+
+def test_a_body_nested_too_deep_is_a_bad_request_and_the_connection_serves_on(mailbox_service):
+    client, _ = mailbox_service
+    nested = b"[" * 200_000  # deeper than the JSON decoder's recursion limit
+    with raw_connection(client) as sock:
+        for body, status, error in ((nested, 400, "BadRequest"), (b"{}", 200, None)):
+            sock.sendall(POST_STATS + b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == status
+            assert json.loads(response.read()).get("error") == error
+            assert response.getheader("Connection") is None
 
 
 def test_a_hundred_headers_are_accepted(mailbox_service):
@@ -846,8 +907,12 @@ def json_reply(body: bytes, status: str = "200 OK") -> bytes:
         (json_reply(b"{}"), "no result"),
         (json_reply(b'{"error": ["NotFound"]}', "400 Bad Request"), r"\['NotFound'\]"),
         (json_reply(b'{"error": "NotFound", "attrs": [1]}', "400 Bad Request"), "NotFound"),
+        (json_reply(b"[" * 200_000), "not a JSON object"),
     ],
-    ids=["list", "string", "list_error", "no_result", "unhashable_error", "list_attrs"],
+    ids=[
+        "list", "string", "list_error", "no_result", "unhashable_error", "list_attrs",
+        "nested_too_deep",
+    ],
 )
 def test_a_framed_reply_the_client_cannot_use_is_a_service_error(reply, fault):
     base_url, thread = one_reply_server(reply)
@@ -857,7 +922,10 @@ def test_a_framed_reply_the_client_cannot_use_is_a_service_error(reply, fault):
     thread.join(timeout=5)
 
 
-@pytest.mark.parametrize("body", [b"[]", b'"x"', b"{}", b'{"ok": "yes"}'])
+@pytest.mark.parametrize(
+    "body",
+    [b"[]", b'"x"', b"{}", b'{"ok": "yes"}', pytest.param(b"[" * 200_000, id="nested_too_deep")],
+)
 def test_health_of_a_reply_that_is_not_ok_is_false(body):
     base_url, thread = one_reply_server(json_reply(body))
     with MailboxClient(base_url, timeout=5) as client:
