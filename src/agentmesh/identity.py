@@ -14,6 +14,11 @@ Ed25519 runs on libsodium, called through ctypes, when the system library
 loads; otherwise on `cryptography`. Both give the same RFC 8032 keys and
 signatures, so every address and signed byte is the same either way.
 
+A check finds the verify key behind an agent address in the live identity
+derive_identity made for it, and decodes the address text of any other,
+wallet addresses included. No key is kept, so a process does not grow with
+the addresses it checks.
+
 Ed25519 work that a thread will need later can be handed ahead as a claim-
 once Job to the process's VerifyPool, whose threads run it while the caller
 does other work: envelope checks, key pairs and registration checks. Where
@@ -24,12 +29,12 @@ thread that asks for its result.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import queue
 import re
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -42,11 +47,6 @@ WALLET_SUFFIX = b"::wallet"
 
 DIGEST_LEN = 32
 SIGNATURE_LEN = 64
-
-# Verify keys kept by _public_key. Bounded so a long run meeting many
-# addresses holds a fixed amount of memory, and sized so a 1,600-courier
-# order's checks find their keys (a few hundred bytes an entry).
-PUBLIC_KEY_CACHE_SIZE = 4096
 
 # Names the libsodium shared library goes by: 1.0.18, later releases, macOS.
 _SODIUM_NAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib")
@@ -371,6 +371,13 @@ class AgentIdentity:
         return Signature(_backend.sign(self._wallet_key, digest))
 
 
+# Every identity derive_identity made that is still alive, by agent address
+# (the newest, where a phrase is derived twice): a check takes its verify
+# key from here. An entry goes with its identity, so the map grows with the
+# identities alive, not with the addresses checked.
+_live: weakref.WeakValueDictionary[str, AgentIdentity] = weakref.WeakValueDictionary()
+
+
 def _keypair_jobs(phrase: str) -> tuple[Job, Job]:
     """The jobs that make a phrase's agent and wallet key pairs."""
     if not phrase:
@@ -392,13 +399,15 @@ def derive_identity(phrase: str, *, keypairs: Sequence[Job] | None = None) -> Ag
     signing, wallet = keypairs or _keypair_jobs(phrase)
     verify_key, signing_key = signing.result()
     wallet_verify, wallet_key = wallet.result()
-    return AgentIdentity(
+    identity = AgentIdentity(
         address=_encode_key(AGENT_PREFIX, verify_key),
         wallet_address=_encode_key(WALLET_PREFIX, wallet_verify),
         verify_key=verify_key,
         _signing_key=signing_key,
         _wallet_key=wallet_key,
     )
+    _live[identity.address] = identity
+    return identity
 
 
 def derive_identities(phrases: Sequence[str]) -> list[AgentIdentity]:
@@ -409,15 +418,18 @@ def derive_identities(phrases: Sequence[str]) -> list[AgentIdentity]:
     return [derive_identity(phrase, keypairs=pair) for phrase, pair in zip(phrases, jobs)]
 
 
-@functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)
 def _public_key(address: str) -> object | None:
     """The backend's handle for the verify key behind address, or None if
     its bytes are no valid key or one of small order or non-canonical.
 
-    A pure function of the address, so it is cached. MalformedAddress is
-    raised, and an exception is never cached, so it is raised on every call.
+    The raw key is the live identity's own when derive_identity made one
+    for address that is still alive, and is decoded from the text
+    otherwise; the two agree, as an address is its key's one canonical
+    text. Nothing is kept: a malformed address raises MalformedAddress, and
+    the handle is made for the backend in use, on every call.
     """
-    raw_key = decode_address(address)
+    identity = _live.get(address)
+    raw_key = decode_address(address) if identity is None else identity.verify_key
     y = int.from_bytes(raw_key, "little") & ((1 << 255) - 1)
     if y >= _P or y in _SMALL_ORDER_Y:
         return None

@@ -226,11 +226,12 @@ def test_registration_digests_are_pinned(name, monkeypatch):
     assert calls[0] == REGISTRATION_DIGESTS[name]
 
 
-def fleet_style(size: int):
+def fleet_style(size: int, phrase: str = "growth courier"):
     """The demo order put to `size` online couriers that all serve the
-    pickup, each quoting a feasible price and ETA."""
+    pickup, each quoting a feasible price and ETA; courier i's seed phrase
+    is `phrase` and i."""
     couriers = tuple(
-        CourierSpec(f"Courier{i:03d}", f"growth courier {i}", 10 + i % 40, 60 + 7 * i % 120,
+        CourierSpec(f"Courier{i:03d}", f"{phrase} {i}", 10 + i % 40, 60 + 7 * i % 120,
                     "cambridge")
         for i in range(size)
     )

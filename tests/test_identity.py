@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from agentmesh import identity as identity_module
 from agentmesh.identity import (
     AGENT_PREFIX,
-    PUBLIC_KEY_CACHE_SIZE,
     WALLET_PREFIX,
     BadDigestLength,
     EmptySeed,
@@ -188,7 +188,8 @@ class TestSigning:
 
 
 class TestKeyCache:
-    """verify_digest keeps parsed verify keys per address in a bounded cache."""
+    """verify_digest takes a verify key from the live identity that owns the
+    address, or decodes it, and keeps none."""
 
     def test_cached_key_does_not_verify_another_signer(self):
         alice, bob = derive_identity("cache alice"), derive_identity("cache bob")
@@ -216,15 +217,39 @@ class TestKeyCache:
         with pytest.raises(BadDigestLength):
             verify_digest(identity.address, b"short", Signature(b"\x00" * 64))
 
-    def test_cache_is_bounded(self):
-        cache_info = identity_module._public_key.cache_info
-        assert cache_info().maxsize == PUBLIC_KEY_CACHE_SIZE
-        digest = digest_of(b"many signers")
-        for i in range(PUBLIC_KEY_CACHE_SIZE + 40):
-            address = identity_module._encode_key(AGENT_PREFIX, digest_of(b"cache bound %d" % i))
-            assert not verify_digest(address, digest, bytes(64))
-            assert cache_info().currsize <= PUBLIC_KEY_CACHE_SIZE
-        assert cache_info().currsize == PUBLIC_KEY_CACHE_SIZE
+    def test_a_strangers_address_leaves_nothing_behind(self):
+        """Checks from 5,000 addresses no live identity holds leave traced
+        memory where it was: a process does not grow with whom it meets."""
+        digest = digest_of(b"from a stranger")
+        strangers = [identity_module._encode_key(AGENT_PREFIX, digest_of(b"stranger %d" % i))
+                     for i in range(5000)]
+        assert not verify_digest(strangers[0], digest, bytes(64))  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for address in strangers:
+                assert not verify_digest(address, digest, bytes(64))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 64 * 1024, f"5,000 strangers left {grown} bytes behind"
+
+    def test_a_check_reads_the_same_once_its_identity_is_dropped(self):
+        digest, tampered = digest_of(b"alive or dropped"), digest_of(b"tampered")
+        other = derive_identity("alive or dropped, other signer")
+
+        def verdicts(address, signature):
+            return (verify_digest(address, digest, signature),
+                    verify_digest(address, tampered, signature),
+                    verify_digest(address, digest, other.sign_digest(digest)))
+
+        signer = derive_identity("alive or dropped")
+        address, signature = signer.address, signer.sign_digest(digest)
+        assert identity_module._live.get(address) is signer
+        alive = verdicts(address, signature)
+        del signer
+        assert address not in identity_module._live
+        assert verdicts(address, signature) == alive == (True, False, False)
 
 
 BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
@@ -275,6 +300,15 @@ class TestAddressText:
                 decode_address(prefix + other)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(min_size=1))
+def test_an_address_decodes_to_its_identitys_verify_key(phrase):
+    """So a check may take the key from the live identity instead of
+    decoding its address, and read the same."""
+    identity = derive_identity(phrase)
+    assert decode_address(identity.address) == identity.verify_key
+
 # ---------------------------------------------------------------------------
 # the two Ed25519 backends: libsodium through ctypes, and `cryptography`
 
@@ -308,6 +342,21 @@ def test_rfc8032_test_1(backend):
     assert backend.sign(secret, b"") == RFC_SIGNATURE
     assert _verdict(backend, RFC_PUBLIC, b"", RFC_SIGNATURE)
     assert not _verdict(backend, RFC_PUBLIC, b"\x00", RFC_SIGNATURE)
+
+
+@needs_sodium
+def test_a_backend_swap_leaves_every_check_standing(monkeypatch):
+    """A check makes its key handle for the backend in use, so a check on
+    libsodium leaves nothing behind that one on `cryptography` trips on.
+    Signing stays with the backend the identity was derived with."""
+    monkeypatch.setattr(identity_module, "_backend", SODIUM)
+    signer = derive_identity("backend swap")
+    digest = digest_of(b"swapped")
+    signature = signer.sign_digest(digest)
+    assert verify_digest(signer.address, digest, signature)
+    monkeypatch.setattr(identity_module, "_backend", identity_module._Cryptography())
+    assert verify_digest(signer.address, digest, signature)
+    assert not verify_digest(signer.address, digest_of(b"tampered"), signature)
 
 
 @needs_sodium

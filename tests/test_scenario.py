@@ -4,6 +4,7 @@ feedback rules, offline couriers, determinism."""
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -18,6 +19,7 @@ from agentmesh.config import (
     default_config,
     with_overrides,
 )
+from agentmesh import identity as identity_module
 from agentmesh import scenario as scenario_module
 from agentmesh.identity import derive_identity
 from agentmesh.ledger import UFET_PER_FET, Ledger, fet, replay
@@ -1553,6 +1555,30 @@ def _ordered_once(config, **services):
 ])
 def test_a_dropped_world_is_freed_at_once(config):
     oracles.assert_freed(_ordered_once(config()))
+
+
+def test_a_dropped_worlds_cast_leaves_no_verify_key_behind():
+    world = _ordered_once(fleet_style(40))()
+    cast = list(world.agents)
+    assert all(address in identity_module._live for address in cast)
+    del world
+    assert not any(address in identity_module._live for address in cast)
+
+
+def test_a_process_running_many_orders_stays_flat():
+    """Twenty fleet orders, each in its own world with couriers of its own,
+    as a long-running process meets them: after the fifth, traced memory
+    no longer grows with the addresses the process has met."""
+    tracemalloc.start()
+    try:
+        for order in range(1, 21):
+            _ordered_once(fleet_style(20, f"flat order {order} courier"))()
+            if order == 5:
+                after_five = tracemalloc.get_traced_memory()[0]
+        grown = tracemalloc.get_traced_memory()[0] - after_five
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * 1024, f"orders 6 to 20 left {grown} bytes behind"
 
 
 def test_a_dropped_world_behind_the_services_is_freed_at_once():
