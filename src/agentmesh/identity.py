@@ -374,7 +374,8 @@ class AgentIdentity:
 # Every identity derive_identity made that is still alive, by agent address
 # (the newest, where a phrase is derived twice): a check takes its verify
 # key from here. An entry goes with its identity, so the map grows with the
-# identities alive, not with the addresses checked.
+# identities alive, not with the addresses checked. Decoding every address
+# instead read a `fleet` order's p50 about 4% slower (344 decodes an order).
 _live: weakref.WeakValueDictionary[str, AgentIdentity] = weakref.WeakValueDictionary()
 
 

@@ -300,7 +300,6 @@ class TestAddressText:
                 decode_address(prefix + other)
 
 
-
 @settings(max_examples=100, deadline=None)
 @given(st.text(min_size=1))
 def test_an_address_decodes_to_its_identitys_verify_key(phrase):
@@ -308,6 +307,7 @@ def test_an_address_decodes_to_its_identitys_verify_key(phrase):
     decoding its address, and read the same."""
     identity = derive_identity(phrase)
     assert decode_address(identity.address) == identity.verify_key
+
 
 # ---------------------------------------------------------------------------
 # the two Ed25519 backends: libsodium through ctypes, and `cryptography`
