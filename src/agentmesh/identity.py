@@ -21,9 +21,11 @@ the addresses it checks.
 
 Ed25519 work that a thread will need later can be handed ahead as a claim-
 once Job to the process's VerifyPool, whose threads run it while the caller
-does other work: envelope checks, key pairs and registration checks. Where
-the backend holds the GIL, or the process has one CPU, every job runs on the
-thread that asks for its result.
+does other work: key pairs, registration checks, and envelope checks. A
+sealed envelope's Signature may be pending, the Job that signs it, so an
+envelope handed to the pool as it is sealed is signed and then checked
+there. Where the backend holds the GIL, or the process has one CPU, every
+job runs on the thread that asks for its result.
 """
 
 from __future__ import annotations
@@ -221,9 +223,10 @@ class Job:
     thread ahead of time, or the thread that asks for its result. A thread
     that asks while another holds the claim waits for it. A call that raises
     keeps no result and lets go of the claim, so the next thread to ask
-    makes the call again and raises in its own right. A job holds one C-
-    bound call: Python work on a pool thread would only take the GIL from
-    the caller."""
+    makes the call again and raises in its own right. A job holds C-bound
+    work: one call, or an envelope's check that first asks its pending
+    signature's job for the sign. Python work on a pool thread would only
+    take the GIL from the caller."""
 
     __slots__ = ("_call", "_args", "_claim", "_done", "_result")
 
@@ -239,9 +242,15 @@ class Job:
         if not self._done:
             with self._claim:
                 if not self._done:
-                    self._result = self._call(*self._args)
-                    self._done = True
+                    self._make()
         return self._result
+
+    def _make(self) -> None:
+        """Make the call; the caller holds the claim. A made job lets go of
+        the call and its arguments, such as the identity a sign needs."""
+        self._result = self._call(*self._args)
+        self._done = True
+        self._call = self._args = None
 
     def run_ahead(self) -> None:
         """Make the call here unless it is made or claimed; never waits and
@@ -250,8 +259,7 @@ class Job:
             return
         try:
             if not self._done:
-                self._result = self._call(*self._args)
-                self._done = True
+                self._make()
         except Exception:
             pass  # the claim is let go; the thread that asks makes the call and raises
         finally:
@@ -261,9 +269,9 @@ class Job:
 class VerifyPool:
     """Daemon threads that run jobs ahead of the thread that needs their
     results: anything with a run_ahead() method, such as a Job or an
-    envelope, whose run_ahead works out its signature check. Their Ed25519
-    calls overlap the caller's work only where the backend lets go of the
-    GIL."""
+    envelope, whose run_ahead makes its pending signature and then works out
+    its signature check. Their Ed25519 calls overlap the caller's work only
+    where the backend lets go of the GIL."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -324,15 +332,42 @@ def work_ahead(jobs: Iterable[Job]) -> None:
             job.run_ahead()
 
 
-@dataclass(frozen=True)
 class Signature:
-    """A 64-byte Ed25519 signature over a 32-byte digest."""
+    """A 64-byte Ed25519 signature over a 32-byte digest. A pending one is
+    the claim-once Job that makes it, run on the verify pool or by the first
+    thread that reads `data`; it compares, hashes and prints as its bytes."""
 
-    data: bytes
+    __slots__ = ("_data", "_sign")
 
-    def __post_init__(self) -> None:
-        if len(self.data) != SIGNATURE_LEN:
+    def __init__(self, data: bytes) -> None:
+        if len(data) != SIGNATURE_LEN:
             raise BadDigestLength(f"signature must be {SIGNATURE_LEN} bytes")
+        self._data, self._sign = data, None
+
+    @classmethod
+    def pending(cls, sign: Job) -> "Signature":
+        """The signature `sign`, a Job whose result is a Signature, makes."""
+        signature = cls.__new__(cls)
+        signature._data, signature._sign = None, sign
+        return signature
+
+    @property
+    def data(self) -> bytes:
+        data = self._data
+        if data is None:
+            data = self._data = self._sign.result().data
+        return data
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.data == other.data
+
+    def __hash__(self) -> int:
+        return hash(self.data)
+
+    def __repr__(self) -> str:
+        return f"Signature(data={self.data!r})"
 
     def hex(self) -> str:
         return self.data.hex()

@@ -11,13 +11,14 @@ transcript line per delivery outcome: the pipe-joined string
 of docs/wire.md, rendered once when the event happens and kept as it is.
 Identical (config, seed) runs produce byte-identical transcripts. Nothing
 polls: `ctx.at(height, fn)` sets a timer on one world heap, and
-`on_interval(p)` is a timer that fires at each multiple of p. Once enough
-envelopes are in flight, a send hands each one the world will open to the
-process's verify pool (identity.VerifyPool), whose threads run claim-once
-jobs: here the envelope's signature check, while the calling thread runs the
-handlers of earlier deliveries; dispatch keeps the order and the outcomes.
-The same pool derives a world's key pairs and checks its registrations
-ahead while it is built. Every copy reaches its recipient through
+`on_interval(p)` is a timer that fires at each multiple of p. Where the
+Ed25519 backend lets calls overlap, Context.send hands each envelope it
+seals to the process's verify pool (identity.VerifyPool), whose threads run
+claim-once jobs: here the envelope's pending sign and then its signature
+check, while the calling thread goes on with the handler and later
+deliveries; dispatch keeps the order and the outcomes. The same pool
+derives a world's key pairs and checks its registrations ahead while it is
+built. Every copy reaches its recipient through
 Agent.dispatch, which refuses one that does not name its agent and gives an
 awaited reply to its waiter.
 
@@ -43,7 +44,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .identity import POOL_MIN_BATCH, AgentIdentity, verifies_overlap, verify_pool
+from .identity import AgentIdentity, verifies_overlap, verify_pool
 from .ledger import Ledger
 from .mailbox import MailboxStore, retrieval_auth_digest
 from .registry import Registry
@@ -166,7 +167,10 @@ class Context:
         """Seal and queue one envelope, to one address or to several joined
         by RECIPIENT_SEP under one signature; the transport picks it up after
         the handler returns. Every envelope an agent emits is sealed here, by
-        default in this context's session, or a fresh one outside any."""
+        default in this context's session, or a fresh one outside any. Where
+        the backend's calls overlap, the envelope goes to the verify pool as
+        it is sealed, so a pool thread signs it and then checks it while the
+        handler goes on."""
         protocol = self.agent.protocol_for(record.schema)
         if session_id is None:
             session_id = self.session_id or self.agent.fresh_session_id()
@@ -175,6 +179,8 @@ class Context:
         env = seal_envelope(
             self.agent.identity, target, protocol, record, session_id, expires_at
         )
+        if verifies_overlap():
+            verify_pool().submit(env)
         self.outbound.append(env)
         return env
 
@@ -483,9 +489,7 @@ class World:
     def send(self, env: Envelope) -> None:
         """Schedule one delivery per recipient the envelope names, in its
         order, each with its own latency and drop draw; per (sender,
-        recipient) pair FIFO holds. The envelope goes to the verify pool at
-        most once, with its first copy that will open."""
-        pooled = False
+        recipient) pair FIFO holds."""
         for recipient in env.recipients:
             latency = self.rng.randint(self.network.latency_min, self.network.latency_max)
             dropped = (
@@ -498,14 +502,6 @@ class World:
             self._send_seq += 1
             # the drop decision rides along; offline redirection outranks it
             heapq.heappush(self._in_flight, (deliver_at, self._send_seq, env, recipient, dropped))
-            if (
-                not pooled
-                and len(self._in_flight) >= POOL_MIN_BATCH
-                and self._fate(recipient, dropped) == "open"
-                and verifies_overlap()
-            ):
-                verify_pool().submit(env)
-                pooled = True
 
     def _fate(self, recipient: str, dropped: bool) -> str:
         """What delivering a copy to recipient now does. `open`: the

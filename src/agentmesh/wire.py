@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
-from .identity import AgentIdentity, Job, Signature, signed_by, verify_digest
+from .identity import AgentIdentity, Job, Signature, signed_by, verifies_overlap, verify_digest
 
 SESSION_ID_LEN = 16
 DIGEST_LEN = 32
@@ -570,7 +570,7 @@ class Envelope:
 
     def run_ahead(self) -> None:
         """Work out signed() here unless it is known or claimed (for the
-        verify pool); never waits."""
+        verify pool): a pending signature is made first. Never waits."""
         self.check().run_ahead()
 
     def to_bytes(self) -> bytes:
@@ -650,7 +650,10 @@ def seal_envelope(
 ) -> Envelope:
     """Encode, address, and sign one record for transport. `target` is one
     address or up to MAX_RECIPIENTS distinct ones joined by RECIPIENT_SEP;
-    each named agent may receive it under this one signature."""
+    each named agent may receive it under this one signature. Where the
+    backend's calls overlap, the signature is pending (Signature.pending):
+    made on the verify pool once the envelope is handed to it, or by the
+    first thread that reads it."""
     if not protocol.has_schema(record.schema):
         raise SchemaNotInProtocol(
             f"schema {record.schema.name!r} not in protocol {protocol.name!r}"
@@ -669,6 +672,10 @@ def seal_envelope(
         identity.address, target, proto, schema, payload, session_id, expires_at
     )
     digest = hashlib.sha256(unsigned).digest()
+    if verifies_overlap():
+        signature = Signature.pending(Job(identity.sign_digest, digest))
+    else:
+        signature = identity.sign_digest(digest)
     env = Envelope(
         sender=identity.address,
         target=target,
@@ -677,7 +684,7 @@ def seal_envelope(
         payload=payload,
         session_id=session_id,
         expires_at=expires_at,
-        signature=identity.sign_digest(digest),
+        signature=signature,
     )
     env.__dict__["_signing_digest"] = digest  # what signed() checks; see signing_digest
     return env

@@ -129,7 +129,7 @@ def count_signatures(monkeypatch, config) -> tuple[int, int, int, int]:
     running its first order, which must end ok."""
     counts = {"verify": 0, "verify_false": 0, "sign": 0, "sign_wallet": 0}
     verify = identity.verify_digest
-    lock = threading.Lock()  # a tick's verifies may run on the verify pool
+    lock = threading.Lock()  # a sealed envelope's sign and check may run on the verify pool
 
     def counted_verify(*args, **kwargs):
         ok = verify(*args, **kwargs)
@@ -140,7 +140,8 @@ def count_signatures(monkeypatch, config) -> tuple[int, int, int, int]:
 
     def counting(method, key):
         def counted(*args, **kwargs):
-            counts[key] += 1
+            with lock:
+                counts[key] += 1
             return method(*args, **kwargs)
 
         return counted
@@ -249,25 +250,28 @@ def test_each_added_courier_costs_three_signatures_and_three_checks(monkeypatch)
 
 
 def test_a_world_makes_the_same_bytes_and_checks_with_any_number_of_pool_threads(monkeypatch):
-    """Key pairs, registration checks and envelope checks go to the verify
-    pool; how many threads it has moves no byte and no signature count."""
-    config = fleet_style(40)
-    runs = []
-    for workers in (0, 1, 4):
-        pool = identity.VerifyPool(workers)
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(identity, "_pool", pool)
-                scenario = build_scenario(config)
-                report = scenario.place_order()
-                runs.append((
-                    report.status,
-                    report.encoded_hex(),
-                    report.transcript,
-                    journal_lines(scenario.world.ledger.journal),
-                    count_signatures(monkeypatch, config),
-                ))
-        finally:
-            pool.close()
-    assert runs[0][0] == "ok"
-    assert runs[0] == runs[1] == runs[2]
+    """Key pairs, registration checks, and the sign and check of every
+    sealed envelope go to the verify pool; how many threads it has moves no
+    byte and no signature count. Under attack each saboteur seals its forged
+    bids back to back, and each is signed on whichever thread reaches it
+    first."""
+    for config in (fleet_style(40), attack_config(250, 3)):
+        runs = []
+        for workers in (0, 1, 4):
+            pool = identity.VerifyPool(workers)
+            try:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(identity, "_pool", pool)
+                    scenario = build_scenario(config)
+                    report = scenario.place_order()
+                    runs.append((
+                        report.status,
+                        report.encoded_hex(),
+                        report.transcript,
+                        journal_lines(scenario.world.ledger.journal),
+                        count_signatures(monkeypatch, config),
+                    ))
+            finally:
+                pool.close()
+        assert runs[0][0] == "ok"
+        assert runs[0] == runs[1] == runs[2]

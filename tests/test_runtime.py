@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from agentmesh import contractnet, identity, runtime, wire
-from agentmesh.identity import AGENT_PREFIX, Signature, derive_identity
+from agentmesh.identity import AGENT_PREFIX, POOL_MIN_BATCH, Signature, derive_identity
 from agentmesh.ledger import Ledger
 from agentmesh.mailbox import MailboxStore
 from agentmesh.runtime import (
@@ -27,7 +27,6 @@ from agentmesh.runtime import (
     DuplicateHandler,
     HandlerOverlap,
     InvalidRecord,
-    POOL_MIN_BATCH,
     NetworkModel,
     Timeout,
     World,
@@ -937,26 +936,35 @@ class TestDeterminism:
 
 
 class TestSignaturePool:
-    """Once enough envelopes are in flight, a send hands each one the world
-    will open to a pool of threads, when the Ed25519 backend lets verifies
-    overlap; dispatch keeps the order and the outcomes."""
+    """An envelope an agent seals goes to a pool of threads as it is sealed,
+    when the Ed25519 backend lets calls overlap: a pool thread signs it and
+    then checks it while the handler goes on. Dispatch keeps the order and
+    the outcomes."""
 
     SMALL_ORDER_SENDER = AGENT_PREFIX + "ae" + "a" * 50  # the identity point
 
     def big_tick(self, mailbox: MailboxStore | None = None, count: int = 72):
         """A world, and `count` envelopes for one receiver that its next tick
         opens once they are sent, a quarter of them bad in four ways, with
-        the outcome each should get."""
+        the outcome each should get. Each is sealed through a Context, so it
+        goes to the verify pool as it is sealed; a bad copy is made from a
+        sealed one, and no agent sealed it."""
         world = fresh_world(mailbox=mailbox)
         receiver = make_agent("pool receiver")
         receiver.on_message(PING)(lambda ctx, sender, record: None)
         world.add_agent(receiver)
         senders = [make_agent(f"pool sender {i}") for i in range(3)]
         target = receiver.identity.address
+
+        def seal(sender: Agent, text: str, expires: int = 1000) -> Envelope:
+            return Context(world, sender).send(target, Record(PING, {"text": text}),
+                                               b"\x05" * 16, expires)
+
         envelopes, expected = [], []
         for i in range(count):
-            env = TestDispatch.ping_env(senders[i % 3], receiver, text=f"m{i}")
-            outcome = "handled"
+            expired = i % 8 == 7
+            env = seal(senders[0 if expired else i % 3], f"m{i}", expires=0 if expired else 1000)
+            outcome = "expired" if expired else "handled"
             if i % 8 == 1:
                 flipped = bytes([env.signature.data[0] ^ 1]) + env.signature.data[1:]
                 env = dataclasses.replace(env, signature=Signature(flipped))
@@ -969,10 +977,6 @@ class TestSignaturePool:
             elif i % 8 == 5:
                 env = dataclasses.replace(env, sender="agent1short")
                 outcome = "signature_invalid"
-            elif i % 8 == 7:
-                env = TestDispatch.ping_env(senders[0], receiver, f"m{i}", expires=0)
-                outcome = "expired"
-            assert env.target == target
             envelopes.append(env)
             expected.append((env.sender, outcome))
         return world, envelopes, expected
@@ -990,6 +994,17 @@ class TestSignaturePool:
         return submitted
 
     @staticmethod
+    def held_pool(monkeypatch, workers: int) -> tuple[identity.VerifyPool, threading.Event]:
+        """The process's pool replaced by one of `workers` threads that each
+        first wait for the event: what is handed to it meanwhile queues."""
+        pool, release = identity.VerifyPool(workers), threading.Event()
+        hold = types.SimpleNamespace(run_ahead=lambda: release.wait(30))
+        for _ in range(workers):
+            pool.submit(hold)
+        monkeypatch.setattr(identity, "_pool", pool)
+        return pool, release
+
+    @staticmethod
     def outcomes(world: World) -> list[tuple[str, str]]:
         lines = map(oracles.line_fields, world.transcript)
         return [(line.sender, line.outcome) for line in lines]
@@ -1005,22 +1020,22 @@ class TestSignaturePool:
 
     def test_pool_and_calling_thread_log_the_same_lines(self, monkeypatch, request):
         pooled, submitted = self.tick_lines(monkeypatch)
-        if identity.verifies_overlap():  # every send from the POOL_MIN_BATCH-th on
-            assert len(submitted) == 72 - POOL_MIN_BATCH + 1
+        if identity.verifies_overlap():  # every envelope sealed, as it is sealed
+            assert len(submitted) == 72
+            assert not any(env.sender == self.SMALL_ORDER_SENDER for env in submitted)
         request.getfixturevalue("cryptography_backend")
         assert not identity.verifies_overlap()
         alone, submitted = self.tick_lines(monkeypatch)
         assert submitted == []
         assert alone == pooled
 
-    @pytest.mark.parametrize("count, broken_at", [(72, 40), (POOL_MIN_BATCH - 1, 2)])
+    @pytest.mark.parametrize("workers", [2, 0])
     def test_a_check_that_raises_fails_the_tick_in_its_thread_and_loses_nothing(
-        self, monkeypatch, count, broken_at
+        self, monkeypatch, workers
     ):
-        world, envelopes, expected = self.big_tick(count=count)
+        pool, release = self.held_pool(monkeypatch, workers)
+        broken, caller = set(), []
         verify = identity.verify_digest
-        broken = {envelopes[broken_at].signing_digest()}
-        caller = []
 
         def flaky_verify(address, digest, signature):
             if threading.get_ident() in caller:
@@ -1031,23 +1046,30 @@ class TestSignaturePool:
 
         monkeypatch.setattr(identity, "verify_digest", flaky_verify)
         raised = []
+        try:
+            world, envelopes, expected = self.big_tick()
+            broken.add(envelopes[40].signing_digest())
+            release.set()
 
-        def send_and_tick():
-            caller.append(threading.get_ident())
-            for env in envelopes:
-                world.send(env)
-            try:
-                world.tick(1)
-            except RuntimeError as exc:
-                raised.append(exc)
+            def send_and_tick():
+                caller.append(threading.get_ident())
+                for env in envelopes:
+                    world.send(env)
+                try:
+                    world.tick(1)
+                except RuntimeError as exc:
+                    raised.append(exc)
 
-        thread = threading.Thread(target=send_and_tick)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
+            thread = threading.Thread(target=send_and_tick)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        finally:
+            release.set()
+            pool.close()
         assert [str(exc) for exc in raised] == ["verify broke"]
         # the envelopes ahead of the broken one went out; it and the rest wait
-        assert self.outcomes(world) == expected[:broken_at]
+        assert self.outcomes(world) == expected[:40]
         broken.clear()
         world.tick(1)
         assert self.outcomes(world) == expected
@@ -1060,7 +1082,9 @@ class TestSignaturePool:
         world.add_agent(away)
         mailbox.create_account(away.identity.address)
         world.set_online(away.identity.address, False)
-        good = TestDispatch.ping_env(make_agent("pool tamperer"), away)
+        good = Context(world, make_agent("pool tamperer")).send(
+            away.identity.address, Record(PING, {"text": "hi"})
+        )
         tampered = dataclasses.replace(good, payload=good.payload[:-1] + b"!")
         for env in envelopes:
             world.send(env)
@@ -1071,9 +1095,50 @@ class TestSignaturePool:
         assert oracles.line_fields(world.transcript[-1]).outcome == "mailbox_SignatureInvalid"
         assert mailbox.dropped_total == 1
 
-    def test_a_small_tick_stays_on_the_calling_thread(self, monkeypatch):
+    def test_a_pending_sign_that_raises_on_the_pool_raises_again_for_its_reader(
+        self, monkeypatch
+    ):
+        if not identity.verifies_overlap():
+            pytest.skip("the backend signs at seal; no signature is pending")
+        pool, release = self.held_pool(monkeypatch, 1)
+        threads, tried = [], threading.Event()
+        sign = identity.AgentIdentity.sign_digest
+
+        def broken_sign(self, digest):
+            threads.append(threading.current_thread().name)
+            if threading.current_thread().name == "agentmesh-verify":
+                tried.set()
+                raise RuntimeError("sign broke")
+            return sign(self, digest)
+
+        monkeypatch.setattr(identity.AgentIdentity, "sign_digest", broken_sign)
+        world = fresh_world()
+        sender, receiver = make_agent("pending sender"), make_agent("pending receiver")
+        try:
+            env = Context(world, sender).send(receiver.identity.address,
+                                              Record(PING, {"text": "pending"}))
+            assert threads == []  # handed to the pool, not signed yet
+            release.set()
+            assert tried.wait(timeout=30)
+        finally:
+            release.set()
+            pool.close()
+        # the reader waits for the pool's claim, signs in its own right, then checks
+        assert env.signed()
+        assert threads == ["agentmesh-verify", threading.current_thread().name]
+        assert env.signature == sign(sender.identity, env.signing_digest())
+
+    @pytest.mark.usefixtures("cryptography_backend")
+    def test_on_the_cryptography_backend_nothing_is_handed_off(self, monkeypatch):
+        """Its calls hold the GIL, so seal signs at once on the caller and
+        the check is made by the thread that opens the envelope."""
         submitted = self.spy_on_pool(monkeypatch)
-        world, envelopes, expected = self.big_tick(count=POOL_MIN_BATCH - 1)
+        signs = []
+        sign = identity.AgentIdentity.sign_digest
+        monkeypatch.setattr(identity.AgentIdentity, "sign_digest",
+                            lambda self, digest: signs.append(digest) or sign(self, digest))
+        world, envelopes, expected = self.big_tick(count=16)
+        assert len(signs) == 16  # made as each was sealed
         for env in envelopes:
             world.send(env)
         world.tick(1)
@@ -1123,7 +1188,19 @@ def count_verifies(monkeypatch, pause: float = 0.0) -> dict[bytes, int]:
 
 
 def test_more_pool_threads_than_cores_check_each_envelope_once(monkeypatch):
+    """And sign each once: a sealed envelope's pending sign is claimed once,
+    by the pool thread that checks it or by the caller."""
     counts = count_verifies(monkeypatch, pause=0.0002)
+    signs, lock = {}, threading.Lock()
+    sign = identity.AgentIdentity.sign_digest
+
+    def counted_sign(self, digest):
+        time.sleep(0.0001)  # so that a reader comes while the sign is made
+        with lock:
+            signs[digest] = signs.get(digest, 0) + 1
+        return sign(self, digest)
+
+    monkeypatch.setattr(identity.AgentIdentity, "sign_digest", counted_sign)
     sender, receiver = make_agent("once sender"), make_agent("once receiver")
     pool = identity.VerifyPool(4)
     interval = sys.getswitchinterval()
@@ -1135,10 +1212,14 @@ def test_more_pool_threads_than_cores_check_each_envelope_once(monkeypatch):
             ]
             for env in envelopes * 2:
                 pool.submit(env)
+            for env in envelopes:  # the caller reads each signature as the pool signs it
+                assert Envelope.from_bytes(env.to_bytes()) == env
             assert all(env.signed() for env in envelopes)
             assert sorted(counts) == sorted(env.signing_digest() for env in envelopes)
-            assert set(counts.values()) == {1}
+            assert sorted(signs) == sorted(counts)
+            assert set(counts.values()) == set(signs.values()) == {1}
             counts.clear()
+            signs.clear()
     finally:
         sys.setswitchinterval(interval)
         pool.close()
@@ -1257,16 +1338,20 @@ class TestMulticast:
 
     def test_one_sign_and_one_verify_reach_every_recipient(self, monkeypatch):
         world, sender, receivers, handled = self.cast(6)
+        submitted = TestSignaturePool.spy_on_pool(monkeypatch)
         verifies = count_verifies(monkeypatch)
-        signs = []
+        signs, lock = [], threading.Lock()
         sign = identity.AgentIdentity.sign_digest
 
         def counted_sign(self, digest):
-            signs.append(digest)
+            with lock:  # a pool thread may make the sign
+                signs.append(digest)
             return sign(self, digest)
 
         monkeypatch.setattr(identity.AgentIdentity, "sign_digest", counted_sign)
         env = world.send_message(sender, ",".join(receivers), Record(PING, {"text": "all"}))
+        # handed to the pool once, as it was sealed, before any copy is sent
+        assert submitted == ([env] if identity.verifies_overlap() else [])
         world.drain()
         assert env.recipients == tuple(receivers)
         assert signs == [env.signing_digest()]
