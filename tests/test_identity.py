@@ -426,7 +426,9 @@ class TestKeyCacheOnCryptography(TestKeyCache):
 class TestJobs:
     """Claim-once jobs and the verify pool that runs them ahead."""
 
-    def test_each_job_runs_once_however_many_threads_take_it(self):
+    def test_each_job_runs_once_however_many_threads_take_it(self, monkeypatch):
+        """With 0, 1 and 4 pool threads; the caller, which helps the pool
+        while it waits on a claim, makes a share of the calls too."""
         counts, lock = {}, threading.Lock()
 
         def keypair(seed):
@@ -435,24 +437,157 @@ class TestJobs:
                 counts[seed] = counts.get(seed, 0) + 1
             return identity_module._backend.keypair(seed)
 
-        pool = identity_module.VerifyPool(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for round_ in range(50):
-                seeds = [hashlib.sha256(b"%d %d" % (round_, i)).digest() for i in range(40)]
-                jobs = [identity_module.Job(keypair, seed) for seed in seeds]
-                for job in jobs * 2:
-                    pool.submit(job)
-                pairs = [job.result() for job in jobs]
-                assert [public for public, _ in pairs] == [
-                    identity_module._backend.keypair(seed)[0] for seed in seeds
-                ]
-                assert counts == dict.fromkeys(seeds, 1)
-                counts.clear()
+            for workers in (0, 1, 4):
+                pool = identity_module.VerifyPool(workers)
+                monkeypatch.setattr(identity_module, "_pool", pool)
+                try:
+                    for round_ in range(50):
+                        seeds = [hashlib.sha256(b"%d %d" % (round_, i)).digest() for i in range(40)]
+                        jobs = [identity_module.Job(keypair, seed) for seed in seeds]
+                        for job in jobs * 2:
+                            pool.submit(job)
+                        pairs = [job.result() for job in jobs]
+                        assert [public for public, _ in pairs] == [
+                            identity_module._backend.keypair(seed)[0] for seed in seeds
+                        ]
+                        assert counts == dict.fromkeys(seeds, 1), workers
+                        counts.clear()
+                finally:
+                    pool.close()
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def hold(held, let_go):
+        """A call that keeps its thread: it sets held, then waits for let_go."""
+        held.set()
+        return let_go.wait(timeout=30)
+
+    @staticmethod
+    def ask_on_a_thread(job):
+        """[job.result()], asked on a thread named "caller"."""
+        results = []
+        thread = threading.Thread(target=lambda: results.append(job.result()), name="caller")
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return results
+
+    def test_a_caller_runs_the_next_queued_job_while_a_pool_thread_holds_its_own(
+        self, monkeypatch
+    ):
+        pool = identity_module.VerifyPool(1)
+        monkeypatch.setattr(identity_module, "_pool", pool)
+        ran = []  # (job, thread name)
+        claimed, let_go = threading.Event(), threading.Event()
+
+        def held():
+            ran.append(("held", threading.current_thread().name))
+            claimed.set()
+            let_go.wait(timeout=30)  # only the queued job lets go
+            return "held result"
+
+        def queued():
+            ran.append(("queued", threading.current_thread().name))
+            let_go.set()
+            return "queued result"
+
+        held_job, queued_job = identity_module.Job(held), identity_module.Job(queued)
+        try:
+            pool.submit(held_job)
+            assert claimed.wait(timeout=30)
+            pool.submit(queued_job)  # the pool thread is busy, so this one stays queued
+            assert self.ask_on_a_thread(held_job) == ["held result"]
+        finally:
             pool.close()
+        assert ran == [("held", "agentmesh-verify"), ("queued", "caller")]
+        assert queued_job.result() == "queued result"
+
+    def test_close_still_ends_every_pool_thread_after_a_caller_has_helped(self, monkeypatch):
+        before = set(threading.enumerate())
+        pool = identity_module.VerifyPool(2)
+        monkeypatch.setattr(identity_module, "_pool", pool)
+        threads = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in threads] == ["agentmesh-verify"] * 2
+        let_go, holding = threading.Event(), [threading.Event(), threading.Event()]
+        held = [identity_module.Job(self.hold, event, let_go) for event in holding]
+        for job in held:
+            pool.submit(job)
+        assert all(event.wait(timeout=30) for event in holding)
+        ran, taken = [], []
+        pool.submit(identity_module.Job(lambda: ran.append(threading.current_thread().name)))
+        pool.close()  # both end markers queue behind that job
+        take = pool._take
+
+        def watched_take():
+            job = take()
+            taken.append(job)
+            if job is None:
+                let_go.set()  # the caller has taken an end marker and put it back
+            return job
+
+        monkeypatch.setattr(pool, "_take", watched_take)
+        assert self.ask_on_a_thread(held[0]) == [True]
+        assert ran == ["caller"]
+        assert taken[-1] is None
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    def test_a_helped_job_that_waits_on_a_held_claim_blocks_instead_of_helping_again(
+        self, monkeypatch
+    ):
+        pool = identity_module.VerifyPool(2)
+        monkeypatch.setattr(identity_module, "_pool", pool)
+        let_first, let_second = threading.Event(), threading.Event()
+        first_held, second_held = threading.Event(), threading.Event()
+        ran, blocked_by = [], []  # (step, thread name); who blocked on second's claim
+
+        class WatchedClaim:
+            """second's claim, which lets second go once a thread blocks on it."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def acquire(self, blocking=True):
+                if blocking:
+                    blocked_by.append(threading.current_thread().name)
+                    let_second.set()
+                return self.lock.acquire(blocking)
+
+            def release(self):
+                self.lock.release()
+
+        def step(name):
+            ran.append((name, threading.current_thread().name))
+
+        def helped():
+            step("helped starts")
+            second.result()
+            step("helped ends")
+
+        def last():
+            step("last")
+            let_first.set()
+
+        first = identity_module.Job(self.hold, first_held, let_first)
+        second = identity_module.Job(self.hold, second_held, let_second)
+        second._claim = WatchedClaim()
+        try:
+            pool.submit(first)
+            pool.submit(second)
+            assert first_held.wait(timeout=30) and second_held.wait(timeout=30)
+            pool.submit(identity_module.Job(helped))
+            pool.submit(identity_module.Job(last))
+            assert self.ask_on_a_thread(first) == [True]
+        finally:
+            pool.close()
+        assert blocked_by == ["caller"]
+        on_caller = [name for name, thread in ran if thread == "caller"]
+        assert on_caller[:2] == ["helped starts", "helped ends"]
 
     def test_a_raise_on_a_pool_thread_lets_go_of_the_claim_and_the_caller_raises(self):
         claimed = threading.Event()
