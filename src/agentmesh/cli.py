@@ -22,8 +22,8 @@ from .config import (
 )
 from .contractnet import COURIER_AUCTION
 from .ledger import Ledger, LedgerError, UFET_PER_FET, read_journal, replay, write_journal
-from .mailbox import MailboxStore
-from .registry import FixtureDnsResolver, Registry
+from .mailbox import DEFAULT_CAPACITY, MailboxStore
+from .registry import DEFAULT_TTL, FixtureDnsResolver, Registry
 from .scenario import (
     LOGISTICS_PROTOCOL,
     MAPS_PROTOCOL,
@@ -335,7 +335,7 @@ def registryd_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8700)
-    parser.add_argument("--ttl", type=int, default=500, help="registration TTL in blocks")
+    parser.add_argument("--ttl", type=int, default=DEFAULT_TTL, help="registration TTL in blocks")
     parser.add_argument("--fee-ufet", type=int, default=0,
                         help="registration fee in micro-FET (default 0 for standalone use)")
     parser.add_argument("--genesis", action="append", default=[], metavar="WALLET=UFET",
@@ -369,7 +369,7 @@ def mailboxd_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8701)
-    parser.add_argument("--capacity", type=int, default=1024)
+    parser.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     args = parser.parse_args(argv)
     if args.capacity < 1:
         print(f"--capacity must be at least 1 envelope, not {args.capacity}", file=sys.stderr)

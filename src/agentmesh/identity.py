@@ -19,16 +19,16 @@ derive_identity made for it, and decodes the address text of any other,
 wallet addresses included. No key is kept, so a process does not grow with
 the addresses it checks.
 
-Ed25519 work that a thread will need later can be handed ahead as a claim-
-once Job to the process's VerifyPool, whose threads run it while the caller
-does other work: key pairs, registration checks, and envelope checks. A
-sealed envelope's Signature may be pending, the Job that signs it, so an
-envelope handed to the pool as it is sealed is signed and then checked
-there. A thread that asks for a job's result while another thread holds
+Ed25519 work that a thread will need later is handed ahead, each job as it
+is made and only by hand_ahead, to the process's VerifyPool, whose threads
+run it while the caller does other work: key pairs, registration checks,
+and envelope checks. A sealed envelope's Signature is pending, the Job that
+signs it, so an envelope handed ahead as it is sealed is signed and then
+checked there. A thread that asks for a job's result while another holds
 it runs the pool's queued jobs, one at a time from the front, until the
 claim is let go, and blocks only once none is queued. Where the backend
-holds the GIL, or the process has one CPU, every job runs on the thread
-that asks for its result.
+holds the GIL, nothing is handed ahead and no signature is pending; there,
+or with one CPU, every job runs on the thread that asks for its result.
 """
 
 from __future__ import annotations
@@ -216,14 +216,9 @@ def _load_backend() -> _Sodium | _Cryptography:
 _backend = _load_backend()
 
 
-# With fewer jobs at hand, the calling thread runs them itself: for a
-# handful, handing them to a pool thread costs more than it saves.
-POOL_MIN_BATCH = 8
-
-
 class Job:
     """One call made once, on whichever thread claims it first: a pool
-    thread ahead of time, or the thread that asks for its result. A thread
+    thread (hand_ahead), or the thread that asks for its result. A thread
     that asks while another holds the claim runs the verify pool's queued
     jobs until the claim is let go, and waits for it only once none is
     queued (VerifyPool.wait). A call that raises keeps no result and lets go
@@ -280,8 +275,8 @@ class Job:
 
 
 class VerifyPool:
-    """Daemon threads that run jobs ahead of the thread that needs their
-    results: anything with a run_ahead() method, such as a Job or an
+    """Daemon threads that run what hand_ahead queues, ahead of the thread
+    that needs it: anything with a run_ahead() method, such as a Job or an
     envelope, whose run_ahead makes its pending signature and then works out
     its signature check. Their Ed25519 calls overlap the caller's work only
     where the backend lets go of the GIL. A thread that would wait on a job
@@ -329,10 +324,11 @@ class VerifyPool:
             self._jobs.put(None)
         return job
 
-    def submit(self, job: Any) -> None:
-        """Queue one job for a pool thread; with none, queue nothing."""
+    def submit(self, job: Any) -> bool:
+        """Queue one job for a pool thread, if there is one, and say so."""
         if self.workers:
             self._jobs.put(job)
+        return self.workers > 0
 
     def close(self) -> None:
         """Let every pool thread end once it has taken what is queued."""
@@ -360,20 +356,22 @@ def verify_pool() -> VerifyPool:
         return _pool
 
 
+def hand_ahead(job: Any) -> bool:
+    """The one hand-off to the verify pool: queue job where the backend's
+    calls overlap, and say whether a pool thread may run it."""
+    return verifies_overlap() and verify_pool().submit(job)
+
+
 def work_ahead(jobs: Iterable[Job]) -> None:
-    """Hand jobs, whose results the caller will ask for first to last, to
-    the verify pool as they are taken, from the POOL_MIN_BATCH-th on; once
-    all are taken, run those not yet made here from the last, so that the
-    pool and the caller meet once. Fewer than POOL_MIN_BATCH jobs, or a
-    backend whose calls do not overlap, leave each job to the thread that
-    asks for its result."""
-    pool = verify_pool() if verifies_overlap() else None
-    taken = []
+    """Hand each job, whose result the caller will ask for first to last,
+    ahead as it is taken (hand_ahead); once all are taken, run those not
+    yet made here from the last, so that the pool and the caller meet once
+    (without that, `fleet` read slower in 4 of 4 pairs)."""
+    taken, pooled = [], False
     for job in jobs:
         taken.append(job)
-        if pool is not None and len(taken) >= POOL_MIN_BATCH:
-            pool.submit(job)
-    if pool is not None and len(taken) >= POOL_MIN_BATCH:
+        pooled = hand_ahead(job)
+    if pooled:
         for job in reversed(taken):
             job.run_ahead()
 
@@ -392,7 +390,9 @@ class Signature:
 
     @classmethod
     def pending(cls, sign: Job) -> "Signature":
-        """The signature `sign`, a Job whose result is a Signature, makes."""
+        """The Signature the Job `sign` makes: now, or pending where calls overlap."""
+        if not verifies_overlap():
+            return sign.result()
         signature = cls.__new__(cls)
         signature._data, signature._sign = None, sign
         return signature

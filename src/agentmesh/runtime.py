@@ -11,16 +11,15 @@ transcript line per delivery outcome: the pipe-joined string
 of docs/wire.md, rendered once when the event happens and kept as it is.
 Identical (config, seed) runs produce byte-identical transcripts. Nothing
 polls: `ctx.at(height, fn)` sets a timer on one world heap, and
-`on_interval(p)` is a timer that fires at each multiple of p. Where the
-Ed25519 backend lets calls overlap, Context.send hands each envelope it
-seals to the process's verify pool (identity.VerifyPool), whose threads run
-claim-once jobs: here the envelope's pending sign and then its signature
-check, while the calling thread goes on with the handler and later
-deliveries; dispatch keeps the order and the outcomes. The same pool
-derives a world's key pairs and checks its registrations ahead while it is
-built. Every copy reaches its recipient through
-Agent.dispatch, which refuses one that does not name its agent and gives an
-awaited reply to its waiter.
+`on_interval(p)` is a timer that fires at each multiple of p.
+Context.send hands each envelope it seals ahead (identity.hand_ahead, which
+alone decides whether the process's verify pool takes it), so a pool thread
+may make its pending sign and then its signature check while the calling
+thread goes on with the handler and later deliveries; dispatch keeps the
+order and the outcomes. The same pool derives a world's key pairs and
+checks its registrations ahead while it is built. Every copy reaches its
+recipient through Agent.dispatch, which refuses one that does not name its
+agent and gives an awaited reply to its waiter.
 
 Handlers inside one agent never overlap; the world may interleave agents
 but each dispatch is serialized per agent (enforced with a reentrancy
@@ -44,7 +43,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .identity import AgentIdentity, verifies_overlap, verify_pool
+from .identity import AgentIdentity, hand_ahead
 from .ledger import Ledger
 from .mailbox import MailboxStore, retrieval_auth_digest
 from .registry import Registry
@@ -167,10 +166,9 @@ class Context:
         """Seal and queue one envelope, to one address or to several joined
         by RECIPIENT_SEP under one signature; the transport picks it up after
         the handler returns. Every envelope an agent emits is sealed here, by
-        default in this context's session, or a fresh one outside any. Where
-        the backend's calls overlap, the envelope goes to the verify pool as
-        it is sealed, so a pool thread signs it and then checks it while the
-        handler goes on."""
+        default in this context's session, or a fresh one outside any. The
+        envelope is handed ahead as it is sealed (identity.hand_ahead), so a
+        pool thread may sign it and then check it while the handler goes on."""
         protocol = self.agent.protocol_for(record.schema)
         if session_id is None:
             session_id = self.session_id or self.agent.fresh_session_id()
@@ -179,8 +177,7 @@ class Context:
         env = seal_envelope(
             self.agent.identity, target, protocol, record, session_id, expires_at
         )
-        if verifies_overlap():
-            verify_pool().submit(env)
+        hand_ahead(env)
         self.outbound.append(env)
         return env
 
@@ -440,6 +437,8 @@ class World:
                        session_id: bytes | None = None) -> None:
         """Run handler(ctx) for the agent in the first timer phase at or
         after tick `height`; a periodic one then at each multiple of period."""
+        if self.agents.get(agent.identity.address) is not agent:
+            raise AgentNotStarted(f"{agent.name} is not in this world")
         self._timer_seq += 1
         order = (max(height, self.height), self._rank[agent.identity.address], self._timer_seq)
         heapq.heappush(self._timers, (*order, agent, handler, period, session_id))

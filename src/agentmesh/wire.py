@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 # unused here; bench/tests/test_bench.py looks verify_digest up on this module
-from .identity import AgentIdentity, Job, Signature, signed_by, verifies_overlap, verify_digest
+from .identity import AgentIdentity, Job, Signature, signed_by, verify_digest
 
 SESSION_ID_LEN = 16
 DIGEST_LEN = 32
@@ -650,10 +650,9 @@ def seal_envelope(
 ) -> Envelope:
     """Encode, address, and sign one record for transport. `target` is one
     address or up to MAX_RECIPIENTS distinct ones joined by RECIPIENT_SEP;
-    each named agent may receive it under this one signature. Where the
-    backend's calls overlap, the signature is pending (Signature.pending):
-    made on the verify pool once the envelope is handed to it, or by the
-    first thread that reads it."""
+    each named agent may receive it under this one signature, which
+    Signature.pending may leave pending: made on the verify pool once the
+    envelope is handed to it, or by the first thread that reads it."""
     if not protocol.has_schema(record.schema):
         raise SchemaNotInProtocol(
             f"schema {record.schema.name!r} not in protocol {protocol.name!r}"
@@ -672,10 +671,7 @@ def seal_envelope(
         identity.address, target, proto, schema, payload, session_id, expires_at
     )
     digest = hashlib.sha256(unsigned).digest()
-    if verifies_overlap():
-        signature = Signature.pending(Job(identity.sign_digest, digest))
-    else:
-        signature = identity.sign_digest(digest)
+    signature = Signature.pending(Job(identity.sign_digest, digest))
     env = Envelope(
         sender=identity.address,
         target=target,

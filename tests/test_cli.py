@@ -21,6 +21,8 @@ from agentmesh.cli import attack_config, mailboxd_main, main, registryd_main
 from agentmesh.config import default_config, render_config, with_overrides
 from agentmesh.contractnet import ACCEPT_BID, REJECT_BID
 from agentmesh.identity import derive_identity
+from agentmesh.mailbox import MailboxStore
+from agentmesh.registry import Registry
 from agentmesh.scenario import build_scenario
 from agentmesh.wire import (
     CHAT_PROTOCOL,
@@ -372,6 +374,16 @@ def test_mailboxd_refuses_a_capacity_below_one(monkeypatch, capsys, capacity):
     monkeypatch.setattr(cli, "serve_mailbox", _never_serve)
     assert mailboxd_main(["--capacity", capacity]) == 2
     assert "--capacity must be at least 1" in capsys.readouterr().err
+
+
+def test_the_daemons_default_to_the_stores_own_settings(monkeypatch):
+    served = []
+    monkeypatch.setattr(cli, "_listen", lambda serve, args, label: served.append(serve) or 0)
+    assert registryd_main([]) == 0
+    assert mailboxd_main([]) == 0
+    registry, store = (serve.args[0] for serve in served)
+    assert registry.ttl == Registry().ttl and registry.fee == 0
+    assert store.capacity == MailboxStore().capacity
 
 
 @pytest.mark.parametrize(

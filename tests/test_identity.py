@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -623,34 +624,44 @@ class TestJobs:
         assert threads == ["agentmesh-verify", "caller"]
 
     def test_a_batch_goes_to_the_pool_last_first(self, monkeypatch):
-        """From the POOL_MIN_BATCH-th job on, each goes to the pool as it is
-        taken; once all are taken, the caller runs the rest from the last."""
+        """Each job goes to the pool as it is taken, from the first, a batch
+        of one too; once all are taken, the caller runs the rest from the
+        last. Where the backend holds the GIL, nothing is handed over."""
         submitted, ran, seen = [], [], []
         monkeypatch.setattr(identity_module, "verifies_overlap", lambda: True)
-        monkeypatch.setattr(identity_module, "_pool", identity_module.VerifyPool(0))
-        monkeypatch.setattr(identity_module.VerifyPool, "submit", lambda pool, job: submitted.append(job))
-        size = identity_module.POOL_MIN_BATCH + 3
-        jobs = [identity_module.Job(lambda i: ran.append(i) or i, i) for i in range(size)]
+        pool = types.SimpleNamespace(submit=lambda job: submitted.append(job) or True)
+        monkeypatch.setattr(identity_module, "_pool", pool)
 
-        def taken(batch):
-            for job in batch:
+        def batch(size):
+            return [identity_module.Job(lambda i: ran.append(i) or i, i) for i in range(size)]
+
+        def taken(jobs):
+            for job in jobs:
                 seen.append(len(submitted))  # jobs handed over before this one is taken
                 yield job
 
+        jobs = batch(11)
         identity_module.work_ahead(taken(jobs))
-        assert submitted == jobs[identity_module.POOL_MIN_BATCH - 1:]
-        assert seen == [max(0, i - identity_module.POOL_MIN_BATCH + 1) for i in range(size)]
-        assert ran == list(range(size))[::-1]
+        assert submitted == jobs
+        assert seen == list(range(11))
+        assert ran == list(range(11))[::-1]
+        for size in (1, 2):
+            submitted.clear()
+            ran.clear()
+            jobs = batch(size)
+            identity_module.work_ahead(iter(jobs))
+            assert submitted == jobs and ran == list(range(size))[::-1]
         submitted.clear()
         ran.clear()
-        fresh = [identity_module.Job(lambda i: ran.append(i) or i, i)
-                 for i in range(identity_module.POOL_MIN_BATCH)]
-        identity_module.work_ahead(iter(fresh[1:]))  # too few to be worth a hand-off
+        jobs = batch(3)
         monkeypatch.setattr(identity_module, "verifies_overlap", lambda: False)
-        identity_module.work_ahead(iter(fresh))  # the backend holds the GIL
+        identity_module.work_ahead(iter(jobs))  # the backend holds the GIL
         assert submitted == [] and ran == []
-        assert [job.result() for job in fresh] == list(range(len(fresh)))
-        assert ran == list(range(len(fresh)))
+        assert [job.result() for job in jobs] == [0, 1, 2]
+        assert ran == [0, 1, 2]
+        monkeypatch.setattr(identity_module, "verifies_overlap", lambda: True)
+        monkeypatch.setattr(identity_module, "_pool", identity_module.VerifyPool(0))
+        assert not identity_module.hand_ahead(batch(1)[0])  # no pool thread may run it
 
     @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_derive_identities_derives_what_derive_identity_does(self, monkeypatch, workers):

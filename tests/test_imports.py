@@ -140,6 +140,18 @@ def test_every_name_the_package_defines_is_read():
     assert unread_definitions(definitions, readers, entry_points) == []
 
 
+def test_only_identity_reads_the_verify_pool():
+    """identity.hand_ahead alone decides what goes to the pool: no other
+    module reads the pool or asks whether the backend's calls overlap."""
+    pool_names = {"verify_pool", "VerifyPool", "verifies_overlap"}
+    readers = {
+        path.stem: sorted(names_read(path.read_text(encoding="utf-8")) & pool_names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "identity"
+    }
+    assert {module: names for module, names in readers.items() if names} == {}
+
+
 def test_the_check_sees_a_name_left_behind():
     module = (
         "import json\n"

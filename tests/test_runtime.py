@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from agentmesh import contractnet, identity, runtime, wire
-from agentmesh.identity import AGENT_PREFIX, POOL_MIN_BATCH, Signature, derive_identity
+from agentmesh.identity import AGENT_PREFIX, Signature, derive_identity
 from agentmesh.ledger import Ledger
 from agentmesh.mailbox import MailboxStore
 from agentmesh.runtime import (
@@ -537,6 +537,17 @@ class TestTimers:
             for fields in map(oracles.line_fields, world.transcript)
         ]
         assert outcomes == [(5, "Ping", "handled"), (6, "Pong", "no_handler")]
+
+    def test_a_timer_for_an_agent_the_world_does_not_hold_is_refused(self):
+        world = fresh_world()
+        stranger = make_agent("timer stranger")
+        with pytest.raises(AgentNotStarted):
+            world.schedule_timer(stranger, 1, lambda later: None)
+        # nor for an agent with a held agent's address that is not that agent
+        world.add_agent(make_agent("timer twin"))
+        with pytest.raises(AgentNotStarted):
+            world.schedule_timer(make_agent("timer twin"), 1, lambda later: None)
+        assert world._timers == []
 
     def test_offline_agents_timer_fires_on_its_reconnect_tick(self):
         world = fresh_world()
@@ -1411,8 +1422,8 @@ class TestMulticast:
 
     def test_a_multicast_goes_to_the_verify_pool_once(self, monkeypatch):
         submitted = TestSignaturePool.spy_on_pool(monkeypatch)
-        monkeypatch.setattr(runtime, "verifies_overlap", lambda: True)
-        world, sender, receivers, handled = self.cast(3 * POOL_MIN_BATCH)
+        monkeypatch.setattr(identity, "verifies_overlap", lambda: True)
+        world, sender, receivers, handled = self.cast(24)
         env = world.send_message(sender, ",".join(receivers), Record(PING, {"text": "pooled"}))
         world.drain()
         assert submitted == [env]
